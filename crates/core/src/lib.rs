@@ -240,7 +240,10 @@ pub struct RunOptions {
     /// not per object.
     pub max_heap_words: Option<usize>,
     /// Page size of the BiBOP store, in words (rounded up to a power of
-    /// two by [`MemConfig`]).
+    /// two and saturated at [`MAX_PAGE_WORDS`] by [`Memory::new`]).
+    ///
+    /// [`MAX_PAGE_WORDS`]: ps_gc_lang::memory::MAX_PAGE_WORDS
+    /// [`Memory::new`]: ps_gc_lang::memory::Memory::new
     pub page_words: usize,
     /// How the periodic heap audit walks the store: incrementally over
     /// dirtied pages (the default) or as a full walk every time.

@@ -3,10 +3,9 @@
 //! The paper has no empirical tables; its quantitative claims live in
 //! prose (sharing loss without forwarding pointers, the CPS continuation
 //! region of §6.1, `only` cost of §4.1/§6.4, §2.2.1's type growth). Each
-//! claim gets a benchmark; this module builds the mutator programs they
-//! sweep over. It lives in `scavenger` (rather than the benchmark crate)
-//! so the offline examples and the Criterion benches share one set of
-//! builders.
+//! claim gets an experiment; this module builds the mutator programs they
+//! sweep over. It lives in `scavenger` so the offline examples and the
+//! benchmark in `perfbench/` share one set of builders.
 //!
 //! Source programs with *deep live structure* need types of matching depth
 //! (the source language is simply typed), so the builders construct source

@@ -3,13 +3,13 @@
 //!
 //! Every [`Tag`], [`Ty`], [`Term`], and [`Value`] node in the crate stores
 //! its children as [`TagId`]/[`TyId`]/[`TermId`]/[`ValId`] handles into four
-//! global [`ps_ir::Interner`] arenas, so structurally equal subtrees are
-//! stored exactly once and *structural equality of whole trees is equality
-//! of `u32` ids* (the derived `PartialEq` on nodes compares children by
-//! id). On top of the arenas this module keeps side tables, all indexed by
-//! id — ids are dense, so each table is an append-only [`ChunkedSlab`]
-//! probed by index rather than a `HashMap` (the normalization table for
-//! types keeps one slab per dialect):
+//! global [`ps_ir::ConcurrentInterner`] arenas, so structurally equal
+//! subtrees are stored exactly once and *structural equality of whole trees
+//! is equality of `u32` ids* (the derived `PartialEq` on nodes compares
+//! children by id). On top of the arenas this module keeps side tables, all
+//! indexed by id — ids are dense, so each table is an append-only
+//! [`ChunkedSlab`] probed by index rather than a `HashMap` (the
+//! normalization table for types keeps one slab per dialect):
 //!
 //! * **normalization memos** — [`crate::tags::normalize`] and
 //!   [`crate::moper::normalize_ty`] record their result (and, for tags, the
@@ -38,9 +38,9 @@
 //! blocks over worker threads that deref ids and hit the memos on every
 //! node; a shared `RwLock` read on that path makes the threads bounce the
 //! lock's cache line and serializes them. Only *interning* (the hash-cons
-//! lookup/insert) still takes the `RwLock` around the arena's hash table,
-//! and it is never held across recursive work: probe under a read lock,
-//! compute unlocked, insert under a short write lock.
+//! lookup/insert) still takes the `RwLock` around one shard of the arena's
+//! hash table, and it is never held across recursive work: probe under a
+//! read lock, compute unlocked, insert under a short write lock.
 
 use std::fmt;
 use std::ops::Deref;

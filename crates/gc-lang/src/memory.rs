@@ -102,10 +102,17 @@ pub struct MemConfig {
     /// [`crate::error::ErrorKind::OutOfMemory`] error once allocating a
     /// fresh page would exceed the cap; `None` means unbounded.
     pub max_heap_words: Option<usize>,
-    /// Page size in words. Normalized to a power of two (≥ 1) by
-    /// [`Memory::new`]. The default, 512 words × 8 bytes, is a 4KB page.
+    /// Page size in words. Normalized to a power of two in
+    /// `1..=`[`MAX_PAGE_WORDS`] by [`Memory::new`]. The default, 512 words ×
+    /// 8 bytes, is a 4KB page.
     pub page_words: usize,
 }
+
+/// The largest page size, in words: 2¹⁶ words, a 512KB page. A location is
+/// `ordinal << slot_bits | slot` in a `u32`, so this leaves 16 bits for the
+/// page ordinal, and it bounds the slot arrays a page allocates up front.
+/// [`Memory::new`] saturates larger sizes to it.
+pub const MAX_PAGE_WORDS: usize = 1 << 16;
 
 impl Default for MemConfig {
     fn default() -> Self {
@@ -602,9 +609,13 @@ pub struct Memory {
 
 impl Memory {
     /// Creates an empty memory containing only the code region. The
-    /// configured `page_words` is normalized to a power of two ≥ 1.
+    /// configured `page_words` is normalized to a power of two in
+    /// `1..=`[`MAX_PAGE_WORDS`], saturating at the maximum.
     pub fn new(mut config: MemConfig) -> Memory {
-        config.page_words = config.page_words.max(1).next_power_of_two();
+        config.page_words = config
+            .page_words
+            .clamp(1, MAX_PAGE_WORDS)
+            .next_power_of_two();
         let slot_bits = config.page_words.trailing_zeros();
         let mut psi = BTreeMap::new();
         psi.insert(CD, BTreeMap::new());
@@ -1598,6 +1609,28 @@ mod tests {
         assert_eq!(m.config().page_words, 8);
         let m = paged(0, None);
         assert_eq!(m.config().page_words, 1);
+    }
+
+    #[test]
+    fn page_words_saturates_at_the_maximum() {
+        for words in [MAX_PAGE_WORDS - 1, MAX_PAGE_WORDS + 1, 1 << 33] {
+            assert_eq!(paged(words, None).config().page_words, MAX_PAGE_WORDS);
+        }
+        // The largest size still resolves a location on a second page
+        // instead of wrapping its ordinal out of the `u32`.
+        let mut m = paged(usize::MAX, None);
+        assert_eq!(m.config().page_words, MAX_PAGE_WORDS);
+        let r = m.alloc_region();
+        let locs: Vec<u32> = (0..=MAX_PAGE_WORDS as i64)
+            .map(|i| m.put(r, Value::Int(i)).unwrap())
+            .collect();
+        assert_eq!(m.region(r).unwrap().page_count(), 2);
+        assert_eq!(locs[MAX_PAGE_WORDS], 1 << 16);
+        assert_eq!(
+            m.get(r, 1 << 16).unwrap(),
+            &Value::Int(MAX_PAGE_WORDS as i64)
+        );
+        assert_eq!(m.get(r, 0).unwrap(), &Value::Int(0));
     }
 
     #[test]

@@ -1,34 +1,26 @@
 //! Generic hash-consing arenas.
 //!
-//! [`Interner<T>`] assigns each structurally distinct value of `T` a dense
-//! `u32` id and stores the value once, forever: interned nodes are leaked
-//! into `&'static` storage, so an id can be dereferenced without holding
-//! any lock for the lifetime of the process. Equality of ids is equality
-//! of values, which turns deep structural comparisons into integer
-//! compares and makes ids usable as memo-table keys.
+//! [`ConcurrentInterner<T>`] assigns each structurally distinct value of
+//! `T` a dense `u32` id and stores the value once, forever: interned nodes
+//! are leaked into `&'static` storage, so an id can be dereferenced without
+//! holding any lock for the lifetime of the process. Equality of ids is
+//! equality of values, which turns deep structural comparisons into
+//! integer compares and makes ids usable as memo-table keys.
 //!
-//! The plain [`Interner`] is not synchronized; callers wrap it in an
-//! `RwLock` (see the [`crate::Symbol`] interner for the idiom: an
-//! uncontended read-lock probe first, then a write-lock insert on miss).
-//! [`ConcurrentInterner<T>`] is the shared-by-many-threads variant: id
-//! dereference ([`ConcurrentInterner::get`]) is entirely lock-free via a
+//! The arena is built to be shared by many threads: id dereference
+//! ([`ConcurrentInterner::get`]) is entirely lock-free via a
 //! [`ChunkedSlab`] node index, the hash-cons table is sharded so lookups
 //! from different threads rarely touch the same lock word, and hit
 //! counters are striped across padded per-thread cache lines. A single
 //! shared `RwLock` + one hit counter serializes parallel readers through
 //! two hot cache lines; the sharded layout removes exactly that.
 //!
-//! # Examples
+//! Each shard is an open-addressing table of packed `u64` slots — 32 bits
+//! of the node's hash beside its id — so an intern hashes the node once,
+//! compares hash bits before it touches a candidate node, and grows by
+//! moving packed words without reading or re-hashing a single node.
 //!
-//! ```
-//! use ps_ir::Interner;
-//! let mut arena: Interner<(u32, u32)> = Interner::new();
-//! let a = arena.insert((1, 2));
-//! let b = arena.insert((1, 2));
-//! assert_eq!(a, b);
-//! assert_eq!(arena.get(a), &(1, 2));
-//! assert_eq!(arena.len(), 1);
-//! ```
+//! # Examples
 //!
 //! ```
 //! use ps_ir::ConcurrentInterner;
@@ -37,10 +29,10 @@
 //! let b = ARENA.intern((1, 2));
 //! assert_eq!(a, b);
 //! assert_eq!(ARENA.get(a), Some(&(1, 2)));
+//! assert_eq!(ARENA.len(), 1);
 //! ```
 
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::ptr::null_mut;
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -124,81 +116,6 @@ impl Hasher for FxHasher {
 
 /// [`std::hash::BuildHasher`] for [`FxHasher`].
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
-
-/// A hash-consing arena mapping values of `T` to dense `u32` ids.
-///
-/// See the [module documentation](self) for the intended usage pattern.
-#[derive(Debug, Default)]
-pub struct Interner<T: 'static> {
-    nodes: Vec<&'static T>,
-    table: HashMap<&'static T, u32>,
-    hits: AtomicU64,
-}
-
-impl<T: Eq + Hash> Interner<T> {
-    /// An empty arena.
-    pub fn new() -> Interner<T> {
-        Interner {
-            nodes: Vec::new(),
-            table: HashMap::new(),
-            hits: AtomicU64::new(0),
-        }
-    }
-
-    /// Looks up an already-interned value without inserting, recording a
-    /// hit when found. Safe to call under a shared (read) lock.
-    pub fn lookup(&self, value: &T) -> Option<u32> {
-        let id = self.table.get(value).copied();
-        if id.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        id
-    }
-
-    /// Interns `value`, returning its id. Requires exclusive access; the
-    /// double-check against [`Self::lookup`] races is built in.
-    ///
-    /// # Panics
-    ///
-    /// Panics after `u32::MAX` distinct nodes (unreachable in practice).
-    #[allow(clippy::expect_used)]
-    pub fn insert(&mut self, value: T) -> u32 {
-        if let Some(&id) = self.table.get(&value) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return id;
-        }
-        let id = u32::try_from(self.nodes.len()).expect("interner overflow");
-        let node: &'static T = Box::leak(Box::new(value));
-        self.nodes.push(node);
-        self.table.insert(node, id);
-        id
-    }
-
-    /// The node for `id`. The reference is `'static`: nodes are never
-    /// dropped or moved once interned.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was not produced by this arena.
-    pub fn get(&self, id: u32) -> &'static T {
-        self.nodes[id as usize]
-    }
-
-    /// Number of distinct values interned.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Is the arena empty?
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Number of times an intern call found its value already present.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-}
 
 // ----- lock-free id-indexed storage ---------------------------------------
 
@@ -308,11 +225,119 @@ impl<T> Default for ChunkedSlab<T> {
     }
 }
 
+// ----- packed hash-cons table --------------------------------------------
+
+/// Bits of a node's hash kept in its slot as a tag. A table finds a slot's
+/// home from the tag alone, so one table holds at most `2^TAG_BITS` slots.
+const TAG_BITS: u32 = 32;
+
+/// log2 of a table's slot count when its first node arrives.
+const MIN_SLOTS_LOG2: u32 = 4;
+
+/// One hash-cons table shard: open addressing with linear probing over
+/// packed `u64` slots, at a load of at most 3/4.
+///
+/// A slot is `tag << 32 | (id + 1)`, or 0 when empty, where the tag is the
+/// upper [`TAG_BITS`] bits of the node's hash. A probe compares tags and
+/// dereferences only the candidates whose tag matches, and the home slot is
+/// the tag's top bits, so growth re-places packed words without reading or
+/// re-hashing a node.
+struct Table {
+    slots: Vec<u64>,
+    len: usize,
+}
+
+impl Table {
+    const fn new() -> Table {
+        Table {
+            slots: Vec::new(),
+            len: 0,
+        }
+    }
+
+    /// The home slot of `tag` in a table of `2^log2` slots: the tag's top
+    /// `log2` bits, the best-mixed bits of a multiplicative hash. Widened
+    /// to `u64` so that `log2 == TAG_BITS` takes the whole tag.
+    fn home(tag: u32, log2: u32) -> usize {
+        ((u64::from(tag) << log2) >> TAG_BITS) as usize
+    }
+
+    /// The id of the first node stored under `tag` that `is_key` accepts,
+    /// or `None` once the probe run ends at an empty slot.
+    fn find(&self, tag: u32, is_key: impl Fn(u32) -> bool) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = Self::home(tag, self.slots.len().trailing_zeros());
+        loop {
+            let slot = self.slots[i];
+            if slot == 0 {
+                return None;
+            }
+            if (slot >> TAG_BITS) as u32 == tag && is_key(slot as u32 - 1) {
+                return Some(slot as u32 - 1);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Stores `id` under `tag`, doubling the table first if the insert
+    /// would take its load above 3/4.
+    fn insert(&mut self, tag: u32, id: u32) {
+        if (self.len + 1) * 4 > self.slots.len() * 3 {
+            let log2 = if self.slots.is_empty() {
+                MIN_SLOTS_LOG2
+            } else {
+                grown_log2(self.slots.len().trailing_zeros())
+            };
+            let old = std::mem::replace(&mut self.slots, vec![0; 1 << log2]);
+            for word in old.into_iter().filter(|&w| w != 0) {
+                Self::place(&mut self.slots, word);
+            }
+        }
+        Self::place(
+            &mut self.slots,
+            u64::from(tag) << TAG_BITS | (u64::from(id) + 1),
+        );
+        self.len += 1;
+    }
+
+    /// Writes a packed word into the first empty slot of its probe run.
+    fn place(slots: &mut [u64], word: u64) {
+        let mask = slots.len() - 1;
+        let mut i = Self::home((word >> TAG_BITS) as u32, slots.len().trailing_zeros());
+        while slots[i] != 0 {
+            i = (i + 1) & mask;
+        }
+        slots[i] = word;
+    }
+}
+
+/// log2 of the slot count after doubling a table of `2^log2` slots.
+///
+/// # Panics
+///
+/// Panics if the doubled table would need a home index wider than a tag
+/// (more than 2³² slots in one shard; unreachable in practice, like the
+/// `u32::MAX` id overflow).
+fn grown_log2(log2: u32) -> u32 {
+    assert!(
+        log2 < TAG_BITS,
+        "interner shard overflow: a table of 2^{log2} slots cannot double"
+    );
+    log2 + 1
+}
+
 // ----- concurrent interner ------------------------------------------------
 
-/// Number of hash-cons table shards. A power of two; the shard of a value
-/// is the low bits of its hash.
-const SHARDS: usize = 16;
+/// log2 of the number of hash-cons table shards. The shard of a value is
+/// the `SHARD_BITS` hash bits just below its tag, so every tag bit stays
+/// free to index the shard's table.
+const SHARD_BITS: u32 = 4;
+
+/// Number of hash-cons table shards.
+const SHARDS: usize = 1 << SHARD_BITS;
 
 /// Number of striped hit counters, each on its own cache line.
 const HIT_STRIPES: usize = 8;
@@ -341,28 +366,24 @@ fn stripe_index() -> usize {
 
 /// A shared hash-consing arena built for parallel readers.
 ///
-/// Functionally [`Interner`] behind synchronization, with the hot paths
-/// restructured so many threads interning and dereferencing concurrently
-/// do not bounce shared cache lines:
+/// The hot paths are laid out so that many threads interning and
+/// dereferencing concurrently do not bounce shared cache lines:
 ///
 /// * [`get`](Self::get) (id → node) reads a [`ChunkedSlab`] — no lock;
-/// * [`intern`](Self::intern) probes one of [`SHARDS`] independent hash
-///   tables, taking a read lock on only that shard (write lock on miss);
+/// * [`intern`](Self::intern) hashes the value once and probes one of 16
+///   independent packed tables, taking a read lock on only that shard
+///   (write lock and re-probe on a miss);
 /// * hit counters are striped over padded per-thread cache lines.
 ///
 /// Ids are dense across the whole arena (a shared allocation counter), and
 /// every node is published to the slab *before* its id is returned, so any
 /// id obtained from `intern` can be dereferenced lock-free forever.
 pub struct ConcurrentInterner<T: 'static> {
-    shards: [Shard<T>; SHARDS],
+    shards: [RwLock<Table>; SHARDS],
     nodes: ChunkedSlab<T>,
     next: AtomicU32,
     hits: [PaddedCounter; HIT_STRIPES],
 }
-
-/// One hash-cons table shard, allocated lazily on first insert (`None`
-/// until then) so the arena itself can be a `const`-constructed `static`.
-type Shard<T> = RwLock<Option<HashMap<&'static T, u32, FxBuildHasher>>>;
 
 /// Read-locks a shard even if a writer panicked mid-insert: the tables are
 /// append-only caches, so a poisoned shard is still internally consistent.
@@ -382,19 +403,11 @@ impl<T: Eq + Hash> ConcurrentInterner<T> {
     #[must_use]
     pub const fn new() -> ConcurrentInterner<T> {
         ConcurrentInterner {
-            shards: [const { RwLock::new(None) }; SHARDS],
+            shards: [const { RwLock::new(Table::new()) }; SHARDS],
             nodes: ChunkedSlab::new(),
             next: AtomicU32::new(0),
             hits: [const { PaddedCounter(AtomicU64::new(0)) }; HIT_STRIPES],
         }
-    }
-
-    fn shard_of(value: &T) -> usize {
-        let mut h = FxHasher::default();
-        value.hash(&mut h);
-        // The map hasher consumes the same low bits first; take the top
-        // bits for the shard so the two partitions stay independent.
-        (h.finish() >> 60) as usize & (SHARDS - 1)
     }
 
     fn note_hit(&self) {
@@ -405,25 +418,29 @@ impl<T: Eq + Hash> ConcurrentInterner<T> {
     ///
     /// # Panics
     ///
-    /// Panics after `u32::MAX` distinct nodes (unreachable in practice).
+    /// Panics after `u32::MAX` distinct nodes, or if one shard would need
+    /// more than 2³² slots (both unreachable in practice).
     pub fn intern(&self, value: T) -> u32 {
-        let shard = &self.shards[Self::shard_of(&value)];
-        if let Some(&id) = shard_read(shard).as_ref().and_then(|m| m.get(&value)) {
+        let mut h = FxHasher::default();
+        value.hash(&mut h);
+        let hash = h.finish();
+        let tag = (hash >> TAG_BITS) as u32;
+        let shard = &self.shards[(hash >> (TAG_BITS - SHARD_BITS)) as usize & (SHARDS - 1)];
+        let is_key = |id| self.nodes.get(id) == Some(&value);
+        if let Some(id) = shard_read(shard).find(tag, is_key) {
             self.note_hit();
             return id;
         }
-        let mut guard = shard_write(shard);
-        let map = guard.get_or_insert_with(HashMap::default);
-        if let Some(&id) = map.get(&value) {
+        let mut table = shard_write(shard);
+        if let Some(id) = table.find(tag, is_key) {
             self.note_hit();
             return id;
         }
         let id = self.next.fetch_add(1, Ordering::Relaxed);
         assert!(id != u32::MAX, "interner overflow");
-        let node: &'static T = Box::leak(Box::new(value));
         // Publish for lock-free deref before the id can escape.
-        self.nodes.set(id, node);
-        map.insert(node, id);
+        self.nodes.set(id, Box::leak(Box::new(value)));
+        table.insert(tag, id);
         id
     }
 }
@@ -460,50 +477,142 @@ impl<T: Eq + Hash> Default for ConcurrentInterner<T> {
 mod tests {
     use super::*;
 
+    /// A key whose hash is one of three constants: equal tags over unequal
+    /// nodes, so every probe walks a long run of candidates it must
+    /// dereference and compare.
+    #[derive(PartialEq, Eq, Debug)]
+    struct Clash(u32);
+
+    impl Hash for Clash {
+        fn hash<H: Hasher>(&self, state: &mut H) {
+            state.write_u32(self.0 % 3);
+        }
+    }
+
+    /// Slot counts of every shard.
+    fn capacities<T: 'static>(arena: &ConcurrentInterner<T>) -> Vec<usize> {
+        arena
+            .shards
+            .iter()
+            .map(|s| shard_read(s).slots.len())
+            .collect()
+    }
+
     #[test]
     fn interning_is_idempotent() {
-        let mut arena: Interner<String> = Interner::new();
-        let a = arena.insert("x".to_string());
-        let b = arena.insert("x".to_string());
+        static ARENA: ConcurrentInterner<String> = ConcurrentInterner::new();
+        let a = ARENA.intern("x".to_string());
+        let b = ARENA.intern("x".to_string());
         assert_eq!(a, b);
-        assert_eq!(arena.len(), 1);
-        assert_eq!(arena.hits(), 1);
+        assert_eq!(ARENA.len(), 1);
+        assert_eq!(ARENA.hits(), 1);
+        assert_eq!(ARENA.get(a).map(String::as_str), Some("x"));
     }
 
     #[test]
     fn distinct_values_get_distinct_ids() {
-        let mut arena: Interner<u64> = Interner::new();
-        let a = arena.insert(1);
-        let b = arena.insert(2);
+        let arena: ConcurrentInterner<u64> = ConcurrentInterner::new();
+        let a = arena.intern(1);
+        let b = arena.intern(2);
         assert_ne!(a, b);
-        assert_eq!(arena.get(a), &1);
-        assert_eq!(arena.get(b), &2);
-    }
-
-    #[test]
-    fn lookup_without_insert() {
-        let mut arena: Interner<u64> = Interner::new();
-        assert_eq!(arena.lookup(&7), None);
-        let id = arena.insert(7);
-        assert_eq!(arena.lookup(&7), Some(id));
-        assert_eq!(arena.hits(), 1);
+        assert_eq!(arena.get(a), Some(&1));
+        assert_eq!(arena.get(b), Some(&2));
+        assert_eq!(arena.get(2), None);
     }
 
     #[test]
     fn nodes_are_static() {
-        let mut arena: Interner<Vec<u32>> = Interner::new();
-        let id = arena.insert(vec![1, 2, 3]);
-        let node: &'static Vec<u32> = arena.get(id);
+        let arena: ConcurrentInterner<Vec<u32>> = ConcurrentInterner::new();
+        let id = arena.intern(vec![1, 2, 3]);
+        let node: &'static Vec<u32> = arena.get(id).unwrap();
         assert_eq!(node.len(), 3);
     }
 
     #[test]
-    fn ids_are_dense() {
-        let mut arena: Interner<u32> = Interner::new();
-        for i in 0..100 {
-            assert_eq!(arena.insert(i), i);
+    fn single_thread_ids_follow_insertion_order() {
+        let arena: ConcurrentInterner<u32> = ConcurrentInterner::new();
+        // A scrambled key order: ids must follow the calls, not the keys or
+        // their shards.
+        let keys: Vec<u32> = (0..1000u32).map(|i| i * 7919 % 1000).collect();
+        for (n, &k) in keys.iter().enumerate() {
+            assert_eq!(arena.intern(k), n as u32);
         }
-        assert_eq!(arena.len(), 100);
+        for (n, &k) in keys.iter().enumerate() {
+            assert_eq!(arena.intern(k), n as u32);
+        }
+        assert_eq!(arena.len(), 1000);
+        assert_eq!(arena.hits(), 1000);
+    }
+
+    #[test]
+    fn equal_tags_over_unequal_nodes_stay_distinct() {
+        let arena: ConcurrentInterner<Clash> = ConcurrentInterner::new();
+        for k in 0..300 {
+            assert_eq!(arena.intern(Clash(k)), k);
+        }
+        for k in (0..300).rev() {
+            assert_eq!(arena.intern(Clash(k)), k);
+            assert_eq!(arena.get(k), Some(&Clash(k)));
+        }
+        assert_eq!(arena.len(), 300);
+        assert_eq!(arena.hits(), 300);
+        // Three hashes, so at most three tables hold anything.
+        assert!(capacities(&arena).iter().filter(|&&c| c > 0).count() <= 3);
+    }
+
+    /// Interns `key(0), key(1), …` until the table holding `key(0)` has
+    /// doubled six times from empty, re-interning every earlier key after
+    /// each doubling.
+    fn grow_through_six_doublings<T: Eq + Hash + 'static>(key: impl Fn(u32) -> T) {
+        let arena = ConcurrentInterner::new();
+        assert_eq!(arena.intern(key(0)), 0);
+        let watched = capacities(&arena).iter().position(|&c| c > 0).unwrap();
+        let (mut doublings, mut hits, mut k) = (0, 0, 1);
+        while doublings < 6 {
+            let before = capacities(&arena)[watched];
+            assert_eq!(arena.intern(key(k)), k);
+            k += 1;
+            let table = shard_read(&arena.shards[watched]);
+            assert!(table.len * 4 <= table.slots.len() * 3, "load above 3/4");
+            let after = table.slots.len();
+            drop(table);
+            if after != before {
+                assert_eq!(after, 2 * before);
+                doublings += 1;
+                for j in 0..k {
+                    assert_eq!(arena.intern(key(j)), j, "key {j}, doubling {doublings}");
+                }
+                hits += u64::from(k);
+            }
+        }
+        assert_eq!(capacities(&arena)[watched], 1 << (MIN_SLOTS_LOG2 + 6));
+        assert_eq!(arena.len(), k as usize);
+        assert_eq!(arena.hits(), hits);
+    }
+
+    #[test]
+    fn growth_keeps_every_earlier_id() {
+        // Every key under one tag: the longest probe runs there are.
+        grow_through_six_doublings(|k| Clash(3 * k));
+        // Spread keys: distinct tags, every shard filling side by side.
+        grow_through_six_doublings(u64::from);
+    }
+
+    #[test]
+    fn home_slots_never_wrap() {
+        for log2 in 0..=TAG_BITS {
+            assert_eq!(Table::home(0, log2), 0);
+            assert_eq!(Table::home(u32::MAX, log2), (1usize << log2) - 1);
+        }
+        assert_eq!(Table::home(0xdead_beef, TAG_BITS), 0xdead_beef);
+        assert_eq!(Table::home(0xdead_beef, 4), 0xd);
+        assert_eq!(grown_log2(TAG_BITS - 1), TAG_BITS);
+    }
+
+    #[test]
+    #[should_panic(expected = "interner shard overflow")]
+    fn a_table_cannot_outgrow_its_tag_bits() {
+        grown_log2(TAG_BITS);
     }
 
     #[test]
@@ -520,35 +629,51 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_interning_is_idempotent() {
-        static ARENA: ConcurrentInterner<String> = ConcurrentInterner::new();
-        let a = ARENA.intern("x".to_string());
-        let b = ARENA.intern("x".to_string());
-        assert_eq!(a, b);
-        assert_eq!(ARENA.len(), 1);
-        assert_eq!(ARENA.hits(), 1);
-        assert_eq!(ARENA.get(a).map(String::as_str), Some("x"));
-    }
-
-    #[test]
-    fn concurrent_interning_from_many_threads() {
-        static ARENA: ConcurrentInterner<(u32, u32)> = ConcurrentInterner::new();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for i in 0..1000u32 {
-                        let id = ARENA.intern((i, i * 2));
-                        assert_eq!(ARENA.get(id), Some(&(i, i * 2)));
-                    }
-                });
+    fn concurrent_interning_of_overlapping_key_sets() {
+        for colliding in [false, true] {
+            let pairs: ConcurrentInterner<(u32, u32)> = ConcurrentInterner::new();
+            let clashes: ConcurrentInterner<Clash> = ConcurrentInterner::new();
+            // Thread t interns keys [250 t, 250 t + 500): neighbours share
+            // half their keys, 1250 distinct in all.
+            std::thread::scope(|s| {
+                for t in 0..4u32 {
+                    let (pairs, clashes) = (&pairs, &clashes);
+                    s.spawn(move || {
+                        for i in 250 * t..250 * t + 500 {
+                            if colliding {
+                                let id = clashes.intern(Clash(i));
+                                assert_eq!(clashes.get(id), Some(&Clash(i)));
+                            } else {
+                                let id = pairs.intern((i, i * 2));
+                                assert_eq!(pairs.get(id), Some(&(i, i * 2)));
+                            }
+                        }
+                    });
+                }
+            });
+            let (len, hits) = if colliding {
+                (clashes.len(), clashes.hits())
+            } else {
+                (pairs.len(), pairs.hits())
+            };
+            assert_eq!(len, 1250);
+            // 2000 calls, 1250 of them first.
+            assert_eq!(hits, 750);
+            // Ids are dense and each names exactly one key.
+            let mut seen = vec![false; 1250];
+            for id in 0..1250u32 {
+                let k = if colliding {
+                    clashes.get(id).unwrap().0
+                } else {
+                    let &(k, d) = pairs.get(id).unwrap();
+                    assert_eq!(d, 2 * k);
+                    k
+                };
+                assert!(!std::mem::replace(&mut seen[k as usize], true));
             }
-        });
-        assert_eq!(ARENA.len(), 1000);
-        // Every value interned once, hit 3999 times in total.
-        assert_eq!(ARENA.hits(), 3000);
-        // Ids are dense: every id below len resolves.
-        for id in 0..1000u32 {
-            assert!(ARENA.get(id).is_some());
+            assert!(seen.iter().all(|&s| s));
+            assert_eq!(pairs.get(1250), None);
+            assert_eq!(clashes.get(1250), None);
         }
     }
 }

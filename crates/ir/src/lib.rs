@@ -25,5 +25,5 @@ pub mod interner;
 pub mod symbol;
 
 pub use doc::Doc;
-pub use interner::{ChunkedSlab, ConcurrentInterner, FxBuildHasher, FxHasher, Interner};
+pub use interner::{ChunkedSlab, ConcurrentInterner, FxBuildHasher, FxHasher};
 pub use symbol::{Symbol, SymbolMap, SymbolSet};

@@ -5,9 +5,7 @@
 //! step (O(|term|) per step); the environment machine shares it via `Rc`
 //! and resolves variables lazily (O(1) per step modulo value sizes). This
 //! example times complete runs of identical compiled programs on both
-//! backends and reports steps/second — the Criterion version lives in
-//! `crates/bench/benches/e9_interp_throughput.rs`, but this one needs no
-//! network-fetched dependencies:
+//! backends and reports steps/second:
 //!
 //! ```text
 //! cargo run --release --example e9_throughput
@@ -27,7 +25,7 @@ fn timed_run(c: &Compiled, backend: Backend) -> (u64, f64) {
 }
 
 /// Best-of-n steps/second for both backends, reps interleaved so the two
-/// samples see the same scheduler conditions (no Criterion offline).
+/// samples see the same scheduler conditions.
 fn steps_per_sec(c: &Compiled, reps: u32) -> (u64, u64, f64, f64) {
     let (mut best_s, mut best_e) = (0.0f64, 0.0f64);
     let (mut steps_s, mut steps_e) = (0, 0);

@@ -51,6 +51,11 @@ cargo test -q --test disasm_golden
 # E17 perf-tracking smoke: one workload at 2 reps must run end-to-end and
 # emit well-shaped JSON (the full run writes the checked-in BENCH_E17.json).
 scripts/bench.sh --smoke >/dev/null
+# The benchmark's exact-counter gate: `perfbench --smoke` checks one sample
+# of every kind on every workload against the evaluator and compares every
+# deterministic counter (steps, gc.*, pages.*, mem.*, intern.*) with
+# perfbench/expected_counters.json.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 cargo clippy --workspace -- -D warnings
 # Panic audit: the language runtime and the collectors must stay free of
 # panicking escape hatches outside tests (clippy.toml relaxes the lints

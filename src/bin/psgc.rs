@@ -20,7 +20,7 @@ use std::process::ExitCode;
 
 use scavenger::gc_lang::faults::{parse_plans, FaultPlan};
 use scavenger::gc_lang::machine::Stats;
-use scavenger::gc_lang::memory::GrowthPolicy;
+use scavenger::gc_lang::memory::{GrowthPolicy, MAX_PAGE_WORDS};
 use scavenger::telemetry::{Recorder, SharedObserver};
 use scavenger::{AuditMode, Backend, Collector, PipelineError, RunOptions, SupervisedOutcome};
 
@@ -201,9 +201,15 @@ fn flag_specs() -> [FlagSpec; 23] {
         FlagSpec {
             name: "--page-words",
             metavar: Some(|| "WORDS".into()),
-            help: "page size of the BiBOP store in words (default 512, rounded to a power of two)",
+            help: "BiBOP page size in words (default 512, rounded to a power of two, max 65536)",
             apply: |c, v| {
-                c.opts.page_words = parse_number(v, "--page-words")?;
+                let words = parse_number(v, "--page-words")?;
+                if words > MAX_PAGE_WORDS {
+                    return Err(format!(
+                        "--page-words {words} exceeds the largest page size, {MAX_PAGE_WORDS} words"
+                    ));
+                }
+                c.opts.page_words = words;
                 Ok(())
             },
         },

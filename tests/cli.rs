@@ -78,6 +78,35 @@ fn help_is_generated_from_the_flag_and_command_tables() {
 }
 
 #[test]
+fn page_words_above_the_maximum_is_a_usage_error() {
+    let prog = scratch("page_words.lam");
+    std::fs::write(
+        &prog,
+        "fun build (n : int) : int * int = if0 n then (0, 0) else (let rest = build (n - 1) in (n + fst rest, n))\n fst (build 24)",
+    )
+    .unwrap();
+    let prog = prog.to_str().unwrap();
+    let run = |words: &str| psgc(&["run", prog, "--budget", "64", "--page-words", words]);
+    // The largest page size runs the program like the default does.
+    for words in ["512", "65536"] {
+        let ok = run(words);
+        assert_eq!(exit_code(&ok), 0, "{ok:?}");
+        assert_eq!(String::from_utf8_lossy(&ok.stdout).trim(), "300");
+    }
+    // Past it, 2^28 words would allocate 17 GB of slot arrays and 2^33
+    // words would shift page ordinals out of the `u32` location: usage
+    // errors, not an abort or a runtime error on a correct program.
+    for words in ["65537", "268435456", "8589934592", "18446744073709551615"] {
+        let out = run(words);
+        assert_eq!(exit_code(&out), 2, "--page-words {words}: {out:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("largest page size"),
+            "{out:?}"
+        );
+    }
+}
+
+#[test]
 fn exit_codes_distinguish_failure_classes() {
     let prog = write_program("exit_codes.lam");
     let prog = prog.to_str().unwrap();
