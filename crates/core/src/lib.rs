@@ -20,14 +20,18 @@
 //! # Examples
 //!
 //! ```
-//! use scavenger::{Collector, Pipeline};
+//! use scavenger::{Collector, RunOptions};
 //!
 //! # fn main() -> Result<(), scavenger::PipelineError> {
-//! let program = Pipeline::new(Collector::Basic)
-//!     .region_budget(96) // tiny: force many collections
-//!     .compile("fun fact (n : int) : int = if0 n then 1 else n * fact (n - 1)\n fact 10")?;
+//! let opts = RunOptions::builder()
+//!     .collector(Collector::Basic)
+//!     .budget(96) // tiny: force many collections
+//!     .fuel(10_000_000)
+//!     .build();
+//! let program =
+//!     opts.compile("fun fact (n : int) : int = if0 n then 1 else n * fact (n - 1)\n fact 10")?;
 //! program.typecheck()?; // certifies mutator AND collector together
-//! let run = program.run(10_000_000)?;
+//! let run = program.run_with(&opts)?;
 //! assert_eq!(run.result, 3_628_800);
 //! assert!(run.stats.collections > 0);
 //! # Ok(())
@@ -35,6 +39,7 @@
 //! ```
 
 use std::fmt;
+use std::time::Duration;
 
 pub use ps_clos as clos;
 pub use ps_collectors as collectors;
@@ -44,17 +49,19 @@ pub use ps_lambda as lambda;
 pub use ps_trans as trans;
 
 use ps_collectors::CollectorImage;
-use ps_gc_lang::env_machine::EnvMachine;
 use ps_gc_lang::faults::FaultPlan;
-use ps_gc_lang::machine::{Outcome, Program, Stats, SubstMachine};
+use ps_gc_lang::machine::{Outcome, Program, Stats};
 use ps_gc_lang::memory::{GrowthPolicy, MemConfig};
+use ps_gc_lang::syntax::Dialect;
 
 pub use ps_gc_lang::memory::PageStats;
 use ps_gc_lang::tyck::Checker;
 
-pub use ps_gc_lang::machine::{AuditMode, Backend, Machine};
+pub use ps_gc_lang::machine::{AuditMode, Backend, Machine, RunControl};
 pub use ps_gc_lang::snapshot::Snapshot;
-pub use ps_gc_lang::supervisor::{SuperviseSpec, SupervisedOutcome, SupervisedRun, TriageReport};
+pub use ps_gc_lang::supervisor::{
+    supervise, SuperviseSpec, SupervisedOutcome, SupervisedRun, TriageReport,
+};
 
 pub mod workloads;
 
@@ -104,6 +111,25 @@ impl Collector {
             Collector::Basic => "basic",
             Collector::Forwarding => "forwarding",
             Collector::Generational => "generational",
+        }
+    }
+
+    /// Translates a λCLOS program to λGC and links it with this collector
+    /// (Fig. 3, and its §7/§8 variants for the other two dialects).
+    ///
+    /// # Errors
+    ///
+    /// Returns the translation error for programs outside the translated
+    /// fragment.
+    pub fn translate(
+        self,
+        clos: &ps_clos::syntax::CProgram,
+    ) -> Result<Program, ps_trans::TransError> {
+        let image = self.image();
+        match self {
+            Collector::Basic => ps_trans::basic::translate(clos, &image),
+            Collector::Forwarding => ps_trans::forwarding::translate(clos, &image),
+            Collector::Generational => ps_trans::generational::translate(clos, &image),
         }
     }
 }
@@ -179,8 +205,9 @@ impl fmt::Display for PipelineError {
 impl std::error::Error for PipelineError {}
 
 /// Everything that configures one run, in one place: which collector to
-/// link, which backend interprets, the memory settings, the fuel, and the
-/// telemetry observer. Consumed by [`RunOptions::compile`] /
+/// link, which backend interprets, the memory settings, the fuel, the
+/// telemetry observer, and the audit/fault/checkpoint/deadline knobs of
+/// the [`RunControl`]. Consumed by [`RunOptions::compile`] /
 /// [`Compiled::run_with`] in the library and by `psgc`'s flag parser, so
 /// the CLI and the API cannot drift apart.
 ///
@@ -260,7 +287,7 @@ pub struct RunOptions {
     pub eager_intern: bool,
     /// Run under the [`gc_lang::supervisor`]: aborts restore the last good
     /// checkpoint and are triaged by replay on the substitution oracle
-    /// (see [`Compiled::supervise`]).
+    /// (see [`RunOptions::supervise_spec`]).
     pub supervise: bool,
     /// Take a machine checkpoint every this many steps, in addition to the
     /// checkpoint at every GC boundary (0 = GC boundaries only when
@@ -331,25 +358,70 @@ impl RunOptions {
             .unwrap_or(Backend::default_for(self.track_types))
     }
 
-    /// The equivalent [`Pipeline`] (observer included).
-    pub fn pipeline(&self) -> Pipeline {
-        Pipeline {
-            collector: self.collector,
-            config: self.mem_config(),
-            check_stages: self.check_stages,
-            backend: self.backend,
-            observer: self.observer.clone(),
-            step_interval: self.step_interval,
-        }
+    /// The [`SuperviseSpec`] these options describe, for
+    /// [`supervise`]: checkpoints at GC boundaries and every
+    /// `checkpoint_every` steps (1024 when left at 0), audits every
+    /// `verify_every` steps (64 when left at 0), and on an invariant
+    /// violation, typed OOM, deadline, or panic restores the last good
+    /// checkpoint and replays on the substitution oracle with full
+    /// per-step auditing to localize the first violating step.
+    pub fn supervise_spec(&self) -> SuperviseSpec {
+        self.spec(true)
     }
 
-    /// Compiles `source` under these options.
+    /// The one translation of these options into a machine configuration,
+    /// shared by [`Compiled::run_with`] and [`RunOptions::supervise_spec`].
+    /// A supervised spec keeps the supervisor's audit and checkpoint
+    /// cadences where these options leave them at 0.
+    fn spec(&self, supervised: bool) -> SuperviseSpec {
+        let mut spec = SuperviseSpec::new(self.resolved_backend(), self.mem_config(), self.fuel);
+        let ctl = &mut spec.control;
+        if !supervised || self.verify_every > 0 {
+            ctl.verify_every = self.verify_every;
+        }
+        if !supervised || self.checkpoint_every > 0 {
+            ctl.checkpoint_every = self.checkpoint_every;
+        }
+        ctl.audit = self.audit;
+        ctl.faults = self.inject.clone();
+        ctl.timeout = self.timeout_ms.map(Duration::from_millis);
+        spec.superinstructions = self.superinstructions;
+        spec.eager_intern = self.eager_intern;
+        spec.observer = self.observer.clone();
+        spec.step_interval = self.step_interval;
+        spec
+    }
+
+    /// Compiles `source` all the way to a λGC program linked with
+    /// `self.collector`. Only `collector` and `check_stages` matter here;
+    /// everything else configures [`Compiled::run_with`].
     ///
     /// # Errors
     ///
-    /// See [`Pipeline::compile`].
+    /// Returns the first stage error; with `check_stages` on (the default),
+    /// every intermediate program is typechecked, so miscompilation
+    /// surfaces as a [`PipelineError::ClosType`]/[`PipelineError::GcType`]
+    /// here rather than at run time.
     pub fn compile(&self, source: &str) -> Result<Compiled, PipelineError> {
-        self.pipeline().compile(source)
+        let src = ps_lambda::parse::parse_program(source).map_err(PipelineError::Parse)?;
+        ps_lambda::typecheck::check_program(&src).map_err(PipelineError::SourceType)?;
+        let cps = ps_clos::cps::cps_program(&src).map_err(PipelineError::Cps)?;
+        if self.check_stages {
+            ps_lambda::typecheck::check_program(&cps).map_err(PipelineError::SourceType)?;
+        }
+        let clos = ps_clos::cc::cc_program(&cps).map_err(PipelineError::Cc)?;
+        if self.check_stages {
+            ps_clos::tyck::check_program(&clos).map_err(PipelineError::ClosType)?;
+        }
+        let program = self
+            .collector
+            .translate(&clos)
+            .map_err(PipelineError::Trans)?;
+        Ok(Compiled {
+            source: src,
+            clos,
+            program,
+        })
     }
 
     /// Trace-header metadata describing these options (for
@@ -515,135 +587,11 @@ impl RunOptionsBuilder {
     }
 }
 
-/// The compilation pipeline: source → CPS → λCLOS → λGC, linked with a
-/// certified collector.
-#[derive(Clone, Debug)]
-pub struct Pipeline {
-    collector: Collector,
-    config: MemConfig,
-    check_stages: bool,
-    backend: Option<Backend>,
-    observer: Option<SharedObserver>,
-    step_interval: u64,
-}
-
-impl Pipeline {
-    /// A pipeline for the given collector with default memory settings.
-    pub fn new(collector: Collector) -> Pipeline {
-        Pipeline {
-            collector,
-            config: MemConfig::default(),
-            check_stages: true,
-            backend: None,
-            observer: None,
-            step_interval: 0,
-        }
-    }
-
-    /// Sets the base region budget in words (how much mutator allocation
-    /// fits before `ifgc` triggers a collection).
-    pub fn region_budget(mut self, words: usize) -> Pipeline {
-        self.config.region_budget = words;
-        self
-    }
-
-    /// Sets the budget growth policy.
-    pub fn growth(mut self, policy: GrowthPolicy) -> Pipeline {
-        self.config.growth = policy;
-        self
-    }
-
-    /// Maintains the memory typing `Ψ` while running, enabling
-    /// [`gc_lang::wf::check_state`] (slower; off by default).
-    pub fn track_types(mut self, on: bool) -> Pipeline {
-        self.config.track_types = on;
-        self
-    }
-
-    /// Skips the per-stage intermediate typechecks during [`Self::compile`]
-    /// (they are cheap; only benchmarks turn them off).
-    pub fn check_stages(mut self, on: bool) -> Pipeline {
-        self.check_stages = on;
-        self
-    }
-
-    /// Pins the interpreter backend for [`Compiled::run`].
-    ///
-    /// By default the backend is chosen automatically: the environment
-    /// machine ([`Backend::Env`]) for plain runs, the substitution machine
-    /// ([`Backend::Subst`]) when [`Self::track_types`] is on — the
-    /// well-formedness judgement `⊢ (M, e)` consumes a closed term, which
-    /// only the substitution machine maintains. The two backends are
-    /// observationally identical (results *and* statistics).
-    pub fn backend(mut self, backend: Backend) -> Pipeline {
-        self.backend = Some(backend);
-        self
-    }
-
-    /// Attaches a telemetry observer to machines created from the compiled
-    /// program. `step_interval > 0` additionally emits periodic heap
-    /// samples (see [`telemetry::GcEvent::Step`]).
-    pub fn observer(mut self, observer: SharedObserver, step_interval: u64) -> Pipeline {
-        self.observer = Some(observer);
-        self.step_interval = step_interval;
-        self
-    }
-
-    /// The memory configuration this pipeline loads machines with.
-    pub fn config(&self) -> MemConfig {
-        self.config
-    }
-
-    /// Compiles a source program all the way to a λGC program linked with
-    /// the collector.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first stage error; with `check_stages` on (the default),
-    /// every intermediate program is typechecked, so miscompilation
-    /// surfaces as a [`PipelineError::ClosType`]/[`PipelineError::GcType`]
-    /// here rather than at run time.
-    pub fn compile(&self, source: &str) -> Result<Compiled, PipelineError> {
-        let src = ps_lambda::parse::parse_program(source).map_err(PipelineError::Parse)?;
-        ps_lambda::typecheck::check_program(&src).map_err(PipelineError::SourceType)?;
-        let cps = ps_clos::cps::cps_program(&src).map_err(PipelineError::Cps)?;
-        if self.check_stages {
-            ps_lambda::typecheck::check_program(&cps).map_err(PipelineError::SourceType)?;
-        }
-        let clos = ps_clos::cc::cc_program(&cps).map_err(PipelineError::Cc)?;
-        if self.check_stages {
-            ps_clos::tyck::check_program(&clos).map_err(PipelineError::ClosType)?;
-        }
-        let image = self.collector.image();
-        let program = match self.collector {
-            Collector::Basic => ps_trans::basic::translate(&clos, &image),
-            Collector::Forwarding => ps_trans::forwarding::translate(&clos, &image),
-            Collector::Generational => ps_trans::generational::translate(&clos, &image),
-        }
-        .map_err(PipelineError::Trans)?;
-        Ok(Compiled {
-            collector: self.collector,
-            config: self.config,
-            backend: self
-                .backend
-                .unwrap_or(Backend::default_for(self.config.track_types)),
-            observer: self.observer.clone(),
-            step_interval: self.step_interval,
-            source: src,
-            clos,
-            program,
-        })
-    }
-}
-
-/// A compiled program with its intermediate forms.
+/// A compiled program: its intermediate forms and the final λGC program
+/// linked with a certified collector. How it runs is up to the
+/// [`RunOptions`] passed to [`Compiled::run_with`].
 #[derive(Clone, Debug)]
 pub struct Compiled {
-    collector: Collector,
-    config: MemConfig,
-    backend: Backend,
-    observer: Option<SharedObserver>,
-    step_interval: u64,
     /// The parsed source program.
     pub source: ps_lambda::syntax::SrcProgram,
     /// The λCLOS intermediate program.
@@ -668,28 +616,14 @@ pub struct Run {
 }
 
 impl Compiled {
-    /// Which collector this program is linked with.
+    /// Which collector this program is linked with (each collector has its
+    /// own dialect).
     pub fn collector(&self) -> Collector {
-        self.collector
-    }
-
-    /// Which interpreter backend [`Self::run`] uses.
-    pub fn backend(&self) -> Backend {
-        self.backend
-    }
-
-    /// Overrides the interpreter backend for [`Self::run`].
-    pub fn with_backend(mut self, backend: Backend) -> Compiled {
-        self.backend = backend;
-        self
-    }
-
-    /// Attaches a telemetry observer for [`Self::run`] (see
-    /// [`Pipeline::observer`]).
-    pub fn with_observer(mut self, observer: SharedObserver, step_interval: u64) -> Compiled {
-        self.observer = Some(observer);
-        self.step_interval = step_interval;
-        self
+        match self.program.dialect {
+            Dialect::Basic => Collector::Basic,
+            Dialect::Forwarding => Collector::Forwarding,
+            Dialect::Generational => Collector::Generational,
+        }
     }
 
     /// Typechecks the *whole* λGC program — mutator and collector together
@@ -703,143 +637,27 @@ impl Compiled {
         Checker::check_program(&self.program).map_err(PipelineError::GcType)
     }
 
-    /// Creates a machine loaded with this program.
-    pub fn machine(&self) -> SubstMachine {
-        SubstMachine::load(&self.program, self.config)
-    }
-
-    /// Creates a machine with an explicit memory configuration.
-    pub fn machine_with(&self, config: MemConfig) -> SubstMachine {
-        SubstMachine::load(&self.program, config)
-    }
-
-    /// Creates an environment-backend machine loaded with this program.
-    pub fn env_machine(&self) -> EnvMachine {
-        EnvMachine::load(&self.program, self.config)
-    }
-
-    /// Creates a machine on the given backend — the uniform,
-    /// backend-agnostic constructor (see [`Machine`]).
-    pub fn machine_for(&self, backend: Backend) -> Box<dyn Machine> {
-        backend.load(&self.program, self.config)
-    }
-
-    /// Runs the program to completion on the selected [`Backend`].
+    /// Runs the program under `opts` — backend, memory settings, fuel,
+    /// observer, audits, fault plans, checkpoints and deadline all come
+    /// from there (its `collector` field is ignored: this program is
+    /// already linked). For a supervised run, pass
+    /// [`RunOptions::supervise_spec`] to [`supervise`] instead.
     ///
     /// # Errors
     ///
     /// [`PipelineError::Runtime`] on a stuck state (impossible for
-    /// typechecked programs, per progress) or [`PipelineError::OutOfFuel`].
-    pub fn run(&self, fuel: u64) -> Result<Run, PipelineError> {
-        self.run_inner(
-            self.config,
-            self.backend,
-            self.observer.clone(),
-            self.step_interval,
-            fuel,
-            0,
-            AuditMode::default(),
-            &[],
-            true,
-            false,
-            0,
-            None,
-        )
-    }
-
-    /// Runs the program under the given [`RunOptions`] — backend, memory
-    /// settings, fuel, and observer all come from `opts` (its `collector`
-    /// field is ignored: this program is already linked).
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::run`].
+    /// typechecked programs, per progress) or a typed OOM,
+    /// [`PipelineError::InvariantViolation`] when an audit fails,
+    /// [`PipelineError::OutOfFuel`], or
+    /// [`PipelineError::DeadlineExceeded`].
     pub fn run_with(&self, opts: &RunOptions) -> Result<Run, PipelineError> {
-        self.run_inner(
-            opts.mem_config(),
-            opts.resolved_backend(),
-            opts.observer.clone(),
-            opts.step_interval,
-            opts.fuel,
-            opts.verify_every,
-            opts.audit,
-            &opts.inject,
-            opts.superinstructions,
-            opts.eager_intern,
-            opts.checkpoint_every,
-            opts.timeout_ms,
-        )
-    }
-
-    /// Runs the program under the [`gc_lang::supervisor`]: checkpoints at
-    /// GC boundaries and every `opts.checkpoint_every` steps (default 1024
-    /// when left at 0), and on an invariant violation, typed OOM, deadline,
-    /// or panic restores the last good checkpoint and replays on the
-    /// substitution oracle with full per-step auditing to localize the
-    /// first violating step. Infallible by construction: every abort mode
-    /// maps to a [`SupervisedOutcome`] variant rather than an error.
-    pub fn supervise(&self, opts: &RunOptions) -> SupervisedRun {
-        let mut spec = SuperviseSpec::new(opts.resolved_backend(), opts.mem_config(), opts.fuel);
-        spec.verify_every = if opts.verify_every == 0 {
-            64
-        } else {
-            opts.verify_every
-        };
-        spec.audit = opts.audit;
-        spec.superinstructions = opts.superinstructions;
-        spec.eager_intern = opts.eager_intern;
-        spec.faults = opts.inject.clone();
-        spec.observer = opts.observer.clone();
-        spec.step_interval = opts.step_interval;
-        spec.checkpoint_every = if opts.checkpoint_every == 0 {
-            1024
-        } else {
-            opts.checkpoint_every
-        };
-        spec.timeout_ms = opts.timeout_ms;
-        ps_gc_lang::supervisor::supervise(&self.program, &spec)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_inner(
-        &self,
-        config: MemConfig,
-        backend: Backend,
-        observer: Option<SharedObserver>,
-        step_interval: u64,
-        fuel: u64,
-        verify_every: u64,
-        audit: AuditMode,
-        inject: &[FaultPlan],
-        superinstructions: bool,
-        eager_intern: bool,
-        checkpoint_every: u64,
-        timeout_ms: Option<u64>,
-    ) -> Result<Run, PipelineError> {
-        // One uniform path for every backend, via the `Machine` trait —
-        // no per-backend `match` to extend when a fourth backend lands.
-        let mut m = backend.load(&self.program, config);
-        if let Some(obs) = observer {
-            m.set_observer(obs, step_interval);
-        }
-        m.set_superinstructions(superinstructions);
-        m.set_eager_intern(eager_intern);
-        m.set_verify_every(verify_every);
-        m.set_audit_mode(audit);
-        m.set_fault_plans(inject);
-        m.set_checkpoint_every(checkpoint_every);
-        m.set_deadline(
-            timeout_ms.map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms)),
-        );
-        let outcome = m.run(fuel).map_err(PipelineError::Runtime)?;
-        let stats = m.stats().clone();
-        let pages = m.memory().page_stats();
-        match outcome {
+        let mut m = opts.spec(false).load(&self.program);
+        match m.run(opts.fuel).map_err(PipelineError::Runtime)? {
             Outcome::Halted(result) => Ok(Run {
                 result,
-                stats,
-                pages,
-                unfired_faults: m.pending_faults().to_vec(),
+                stats: m.stats().clone(),
+                pages: m.memory().page_stats(),
+                unfired_faults: m.run_control().faults.clone(),
             }),
             Outcome::InvariantViolation(e) => Err(PipelineError::InvariantViolation(e)),
             Outcome::OutOfFuel => Err(PipelineError::OutOfFuel),
@@ -863,31 +681,6 @@ impl Compiled {
     }
 }
 
-impl Compiled {
-    /// Assembles a `Compiled` from externally built parts — used by the
-    /// benchmark harness, whose workloads are constructed as source ASTs
-    /// (deep live structure needs types of matching depth, which no
-    /// hand-written concrete syntax would enumerate).
-    pub fn from_parts(
-        collector: Collector,
-        config: MemConfig,
-        source: ps_lambda::syntax::SrcProgram,
-        clos: ps_clos::syntax::CProgram,
-        program: Program,
-    ) -> Compiled {
-        Compiled {
-            collector,
-            config,
-            backend: Backend::default_for(config.track_types),
-            observer: None,
-            step_interval: 0,
-            source,
-            clos,
-            program,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -901,12 +694,15 @@ mod tests {
             Collector::Forwarding,
             Collector::Generational,
         ] {
-            let compiled = Pipeline::new(collector)
-                .region_budget(128)
-                .compile(FIB)
-                .unwrap();
+            let opts = RunOptions::builder()
+                .collector(collector)
+                .budget(128)
+                .fuel(100_000_000)
+                .build();
+            let compiled = opts.compile(FIB).unwrap();
             compiled.typecheck().unwrap();
-            let run = compiled.run(100_000_000).unwrap();
+            assert_eq!(compiled.collector(), collector);
+            let run = compiled.run_with(&opts).unwrap();
             assert_eq!(run.result, compiled.reference_result(10_000_000).unwrap());
             assert!(run.stats.collections > 0, "{collector}");
         }
@@ -915,7 +711,7 @@ mod tests {
     #[test]
     fn parse_errors_surface() {
         assert!(matches!(
-            Pipeline::new(Collector::Basic).compile("fun ("),
+            RunOptions::new(Collector::Basic).compile("fun ("),
             Err(PipelineError::Parse(_))
         ));
     }
@@ -923,36 +719,43 @@ mod tests {
     #[test]
     fn type_errors_surface() {
         assert!(matches!(
-            Pipeline::new(Collector::Basic).compile("(1, 2) + 3"),
+            RunOptions::new(Collector::Basic).compile("(1, 2) + 3"),
             Err(PipelineError::SourceType(_))
         ));
     }
 
     #[test]
     fn out_of_fuel_is_distinguished() {
-        let compiled = Pipeline::new(Collector::Basic)
+        let opts = RunOptions::builder().fuel(1_000).build();
+        let compiled = opts
             .compile("fun loop (n : int) : int = loop n\n loop 0")
             .unwrap();
-        assert!(matches!(compiled.run(1_000), Err(PipelineError::OutOfFuel)));
+        assert!(matches!(
+            compiled.run_with(&opts),
+            Err(PipelineError::OutOfFuel)
+        ));
     }
 
     #[test]
     fn budget_controls_collection_count() {
-        let small = Pipeline::new(Collector::Basic)
-            .region_budget(64)
-            .compile(FIB)
-            .unwrap()
-            .run(100_000_000)
-            .unwrap();
-        let big = Pipeline::new(Collector::Basic)
-            .region_budget(1 << 24)
-            .compile(FIB)
-            .unwrap()
-            .run(100_000_000)
-            .unwrap();
-        assert!(small.stats.collections > big.stats.collections);
-        assert_eq!(big.stats.collections, 0);
-        assert_eq!(small.result, big.result);
+        // The budget is a run setting: one compiled program, run at two
+        // budgets, collects only at the small one — whether it came from
+        // source text or was built as an AST (the E14/E17 path).
+        let parsed = RunOptions::new(Collector::Basic).compile(FIB).unwrap();
+        let built = workloads::compile_ast(&workloads::live_tree_churn(4, 60), Collector::Basic);
+        for (compiled, small_budget) in [(&parsed, 64), (&built, 128)] {
+            let run = |budget| {
+                let opts = RunOptions::builder()
+                    .budget(budget)
+                    .fuel(100_000_000)
+                    .build();
+                compiled.run_with(&opts).unwrap()
+            };
+            let (small, big) = (run(small_budget), run(1 << 24));
+            assert!(small.stats.collections > big.stats.collections);
+            assert_eq!(big.stats.collections, 0);
+            assert_eq!(small.result, big.result);
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use ps_ir::symbol::gensym;
 use ps_lambda::syntax::{BinOp, Expr, FunDef, SrcProgram, SrcTy};
 
-use crate::{Collector, Compiled, Pipeline};
+use crate::{Backend, Collector, Compiled, RunOptions};
 
 /// The type of a complete pair-tree of the given depth.
 pub fn tree_ty(depth: u32) -> SrcTy {
@@ -133,31 +133,30 @@ pub fn live_dag_churn(depth: u32, k: i64) -> SrcProgram {
     }
 }
 
-/// Compiles a source AST with the given collector and base region budget.
-pub fn compile_ast(p: &SrcProgram, collector: Collector, budget: usize) -> Compiled {
+/// Compiles a source AST with the given collector. The region budget is a
+/// run setting ([`RunOptions::budget`]), not part of the result.
+pub fn compile_ast(p: &SrcProgram, collector: Collector) -> Compiled {
     let cps = ps_clos::cps::cps_program(p).expect("cps");
     let clos = ps_clos::cc::cc_program(&cps).expect("cc");
-    let image = collector.image();
-    let program = match collector {
-        Collector::Basic => ps_trans::basic::translate(&clos, &image),
-        Collector::Forwarding => ps_trans::forwarding::translate(&clos, &image),
-        Collector::Generational => ps_trans::generational::translate(&clos, &image),
+    let program = collector.translate(&clos).expect("translate");
+    Compiled {
+        source: p.clone(),
+        clos,
+        program,
     }
-    .expect("translate");
-    let config = Pipeline::new(collector).region_budget(budget).config();
-    Compiled::from_parts(collector, config, p.clone(), clos, program)
 }
 
-/// Runs a compiled program on the substitution backend and returns its
-/// machine statistics. (Backend choice is irrelevant for the statistics —
-/// the backends agree bit-for-bit — but the E1–E8 experiments predate the
-/// environment machine and are kept on the oracle.)
-pub fn run_stats(c: &Compiled) -> ps_gc_lang::machine::Stats {
-    let mut m = c.machine();
-    match m.run(1_000_000_000).expect("runs") {
-        ps_gc_lang::machine::Outcome::Halted(_) => m.stats().clone(),
-        other => panic!("abnormal outcome: {other:?}"),
-    }
+/// Runs a compiled program at the given base region budget on the
+/// substitution backend and returns its machine statistics. (Backend
+/// choice is irrelevant for the statistics — the backends agree
+/// bit-for-bit — but the E1–E8 experiments predate the environment
+/// machine and are kept on the oracle.)
+pub fn run_stats(c: &Compiled, budget: usize) -> ps_gc_lang::machine::Stats {
+    let opts = RunOptions::builder()
+        .backend(Backend::Subst)
+        .budget(budget)
+        .build();
+    c.run_with(&opts).expect("runs").stats
 }
 
 /// Total words copied into to-space across all collections of a run — the
@@ -173,9 +172,8 @@ pub fn copy_work(stats: &ps_gc_lang::machine::Stats) -> u64 {
 /// effectively infinite budget, where no collection runs). Covers copies,
 /// promotions and continuation records uniformly across collectors.
 pub fn gc_alloc_overhead(p: &SrcProgram, collector: Collector, budget: usize) -> u64 {
-    let with_gc = run_stats(&compile_ast(p, collector, budget)).words_allocated;
-    let without = run_stats(&compile_ast(p, collector, 1 << 28)).words_allocated;
-    with_gc - without
+    let c = compile_ast(p, collector);
+    run_stats(&c, budget).words_allocated - run_stats(&c, 1 << 28).words_allocated
 }
 
 #[cfg(test)]
@@ -186,8 +184,8 @@ mod tests {
     fn tree_programs_run_and_collect() {
         let p = live_tree_churn(4, 60);
         ps_lambda::typecheck::check_program(&p).unwrap();
-        let c = compile_ast(&p, Collector::Basic, 128);
-        let stats = run_stats(&c);
+        let c = compile_ast(&p, Collector::Basic);
+        let stats = run_stats(&c, 128);
         assert!(stats.collections > 0);
     }
 
@@ -197,8 +195,10 @@ mod tests {
         ps_lambda::typecheck::check_program(&p).unwrap();
         let expected = ps_lambda::eval::run_program(&p, 1_000_000).unwrap();
         for collector in [Collector::Basic, Collector::Forwarding] {
-            let c = compile_ast(&p, collector, 128);
-            let run = c.run(1_000_000_000).unwrap();
+            let c = compile_ast(&p, collector);
+            let run = c
+                .run_with(&RunOptions::builder().budget(128).build())
+                .unwrap();
             assert_eq!(run.result, expected);
             assert!(run.stats.collections > 0, "{collector}");
         }
@@ -209,8 +209,8 @@ mod tests {
         // Basic copies the DAG as a tree (≈2^d cells per collection);
         // forwarding copies d cells.
         let p = live_dag_churn(10, 40);
-        let basic = copy_work(&run_stats(&compile_ast(&p, Collector::Basic, 128)));
-        let fwd = copy_work(&run_stats(&compile_ast(&p, Collector::Forwarding, 128)));
+        let basic = copy_work(&run_stats(&compile_ast(&p, Collector::Basic), 128));
+        let fwd = copy_work(&run_stats(&compile_ast(&p, Collector::Forwarding), 128));
         assert!(
             basic > fwd * 4,
             "expected exponential blowup: basic={basic} forwarding={fwd}"

@@ -24,7 +24,7 @@
 //! ## Operand classification
 //!
 //! Using the interner's free-variable fingerprints
-//! ([`crate::intern::value_fv`]/[`tag_fv`](crate::intern::tag_fv)), each
+//! ([`crate::intern::value_fv`]/[`tag_fv`]), each
 //! operand is classified at compile time:
 //!
 //! * **`Reg`** — a plain variable bound in scope: one vector index.
@@ -55,7 +55,7 @@
 //! ([`BcMachine::set_superinstructions`], `RunOptions.superinstructions`)
 //! exists for A/B measurement.
 //!
-//! Telemetry hooks, [`Stats`] counters, error messages, and the
+//! Telemetry hooks, [`Stats`](crate::machine::Stats) counters, error messages, and the
 //! [resolved control view](BcMachine::resolved_control) all mirror the
 //! Fig. 5 machine rule for rule; the lockstep differential suite holds all
 //! three backends to that contract.
@@ -65,24 +65,22 @@
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, RwLock};
+use std::time::Instant;
 
 use ps_ir::{FxBuildHasher, FxHasher, Symbol};
 
-use crate::error::{dialect_err, stuck_err, ErrorKind, LangError, Result};
-use crate::faults::FaultPlan;
+use crate::error::{stuck_err, ErrorKind, LangError, Result};
 use crate::intern::{
     intern_term, intern_ty, intern_value, tag_fv, ty_fv, value_fv, LazyChild, SlotVal, TermId,
     TyId, ValId,
 };
-use crate::machine::{widen_psi, AuditMode, Machine, Outcome, Program, Stats, StepOutcome};
-use crate::memory::{MemConfig, Memory};
-use crate::snapshot::{SnapRing, Snapshot};
+use crate::machine::sealed::{Core, HasCore};
+use crate::machine::{drive, widen_psi, Machine, Outcome, Program, StepOutcome};
+use crate::memory::MemConfig;
+use crate::snapshot::Snapshot;
 use crate::subst::Subst;
-use crate::syntax::{
-    CodeDef, Dialect, Kind, Op, PrimOp, Region, RegionName, Tag, Term, Ty, Value, CD,
-};
+use crate::syntax::{CodeDef, Kind, Op, PrimOp, Region, RegionName, Tag, Term, Ty, Value, CD};
 use crate::tags;
-use crate::telemetry::{SharedObserver, Telemetry};
 
 /// Sentinel scope id for "empty scope chain".
 const NO_SCOPE: u32 = u32::MAX;
@@ -1114,18 +1112,8 @@ fn compile_def(def: &CodeDef, superinstructions: bool) -> Unit {
 /// The register-based bytecode machine (see the [module docs](self)).
 #[derive(Clone, Debug)]
 pub struct BcMachine {
-    mem: Memory,
+    core: Core,
     main: Term,
-    dialect: Dialect,
-    stats: Stats,
-    telem: Telemetry,
-    halted: Option<i64>,
-    verify_every: u64,
-    audit_mode: AuditMode,
-    faults: Vec<FaultPlan>,
-    checkpoint_every: u64,
-    deadline: Option<std::time::Instant>,
-    snaps: SnapRing,
     superinstructions: bool,
     /// Lazy ids-or-thunks slot representation: when set (the default),
     /// `put` stores operands whose interned identity is unknown as thunks
@@ -1190,24 +1178,9 @@ impl BcMachine {
     /// main term. Compilation to bytecode happens lazily on the first step
     /// (so [`BcMachine::set_superinstructions`] can still take effect).
     pub fn load(program: &Program, config: MemConfig) -> BcMachine {
-        let mut mem = Memory::new(config);
-        for def in &program.code {
-            let ty = def.ty();
-            mem.install_code(Value::Code(Arc::new(def.clone())), ty);
-        }
         BcMachine {
-            mem,
+            core: Core::load(program, config),
             main: program.main.clone(),
-            dialect: program.dialect,
-            stats: Stats::default(),
-            telem: Telemetry::default(),
-            halted: None,
-            verify_every: 0,
-            audit_mode: AuditMode::default(),
-            faults: Vec::new(),
-            checkpoint_every: 0,
-            deadline: None,
-            snaps: SnapRing::new(),
             superinstructions: true,
             lazy: true,
             cache: None,
@@ -1227,210 +1200,14 @@ impl BcMachine {
         }
     }
 
-    /// Attaches a telemetry observer; `step_interval > 0` also emits
-    /// periodic heap samples.
-    pub fn set_observer(&mut self, observer: SharedObserver, step_interval: u64) {
-        self.telem.attach(observer, step_interval);
-    }
-
-    /// The current memory.
-    pub fn memory(&self) -> &Memory {
-        &self.mem
-    }
-
-    /// Mutable access to the memory — **fault-injection machinery**.
-    pub fn memory_mut(&mut self) -> &mut Memory {
-        &mut self.mem
-    }
-
-    /// Audits the heap every `n` steps during [`BcMachine::run`]
-    /// (`0` disables auditing, the default).
-    pub fn set_verify_every(&mut self, n: u64) {
-        self.verify_every = n;
-    }
-
-    /// Chooses how periodic audits walk the heap (default: incremental).
-    pub fn set_audit_mode(&mut self, mode: AuditMode) {
-        self.audit_mode = mode;
-    }
-
-    /// Arms deterministic faults to be injected during [`BcMachine::run`]
-    /// once each plan's step is reached (**fault-injection machinery**).
-    pub fn set_fault_plans(&mut self, plans: &[FaultPlan]) {
-        self.faults = plans.to_vec();
-    }
-
-    /// Captures a checkpoint every `n` steps and at every collection
-    /// boundary during [`BcMachine::run`] (`0` disables, the default).
-    pub fn set_checkpoint_every(&mut self, n: u64) {
-        self.checkpoint_every = n;
-    }
-
-    /// Sets (or clears) the wall-clock deadline for [`BcMachine::run`].
-    pub fn set_deadline(&mut self, deadline: Option<std::time::Instant>) {
-        self.deadline = deadline;
-    }
-
-    /// Captures a checkpoint of the current state. The control is captured
-    /// *resolved* (register file substituted in), so the snapshot restores
-    /// into any backend — but the resolution itself is deferred: the
-    /// checkpoint stores the raw scope-chain bindings (point-in-time
-    /// register clones, all interned — one `Vec`, no map construction) and
-    /// the source term id, and the closed term is only built if the
-    /// snapshot is ever restored or triaged.
-    pub fn snapshot(&self) -> Snapshot {
-        if self.pending.is_none() {
-            if let Some(cache) = &self.cache {
-                let unit = &cache.units[self.unit as usize];
-                let (src, scope) = match unit.instrs.get(self.pc as usize) {
-                    Some(Instr::Lets(ms)) => {
-                        let m = &ms[self.sub as usize];
-                        (m.src, m.scope)
-                    }
-                    _ => {
-                        let m = &unit.metas[self.pc as usize];
-                        (m.src, m.scope)
-                    }
-                };
-                // Innermost-first, mirroring the chain walk of
-                // `scope_subst`; the closure rebinds outermost-first so
-                // shadowing resolves identically.
-                let mut binds: Vec<(Symbol, SnapBind)> = Vec::new();
-                let mut s = scope;
-                while s != NO_SCOPE {
-                    let n = &unit.scopes[s as usize];
-                    let b = match n.ns {
-                        Ns::Val => SnapBind::Val(self.vals[n.slot as usize].clone()),
-                        Ns::Tag => SnapBind::Tag(self.tag_regs[n.slot as usize].clone()),
-                        Ns::Rgn => SnapBind::Rgn(self.rgn_regs[n.slot as usize]),
-                        Ns::Alpha => SnapBind::Alpha(self.alpha_regs[n.slot as usize].clone()),
-                    };
-                    binds.push((n.sym, b));
-                    s = n.parent;
-                }
-                return Snapshot::capture_deferred(
-                    move || {
-                        let mut sub = Subst::new();
-                        for (sym, b) in binds.iter().rev() {
-                            match b {
-                                SnapBind::Val(v) => sub.bind_val(*sym, v.clone()),
-                                SnapBind::Tag(t) => sub.bind_tag(*sym, t.clone()),
-                                SnapBind::Rgn(r) => sub.bind_rgn(*sym, *r),
-                                SnapBind::Alpha(a) => sub.bind_alpha(*sym, a.clone()),
-                            }
-                        }
-                        sub.term(&src)
-                    },
-                    self.dialect,
-                    self.mem.clone(),
-                    self.stats.clone(),
-                    self.halted,
-                    self.faults.clone(),
-                    self.telem.phase_state(),
-                );
-            }
+    /// The current instruction's unit, source term and compile-time scope;
+    /// `None` before the first step (the control is still the uncompiled
+    /// main term) and while a `TagApp` unfolding is pending.
+    fn position(&self) -> Option<(&Unit, TermId, u32)> {
+        if self.pending.is_some() {
+            return None;
         }
-        Snapshot::capture(
-            self.resolved_control(),
-            self.dialect,
-            self.mem.clone(),
-            self.stats.clone(),
-            self.halted,
-            self.faults.clone(),
-            self.telem.phase_state(),
-        )
-    }
-
-    /// Restores a checkpoint captured by any backend; see
-    /// [`Machine::restore`] for the contract. The snapshot's closed control
-    /// becomes the new main term and the bytecode cache is rebuilt lazily
-    /// on the next step (code blocks live in `cd`, which the captured
-    /// memory image carries).
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`ErrorKind::Dialect`] error on a dialect mismatch.
-    pub fn restore(&mut self, snap: &Snapshot) -> Result<()> {
-        if snap.dialect() != self.dialect {
-            return Err(dialect_err(format!(
-                "snapshot dialect {} does not match machine dialect {}",
-                snap.dialect(),
-                self.dialect
-            )));
-        }
-        self.mem = snap.memory().clone();
-        self.main = snap.control().clone();
-        self.stats = snap.stats().clone();
-        self.halted = snap.halted();
-        self.faults = snap.pending_faults().to_vec();
-        self.telem.restore_phase(snap.telemetry_phase());
-        self.snaps.clear();
-        // Invalidate every compilation artifact: the restored control is a
-        // fresh entry unit, and stale register/ty-cache contents must not
-        // leak across the restore (the closed control writes every slot it
-        // reads, but interned-id shadows must not outlive their values).
-        self.cache = None;
-        self.pending = None;
-        self.unit = 0;
-        self.pc = 0;
-        self.sub = 0;
-        self.ty_cache.clear();
-        for id in &mut self.val_ids {
-            *id = None;
-        }
-        Ok(())
-    }
-
-    /// Enables or disables superinstruction fusion. Takes effect only
-    /// before the first step (the flag is baked into the compiled code);
-    /// later calls are ignored.
-    pub fn set_superinstructions(&mut self, on: bool) {
-        if self.stats.steps == 0 && self.superinstructions != on {
-            self.superinstructions = on;
-            self.cache = None;
-            self.ty_cache.clear();
-        }
-    }
-
-    /// Disables (or re-enables) the lazy ids-or-thunks slot representation;
-    /// with eager interning every `put` stores a fully-interned value.
-    pub fn set_eager_intern(&mut self, on: bool) {
-        self.lazy = !on;
-    }
-
-    /// The dialect this machine runs.
-    pub fn dialect(&self) -> Dialect {
-        self.dialect
-    }
-
-    /// Statistics so far.
-    pub fn stats(&self) -> &Stats {
-        &self.stats
-    }
-
-    /// The halt value, if the machine has halted.
-    pub fn halted(&self) -> Option<i64> {
-        self.halted
-    }
-
-    /// The control term with every register binding substituted in: a
-    /// closed term structurally identical to the substitution machine's
-    /// state at the same step. Built by walking the current instruction's
-    /// compile-time scope chain and substituting register contents —
-    /// the inverse of the slot resolution the compiler performed.
-    pub fn resolved_control(&self) -> Term {
-        if let Some(p) = &self.pending {
-            return Term::App {
-                f: p.f.clone(),
-                tags: p.tags.to_vec(),
-                regions: p.regions.to_vec(),
-                args: p.args.iter().map(|(v, _)| v.clone()).collect(),
-            };
-        }
-        let Some(cache) = &self.cache else {
-            return self.main.clone();
-        };
-        let unit = &cache.units[self.unit as usize];
+        let unit = &self.cache.as_ref()?.units[self.unit as usize];
         let (src, scope) = match unit.instrs.get(self.pc as usize) {
             Some(Instr::Lets(ms)) => {
                 let m = &ms[self.sub as usize];
@@ -1441,97 +1218,7 @@ impl BcMachine {
                 (m.src, m.scope)
             }
         };
-        let sub = self.scope_subst(unit, scope);
-        sub.term(&src)
-    }
-
-    /// Runs the [`crate::verify`] heap auditor against the current state.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violated Fig. 7 invariant.
-    pub fn audit(&self) -> Result<()> {
-        let root = self.resolved_control();
-        crate::verify::audit_state(&self.mem, self.dialect, &root)
-    }
-
-    /// Runs until `halt`, an error, or `fuel` steps — same contract and
-    /// same audit/fault-injection cadence as the other backends.
-    ///
-    /// # Errors
-    ///
-    /// Returns a stuck-state error if no reduction rule applies, or an
-    /// [`ErrorKind::OutOfMemory`] error if an allocation would exceed
-    /// [`MemConfig::max_heap_words`].
-    pub fn run(&mut self, fuel: u64) -> Result<Outcome> {
-        // With no fault plan, no audit cadence, and no observer, nothing
-        // can see intermediate per-step state, so the dispatch loop drops
-        // the per-step hook checks and executes fused `Lets` chains one
-        // whole chain per dispatch (the payoff of superinstruction
-        // fusion). Statistics are accounted per counted step either way,
-        // so `Stats` stay byte-identical to the substitution oracle.
-        if self.faults.is_empty() && self.verify_every == 0 && !self.telem.is_enabled() {
-            if self.checkpoint_every == 0 && self.deadline.is_none() {
-                return self.run_fast(fuel);
-            }
-            return self.run_fast_chunked(fuel);
-        }
-        // The next interval-checkpoint step, derived once: the loop below
-        // runs per step, so a compare-and-bump replaces a per-step modulo.
-        let mut next_cp = match self.checkpoint_every {
-            0 => u64::MAX,
-            n => self.stats.steps - self.stats.steps % n + n,
-        };
-        for _ in 0..fuel {
-            let cols = self.stats.collections;
-            match self.step() {
-                Ok(StepOutcome::Continue) => {}
-                Ok(StepOutcome::Halted(n)) => return Ok(Outcome::Halted(n)),
-                Err(e) => {
-                    if e.kind() == ErrorKind::OutOfMemory {
-                        let limit = self.mem.config().max_heap_words.unwrap_or(0);
-                        self.telem
-                            .on_oom(self.stats.steps, self.mem.data_words(), limit);
-                    }
-                    return Err(e);
-                }
-            }
-            self.try_inject();
-            if self.verify_every > 0 && self.stats.steps.is_multiple_of(self.verify_every) {
-                let full = self.audit_mode == AuditMode::Full || self.mem.wants_full_audit();
-                let res = if full {
-                    let r = self.audit();
-                    if r.is_ok() {
-                        self.mem.note_full_audit();
-                    }
-                    r
-                } else {
-                    crate::verify::audit_dirty(&mut self.mem, self.dialect)
-                };
-                if let Err(e) = res {
-                    self.telem
-                        .on_invariant_violation(self.stats.steps, &e.to_string());
-                    return Ok(Outcome::InvariantViolation(e));
-                }
-            }
-            if self.checkpoint_every > 0
-                && (self.stats.collections != cols || self.stats.steps >= next_cp)
-            {
-                if self.stats.steps >= next_cp {
-                    next_cp += self.checkpoint_every;
-                }
-                self.telem.on_snapshot(self.stats.steps, &self.mem);
-                let snap = self.snapshot();
-                self.snaps.push(snap);
-            }
-            if let Some(dl) = self.deadline {
-                if self.stats.steps & 1023 == 0 && std::time::Instant::now() >= dl {
-                    return Ok(Outcome::DeadlineExceeded);
-                }
-            }
-        }
-        self.telem.on_fuel_exhausted(self.stats.steps);
-        Ok(Outcome::OutOfFuel)
+        Some((unit, src, scope))
     }
 
     /// The unobserved loop with only checkpoints and/or a deadline armed:
@@ -1542,35 +1229,32 @@ impl BcMachine {
     /// collection inside a burst gets its boundary checkpoint at the end
     /// of the burst — never more than one interval late — rather than at
     /// the boundary step itself.
-    fn run_fast_chunked(&mut self, fuel: u64) -> Result<Outcome> {
+    fn run_fast_chunked(&mut self, fuel: u64, deadline: Option<Instant>) -> Result<Outcome> {
         let mut left = fuel;
         loop {
-            let to_checkpoint = if self.checkpoint_every > 0 {
-                self.checkpoint_every - (self.stats.steps % self.checkpoint_every)
+            let every = self.core.ctl.checkpoint_every;
+            let to_checkpoint = if every > 0 {
+                every - (self.core.stats.steps % every)
             } else {
                 u64::MAX
             };
-            let to_deadline_poll = if self.deadline.is_some() {
-                1024
-            } else {
-                u64::MAX
-            };
+            let to_deadline_poll = if deadline.is_some() { 1024 } else { u64::MAX };
             let chunk = left.min(to_checkpoint).min(to_deadline_poll);
-            let cols = self.stats.collections;
+            let cols = self.core.stats.collections;
             match self.run_fast(chunk)? {
                 Outcome::OutOfFuel => {}
                 done => return Ok(done),
             }
             left -= chunk;
-            if self.checkpoint_every > 0
-                && (self.stats.collections != cols
-                    || self.stats.steps.is_multiple_of(self.checkpoint_every))
+            if every > 0
+                && (self.core.stats.collections != cols
+                    || self.core.stats.steps.is_multiple_of(every))
             {
                 let snap = self.snapshot();
-                self.snaps.push(snap);
+                self.core.ctl.push_snapshot(snap);
             }
-            if let Some(dl) = self.deadline {
-                if std::time::Instant::now() >= dl {
+            if let Some(dl) = deadline {
+                if Instant::now() >= dl {
                     return Ok(Outcome::DeadlineExceeded);
                 }
             }
@@ -1585,7 +1269,7 @@ impl BcMachine {
     /// execute back-to-back micro-ops without re-entering the dispatch
     /// match, one counted step (and one unit of fuel) per micro-op.
     fn run_fast(&mut self, fuel: u64) -> Result<Outcome> {
-        if let Some(n) = self.halted {
+        if let Some(n) = self.core.halted {
             return Ok(Outcome::Halted(n));
         }
         self.ensure_compiled();
@@ -1596,7 +1280,7 @@ impl BcMachine {
         let mut left = fuel;
         let out = loop {
             if left == 0 {
-                self.telem.on_fuel_exhausted(self.stats.steps);
+                self.core.telem.on_fuel_exhausted(self.core.stats.steps);
                 break Ok(Outcome::OutOfFuel);
             }
             if self.pending.is_none() && self.superinstructions {
@@ -1606,7 +1290,7 @@ impl BcMachine {
                     let mut err = None;
                     while sub < end {
                         let m = &ms[sub as usize];
-                        self.stats.steps += 1;
+                        self.core.stats.steps += 1;
                         left -= 1;
                         match self.eval_micro(&m.op) {
                             Ok((v, id)) => self.set_val(m.dst, v, id),
@@ -1615,8 +1299,11 @@ impl BcMachine {
                                 break;
                             }
                         }
-                        self.stats.peak_data_words =
-                            self.stats.peak_data_words.max(self.mem.data_words());
+                        self.core.stats.peak_data_words = self
+                            .core
+                            .stats
+                            .peak_data_words
+                            .max(self.core.mem.data_words());
                         sub += 1;
                     }
                     if sub == ms.len() as u32 {
@@ -1631,14 +1318,17 @@ impl BcMachine {
                     continue;
                 }
             }
-            self.stats.steps += 1;
+            self.core.stats.steps += 1;
             left -= 1;
             match self.exec_with(&mut cache) {
                 Ok(true) => {
-                    self.stats.peak_data_words =
-                        self.stats.peak_data_words.max(self.mem.data_words());
+                    self.core.stats.peak_data_words = self
+                        .core
+                        .stats
+                        .peak_data_words
+                        .max(self.core.mem.data_words());
                 }
-                Ok(false) => match self.halted {
+                Ok(false) => match self.core.halted {
                     Some(n) => break Ok(Outcome::Halted(n)),
                     None => {
                         break Err(self.stuck("step ended without a term or a halt value".into()))
@@ -1651,9 +1341,12 @@ impl BcMachine {
         match out {
             Err(e) => {
                 if e.kind() == ErrorKind::OutOfMemory {
-                    let limit = self.mem.config().max_heap_words.unwrap_or(0);
-                    self.telem
-                        .on_oom(self.stats.steps, self.mem.data_words(), limit);
+                    let limit = self.core.mem.config().max_heap_words.unwrap_or(0);
+                    self.core.telem.on_oom(
+                        self.core.stats.steps,
+                        self.core.mem.data_words(),
+                        limit,
+                    );
                 }
                 Err(e)
             }
@@ -1661,51 +1354,8 @@ impl BcMachine {
         }
     }
 
-    fn try_inject(&mut self) {
-        if self.faults.is_empty() || self.faults.iter().all(|p| self.stats.steps < p.step) {
-            return;
-        }
-        let root = self.resolved_control();
-        let mut i = 0;
-        while i < self.faults.len() {
-            let plan = self.faults[i];
-            if self.stats.steps >= plan.step
-                && crate::faults::apply(&plan, &mut self.mem, &root).is_some()
-            {
-                self.faults.remove(i);
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// Takes one machine step (one λGC reduction rule; a fused chain still
-    /// steps through its micro-ops one at a time).
-    ///
-    /// # Errors
-    ///
-    /// Returns a stuck-state or memory error if no rule applies.
-    pub fn step(&mut self) -> Result<StepOutcome> {
-        if let Some(n) = self.halted {
-            return Ok(StepOutcome::Halted(n));
-        }
-        self.ensure_compiled();
-        self.stats.steps += 1;
-        self.telem.on_step(self.stats.steps, &self.mem);
-        let continued = self.exec_one()?;
-        if continued {
-            self.stats.peak_data_words = self.stats.peak_data_words.max(self.mem.data_words());
-            Ok(StepOutcome::Continue)
-        } else {
-            match self.halted {
-                Some(n) => Ok(StepOutcome::Halted(n)),
-                None => Err(self.stuck("step ended without a term or a halt value".into())),
-            }
-        }
-    }
-
     fn stuck(&self, msg: String) -> LangError {
-        stuck_err(msg).in_context(format!("dialect {}", self.dialect))
+        stuck_err(msg).in_context(format!("dialect {}", self.core.dialect))
     }
 
     fn ensure_compiled(&mut self) {
@@ -1716,7 +1366,7 @@ impl BcMachine {
             units: vec![compile_main(&self.main, self.superinstructions)],
             by_def: HashMap::default(),
         };
-        if let Some(cd) = self.mem.region(CD) {
+        if let Some(cd) = self.core.mem.region(CD) {
             for (_, v) in cd.iter() {
                 if let Some(Value::Code(def)) = v.as_val() {
                     let u = cache.units.len() as u32;
@@ -2155,7 +1805,7 @@ impl BcMachine {
                 let fv = self.rv(f);
                 match fv {
                     Value::Addr(nu, loc) => {
-                        let code = match self.mem.get(nu, loc)? {
+                        let code = match self.core.mem.get(nu, loc)? {
                             Value::Code(def) => Arc::clone(def),
                             other => {
                                 let msg = format!("application of non-code value {other:?}");
@@ -2209,17 +1859,19 @@ impl BcMachine {
             }
             Instr::Halt(v) => match self.rv(v) {
                 Value::Int(n) => {
-                    self.halted = Some(n);
-                    self.telem.on_halt(n, self.stats.steps);
+                    self.core.halted = Some(n);
+                    self.core.telem.on_halt(n, self.core.stats.steps);
                     Ok(false)
                 }
                 other => Err(self.stuck(format!("halt on non-integer value {other:?}"))),
             },
             Instr::IfGc { r, full, cont } => {
                 let nu = self.rname(r)?;
-                if self.mem.is_full(nu)? {
-                    self.stats.gc_triggers += 1;
-                    self.telem.on_gc_trigger(nu, &self.mem, self.stats.steps);
+                if self.core.mem.is_full(nu)? {
+                    self.core.stats.gc_triggers += 1;
+                    self.core
+                        .telem
+                        .on_gc_trigger(nu, &self.core.mem, self.core.stats.steps);
                     self.pc = *full;
                 } else {
                     self.pc = *cont;
@@ -2268,9 +1920,11 @@ impl BcMachine {
                 other => Err(self.stuck(format!("open(region) on non-package {other:?}"))),
             },
             Instr::LetRegion { rdst } => {
-                let nu = self.mem.alloc_region();
-                self.stats.regions_created += 1;
-                self.telem.on_region_alloc(nu, &self.mem, self.stats.steps);
+                let nu = self.core.mem.alloc_region();
+                self.core.stats.regions_created += 1;
+                self.core
+                    .telem
+                    .on_region_alloc(nu, &self.core.mem, self.core.stats.steps);
                 self.rgn_regs[*rdst as usize] = Region::Name(nu);
                 self.pc += 1;
                 Ok(true)
@@ -2280,9 +1934,11 @@ impl BcMachine {
                 for r in keep.iter() {
                     names.push(self.rname(r)?);
                 }
-                let report = self.mem.only(&names);
-                self.telem.on_only(&report, &self.mem, self.stats.steps);
-                self.stats.record_reclaim(report);
+                let report = self.core.mem.only(&names);
+                self.core
+                    .telem
+                    .on_only(&report, &self.core.mem, self.core.stats.steps);
+                self.core.stats.record_reclaim(report);
                 self.pc += 1;
                 Ok(true)
             }
@@ -2296,7 +1952,7 @@ impl BcMachine {
                 tedst,
                 exist_arm,
             } => {
-                self.stats.typecase_dispatches += 1;
+                self.core.stats.typecase_dispatches += 1;
                 let nf = self.rtag_nf(tag);
                 match nf {
                     Tag::Int => {
@@ -2345,8 +2001,8 @@ impl BcMachine {
             Instr::Set { dst, src } => match self.rv(dst) {
                 Value::Addr(nu, loc) => {
                     let v = self.rv(src);
-                    self.mem.set(nu, loc, v)?;
-                    self.stats.forwarding_installs += 1;
+                    self.core.mem.set(nu, loc, v)?;
+                    self.core.stats.forwarding_installs += 1;
                     self.pc += 1;
                     Ok(true)
                 }
@@ -2363,11 +2019,11 @@ impl BcMachine {
                 // is rewritten when tracked.
                 let id = self.rvid_opt(v);
                 let rv = self.rv(v);
-                if self.mem.config().track_types {
+                if self.core.mem.config().track_types {
                     let from = self.rname(from)?;
                     let to = self.rname(to)?;
                     let nf = self.rtag_nf(tag);
-                    widen_psi(&mut self.mem, &rv, &nf, from, to)?;
+                    widen_psi(&mut self.core.mem, &rv, &nf, from, to)?;
                 }
                 self.set_val(*dst, rv, id);
                 self.pc += 1;
@@ -2403,7 +2059,7 @@ impl BcMachine {
     fn exec_pending(&mut self, cache: &mut Arc<CodeCache>, p: PendingApp) -> Result<bool> {
         match p.f {
             Value::Addr(nu, loc) => {
-                let code = match self.mem.get(nu, loc)? {
+                let code = match self.core.mem.get(nu, loc)? {
                     Value::Code(def) => Arc::clone(def),
                     other => {
                         let msg = format!("application of non-code value {other:?}");
@@ -2551,7 +2207,7 @@ impl BcMachine {
                 Ok((self.do_put(nu, sv)?, None))
             }
             MicroOp::Get(v) => match self.rv(v) {
-                Value::Addr(nu, loc) => Ok((self.mem.get(nu, loc)?.clone(), None)),
+                Value::Addr(nu, loc) => Ok((self.core.mem.get(nu, loc)?.clone(), None)),
                 other => Err(self.stuck(format!("get of non-address {other:?}"))),
             },
             MicroOp::Strip(v) => match self.rv(v) {
@@ -2628,80 +2284,190 @@ impl BcMachine {
     }
 
     fn do_put(&mut self, nu: RegionName, sv: SlotVal) -> Result<Value> {
-        let rec = self.mem.put_slot_counted(nu, sv)?;
-        self.stats.allocations += 1;
-        self.stats.words_allocated += rec.words as u64;
+        let rec = self.core.mem.put_slot_counted(nu, sv)?;
+        self.core.stats.allocations += 1;
+        self.core.stats.words_allocated += rec.words as u64;
         if let Some(alloc) = rec.page {
-            self.telem.on_page_alloc(nu, alloc, self.stats.steps);
+            self.core
+                .telem
+                .on_page_alloc(nu, alloc, self.core.stats.steps);
         }
-        self.telem.on_put(nu, rec.words, self.stats.steps);
+        self.core.telem.on_put(nu, rec.words, self.core.stats.steps);
         Ok(Value::Addr(nu, rec.loc))
     }
 }
 
+impl HasCore for BcMachine {
+    fn core(&self) -> &Core {
+        &self.core
+    }
+
+    fn core_mut(&mut self) -> &mut Core {
+        &mut self.core
+    }
+}
+
 impl Machine for BcMachine {
-    fn set_observer(&mut self, observer: SharedObserver, step_interval: u64) {
-        BcMachine::set_observer(self, observer, step_interval);
-    }
-    fn set_verify_every(&mut self, n: u64) {
-        BcMachine::set_verify_every(self, n);
-    }
-    fn set_audit_mode(&mut self, mode: AuditMode) {
-        BcMachine::set_audit_mode(self, mode);
-    }
-    fn set_fault_plans(&mut self, plans: &[FaultPlan]) {
-        BcMachine::set_fault_plans(self, plans);
-    }
-    fn set_eager_intern(&mut self, on: bool) {
-        BcMachine::set_eager_intern(self, on);
-    }
-    fn pending_faults(&self) -> &[FaultPlan] {
-        &self.faults
-    }
-    fn set_checkpoint_every(&mut self, n: u64) {
-        BcMachine::set_checkpoint_every(self, n);
-    }
-    fn set_deadline(&mut self, deadline: Option<std::time::Instant>) {
-        BcMachine::set_deadline(self, deadline);
-    }
-    fn snapshots(&self) -> &[Snapshot] {
-        self.snaps.as_slice()
-    }
+    /// Captures a checkpoint. The control is captured *resolved* (register
+    /// file substituted in), so the snapshot restores into any backend —
+    /// but the resolution itself is deferred: the checkpoint stores the
+    /// raw scope-chain bindings (point-in-time register clones, all
+    /// interned — one `Vec`, no map construction) and the source term id,
+    /// and the closed term is only built if the snapshot is ever restored
+    /// or triaged.
     fn snapshot(&self) -> Snapshot {
-        BcMachine::snapshot(self)
+        let Some((unit, src, scope)) = self.position() else {
+            return Snapshot::capture(
+                self.resolved_control(),
+                self.core.dialect,
+                self.core.mem.clone(),
+                self.core.stats.clone(),
+                self.core.halted,
+                self.core.ctl.faults.clone(),
+                self.core.telem.phase_state(),
+            );
+        };
+        // Innermost-first, mirroring the chain walk of `scope_subst`; the
+        // closure rebinds outermost-first so shadowing resolves identically.
+        let mut binds: Vec<(Symbol, SnapBind)> = Vec::new();
+        let mut s = scope;
+        while s != NO_SCOPE {
+            let n = &unit.scopes[s as usize];
+            let b = match n.ns {
+                Ns::Val => SnapBind::Val(self.vals[n.slot as usize].clone()),
+                Ns::Tag => SnapBind::Tag(self.tag_regs[n.slot as usize].clone()),
+                Ns::Rgn => SnapBind::Rgn(self.rgn_regs[n.slot as usize]),
+                Ns::Alpha => SnapBind::Alpha(self.alpha_regs[n.slot as usize].clone()),
+            };
+            binds.push((n.sym, b));
+            s = n.parent;
+        }
+        Snapshot::capture_deferred(
+            move || {
+                let mut sub = Subst::new();
+                for (sym, b) in binds.iter().rev() {
+                    match b {
+                        SnapBind::Val(v) => sub.bind_val(*sym, v.clone()),
+                        SnapBind::Tag(t) => sub.bind_tag(*sym, t.clone()),
+                        SnapBind::Rgn(r) => sub.bind_rgn(*sym, *r),
+                        SnapBind::Alpha(a) => sub.bind_alpha(*sym, a.clone()),
+                    }
+                }
+                sub.term(&src)
+            },
+            self.core.dialect,
+            self.core.mem.clone(),
+            self.core.stats.clone(),
+            self.core.halted,
+            self.core.ctl.faults.clone(),
+            self.core.telem.phase_state(),
+        )
     }
+
+    /// Restores a checkpoint captured by any backend. The snapshot's closed
+    /// control becomes the new main term and the bytecode cache is rebuilt
+    /// lazily on the next step (code blocks live in `cd`, which the
+    /// captured memory image carries).
     fn restore(&mut self, snap: &Snapshot) -> Result<()> {
-        BcMachine::restore(self, snap)
+        self.core.restore(snap)?;
+        self.main = snap.control().clone();
+        // Invalidate every compilation artifact: the restored control is a
+        // fresh entry unit, and stale register/ty-cache contents must not
+        // leak across the restore (the closed control writes every slot it
+        // reads, but interned-id shadows must not outlive their values).
+        self.cache = None;
+        self.pending = None;
+        self.unit = 0;
+        self.pc = 0;
+        self.sub = 0;
+        self.ty_cache.clear();
+        for id in &mut self.val_ids {
+            *id = None;
+        }
+        Ok(())
     }
+
+    /// Enables or disables superinstruction fusion. Takes effect only
+    /// before the first step (the flag is baked into the compiled code);
+    /// later calls are ignored.
     fn set_superinstructions(&mut self, on: bool) {
-        BcMachine::set_superinstructions(self, on);
+        if self.core.stats.steps == 0 && self.superinstructions != on {
+            self.superinstructions = on;
+            self.cache = None;
+            self.ty_cache.clear();
+        }
     }
-    fn memory(&self) -> &Memory {
-        BcMachine::memory(self)
+
+    /// Disables (or re-enables) the lazy ids-or-thunks slot representation;
+    /// with eager interning every `put` stores a fully-interned value.
+    fn set_eager_intern(&mut self, on: bool) {
+        self.lazy = !on;
     }
-    fn memory_mut(&mut self) -> &mut Memory {
-        BcMachine::memory_mut(self)
-    }
-    fn dialect(&self) -> Dialect {
-        BcMachine::dialect(self)
-    }
-    fn stats(&self) -> &Stats {
-        BcMachine::stats(self)
-    }
-    fn halted(&self) -> Option<i64> {
-        BcMachine::halted(self)
-    }
+
+    /// Built by walking the current instruction's compile-time scope chain
+    /// and substituting register contents — the inverse of the slot
+    /// resolution the compiler performed.
     fn resolved_control(&self) -> Term {
-        BcMachine::resolved_control(self)
+        if let Some(p) = &self.pending {
+            return Term::App {
+                f: p.f.clone(),
+                tags: p.tags.to_vec(),
+                regions: p.regions.to_vec(),
+                args: p.args.iter().map(|(v, _)| v.clone()).collect(),
+            };
+        }
+        match self.position() {
+            Some((unit, src, scope)) => self.scope_subst(unit, scope).term(&src),
+            None => self.main.clone(),
+        }
     }
-    fn audit(&self) -> Result<()> {
-        BcMachine::audit(self)
-    }
+
+    /// One λGC reduction rule; a fused chain still steps through its
+    /// micro-ops one at a time.
     fn step(&mut self) -> Result<StepOutcome> {
-        BcMachine::step(self)
+        if let Some(n) = self.core.halted {
+            return Ok(StepOutcome::Halted(n));
+        }
+        self.ensure_compiled();
+        self.core.stats.steps += 1;
+        self.core
+            .telem
+            .on_step(self.core.stats.steps, &self.core.mem);
+        let continued = self.exec_one()?;
+        if continued {
+            self.core.stats.peak_data_words = self
+                .core
+                .stats
+                .peak_data_words
+                .max(self.core.mem.data_words());
+            Ok(StepOutcome::Continue)
+        } else {
+            match self.core.halted {
+                Some(n) => Ok(StepOutcome::Halted(n)),
+                None => Err(self.stuck("step ended without a term or a halt value".into())),
+            }
+        }
     }
+
+    /// With no fault plan, no audit cadence and no observer, nothing can
+    /// see intermediate per-step state, so the unobserved fused dispatch
+    /// loop runs instead of the shared run loop: no per-step hook checks,
+    /// and fused `Lets` chains execute one whole chain per dispatch (the
+    /// payoff of superinstruction fusion). Statistics are accounted per
+    /// counted step either way, so `Stats` stay byte-identical to the
+    /// substitution oracle.
     fn run(&mut self, fuel: u64) -> Result<Outcome> {
-        BcMachine::run(self, fuel)
+        let deadline = self.core.ctl.deadline();
+        if self.core.ctl.faults.is_empty()
+            && self.core.ctl.verify_every == 0
+            && !self.core.telem.is_enabled()
+        {
+            if self.core.ctl.checkpoint_every == 0 && deadline.is_none() {
+                return self.run_fast(fuel);
+            }
+            return self.run_fast_chunked(fuel, deadline);
+        }
+        drive(self, fuel, deadline)
     }
 }
 
@@ -2940,7 +2706,7 @@ mod tests {
     use super::*;
     use crate::machine::Backend;
     use crate::memory::GrowthPolicy;
-    use crate::syntax::Kind;
+    use crate::syntax::{Dialect, Kind};
 
     fn sym(s: &str) -> Symbol {
         Symbol::intern(s)

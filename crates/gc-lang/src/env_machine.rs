@@ -30,7 +30,7 @@
 //! first), so [`Subst`]'s capture-avoidance never renames a binder and
 //! simultaneous application coincides with the substitution machine's
 //! sequential application. Consequently both backends produce identical
-//! heap contents, identical results, and identical [`Stats`] — checked
+//! heap contents, identical results, and identical [`Stats`](crate::machine::Stats) — checked
 //! program-by-program by the differential test suite and step-for-step by
 //! the lockstep property test.
 //!
@@ -41,16 +41,15 @@
 
 use std::sync::Arc;
 
-use crate::error::{dialect_err, stuck_err, ErrorKind, LangError, Result};
-use crate::faults::FaultPlan;
+use crate::error::{stuck_err, LangError, Result};
 use crate::intern::{intern_term, LazyChild, SlotVal, TermId, ValId};
-use crate::machine::{widen_psi, AuditMode, Outcome, Program, Stats, StepOutcome};
-use crate::memory::{MemConfig, Memory};
-use crate::snapshot::{SnapRing, Snapshot};
+use crate::machine::sealed::{Core, HasCore};
+use crate::machine::{widen_psi, Machine, Program, StepOutcome};
+use crate::memory::MemConfig;
+use crate::snapshot::Snapshot;
 use crate::subst::Subst;
-use crate::syntax::{CodeDef, Dialect, Op, Region, RegionName, Tag, Term, Value};
+use crate::syntax::{CodeDef, Op, Region, RegionName, Tag, Term, Value};
 use crate::tags;
-use crate::telemetry::{SharedObserver, Telemetry};
 
 /// The control of the machine: a shared handle to the term being reduced.
 ///
@@ -75,19 +74,9 @@ impl Ctrl {
 /// variables of `e` to closed values/tags/regions/types.
 #[derive(Clone, Debug)]
 pub struct EnvMachine {
-    mem: Memory,
+    core: Core,
     control: Ctrl,
     env: Subst,
-    dialect: Dialect,
-    stats: Stats,
-    telem: Telemetry,
-    halted: Option<i64>,
-    verify_every: u64,
-    audit_mode: AuditMode,
-    faults: Vec<FaultPlan>,
-    checkpoint_every: u64,
-    deadline: Option<std::time::Instant>,
-    snaps: SnapRing,
     lazy: bool,
 }
 
@@ -95,295 +84,16 @@ impl EnvMachine {
     /// Loads a program: installs its code blocks in `cd` and sets the main
     /// term as the current control.
     pub fn load(program: &Program, config: MemConfig) -> EnvMachine {
-        let mut mem = Memory::new(config);
-        for def in &program.code {
-            let ty = def.ty();
-            mem.install_code(Value::Code(Arc::new(def.clone())), ty);
-        }
         EnvMachine {
-            mem,
+            core: Core::load(program, config),
             control: Ctrl::Term(program.main.id()),
             env: Subst::new(),
-            dialect: program.dialect,
-            stats: Stats::default(),
-            telem: Telemetry::default(),
-            halted: None,
-            verify_every: 0,
-            audit_mode: AuditMode::default(),
-            faults: Vec::new(),
-            checkpoint_every: 0,
-            deadline: None,
-            snaps: SnapRing::new(),
             lazy: true,
         }
     }
 
-    /// Disables (or re-enables) the lazy ids-or-thunks slot representation;
-    /// with eager interning every `put` stores a fully-interned value.
-    pub fn set_eager_intern(&mut self, on: bool) {
-        self.lazy = !on;
-    }
-
-    /// Attaches a telemetry observer; `step_interval > 0` also emits
-    /// periodic heap samples. Without an observer every telemetry hook is
-    /// a single `Option` check — the hooks sit at the same rule sites as
-    /// the substitution machine's, so both backends emit identical event
-    /// sequences on identical programs.
-    pub fn set_observer(&mut self, observer: SharedObserver, step_interval: u64) {
-        self.telem.attach(observer, step_interval);
-    }
-
-    /// The current memory.
-    pub fn memory(&self) -> &Memory {
-        &self.mem
-    }
-
-    /// Mutable access to the memory — **fault-injection machinery**. The
-    /// interpreter itself never needs this; it exists so [`crate::faults`]
-    /// and adversarial tests can corrupt a live state.
-    pub fn memory_mut(&mut self) -> &mut Memory {
-        &mut self.mem
-    }
-
-    /// Audits the current state every `n` steps during [`EnvMachine::run`]
-    /// (`0` disables auditing, the default).
-    pub fn set_verify_every(&mut self, n: u64) {
-        self.verify_every = n;
-    }
-
-    /// Chooses how periodic audits walk the heap (default: incremental).
-    pub fn set_audit_mode(&mut self, mode: AuditMode) {
-        self.audit_mode = mode;
-    }
-
-    /// Arms deterministic faults to be injected during [`EnvMachine::run`]
-    /// once each plan's step is reached (**fault-injection machinery**).
-    pub fn set_fault_plans(&mut self, plans: &[FaultPlan]) {
-        self.faults = plans.to_vec();
-    }
-
-    /// Captures a checkpoint every `n` steps and at every collection
-    /// boundary during [`EnvMachine::run`] (`0` disables, the default).
-    pub fn set_checkpoint_every(&mut self, n: u64) {
-        self.checkpoint_every = n;
-    }
-
-    /// Sets (or clears) the wall-clock deadline for [`EnvMachine::run`].
-    pub fn set_deadline(&mut self, deadline: Option<std::time::Instant>) {
-        self.deadline = deadline;
-    }
-
-    /// Captures a checkpoint of the current state. The control is captured
-    /// *resolved* (environment applied), so the snapshot restores into any
-    /// backend — but resolution is deferred: the checkpoint stores a clone
-    /// of the environment and the raw control, and the closed term is only
-    /// built if the snapshot is ever restored or triaged.
-    pub fn snapshot(&self) -> Snapshot {
-        let env = self.env.clone();
-        let control = self.control.clone();
-        Snapshot::capture_deferred(
-            move || env.term(control.term()),
-            self.dialect,
-            self.mem.clone(),
-            self.stats.clone(),
-            self.halted,
-            self.faults.clone(),
-            self.telem.phase_state(),
-        )
-    }
-
-    /// Restores a checkpoint captured by any backend; see
-    /// [`crate::machine::Machine::restore`] for the contract. The snapshot's
-    /// control is closed, so it becomes the new control over an empty
-    /// environment.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`ErrorKind::Dialect`] error on a dialect mismatch.
-    pub fn restore(&mut self, snap: &Snapshot) -> Result<()> {
-        if snap.dialect() != self.dialect {
-            return Err(dialect_err(format!(
-                "snapshot dialect {} does not match machine dialect {}",
-                snap.dialect(),
-                self.dialect
-            )));
-        }
-        self.mem = snap.memory().clone();
-        self.control = Ctrl::Term(snap.control().id());
-        self.env.clear();
-        self.stats = snap.stats().clone();
-        self.halted = snap.halted();
-        self.faults = snap.pending_faults().to_vec();
-        self.telem.restore_phase(snap.telemetry_phase());
-        self.snaps.clear();
-        Ok(())
-    }
-
-    /// Runs the [`crate::verify`] heap auditor against the current state.
-    /// The reachability root is [`EnvMachine::resolved_control`] — the same
-    /// closed term the substitution machine holds at this step — so the
-    /// audit's verdict is backend-independent.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violated Fig. 7 invariant.
-    pub fn audit(&self) -> Result<()> {
-        let root = self.resolved_control();
-        crate::verify::audit_state(&self.mem, self.dialect, &root)
-    }
-
-    /// The term currently in control position (with its free variables
-    /// still unresolved — resolve against the environment to compare with
-    /// the substitution machine's closed term).
-    pub fn control(&self) -> &Term {
-        self.control.term()
-    }
-
-    /// The control term with the environment applied — the closed term the
-    /// substitution machine holds at the same step. Used by the lockstep
-    /// differential tests; costs a full term copy, so not on the fast path.
-    pub fn resolved_control(&self) -> Term {
-        self.env.term(self.control.term())
-    }
-
-    /// The dialect this machine runs.
-    pub fn dialect(&self) -> Dialect {
-        self.dialect
-    }
-
-    /// Statistics so far.
-    pub fn stats(&self) -> &Stats {
-        &self.stats
-    }
-
-    /// The halt value, if the machine has halted.
-    pub fn halted(&self) -> Option<i64> {
-        self.halted
-    }
-
-    /// Runs until `halt`, an error, or `fuel` steps. If armed (see
-    /// [`EnvMachine::set_fault_plan`]) a fault is injected at its step, and
-    /// if `verify_every > 0` the state is audited every that many steps; an
-    /// audit failure ends the run with [`Outcome::InvariantViolation`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a stuck-state error if no reduction rule applies — a
-    /// progress violation for well-typed programs (Prop. 6.5) — or an
-    /// [`ErrorKind::OutOfMemory`] error if an allocation would exceed
-    /// [`MemConfig::max_heap_words`].
-    pub fn run(&mut self, fuel: u64) -> Result<Outcome> {
-        // The next interval-checkpoint step, derived once: the loop below
-        // runs per step, so a compare-and-bump replaces a per-step modulo.
-        let mut next_cp = match self.checkpoint_every {
-            0 => u64::MAX,
-            n => self.stats.steps - self.stats.steps % n + n,
-        };
-        for _ in 0..fuel {
-            let cols = self.stats.collections;
-            match self.step() {
-                Ok(StepOutcome::Continue) => {}
-                Ok(StepOutcome::Halted(n)) => return Ok(Outcome::Halted(n)),
-                Err(e) => {
-                    if e.kind() == ErrorKind::OutOfMemory {
-                        let limit = self.mem.config().max_heap_words.unwrap_or(0);
-                        self.telem
-                            .on_oom(self.stats.steps, self.mem.data_words(), limit);
-                    }
-                    return Err(e);
-                }
-            }
-            self.try_inject();
-            if self.verify_every > 0 && self.stats.steps.is_multiple_of(self.verify_every) {
-                let full = self.audit_mode == AuditMode::Full || self.mem.wants_full_audit();
-                let res = if full {
-                    let r = self.audit();
-                    if r.is_ok() {
-                        self.mem.note_full_audit();
-                    }
-                    r
-                } else {
-                    crate::verify::audit_dirty(&mut self.mem, self.dialect)
-                };
-                if let Err(e) = res {
-                    self.telem
-                        .on_invariant_violation(self.stats.steps, &e.to_string());
-                    return Ok(Outcome::InvariantViolation(e));
-                }
-            }
-            if self.checkpoint_every > 0
-                && (self.stats.collections != cols || self.stats.steps >= next_cp)
-            {
-                if self.stats.steps >= next_cp {
-                    next_cp += self.checkpoint_every;
-                }
-                self.telem.on_snapshot(self.stats.steps, &self.mem);
-                let snap = self.snapshot();
-                self.snaps.push(snap);
-            }
-            if let Some(dl) = self.deadline {
-                if self.stats.steps & 1023 == 0 && std::time::Instant::now() >= dl {
-                    return Ok(Outcome::DeadlineExceeded);
-                }
-            }
-        }
-        self.telem.on_fuel_exhausted(self.stats.steps);
-        Ok(Outcome::OutOfFuel)
-    }
-
-    /// Applies each armed fault plan whose step has been reached, in spec
-    /// order. A plan stays armed until an application actually lands (it
-    /// may find no target at its nominal step, e.g. before the first
-    /// allocation). The injection root is the resolved control, matching
-    /// the substitution machine's term so both backends pick identical
-    /// sites.
-    fn try_inject(&mut self) {
-        if self.faults.is_empty() || self.faults.iter().all(|p| self.stats.steps < p.step) {
-            return;
-        }
-        let root = self.resolved_control();
-        let mut i = 0;
-        while i < self.faults.len() {
-            let plan = self.faults[i];
-            if self.stats.steps >= plan.step
-                && crate::faults::apply(&plan, &mut self.mem, &root).is_some()
-            {
-                self.faults.remove(i);
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// Takes one machine step.
-    ///
-    /// # Errors
-    ///
-    /// Returns a stuck-state or memory error if no rule applies.
-    pub fn step(&mut self) -> Result<StepOutcome> {
-        if let Some(n) = self.halted {
-            return Ok(StepOutcome::Halted(n));
-        }
-        self.stats.steps += 1;
-        self.telem.on_step(self.stats.steps, &self.mem);
-        // Cheap handle clone so `self` stays free for mutation while the
-        // current term is being matched.
-        let ctrl = self.control.clone();
-        match self.step_term(ctrl.term())? {
-            Some(next) => {
-                self.control = next;
-                self.stats.peak_data_words = self.stats.peak_data_words.max(self.mem.data_words());
-                Ok(StepOutcome::Continue)
-            }
-            None => match self.halted {
-                Some(n) => Ok(StepOutcome::Halted(n)),
-                None => Err(self.stuck("step ended without a term or a halt value".into())),
-            },
-        }
-    }
-
     fn stuck(&self, msg: String) -> LangError {
-        stuck_err(msg).in_context(format!("dialect {}", self.dialect))
+        stuck_err(msg).in_context(format!("dialect {}", self.core.dialect))
     }
 
     /// Resolves a region against the environment down to a concrete name.
@@ -409,17 +119,19 @@ impl EnvMachine {
             }
             Term::Halt(v) => match self.env.value(v) {
                 Value::Int(n) => {
-                    self.halted = Some(n);
-                    self.telem.on_halt(n, self.stats.steps);
+                    self.core.halted = Some(n);
+                    self.core.telem.on_halt(n, self.core.stats.steps);
                     Ok(None)
                 }
                 other => Err(self.stuck(format!("halt on non-integer value {other:?}"))),
             },
             Term::IfGc { rho, full, cont } => {
                 let nu = self.resolve_name(rho)?;
-                if self.mem.is_full(nu)? {
-                    self.stats.gc_triggers += 1;
-                    self.telem.on_gc_trigger(nu, &self.mem, self.stats.steps);
+                if self.core.mem.is_full(nu)? {
+                    self.core.stats.gc_triggers += 1;
+                    self.core
+                        .telem
+                        .on_gc_trigger(nu, &self.core.mem, self.core.stats.steps);
                     Ok(Some(Ctrl::Term(*full)))
                 } else {
                     Ok(Some(Ctrl::Term(*cont)))
@@ -458,9 +170,11 @@ impl EnvMachine {
                 other => Err(self.stuck(format!("open(region) on non-package {other:?}"))),
             },
             Term::LetRegion { rvar, body } => {
-                let nu = self.mem.alloc_region();
-                self.stats.regions_created += 1;
-                self.telem.on_region_alloc(nu, &self.mem, self.stats.steps);
+                let nu = self.core.mem.alloc_region();
+                self.core.stats.regions_created += 1;
+                self.core
+                    .telem
+                    .on_region_alloc(nu, &self.core.mem, self.core.stats.steps);
                 self.env.bind_rgn(*rvar, Region::Name(nu));
                 Ok(Some(Ctrl::Term(*body)))
             }
@@ -469,9 +183,11 @@ impl EnvMachine {
                 for r in regions {
                     keep.push(self.resolve_name(r)?);
                 }
-                let report = self.mem.only(&keep);
-                self.telem.on_only(&report, &self.mem, self.stats.steps);
-                self.stats.record_reclaim(report);
+                let report = self.core.mem.only(&keep);
+                self.core
+                    .telem
+                    .on_only(&report, &self.core.mem, self.core.stats.steps);
+                self.core.stats.record_reclaim(report);
                 Ok(Some(Ctrl::Term(*body)))
             }
             Term::Typecase {
@@ -481,7 +197,7 @@ impl EnvMachine {
                 prod_arm,
                 exist_arm,
             } => {
-                self.stats.typecase_dispatches += 1;
+                self.core.stats.typecase_dispatches += 1;
                 let nf = tags::normalize(&self.env.tag(tag));
                 match nf {
                     Tag::Int => Ok(Some(Ctrl::Term(*int_arm))),
@@ -519,8 +235,8 @@ impl EnvMachine {
             Term::Set { dst, src, body } => match self.env.value(dst) {
                 Value::Addr(nu, loc) => {
                     let v = self.env.value(src);
-                    self.mem.set(nu, loc, v)?;
-                    self.stats.forwarding_installs += 1;
+                    self.core.mem.set(nu, loc, v)?;
+                    self.core.stats.forwarding_installs += 1;
                     Ok(Some(Ctrl::Term(*body)))
                 }
                 other => Err(self.stuck(format!("set on non-address {other:?}"))),
@@ -536,11 +252,11 @@ impl EnvMachine {
                 // Operationally a no-op (see the substitution machine); only
                 // the observer memory typing Ψ is rewritten when tracked.
                 let rv = self.env.value(v);
-                if self.mem.config().track_types {
+                if self.core.mem.config().track_types {
                     let from = self.resolve_name(from)?;
                     let to = self.resolve_name(to)?;
                     let nf = tags::normalize(&self.env.tag(tag));
-                    widen_psi(&mut self.mem, &rv, &nf, from, to)?;
+                    widen_psi(&mut self.core.mem, &rv, &nf, from, to)?;
                 }
                 self.env.bind_val(*x, rv);
                 Ok(Some(Ctrl::Term(*body)))
@@ -575,7 +291,7 @@ impl EnvMachine {
     ) -> Result<Ctrl> {
         match self.env.value(f) {
             Value::Addr(nu, loc) => {
-                let code = match self.mem.get(nu, loc)? {
+                let code = match self.core.mem.get(nu, loc)? {
                     Value::Code(def) => Arc::clone(def),
                     other => {
                         let msg = format!("application of non-code value {other:?}");
@@ -671,17 +387,19 @@ impl EnvMachine {
                 } else {
                     SlotVal::Val(self.env.value(v))
                 };
-                let rec = self.mem.put_slot_counted(nu, sv)?;
-                self.stats.allocations += 1;
-                self.stats.words_allocated += rec.words as u64;
+                let rec = self.core.mem.put_slot_counted(nu, sv)?;
+                self.core.stats.allocations += 1;
+                self.core.stats.words_allocated += rec.words as u64;
                 if let Some(alloc) = rec.page {
-                    self.telem.on_page_alloc(nu, alloc, self.stats.steps);
+                    self.core
+                        .telem
+                        .on_page_alloc(nu, alloc, self.core.stats.steps);
                 }
-                self.telem.on_put(nu, rec.words, self.stats.steps);
+                self.core.telem.on_put(nu, rec.words, self.core.stats.steps);
                 Ok(Value::Addr(nu, rec.loc))
             }
             Op::Get(v) => match self.env.value(v) {
-                Value::Addr(nu, loc) => Ok(self.mem.get(nu, loc)?.clone()),
+                Value::Addr(nu, loc) => Ok(self.core.mem.get(nu, loc)?.clone()),
                 other => Err(self.stuck(format!("get of non-address {other:?}"))),
             },
             Op::Strip(v) => match self.env.value(v) {
@@ -696,75 +414,94 @@ impl EnvMachine {
     }
 }
 
-impl crate::machine::Machine for EnvMachine {
-    fn set_observer(&mut self, observer: SharedObserver, step_interval: u64) {
-        EnvMachine::set_observer(self, observer, step_interval);
+impl HasCore for EnvMachine {
+    fn core(&self) -> &Core {
+        &self.core
     }
-    fn set_verify_every(&mut self, n: u64) {
-        EnvMachine::set_verify_every(self, n);
+
+    fn core_mut(&mut self) -> &mut Core {
+        &mut self.core
     }
-    fn set_audit_mode(&mut self, mode: AuditMode) {
-        EnvMachine::set_audit_mode(self, mode);
-    }
-    fn set_fault_plans(&mut self, plans: &[FaultPlan]) {
-        EnvMachine::set_fault_plans(self, plans);
-    }
-    fn set_eager_intern(&mut self, on: bool) {
-        EnvMachine::set_eager_intern(self, on);
-    }
-    fn pending_faults(&self) -> &[FaultPlan] {
-        &self.faults
-    }
-    fn set_checkpoint_every(&mut self, n: u64) {
-        EnvMachine::set_checkpoint_every(self, n);
-    }
-    fn set_deadline(&mut self, deadline: Option<std::time::Instant>) {
-        EnvMachine::set_deadline(self, deadline);
-    }
-    fn snapshots(&self) -> &[Snapshot] {
-        self.snaps.as_slice()
-    }
+}
+
+impl Machine for EnvMachine {
+    /// Captures a checkpoint. The control is captured *resolved*
+    /// (environment applied), so the snapshot restores into any backend —
+    /// but resolution is deferred: the checkpoint stores a clone of the
+    /// environment and the raw control, and the closed term is only built
+    /// if the snapshot is ever restored or triaged.
     fn snapshot(&self) -> Snapshot {
-        EnvMachine::snapshot(self)
+        let env = self.env.clone();
+        let control = self.control.clone();
+        Snapshot::capture_deferred(
+            move || env.term(control.term()),
+            self.core.dialect,
+            self.core.mem.clone(),
+            self.core.stats.clone(),
+            self.core.halted,
+            self.core.ctl.faults.clone(),
+            self.core.telem.phase_state(),
+        )
     }
+
+    /// Restores a checkpoint captured by any backend. The snapshot's
+    /// control is closed, so it becomes the new control over an empty
+    /// environment.
     fn restore(&mut self, snap: &Snapshot) -> Result<()> {
-        EnvMachine::restore(self, snap)
+        self.core.restore(snap)?;
+        self.control = Ctrl::Term(snap.control().id());
+        self.env.clear();
+        Ok(())
     }
-    fn memory(&self) -> &Memory {
-        EnvMachine::memory(self)
+
+    /// Disables (or re-enables) the lazy ids-or-thunks slot representation;
+    /// with eager interning every `put` stores a fully-interned value.
+    fn set_eager_intern(&mut self, on: bool) {
+        self.lazy = !on;
     }
-    fn memory_mut(&mut self) -> &mut Memory {
-        EnvMachine::memory_mut(self)
-    }
-    fn dialect(&self) -> Dialect {
-        EnvMachine::dialect(self)
-    }
-    fn stats(&self) -> &Stats {
-        EnvMachine::stats(self)
-    }
-    fn halted(&self) -> Option<i64> {
-        EnvMachine::halted(self)
-    }
+
+    /// The control term with the environment applied — the closed term the
+    /// substitution machine holds at the same step. Costs a full term
+    /// copy, so not on the fast path.
     fn resolved_control(&self) -> Term {
-        EnvMachine::resolved_control(self)
+        self.env.term(self.control.term())
     }
-    fn audit(&self) -> Result<()> {
-        EnvMachine::audit(self)
-    }
+
     fn step(&mut self) -> Result<StepOutcome> {
-        EnvMachine::step(self)
-    }
-    fn run(&mut self, fuel: u64) -> Result<Outcome> {
-        EnvMachine::run(self, fuel)
+        if let Some(n) = self.core.halted {
+            return Ok(StepOutcome::Halted(n));
+        }
+        self.core.stats.steps += 1;
+        self.core
+            .telem
+            .on_step(self.core.stats.steps, &self.core.mem);
+        // Cheap handle clone so `self` stays free for mutation while the
+        // current term is being matched.
+        let ctrl = self.control.clone();
+        match self.step_term(ctrl.term())? {
+            Some(next) => {
+                self.control = next;
+                self.core.stats.peak_data_words = self
+                    .core
+                    .stats
+                    .peak_data_words
+                    .max(self.core.mem.data_words());
+                Ok(StepOutcome::Continue)
+            }
+            None => match self.core.halted {
+                Some(n) => Ok(StepOutcome::Halted(n)),
+                None => Err(self.stuck("step ended without a term or a halt value".into())),
+            },
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::SubstMachine;
+    use crate::machine::{Outcome, SubstMachine};
     use crate::memory::GrowthPolicy;
-    use crate::syntax::{Op, PrimOp, CD};
+    use crate::syntax::{Dialect, Op, PrimOp, CD};
     use ps_ir::Symbol;
 
     fn s(x: &str) -> Symbol {

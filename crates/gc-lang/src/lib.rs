@@ -57,7 +57,7 @@
 //! Run a tiny λGC program:
 //!
 //! ```
-//! use ps_gc_lang::machine::{SubstMachine, Outcome, Program};
+//! use ps_gc_lang::machine::{Machine, Outcome, Program, SubstMachine};
 //! use ps_gc_lang::memory::MemConfig;
 //! use ps_gc_lang::syntax::{Dialect, Term, Value};
 //!

@@ -11,6 +11,7 @@
 //! typing rule of Fig. 8 and the use in Fig. 9; we step to `eᵣ[inr v/x]`.
 
 use std::collections::HashSet;
+use std::time::{Duration, Instant};
 
 use crate::error::{dialect_err, stuck_err, ErrorKind, LangError, Result};
 use crate::faults::FaultPlan;
@@ -20,6 +21,7 @@ use crate::subst::Subst;
 use crate::syntax::{Dialect, Op, Region, RegionName, Tag, Term, Ty, Value};
 use crate::tags;
 use crate::telemetry::{SharedObserver, Telemetry};
+use sealed::{Core, HasCore};
 
 /// A closed λGC program: code blocks to install in `cd` plus the main term.
 ///
@@ -149,8 +151,8 @@ impl Backend {
     /// exhaustive collector × backend test matrices).
     pub const ALL: [Backend; 3] = [Backend::Subst, Backend::Env, Backend::Bytecode];
 
-    /// The canonical name, as accepted by [`FromStr`] and printed by
-    /// [`Display`](std::fmt::Display).
+    /// The canonical name, as accepted by [`FromStr`](std::str::FromStr)
+    /// and printed by [`Display`](std::fmt::Display).
     pub fn name(self) -> &'static str {
         match self {
             Backend::Subst => "subst",
@@ -253,7 +255,7 @@ pub enum Outcome {
     /// A periodic heap audit ([`crate::verify`]) found a violated
     /// invariant. The machine state is left as-is for post-mortems.
     InvariantViolation(LangError),
-    /// The wall-clock deadline ([`Machine::set_deadline`]) passed before
+    /// The wall-clock limit ([`RunControl::timeout`]) passed before
     /// halting. Like [`Outcome::OutOfFuel`] the state is intact; the
     /// supervisor restarts such runs from their last checkpoint.
     DeadlineExceeded,
@@ -266,6 +268,121 @@ pub enum StepOutcome {
     Continue,
     /// `halt v` was reached.
     Halted(i64),
+}
+
+/// What [`Machine::run`] does between steps to catch a faulty collector:
+/// the periodic Fig. 7 heap audit, armed fault plans, checkpoints, and a
+/// wall-clock limit. Every backend holds one and runs it through the
+/// same run loop, so the cadence is defined once. The default audits
+/// nothing, injects nothing, takes no checkpoints and has no time limit.
+#[derive(Clone, Debug, Default)]
+pub struct RunControl {
+    /// Audit the heap every this many steps (0 = never). A failed audit
+    /// ends the run with [`Outcome::InvariantViolation`].
+    pub verify_every: u64,
+    /// How those audits walk the heap.
+    pub audit: AuditMode,
+    /// Fault plans still armed, in spec order: each is injected as soon
+    /// as its step and the heap shape allow, then disarmed (see
+    /// [`crate::faults`]).
+    pub faults: Vec<FaultPlan>,
+    /// Capture a checkpoint every this many steps and at every collection
+    /// boundary (0 = never).
+    pub checkpoint_every: u64,
+    /// Wall-clock limit per [`Machine::run`] call, counted from its start:
+    /// the run returns [`Outcome::DeadlineExceeded`] soon after it passes
+    /// (polled every 1024 steps, so it costs nothing on the hot path).
+    pub timeout: Option<Duration>,
+    snaps: SnapRing,
+}
+
+impl RunControl {
+    /// The checkpoints captured so far, oldest → newest (bounded by
+    /// [`crate::snapshot::RING_CAPACITY`]).
+    pub fn snapshots(&self) -> &[Snapshot] {
+        self.snaps.as_slice()
+    }
+
+    /// The deadline of a run starting now.
+    pub(crate) fn deadline(&self) -> Option<Instant> {
+        self.timeout.map(|t| Instant::now() + t)
+    }
+
+    /// Stores a checkpoint in the ring.
+    pub(crate) fn push_snapshot(&mut self, snap: Snapshot) {
+        self.snaps.push(snap);
+    }
+}
+
+pub(crate) mod sealed {
+    use std::sync::Arc;
+
+    use super::{
+        dialect_err, Dialect, MemConfig, Memory, Program, Result, RunControl, Snapshot, Stats,
+        Telemetry, Value,
+    };
+
+    /// The state every backend keeps in the same shape and the provided
+    /// [`super::Machine`] methods and the run loop work on. (`pub` only
+    /// because the sealed trait's signature names it; it cannot be named
+    /// outside this crate.)
+    #[derive(Clone, Debug)]
+    pub struct Core {
+        pub(crate) mem: Memory,
+        pub(crate) dialect: Dialect,
+        pub(crate) stats: Stats,
+        pub(crate) telem: Telemetry,
+        pub(crate) halted: Option<i64>,
+        pub(crate) ctl: RunControl,
+    }
+
+    impl Core {
+        /// A fresh state for `program`, its code blocks installed in `cd`.
+        pub(crate) fn load(program: &Program, config: MemConfig) -> Core {
+            let mut mem = Memory::new(config);
+            for def in &program.code {
+                let ty = def.ty();
+                mem.install_code(Value::Code(Arc::new(def.clone())), ty);
+            }
+            Core {
+                mem,
+                dialect: program.dialect,
+                stats: Stats::default(),
+                telem: Telemetry::default(),
+                halted: None,
+                ctl: RunControl::default(),
+            }
+        }
+
+        /// The shared half of [`super::Machine::restore`]: memory,
+        /// statistics, halt state, pending fault plans and telemetry
+        /// collection accounting revert to `snap`'s, and the checkpoints
+        /// of the abandoned timeline are dropped.
+        pub(crate) fn restore(&mut self, snap: &Snapshot) -> Result<()> {
+            if snap.dialect() != self.dialect {
+                return Err(dialect_err(format!(
+                    "snapshot dialect {} does not match machine dialect {}",
+                    snap.dialect(),
+                    self.dialect
+                )));
+            }
+            self.mem = snap.memory().clone();
+            self.stats = snap.stats().clone();
+            self.halted = snap.halted();
+            self.ctl.faults = snap.pending_faults().to_vec();
+            self.ctl.snaps.clear();
+            self.telem.restore_phase(snap.telemetry_phase());
+            Ok(())
+        }
+    }
+
+    /// Gives the provided [`super::Machine`] methods the backend's
+    /// [`Core`]; implemented by the three backends only, so `Machine`
+    /// cannot be implemented outside this crate.
+    pub trait HasCore {
+        fn core(&self) -> &Core;
+        fn core_mut(&mut self) -> &mut Core;
+    }
 }
 
 /// The uniform execution interface every interpreter backend implements.
@@ -283,48 +400,24 @@ pub enum StepOutcome {
 /// [`crate::bytecode::BcMachine`]) remain available for code that needs
 /// backend-specific views (e.g. `crate::wf` consumes the substitution
 /// machine's closed term directly).
-pub trait Machine {
+pub trait Machine: sealed::HasCore {
     /// Attaches a telemetry observer; `step_interval > 0` also emits
-    /// periodic heap samples.
-    fn set_observer(&mut self, observer: SharedObserver, step_interval: u64);
-
-    /// Audits the heap every `n` steps during [`Machine::run`] (0 = never).
-    fn set_verify_every(&mut self, n: u64);
-
-    /// Chooses how those periodic audits walk the heap (default:
-    /// [`AuditMode::Incremental`]).
-    fn set_audit_mode(&mut self, mode: AuditMode);
-
-    /// Arms a set of fault plans; the next [`Machine::run`] injects each as
-    /// soon as its step and the heap shape allow, in spec order, disarming
-    /// each plan once its injection lands.
-    fn set_fault_plans(&mut self, plans: &[FaultPlan]);
-
-    /// Arms a single fault plan (`None` disarms all) — the one-fault
-    /// convenience over [`Machine::set_fault_plans`].
-    fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
-        match plan {
-            Some(p) => self.set_fault_plans(&[p]),
-            None => self.set_fault_plans(&[]),
-        }
+    /// periodic heap samples. Without an observer every telemetry hook is
+    /// a single `Option` check.
+    fn set_observer(&mut self, observer: SharedObserver, step_interval: u64) {
+        self.core_mut().telem.attach(observer, step_interval);
     }
 
-    /// Fault plans still armed (not yet successfully injected).
-    fn pending_faults(&self) -> &[FaultPlan];
+    /// The audit cadence, fault plans, checkpoints and time limit that
+    /// [`Machine::run`] honours.
+    fn run_control(&self) -> &RunControl {
+        &self.core().ctl
+    }
 
-    /// Captures a checkpoint during [`Machine::run`] every `n` steps and at
-    /// every collection boundary (0 = never, the default).
-    fn set_checkpoint_every(&mut self, n: u64);
-
-    /// Sets a wall-clock deadline: [`Machine::run`] returns
-    /// [`Outcome::DeadlineExceeded`] soon after it passes (the check is
-    /// coarse — about every 1024 steps — so it costs nothing on the hot
-    /// path). `None` clears it.
-    fn set_deadline(&mut self, deadline: Option<std::time::Instant>);
-
-    /// The checkpoints captured so far, oldest → newest (bounded by
-    /// [`crate::snapshot::RING_CAPACITY`]).
-    fn snapshots(&self) -> &[Snapshot];
+    /// Mutable access to the [`RunControl`], to configure a run.
+    fn run_control_mut(&mut self) -> &mut RunControl {
+        &mut self.core_mut().ctl
+    }
 
     /// Captures a checkpoint of the current state, restorable into any
     /// backend via [`Machine::restore`].
@@ -333,8 +426,8 @@ pub trait Machine {
     /// Restores a checkpoint: memory, control, statistics, halt state,
     /// pending fault plans, and telemetry collection accounting all revert
     /// to the captured values; the checkpoint ring is cleared. The attached
-    /// observer and the run-time knobs (audit cadence, checkpoint cadence,
-    /// deadline) are kept.
+    /// observer and the rest of the [`RunControl`] (audit cadence,
+    /// checkpoint cadence, time limit) are kept.
     ///
     /// # Errors
     ///
@@ -353,19 +446,31 @@ pub trait Machine {
     fn set_eager_intern(&mut self, _on: bool) {}
 
     /// The machine's memory.
-    fn memory(&self) -> &Memory;
+    fn memory(&self) -> &Memory {
+        &self.core().mem
+    }
 
-    /// Mutable access to the memory (used by fault-injection tests).
-    fn memory_mut(&mut self) -> &mut Memory;
+    /// Mutable access to the memory — **fault-injection machinery**. The
+    /// interpreter itself never needs this; it exists so [`crate::faults`]
+    /// and adversarial tests can corrupt a live state.
+    fn memory_mut(&mut self) -> &mut Memory {
+        &mut self.core_mut().mem
+    }
 
     /// The dialect the loaded program was compiled for.
-    fn dialect(&self) -> Dialect;
+    fn dialect(&self) -> Dialect {
+        self.core().dialect
+    }
 
     /// Execution statistics so far.
-    fn stats(&self) -> &Stats;
+    fn stats(&self) -> &Stats {
+        &self.core().stats
+    }
 
     /// The halt value, if the machine has halted.
-    fn halted(&self) -> Option<i64>;
+    fn halted(&self) -> Option<i64> {
+        self.core().halted
+    }
 
     /// The current control term with every environment/register binding
     /// substituted in — a closed term structurally identical to the
@@ -373,178 +478,29 @@ pub trait Machine {
     /// heap auditor and fault injector consume.
     fn resolved_control(&self) -> Term;
 
-    /// Audits the current state against the heap invariants.
-    fn audit(&self) -> Result<()> {
-        crate::verify::audit_state(self.memory(), self.dialect(), &self.resolved_control())
-    }
-
-    /// Takes a single machine step.
-    fn step(&mut self) -> Result<StepOutcome>;
-
-    /// Runs for at most `fuel` steps, honouring the audit cadence and any
-    /// armed fault plan.
-    fn run(&mut self, fuel: u64) -> Result<Outcome>;
-}
-
-/// A λGC machine state `(M, e)` plus bookkeeping.
-#[derive(Clone, Debug)]
-pub struct SubstMachine {
-    mem: Memory,
-    term: Term,
-    dialect: Dialect,
-    stats: Stats,
-    telem: Telemetry,
-    halted: Option<i64>,
-    verify_every: u64,
-    audit_mode: AuditMode,
-    faults: Vec<FaultPlan>,
-    checkpoint_every: u64,
-    deadline: Option<std::time::Instant>,
-    snaps: SnapRing,
-}
-
-impl SubstMachine {
-    /// Loads a program: installs its code blocks in `cd` and sets the main
-    /// term as the current redex.
-    pub fn load(program: &Program, config: MemConfig) -> SubstMachine {
-        let mut mem = Memory::new(config);
-        for def in &program.code {
-            let ty = def.ty();
-            mem.install_code(Value::Code(std::sync::Arc::new(def.clone())), ty);
-        }
-        SubstMachine {
-            mem,
-            term: program.main.clone(),
-            dialect: program.dialect,
-            stats: Stats::default(),
-            telem: Telemetry::default(),
-            halted: None,
-            verify_every: 0,
-            audit_mode: AuditMode::default(),
-            faults: Vec::new(),
-            checkpoint_every: 0,
-            deadline: None,
-            snaps: SnapRing::new(),
-        }
-    }
-
-    /// Attaches a telemetry observer; `step_interval > 0` also emits
-    /// periodic heap samples. Without an observer every telemetry hook is
-    /// a single `Option` check.
-    pub fn set_observer(&mut self, observer: SharedObserver, step_interval: u64) {
-        self.telem.attach(observer, step_interval);
-    }
-
-    /// The current memory.
-    pub fn memory(&self) -> &Memory {
-        &self.mem
-    }
-
-    /// Mutable access to the memory — **fault-injection machinery**. The
-    /// interpreter itself never needs this; it exists so [`crate::faults`]
-    /// and adversarial tests can corrupt a live state.
-    pub fn memory_mut(&mut self) -> &mut Memory {
-        &mut self.mem
-    }
-
-    /// Audits the current state every `n` steps during [`SubstMachine::run`]
-    /// (`0` disables auditing, the default).
-    pub fn set_verify_every(&mut self, n: u64) {
-        self.verify_every = n;
-    }
-
-    /// Chooses how periodic audits walk the heap (default: incremental).
-    pub fn set_audit_mode(&mut self, mode: AuditMode) {
-        self.audit_mode = mode;
-    }
-
-    /// Arms deterministic faults to be injected during [`SubstMachine::run`]
-    /// once each plan's step is reached (**fault-injection machinery**).
-    pub fn set_fault_plans(&mut self, plans: &[FaultPlan]) {
-        self.faults = plans.to_vec();
-    }
-
-    /// Captures a checkpoint every `n` steps and at every collection
-    /// boundary during [`SubstMachine::run`] (`0` disables, the default).
-    pub fn set_checkpoint_every(&mut self, n: u64) {
-        self.checkpoint_every = n;
-    }
-
-    /// Sets (or clears) the wall-clock deadline for [`SubstMachine::run`].
-    pub fn set_deadline(&mut self, deadline: Option<std::time::Instant>) {
-        self.deadline = deadline;
-    }
-
-    /// Captures a checkpoint of the current state.
-    pub fn snapshot(&self) -> Snapshot {
-        Snapshot::capture(
-            self.term.clone(),
-            self.dialect,
-            self.mem.clone(),
-            self.stats.clone(),
-            self.halted,
-            self.faults.clone(),
-            self.telem.phase_state(),
-        )
-    }
-
-    /// Restores a checkpoint captured by any backend; see
-    /// [`Machine::restore`] for the contract.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`ErrorKind::Dialect`] error on a dialect mismatch.
-    pub fn restore(&mut self, snap: &Snapshot) -> Result<()> {
-        if snap.dialect() != self.dialect {
-            return Err(dialect_err(format!(
-                "snapshot dialect {} does not match machine dialect {}",
-                snap.dialect(),
-                self.dialect
-            )));
-        }
-        self.mem = snap.memory().clone();
-        self.term = snap.control().clone();
-        self.stats = snap.stats().clone();
-        self.halted = snap.halted();
-        self.faults = snap.pending_faults().to_vec();
-        self.telem.restore_phase(snap.telemetry_phase());
-        self.snaps.clear();
-        Ok(())
-    }
-
     /// Runs the [`crate::verify`] heap auditor against the current state.
+    /// The reachability root is [`Machine::resolved_control`], so the
+    /// verdict is backend-independent.
     ///
     /// # Errors
     ///
     /// Returns the first violated Fig. 7 invariant.
-    pub fn audit(&self) -> Result<()> {
-        crate::verify::audit_state(&self.mem, self.dialect, &self.term)
+    fn audit(&self) -> Result<()> {
+        crate::verify::audit_state(self.memory(), self.dialect(), &self.resolved_control())
     }
 
-    /// The current term.
-    pub fn term(&self) -> &Term {
-        &self.term
-    }
+    /// Takes a single machine step (one reduction rule).
+    ///
+    /// # Errors
+    ///
+    /// Returns a stuck-state or memory error if no rule applies.
+    fn step(&mut self) -> Result<StepOutcome>;
 
-    /// The dialect this machine runs.
-    pub fn dialect(&self) -> Dialect {
-        self.dialect
-    }
-
-    /// Statistics so far.
-    pub fn stats(&self) -> &Stats {
-        &self.stats
-    }
-
-    /// The halt value, if the machine has halted.
-    pub fn halted(&self) -> Option<i64> {
-        self.halted
-    }
-
-    /// Runs until `halt`, an error, or `fuel` steps. If armed (see
-    /// [`SubstMachine::set_fault_plan`]) a fault is injected at its step, and if
-    /// `verify_every > 0` the state is audited every that many steps; an
-    /// audit failure ends the run with [`Outcome::InvariantViolation`].
+    /// Runs until `halt`, an error, or `fuel` steps, honouring the
+    /// [`RunControl`]: after each step it injects due fault plans, audits
+    /// at the audit cadence, checkpoints at the checkpoint cadence and at
+    /// collection boundaries, and polls the deadline
+    /// ([`RunControl::timeout`] from now).
     ///
     /// # Errors
     ///
@@ -552,114 +508,131 @@ impl SubstMachine {
     /// violation for well-typed programs (Prop. 6.5) — or an
     /// [`ErrorKind::OutOfMemory`] error if an allocation would exceed
     /// [`MemConfig::max_heap_words`].
-    pub fn run(&mut self, fuel: u64) -> Result<Outcome> {
-        // The next interval-checkpoint step, derived once: the loop below
-        // runs per step, so a compare-and-bump replaces a per-step modulo.
-        let mut next_cp = match self.checkpoint_every {
-            0 => u64::MAX,
-            n => self.stats.steps - self.stats.steps % n + n,
-        };
-        for _ in 0..fuel {
-            let cols = self.stats.collections;
-            match self.step() {
-                Ok(StepOutcome::Continue) => {}
-                Ok(StepOutcome::Halted(n)) => return Ok(Outcome::Halted(n)),
-                Err(e) => {
-                    if e.kind() == ErrorKind::OutOfMemory {
-                        let limit = self.mem.config().max_heap_words.unwrap_or(0);
-                        self.telem
-                            .on_oom(self.stats.steps, self.mem.data_words(), limit);
-                    }
-                    return Err(e);
-                }
-            }
-            self.try_inject();
-            if self.verify_every > 0 && self.stats.steps.is_multiple_of(self.verify_every) {
-                let full = self.audit_mode == AuditMode::Full || self.mem.wants_full_audit();
-                let res = if full {
-                    let r = self.audit();
-                    if r.is_ok() {
-                        self.mem.note_full_audit();
-                    }
-                    r
-                } else {
-                    crate::verify::audit_dirty(&mut self.mem, self.dialect)
-                };
-                if let Err(e) = res {
-                    self.telem
-                        .on_invariant_violation(self.stats.steps, &e.to_string());
-                    return Ok(Outcome::InvariantViolation(e));
-                }
-            }
-            if self.checkpoint_every > 0
-                && (self.stats.collections != cols || self.stats.steps >= next_cp)
-            {
-                if self.stats.steps >= next_cp {
-                    next_cp += self.checkpoint_every;
-                }
-                self.telem.on_snapshot(self.stats.steps, &self.mem);
-                let snap = self.snapshot();
-                self.snaps.push(snap);
-            }
-            if let Some(dl) = self.deadline {
-                if self.stats.steps & 1023 == 0 && std::time::Instant::now() >= dl {
-                    return Ok(Outcome::DeadlineExceeded);
-                }
-            }
-        }
-        self.telem.on_fuel_exhausted(self.stats.steps);
-        Ok(Outcome::OutOfFuel)
+    fn run(&mut self, fuel: u64) -> Result<Outcome> {
+        let deadline = self.run_control().deadline();
+        drive(self, fuel, deadline)
     }
+}
 
-    /// Applies each armed fault plan whose step has been reached, in spec
-    /// order. A plan stays armed until an application actually lands (it
-    /// may find no target at its nominal step, e.g. before the first
-    /// allocation).
-    fn try_inject(&mut self) {
-        if self.faults.is_empty() {
-            return;
+/// The run loop behind [`Machine::run`], shared by every backend and
+/// compiled separately for each (static dispatch, no `dyn` call per step).
+/// After each step, in order: OOM telemetry on a failed step, fault
+/// injection, the full or dirty-page audit, the checkpoint, the deadline
+/// poll; fuel telemetry when the loop runs dry.
+pub(crate) fn drive<M: Machine + ?Sized>(
+    m: &mut M,
+    fuel: u64,
+    deadline: Option<Instant>,
+) -> Result<Outcome> {
+    // The next interval-checkpoint step, derived once: the loop below
+    // runs per step, so a compare-and-bump replaces a per-step modulo.
+    let mut next_cp = match m.run_control().checkpoint_every {
+        0 => u64::MAX,
+        n => m.stats().steps - m.stats().steps % n + n,
+    };
+    for _ in 0..fuel {
+        let cols = m.stats().collections;
+        match m.step() {
+            Ok(StepOutcome::Continue) => {}
+            Ok(StepOutcome::Halted(n)) => return Ok(Outcome::Halted(n)),
+            Err(e) => {
+                if e.kind() == ErrorKind::OutOfMemory {
+                    let step = m.stats().steps;
+                    let c = m.core_mut();
+                    let limit = c.mem.config().max_heap_words.unwrap_or(0);
+                    c.telem.on_oom(step, c.mem.data_words(), limit);
+                }
+                return Err(e);
+            }
         }
-        let mut i = 0;
-        while i < self.faults.len() {
-            let plan = self.faults[i];
-            if self.stats.steps >= plan.step
-                && crate::faults::apply(&plan, &mut self.mem, &self.term).is_some()
-            {
-                self.faults.remove(i);
-            } else {
-                i += 1;
+        let step = m.stats().steps;
+        if !m.run_control().faults.is_empty() {
+            inject(m, step);
+        }
+        let every = m.run_control().verify_every;
+        if every > 0 && step.is_multiple_of(every) {
+            if let Err(e) = audit_now(m) {
+                m.core_mut()
+                    .telem
+                    .on_invariant_violation(step, &e.to_string());
+                return Ok(Outcome::InvariantViolation(e));
+            }
+        }
+        let every = m.run_control().checkpoint_every;
+        if every > 0 && (m.stats().collections != cols || step >= next_cp) {
+            if step >= next_cp {
+                next_cp += every;
+            }
+            let c = m.core_mut();
+            c.telem.on_snapshot(step, &c.mem);
+            let snap = m.snapshot();
+            m.core_mut().ctl.push_snapshot(snap);
+        }
+        if let Some(dl) = deadline {
+            if step & 1023 == 0 && Instant::now() >= dl {
+                return Ok(Outcome::DeadlineExceeded);
             }
         }
     }
+    let step = m.stats().steps;
+    m.core_mut().telem.on_fuel_exhausted(step);
+    Ok(Outcome::OutOfFuel)
+}
 
-    /// Takes one machine step.
-    ///
-    /// # Errors
-    ///
-    /// Returns a stuck-state or memory error if no rule applies.
-    pub fn step(&mut self) -> Result<StepOutcome> {
-        if let Some(n) = self.halted {
-            return Ok(StepOutcome::Halted(n));
+/// Applies each armed fault plan whose step has been reached, in spec
+/// order, at a site chosen from the resolved control (the closed term all
+/// backends agree on, so they pick identical sites). A plan stays armed
+/// until an application actually lands: it may find no target at its
+/// nominal step, e.g. before the first allocation.
+fn inject<M: Machine + ?Sized>(m: &mut M, step: u64) {
+    if m.run_control().faults.iter().all(|p| step < p.step) {
+        return;
+    }
+    let root = m.resolved_control();
+    let c = m.core_mut();
+    c.ctl
+        .faults
+        .retain(|plan| step < plan.step || crate::faults::apply(plan, &mut c.mem, &root).is_none());
+}
+
+/// One periodic audit: a full walk when [`AuditMode::Full`] asks for it or
+/// the memory demands one ([`Memory::wants_full_audit`]), otherwise the
+/// dirty-page audit.
+fn audit_now<M: Machine + ?Sized>(m: &mut M) -> Result<()> {
+    if m.run_control().audit == AuditMode::Full || m.memory().wants_full_audit() {
+        m.audit()?;
+        m.memory_mut().note_full_audit();
+        Ok(())
+    } else {
+        let dialect = m.dialect();
+        crate::verify::audit_dirty(m.memory_mut(), dialect)
+    }
+}
+
+/// A λGC machine state `(M, e)` plus bookkeeping.
+#[derive(Clone, Debug)]
+pub struct SubstMachine {
+    core: Core,
+    term: Term,
+}
+
+impl SubstMachine {
+    /// Loads a program: installs its code blocks in `cd` and sets the main
+    /// term as the current redex.
+    pub fn load(program: &Program, config: MemConfig) -> SubstMachine {
+        SubstMachine {
+            core: Core::load(program, config),
+            term: program.main.clone(),
         }
-        self.stats.steps += 1;
-        self.telem.on_step(self.stats.steps, &self.mem);
-        let term = std::mem::replace(&mut self.term, Term::Halt(Value::Int(0)));
-        let next = self.step_term(term)?;
-        match next {
-            Some(t) => {
-                self.term = t;
-                self.stats.peak_data_words = self.stats.peak_data_words.max(self.mem.data_words());
-                Ok(StepOutcome::Continue)
-            }
-            None => match self.halted {
-                Some(n) => Ok(StepOutcome::Halted(n)),
-                None => Err(self.stuck("step ended without a term or a halt value".into())),
-            },
-        }
+    }
+
+    /// The current term.
+    pub fn term(&self) -> &Term {
+        &self.term
     }
 
     fn stuck(&self, msg: String) -> LangError {
-        stuck_err(msg).in_context(format!("dialect {}", self.dialect))
+        stuck_err(msg).in_context(format!("dialect {}", self.core.dialect))
     }
 
     fn step_term(&mut self, term: Term) -> Result<Option<Term>> {
@@ -678,17 +651,19 @@ impl SubstMachine {
             }
             Term::Halt(v) => match v {
                 Value::Int(n) => {
-                    self.halted = Some(n);
-                    self.telem.on_halt(n, self.stats.steps);
+                    self.core.halted = Some(n);
+                    self.core.telem.on_halt(n, self.core.stats.steps);
                     Ok(None)
                 }
                 other => Err(self.stuck(format!("halt on non-integer value {other:?}"))),
             },
             Term::IfGc { rho, full, cont } => {
                 let nu = self.expect_name(&rho)?;
-                if self.mem.is_full(nu)? {
-                    self.stats.gc_triggers += 1;
-                    self.telem.on_gc_trigger(nu, &self.mem, self.stats.steps);
+                if self.core.mem.is_full(nu)? {
+                    self.core.stats.gc_triggers += 1;
+                    self.core
+                        .telem
+                        .on_gc_trigger(nu, &self.core.mem, self.core.stats.steps);
                     Ok(Some((*full).clone()))
                 } else {
                     Ok(Some((*cont).clone()))
@@ -727,9 +702,11 @@ impl SubstMachine {
                 other => Err(self.stuck(format!("open(region) on non-package {other:?}"))),
             },
             Term::LetRegion { rvar, body } => {
-                let nu = self.mem.alloc_region();
-                self.stats.regions_created += 1;
-                self.telem.on_region_alloc(nu, &self.mem, self.stats.steps);
+                let nu = self.core.mem.alloc_region();
+                self.core.stats.regions_created += 1;
+                self.core
+                    .telem
+                    .on_region_alloc(nu, &self.core.mem, self.core.stats.steps);
                 let mut sub = Subst::new();
                 sub.bind_rgn(rvar, Region::Name(nu));
                 Ok(Some(sub.term(&body)))
@@ -739,9 +716,11 @@ impl SubstMachine {
                 for r in &regions {
                     keep.push(self.expect_name(r)?);
                 }
-                let report = self.mem.only(&keep);
-                self.telem.on_only(&report, &self.mem, self.stats.steps);
-                self.stats.record_reclaim(report);
+                let report = self.core.mem.only(&keep);
+                self.core
+                    .telem
+                    .on_only(&report, &self.core.mem, self.core.stats.steps);
+                self.core.stats.record_reclaim(report);
                 Ok(Some((*body).clone()))
             }
             Term::Typecase {
@@ -751,7 +730,7 @@ impl SubstMachine {
                 prod_arm,
                 exist_arm,
             } => {
-                self.stats.typecase_dispatches += 1;
+                self.core.stats.typecase_dispatches += 1;
                 let nf = tags::normalize(&tag);
                 match nf {
                     Tag::Int => Ok(Some((*int_arm).clone())),
@@ -792,8 +771,8 @@ impl SubstMachine {
             },
             Term::Set { dst, src, body } => match dst {
                 Value::Addr(nu, loc) => {
-                    self.mem.set(nu, loc, src)?;
-                    self.stats.forwarding_installs += 1;
+                    self.core.mem.set(nu, loc, src)?;
+                    self.core.stats.forwarding_installs += 1;
                     Ok(Some((*body).clone()))
                 }
                 other => Err(self.stuck(format!("set on non-address {other:?}"))),
@@ -809,10 +788,10 @@ impl SubstMachine {
                 // Operationally a no-op: `widen` is the cast whose soundness
                 // §7.1 establishes; only the (observer) memory typing Ψ is
                 // rewritten by the T operator of Appendix C.
-                if self.mem.config().track_types {
+                if self.core.mem.config().track_types {
                     let from = self.expect_name(&from)?;
                     let to = self.expect_name(&to)?;
-                    widen_psi(&mut self.mem, &v, &tags::normalize(&tag), from, to)?;
+                    widen_psi(&mut self.core.mem, &v, &tags::normalize(&tag), from, to)?;
                 }
                 let mut sub = Subst::new();
                 sub.bind_val(x, v);
@@ -848,7 +827,7 @@ impl SubstMachine {
     ) -> Result<Term> {
         match f {
             Value::Addr(nu, loc) => {
-                let code = match self.mem.get(nu, loc)? {
+                let code = match self.core.mem.get(nu, loc)? {
                     Value::Code(def) => def.clone(),
                     other => {
                         let msg = format!("application of non-code value {other:?}");
@@ -909,17 +888,19 @@ impl SubstMachine {
             },
             Op::Put(rho, v) => {
                 let nu = self.expect_name(&rho)?;
-                let rec = self.mem.put_counted(nu, v)?;
-                self.stats.allocations += 1;
-                self.stats.words_allocated += rec.words as u64;
+                let rec = self.core.mem.put_counted(nu, v)?;
+                self.core.stats.allocations += 1;
+                self.core.stats.words_allocated += rec.words as u64;
                 if let Some(alloc) = rec.page {
-                    self.telem.on_page_alloc(nu, alloc, self.stats.steps);
+                    self.core
+                        .telem
+                        .on_page_alloc(nu, alloc, self.core.stats.steps);
                 }
-                self.telem.on_put(nu, rec.words, self.stats.steps);
+                self.core.telem.on_put(nu, rec.words, self.core.stats.steps);
                 Ok(Value::Addr(nu, rec.loc))
             }
             Op::Get(v) => match v {
-                Value::Addr(nu, loc) => Ok(self.mem.get(nu, loc)?.clone()),
+                Value::Addr(nu, loc) => Ok(self.core.mem.get(nu, loc)?.clone()),
                 other => Err(self.stuck(format!("get of non-address {other:?}"))),
             },
             Op::Strip(v) => match v {
@@ -941,64 +922,69 @@ impl SubstMachine {
     }
 }
 
+impl HasCore for SubstMachine {
+    fn core(&self) -> &Core {
+        &self.core
+    }
+
+    fn core_mut(&mut self) -> &mut Core {
+        &mut self.core
+    }
+}
+
 impl Machine for SubstMachine {
-    fn set_observer(&mut self, observer: SharedObserver, step_interval: u64) {
-        SubstMachine::set_observer(self, observer, step_interval);
-    }
-    fn set_verify_every(&mut self, n: u64) {
-        SubstMachine::set_verify_every(self, n);
-    }
-    fn set_audit_mode(&mut self, mode: AuditMode) {
-        SubstMachine::set_audit_mode(self, mode);
-    }
-    fn set_fault_plans(&mut self, plans: &[FaultPlan]) {
-        SubstMachine::set_fault_plans(self, plans);
-    }
-    fn pending_faults(&self) -> &[FaultPlan] {
-        &self.faults
-    }
-    fn set_checkpoint_every(&mut self, n: u64) {
-        SubstMachine::set_checkpoint_every(self, n);
-    }
-    fn set_deadline(&mut self, deadline: Option<std::time::Instant>) {
-        SubstMachine::set_deadline(self, deadline);
-    }
-    fn snapshots(&self) -> &[Snapshot] {
-        self.snaps.as_slice()
-    }
     fn snapshot(&self) -> Snapshot {
-        SubstMachine::snapshot(self)
+        Snapshot::capture(
+            self.term.clone(),
+            self.core.dialect,
+            self.core.mem.clone(),
+            self.core.stats.clone(),
+            self.core.halted,
+            self.core.ctl.faults.clone(),
+            self.core.telem.phase_state(),
+        )
     }
+
     fn restore(&mut self, snap: &Snapshot) -> Result<()> {
-        SubstMachine::restore(self, snap)
+        self.core.restore(snap)?;
+        self.term = snap.control().clone();
+        Ok(())
     }
-    fn memory(&self) -> &Memory {
-        SubstMachine::memory(self)
-    }
-    fn memory_mut(&mut self) -> &mut Memory {
-        SubstMachine::memory_mut(self)
-    }
-    fn dialect(&self) -> Dialect {
-        SubstMachine::dialect(self)
-    }
-    fn stats(&self) -> &Stats {
-        SubstMachine::stats(self)
-    }
-    fn halted(&self) -> Option<i64> {
-        SubstMachine::halted(self)
-    }
+
     fn resolved_control(&self) -> Term {
         // The state *is* the closed control term.
         self.term.clone()
     }
+
     fn audit(&self) -> Result<()> {
-        SubstMachine::audit(self)
+        crate::verify::audit_state(&self.core.mem, self.core.dialect, &self.term)
     }
+
     fn step(&mut self) -> Result<StepOutcome> {
-        SubstMachine::step(self)
-    }
-    fn run(&mut self, fuel: u64) -> Result<Outcome> {
-        SubstMachine::run(self, fuel)
+        if let Some(n) = self.core.halted {
+            return Ok(StepOutcome::Halted(n));
+        }
+        self.core.stats.steps += 1;
+        self.core
+            .telem
+            .on_step(self.core.stats.steps, &self.core.mem);
+        let term = std::mem::replace(&mut self.term, Term::Halt(Value::Int(0)));
+        let next = self.step_term(term)?;
+        match next {
+            Some(t) => {
+                self.term = t;
+                self.core.stats.peak_data_words = self
+                    .core
+                    .stats
+                    .peak_data_words
+                    .max(self.core.mem.data_words());
+                Ok(StepOutcome::Continue)
+            }
+            None => match self.core.halted {
+                Some(n) => Ok(StepOutcome::Halted(n)),
+                None => Err(self.stuck("step ended without a term or a halt value".into())),
+            },
+        }
     }
 }
 

@@ -25,11 +25,13 @@
 //! and mirrored as `restore`/`triage` telemetry events.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::error::ErrorKind;
 use crate::faults::{FaultKind, FaultPlan};
-use crate::machine::{AuditMode, Backend, Machine, Outcome, Program, Stats, SubstMachine};
+use crate::machine::{
+    AuditMode, Backend, Machine, Outcome, Program, RunControl, Stats, SubstMachine,
+};
 use crate::memory::{MemConfig, Memory};
 use crate::snapshot::Snapshot;
 use crate::syntax::Value;
@@ -45,28 +47,23 @@ pub struct SuperviseSpec {
     /// Total step quota across the whole supervised run (restarts resume
     /// from a checkpoint's step count, so the quota is not reset).
     pub fuel: u64,
-    /// Audit cadence for the supervised run itself. Supervised runs audit
-    /// by default — containment without detection is useless.
-    pub verify_every: u64,
-    /// How those audits walk the heap.
-    pub audit: AuditMode,
+    /// The run control every attempt starts from: audit cadence and mode,
+    /// the fault plans to arm (the adversarial harness), the checkpoint
+    /// cadence, and the wall-clock limit of each attempt. Supervised runs
+    /// audit by default — containment without detection is useless. A
+    /// restart re-arms the plans its checkpoint still holds instead.
+    pub control: RunControl,
     /// Superinstruction fusion (bytecode backend only).
     pub superinstructions: bool,
     /// Force eager slot interning — disable the lazy ids-or-thunks
     /// representation (env and bytecode backends).
     pub eager_intern: bool,
-    /// Fault plans to arm (the adversarial harness).
-    pub faults: Vec<FaultPlan>,
     /// Telemetry observer for the first attempt. Restarted attempts do
     /// *not* re-attach it: their step counters rewind to the checkpoint's,
     /// and the JSONL trace contract requires monotone steps.
     pub observer: Option<SharedObserver>,
     /// Periodic heap-sample interval for the observer (0 = none).
     pub step_interval: u64,
-    /// Checkpoint cadence (also checkpoints at every collection boundary).
-    pub checkpoint_every: u64,
-    /// Wall-clock budget per attempt; `None` = unlimited.
-    pub timeout_ms: Option<u64>,
     /// How many deadline-triggered restarts before giving up.
     pub max_restarts: u32,
     /// Base backoff between restarts (doubles per restart).
@@ -78,22 +75,36 @@ impl SuperviseSpec {
     /// (incremental), checkpoint every 1024 steps, 3 restarts with 10 ms
     /// base backoff, no faults, no observer, no deadline.
     pub fn new(backend: Backend, config: MemConfig, fuel: u64) -> SuperviseSpec {
+        let mut control = RunControl::default();
+        control.verify_every = 64;
+        control.checkpoint_every = 1024;
         SuperviseSpec {
             backend,
             config,
             fuel,
-            verify_every: 64,
-            audit: AuditMode::default(),
+            control,
             superinstructions: true,
             eager_intern: false,
-            faults: Vec::new(),
             observer: None,
             step_interval: 0,
-            checkpoint_every: 1024,
-            timeout_ms: None,
             max_restarts: 3,
             backoff_ms: 10,
         }
+    }
+
+    /// A fresh machine for `program`, configured by this spec: backend,
+    /// memory, superinstructions, interning, run control and observer.
+    /// [`supervise`] loads every attempt through this, and an
+    /// unsupervised caller can load its one machine the same way.
+    pub fn load(&self, program: &Program) -> Box<dyn Machine> {
+        let mut m = self.backend.load(program, self.config);
+        m.set_superinstructions(self.superinstructions);
+        m.set_eager_intern(self.eager_intern);
+        *m.run_control_mut() = self.control.clone();
+        if let Some(obs) = &self.observer {
+            m.set_observer(obs.clone(), self.step_interval);
+        }
+        m
     }
 }
 
@@ -176,34 +187,26 @@ pub struct SupervisedRun {
 /// a panic inside the machine is caught at this boundary and triaged like
 /// any other abort.
 pub fn supervise(program: &Program, spec: &SuperviseSpec) -> SupervisedRun {
+    let unobserved = SuperviseSpec {
+        observer: None,
+        ..spec.clone()
+    };
     let mut restarts: u32 = 0;
     let mut resume: Option<Snapshot> = None;
     loop {
-        let mut m = spec.backend.load(program, spec.config);
-        m.set_superinstructions(spec.superinstructions);
-        m.set_eager_intern(spec.eager_intern);
-        m.set_verify_every(spec.verify_every);
-        m.set_audit_mode(spec.audit);
-        m.set_checkpoint_every(spec.checkpoint_every);
-        match &resume {
+        let mut m = match &resume {
+            // Same program, same dialect: restore cannot fail, but the
+            // policy degrades to a from-scratch restart (with the spec's
+            // fault plans) if it ever did. The snapshot re-arms its own
+            // pending fault plans. Restarts run unobserved (see
+            // `SuperviseSpec::observer`).
             Some(snap) => {
-                // Same program, same dialect: restore cannot fail, but the
-                // policy degrades to a from-scratch restart if it ever did.
-                // The snapshot re-arms its own pending fault plans.
-                if m.restore(snap).is_err() {
-                    m.set_fault_plans(&spec.faults);
-                }
+                let mut m = unobserved.load(program);
+                let _ = m.restore(snap);
+                m
             }
-            None => {
-                m.set_fault_plans(&spec.faults);
-                if let Some(obs) = &spec.observer {
-                    m.set_observer(obs.clone(), spec.step_interval);
-                }
-            }
-        }
-        if let Some(ms) = spec.timeout_ms {
-            m.set_deadline(Some(Instant::now() + Duration::from_millis(ms)));
-        }
+            None => spec.load(program),
+        };
         let start = resume.as_ref().map_or(0, Snapshot::step);
         let fuel = spec.fuel.saturating_sub(start);
         let result = catch_unwind(AssertUnwindSafe(|| m.run(fuel)));
@@ -214,7 +217,7 @@ pub fn supervise(program: &Program, spec: &SuperviseSpec) -> SupervisedRun {
                     outcome: SupervisedOutcome::Halted(n),
                     stats,
                     restarts,
-                    unfired_faults: m.pending_faults().to_vec(),
+                    unfired_faults: m.run_control().faults.clone(),
                 };
             }
             Ok(Ok(Outcome::OutOfFuel)) => {
@@ -226,7 +229,7 @@ pub fn supervise(program: &Program, spec: &SuperviseSpec) -> SupervisedRun {
                     },
                     stats,
                     restarts,
-                    unfired_faults: m.pending_faults().to_vec(),
+                    unfired_faults: m.run_control().faults.clone(),
                 };
             }
             Ok(Ok(Outcome::DeadlineExceeded)) => {
@@ -239,7 +242,7 @@ pub fn supervise(program: &Program, spec: &SuperviseSpec) -> SupervisedRun {
                         },
                         stats,
                         restarts,
-                        unfired_faults: m.pending_faults().to_vec(),
+                        unfired_faults: m.run_control().faults.clone(),
                     };
                 }
                 let snap = newest_clean_snapshot(m.as_ref()).cloned();
@@ -320,7 +323,8 @@ fn emit_restore(spec: &SuperviseSpec, abort_step: u64, from_step: u64) {
 /// captured after a fault landed is corrupt; replaying from it would blame
 /// the wrong step.
 fn newest_clean_snapshot(m: &dyn Machine) -> Option<&Snapshot> {
-    m.snapshots()
+    m.run_control()
+        .snapshots()
         .iter()
         .rev()
         .find(|s| crate::verify::audit_state(s.memory(), s.dialect(), s.control()).is_ok())
@@ -339,12 +343,15 @@ fn triage(
     let abort_step = m.stats().steps;
     let clean = newest_clean_snapshot(m);
     let mut oracle = SubstMachine::load(program, spec.config);
-    oracle.set_verify_every(1);
-    oracle.set_audit_mode(AuditMode::Full);
+    let ctl = oracle.run_control_mut();
+    ctl.verify_every = 1;
+    ctl.audit = AuditMode::Full;
+    ctl.faults = spec.control.faults.clone();
     let mut start = 0;
-    match clean {
-        Some(snap) if oracle.restore(snap).is_ok() => start = snap.step(),
-        _ => oracle.set_fault_plans(&spec.faults),
+    if let Some(snap) = clean {
+        if oracle.restore(snap).is_ok() {
+            start = snap.step();
+        }
     }
     let fuel = spec.fuel.saturating_sub(start);
     let mut report = TriageReport {
@@ -426,7 +433,7 @@ fn classify(
             return None;
         }
     }
-    pre.set_fault_plans(&[]);
+    pre.run_control_mut().faults.clear();
     match pre.run(fault_step.saturating_sub(start)) {
         Ok(Outcome::OutOfFuel) | Ok(Outcome::Halted(_)) => {}
         _ => return None,
@@ -628,7 +635,7 @@ mod tests {
     fn clean_runs_halt_through_the_supervisor() {
         for backend in Backend::ALL {
             let mut spec = SuperviseSpec::new(backend, config(), 1000);
-            spec.checkpoint_every = 1;
+            spec.control.checkpoint_every = 1;
             let run = supervise(&roundtrip(), &spec);
             match run.outcome {
                 SupervisedOutcome::Halted(n) => assert_eq!(n, 4),
@@ -655,10 +662,10 @@ mod tests {
     #[test]
     fn deadlines_restart_then_give_up() {
         let mut spec = SuperviseSpec::new(Backend::Env, config(), 1_000_000);
-        spec.timeout_ms = Some(0);
+        spec.control.timeout = Some(Duration::ZERO);
         spec.max_restarts = 2;
         spec.backoff_ms = 0;
-        spec.checkpoint_every = 512;
+        spec.control.checkpoint_every = 512;
         let run = supervise(&spin(), &spec);
         match run.outcome {
             SupervisedOutcome::GaveUp { reason } => {
@@ -673,9 +680,9 @@ mod tests {
     fn injected_fault_is_triaged_to_its_step() {
         for backend in Backend::ALL {
             let mut spec = SuperviseSpec::new(backend, config(), 1000);
-            spec.verify_every = 7;
-            spec.checkpoint_every = 4;
-            spec.faults = vec![FaultPlan {
+            spec.control.verify_every = 7;
+            spec.control.checkpoint_every = 4;
+            spec.control.faults = vec![FaultPlan {
                 kind: FaultKind::TruncateTuple,
                 step: 20,
                 seed: 1,

@@ -28,10 +28,10 @@
 //! auditor is purely observational: it never touches statistics or
 //! telemetry, so an audited clean run is bit-identical to an unaudited one.
 //!
-//! Both interpreter backends expose it as `audit()` and can run it every N
-//! steps (`verify_every`); see [`crate::machine::SubstMachine::audit`] and
-//! [`crate::env_machine::EnvMachine::audit`]. [`crate::faults`] provides the
-//! adversarial counterpart that these checks must catch.
+//! Every backend exposes it as [`crate::machine::Machine::audit`], and the
+//! shared run loop runs it every N steps
+//! ([`crate::machine::RunControl::verify_every`]). [`crate::faults`]
+//! provides the adversarial counterpart that these checks must catch.
 
 use std::collections::HashSet;
 
@@ -363,7 +363,7 @@ fn audit_psi(mem: &Memory, dialect: Dialect, root: &Term) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::{Program, SubstMachine};
+    use crate::machine::{Machine, Program, SubstMachine};
     use crate::memory::{GrowthPolicy, MemConfig};
     use crate::syntax::{Region, Term, Value};
     use ps_ir::Symbol;

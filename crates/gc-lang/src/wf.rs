@@ -17,7 +17,7 @@
 use std::collections::HashSet;
 
 use crate::error::{ErrorKind, LangError, Result};
-use crate::machine::SubstMachine;
+use crate::machine::{Machine, SubstMachine};
 use crate::syntax::{Dialect, Op, RegionName, Term, Value};
 use crate::tyck::{Checker, Ctx};
 
@@ -263,7 +263,7 @@ pub(crate) fn collect_term_addrs(e: &Term, out: &mut Vec<(RegionName, u32)>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::{Outcome, Program, StepOutcome, SubstMachine};
+    use crate::machine::{Machine, Outcome, Program, StepOutcome, SubstMachine};
     use crate::memory::{GrowthPolicy, MemConfig};
     use crate::syntax::{Region, Term, Value};
     use ps_ir::Symbol;

@@ -490,8 +490,9 @@ fn audited_run(
     let rec = Recorder::new().into_shared();
     let mut m = backend.load(program, config);
     m.set_observer(rec.clone(), 7);
-    m.set_verify_every(verify_every);
-    m.set_fault_plan(plan);
+    let ctl = m.run_control_mut();
+    ctl.verify_every = verify_every;
+    ctl.faults = plan.into_iter().collect();
     let (outcome, stats) = (m.run(4000), m.stats().clone());
     let jsonl = rec.borrow().to_jsonl();
     (outcome, stats, jsonl)

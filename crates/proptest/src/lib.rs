@@ -4,9 +4,11 @@
 //! access**, so the real proptest (and its transitive dependency tree)
 //! cannot be fetched from a registry. This crate implements the exact
 //! subset of proptest's API that the workspace's property tests use —
-//! the [`proptest!`] macro, [`ProptestConfig::with_cases`],
-//! [`collection::vec`], [`any`], [`Just`], [`prop_oneof!`],
-//! [`Strategy::prop_map`], string-pattern strategies, and the
+//! the [`proptest!`] macro,
+//! [`ProptestConfig::with_cases`](test_runner::ProptestConfig::with_cases),
+//! [`collection::vec`], [`any`](arbitrary::any), [`Just`](strategy::Just),
+//! [`prop_oneof!`], [`Strategy::prop_map`](strategy::Strategy::prop_map),
+//! string-pattern strategies, and the
 //! `prop_assert*` macros — with the same call syntax, so the test files
 //! compile unchanged against either implementation.
 //!
@@ -79,7 +81,8 @@ pub mod test_runner {
     }
 }
 
-/// The [`Strategy`] trait and the combinators the workspace uses.
+/// The [`Strategy`](crate::strategy::Strategy) trait and the combinators
+/// the workspace uses.
 pub mod strategy {
     use crate::test_runner::TestRng;
 
@@ -178,7 +181,8 @@ pub mod strategy {
     }
 }
 
-/// `any::<T>()` and the [`Arbitrary`] trait backing it.
+/// `any::<T>()` and the [`Arbitrary`](crate::arbitrary::Arbitrary) trait
+/// backing it.
 pub mod arbitrary {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;

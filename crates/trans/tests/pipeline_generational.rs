@@ -3,7 +3,7 @@
 
 use ps_clos::{cc, cps};
 use ps_collectors::generational;
-use ps_gc_lang::machine::{Outcome, Program, SubstMachine};
+use ps_gc_lang::machine::{Machine, Outcome, Program, SubstMachine};
 use ps_gc_lang::memory::{GrowthPolicy, MemConfig};
 use ps_gc_lang::tyck::Checker;
 use ps_gc_lang::wf::{check_state, WfOptions};

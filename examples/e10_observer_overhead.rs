@@ -16,30 +16,34 @@ use std::time::Instant;
 
 use scavenger::telemetry::{Recorder, SharedObserver};
 use scavenger::workloads::{compile_ast, live_tree_churn};
-use scavenger::{Backend, Collector, Compiled};
+use scavenger::{Backend, Collector, Compiled, RunOptions};
 
-/// Times one full run, optionally with a metrics-only recorder attached.
-fn timed_run(c: &Compiled, backend: Backend, observe: bool) -> (u64, f64) {
-    let mut c = c.clone().with_backend(backend);
+/// Times one full run at the given region budget, optionally with a
+/// metrics-only recorder attached.
+fn timed_run(c: &Compiled, backend: Backend, budget: usize, observe: bool) -> (u64, f64) {
+    let mut opts = RunOptions::builder()
+        .backend(backend)
+        .budget(budget)
+        .build();
     if observe {
         let obs: SharedObserver = Recorder::metrics_only().into_shared();
-        c = c.with_observer(obs, 0);
+        opts.observer = Some(obs);
     }
     let t0 = Instant::now();
-    let run = c.run(1_000_000_000).expect("runs");
+    let run = c.run_with(&opts).expect("runs");
     (run.stats.steps, t0.elapsed().as_secs_f64())
 }
 
 /// Best-of-n steps/second bare vs observed, reps interleaved so both
 /// samples see the same scheduler conditions.
-fn steps_per_sec(c: &Compiled, backend: Backend, reps: u32) -> (u64, f64, f64) {
+fn steps_per_sec(c: &Compiled, backend: Backend, budget: usize, reps: u32) -> (u64, f64, f64) {
     let (mut best_bare, mut best_obs) = (0.0f64, 0.0f64);
     let mut steps = 0;
     for _ in 0..reps {
-        let (s, secs) = timed_run(c, backend, false);
+        let (s, secs) = timed_run(c, backend, budget, false);
         steps = s;
         best_bare = best_bare.max(s as f64 / secs);
-        let (s, secs) = timed_run(c, backend, true);
+        let (s, secs) = timed_run(c, backend, budget, true);
         assert_eq!(s, steps, "observer must not change the step count");
         best_obs = best_obs.max(s as f64 / secs);
     }
@@ -52,23 +56,20 @@ fn main() {
         "{:<30} {:>10} {:>13} {:>13} {:>9}",
         "workload", "steps", "bare st/s", "observed st/s", "ratio"
     );
-    let cases: Vec<(String, Compiled)> = [3u32, 5, 7, 9]
+    let cases: Vec<(String, Compiled, usize)> = [3u32, 5, 7, 9]
         .iter()
         .map(|&depth| {
-            let budget = (2usize << depth) + 96;
             (
                 format!("e1 tree depth {depth} (gc)"),
-                compile_ast(&live_tree_churn(depth, 120), Collector::Basic, budget),
+                compile_ast(&live_tree_churn(depth, 120), Collector::Basic),
+                (2usize << depth) + 96,
             )
         })
         .chain([6u32, 8].iter().map(|&depth| {
             (
                 format!("e4 tree depth {depth} (mut)"),
-                compile_ast(
-                    &live_tree_churn(depth, 120),
-                    Collector::Basic,
-                    1 << (depth + 3),
-                ),
+                compile_ast(&live_tree_churn(depth, 120), Collector::Basic),
+                1 << (depth + 3),
             )
         }))
         .collect();
@@ -76,8 +77,8 @@ fn main() {
         let mut geomean = 0.0f64;
         let mut n = 0u32;
         println!("\nbackend: {backend}");
-        for (name, compiled) in &cases {
-            let (steps, bare, observed) = steps_per_sec(compiled, backend, 5);
+        for (name, compiled, budget) in &cases {
+            let (steps, bare, observed) = steps_per_sec(compiled, backend, *budget, 5);
             let ratio = observed / bare;
             geomean += ratio.ln();
             n += 1;

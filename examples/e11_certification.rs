@@ -28,7 +28,7 @@ use scavenger::gc_lang::memory::{GrowthPolicy, MemConfig};
 use scavenger::gc_lang::syntax::{Dialect, Term, Value};
 use scavenger::gc_lang::tyck::Checker;
 use scavenger::workloads::{compile_ast, live_dag_churn, live_tree_churn};
-use scavenger::{Collector, Compiled};
+use scavenger::{Backend, Collector, Compiled};
 
 const REPS: u32 = 5;
 
@@ -73,7 +73,7 @@ fn time_tracked_run(compiled: &Compiled, budget: usize) -> (u64, f64) {
     let mut best = f64::INFINITY;
     let mut steps = 0;
     for _ in 0..REPS {
-        let mut m = compiled.machine_with(config);
+        let mut m = Backend::Subst.load(&compiled.program, config);
         let t0 = Instant::now();
         match m.run(1_000_000_000).expect("runs") {
             Outcome::Halted(_) => {}
@@ -110,18 +110,18 @@ fn main() {
             let budget = (2usize << depth) + 96;
             (
                 format!("tree depth {depth} / basic"),
-                compile_ast(&live_tree_churn(depth, 120), Collector::Basic, budget),
+                compile_ast(&live_tree_churn(depth, 120), Collector::Basic),
                 budget,
             )
         })
         .chain([(
             "dag depth 6 / forwarding".to_string(),
-            compile_ast(&live_dag_churn(6, 120), Collector::Forwarding, 128),
+            compile_ast(&live_dag_churn(6, 120), Collector::Forwarding),
             128,
         )])
         .chain([(
             "tree depth 5 / generational".to_string(),
-            compile_ast(&live_tree_churn(5, 120), Collector::Generational, 160),
+            compile_ast(&live_tree_churn(5, 120), Collector::Generational),
             160,
         )])
         .collect();

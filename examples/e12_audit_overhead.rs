@@ -73,7 +73,7 @@ fn main() {
             let budget = (2usize << depth) + 96;
             (
                 format!("tree depth {depth} / basic"),
-                compile_ast(&live_tree_churn(depth, 15), Collector::Basic, budget),
+                compile_ast(&live_tree_churn(depth, 15), Collector::Basic),
                 budget,
             )
         })
@@ -81,7 +81,7 @@ fn main() {
             let budget = (2usize << depth) + 96;
             (
                 format!("dag depth {depth} / forwarding"),
-                compile_ast(&live_dag_churn(depth, 15), Collector::Forwarding, budget),
+                compile_ast(&live_dag_churn(depth, 15), Collector::Forwarding),
                 budget,
             )
         }))
@@ -89,7 +89,7 @@ fn main() {
             let budget = (2usize << depth) + 96;
             (
                 format!("tree depth {depth} / generational"),
-                compile_ast(&live_tree_churn(depth, 15), Collector::Generational, budget),
+                compile_ast(&live_tree_churn(depth, 15), Collector::Generational),
                 budget,
             )
         }))

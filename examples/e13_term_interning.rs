@@ -31,7 +31,7 @@ use scavenger::gc_lang::machine::{Outcome, Program};
 use scavenger::gc_lang::syntax::{Dialect, Term, Value};
 use scavenger::gc_lang::tyck::Checker;
 use scavenger::workloads::{compile_ast, live_dag_churn, live_tree_churn};
-use scavenger::{Collector, Compiled};
+use scavenger::{Backend, Collector, Compiled, RunOptions};
 
 const REPS: u32 = 5;
 /// Warm certification of one image is sub-millisecond; time it in batches
@@ -46,53 +46,46 @@ fn dialect(c: Collector) -> Dialect {
     }
 }
 
-/// The battery workloads, shared verbatim with the before-tree harness.
-fn battery() -> Vec<(String, Compiled)> {
+/// The battery workloads, shared verbatim with the before-tree harness,
+/// each with the region budget it runs at.
+fn battery() -> Vec<(String, Compiled, usize)> {
     [3u32, 5, 7]
         .iter()
         .map(|&depth| {
-            let budget = (2usize << depth) + 96;
             (
                 format!("tree depth {depth} / basic"),
-                compile_ast(&live_tree_churn(depth, 120), Collector::Basic, budget),
+                compile_ast(&live_tree_churn(depth, 120), Collector::Basic),
+                (2usize << depth) + 96,
             )
         })
         .chain([(
             "dag depth 6 / forwarding".to_string(),
-            compile_ast(&live_dag_churn(6, 120), Collector::Forwarding, 128),
+            compile_ast(&live_dag_churn(6, 120), Collector::Forwarding),
+            128,
         )])
         .chain([(
             "tree depth 5 / generational".to_string(),
-            compile_ast(&live_tree_churn(5, 120), Collector::Generational, 160),
+            compile_ast(&live_tree_churn(5, 120), Collector::Generational),
+            160,
         )])
         .collect()
 }
 
 /// Best-of-`REPS` wall-clock of a plain (untracked) run, plus its step
 /// count, on the chosen backend.
-fn time_run(compiled: &Compiled, env_backend: bool) -> (u64, f64) {
+fn time_run(compiled: &Compiled, budget: usize, backend: Backend) -> (u64, f64) {
+    let config = RunOptions::builder().budget(budget).build().mem_config();
     let mut best = f64::INFINITY;
     let mut steps = 0;
     for _ in 0..REPS {
-        if env_backend {
-            let mut m = compiled.env_machine();
-            let t0 = Instant::now();
-            match m.run(1_000_000_000).expect("runs") {
-                Outcome::Halted(_) => {}
-                other => panic!("abnormal outcome: {other:?}"),
-            }
-            best = best.min(t0.elapsed().as_secs_f64());
-            steps = m.stats().steps;
-        } else {
-            let mut m = compiled.machine();
-            let t0 = Instant::now();
-            match m.run(1_000_000_000).expect("runs") {
-                Outcome::Halted(_) => {}
-                other => panic!("abnormal outcome: {other:?}"),
-            }
-            best = best.min(t0.elapsed().as_secs_f64());
-            steps = m.stats().steps;
+        let mut m = backend.load(&compiled.program, config);
+        let t0 = Instant::now();
+        match m.run(1_000_000_000).expect("runs") {
+            Outcome::Halted(_) => {}
+            other => panic!("abnormal outcome: {other:?}"),
         }
+        best = best.min(t0.elapsed().as_secs_f64());
+        steps = m.stats().steps;
     }
     (steps, best)
 }
@@ -117,17 +110,17 @@ fn time_certification(program: &Program, threads: usize) -> f64 {
 fn main() {
     println!("E13: term/value interning and parallel certification");
 
-    for (label, env_backend) in [
-        ("substitution machine", false),
-        ("environment machine", true),
+    for (label, backend) in [
+        ("substitution machine", Backend::Subst),
+        ("environment machine", Backend::Env),
     ] {
         println!("\n-- battery runs, {label} (plain, untracked) --");
         println!(
             "{:<34} {:>8} {:>12} {:>12}",
             "workload", "steps", "wall ms", "steps/s"
         );
-        for (name, compiled) in &battery() {
-            let (steps, secs) = time_run(compiled, env_backend);
+        for (name, compiled, budget) in &battery() {
+            let (steps, secs) = time_run(compiled, *budget, backend);
             println!(
                 "{name:<34} {steps:>8} {:>12.2} {:>12.0}",
                 secs * 1e3,

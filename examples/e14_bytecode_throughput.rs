@@ -24,10 +24,12 @@ use std::time::Instant;
 use scavenger::workloads::{compile_ast, live_tree_churn};
 use scavenger::{Backend, Collector, Compiled, RunOptions};
 
-/// Times one full run, returning (steps, seconds).
-fn timed_run(c: &Compiled, backend: Backend, superinstructions: bool) -> (u64, f64) {
+/// Times one full run at the given region budget, returning (steps,
+/// seconds).
+fn timed_run(c: &Compiled, budget: usize, backend: Backend, superinstructions: bool) -> (u64, f64) {
     let opts = RunOptions::builder()
         .collector(Collector::Basic) // collector ignored by run_with
+        .budget(budget)
         .backend(backend)
         .superinstructions(superinstructions)
         .build();
@@ -39,7 +41,7 @@ fn timed_run(c: &Compiled, backend: Backend, superinstructions: bool) -> (u64, f
 /// Best-of-n steps/second for each configuration, reps interleaved so all
 /// samples see the same scheduler conditions. Configurations: every
 /// backend in [`Backend::ALL`], plus bytecode without superinstructions.
-fn steps_per_sec(c: &Compiled, reps: u32) -> (u64, Vec<f64>) {
+fn steps_per_sec(c: &Compiled, budget: usize, reps: u32) -> (u64, Vec<f64>) {
     let configs: Vec<(Backend, bool)> = Backend::ALL
         .into_iter()
         .map(|b| (b, true))
@@ -49,7 +51,7 @@ fn steps_per_sec(c: &Compiled, reps: u32) -> (u64, Vec<f64>) {
     let mut steps = 0u64;
     for _ in 0..reps {
         for (i, &(backend, fuse)) in configs.iter().enumerate() {
-            let (s, secs) = timed_run(c, backend, fuse);
+            let (s, secs) = timed_run(c, budget, backend, fuse);
             if i == 0 {
                 steps = s;
             } else {
@@ -72,28 +74,25 @@ fn main() {
     // E1 rows: live tree of depth d with a tight budget — collection-heavy,
     // so the control term carries the whole collector continuation.
     // E4 rows: the same mutator with a large budget — mutator-dominated.
-    let cases: Vec<(String, Compiled)> = [3u32, 5, 7, 9]
+    let cases: Vec<(String, Compiled, usize)> = [3u32, 5, 7, 9]
         .iter()
         .map(|&depth| {
-            let budget = (2usize << depth) + 96;
             (
                 format!("e1 tree depth {depth} (gc)"),
-                compile_ast(&live_tree_churn(depth, 120), Collector::Basic, budget),
+                compile_ast(&live_tree_churn(depth, 120), Collector::Basic),
+                (2usize << depth) + 96,
             )
         })
         .chain([6u32, 8].iter().map(|&depth| {
             (
                 format!("e4 tree depth {depth} (mut)"),
-                compile_ast(
-                    &live_tree_churn(depth, 120),
-                    Collector::Basic,
-                    1 << (depth + 3),
-                ),
+                compile_ast(&live_tree_churn(depth, 120), Collector::Basic),
+                1 << (depth + 3),
             )
         }))
         .collect();
-    for (name, compiled) in &cases {
-        let (steps, best) = steps_per_sec(compiled, 5);
+    for (name, compiled, budget) in &cases {
+        let (steps, best) = steps_per_sec(compiled, *budget, 5);
         let [subst, env, bc, bc_nosuper] = best[..] else {
             unreachable!("four configurations")
         };

@@ -86,7 +86,7 @@ fn main() {
             let budget = (2usize << depth) + 96;
             (
                 format!("tree depth {depth} / basic"),
-                compile_ast(&live_tree_churn(depth, 120), Collector::Basic, budget),
+                compile_ast(&live_tree_churn(depth, 120), Collector::Basic),
                 budget,
             )
         })
@@ -94,11 +94,7 @@ fn main() {
             let budget = (2usize << depth) + 96;
             (
                 format!("tree depth {depth} / generational"),
-                compile_ast(
-                    &live_tree_churn(depth, 120),
-                    Collector::Generational,
-                    budget,
-                ),
+                compile_ast(&live_tree_churn(depth, 120), Collector::Generational),
                 budget,
             )
         }))

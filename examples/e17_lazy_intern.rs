@@ -28,10 +28,20 @@ use std::time::Instant;
 use scavenger::workloads::{compile_ast, live_dag_churn, live_tree_churn};
 use scavenger::{AuditMode, Backend, Collector, Compiled, RunOptions};
 
+/// One workload: its name, program, and the region budget it runs at.
+type Case = (String, Compiled, usize);
+
 /// Times one full run, returning (steps, seconds).
-fn timed_run(c: &Compiled, backend: Backend, eager: bool, track: bool, every: u64) -> (u64, f64) {
+fn timed_run(
+    (_, c, budget): &Case,
+    backend: Backend,
+    eager: bool,
+    track: bool,
+    every: u64,
+) -> (u64, f64) {
     let opts = RunOptions::builder()
         .collector(Collector::Basic) // collector ignored by run_with
+        .budget(*budget)
         .backend(backend)
         .eager_intern(eager)
         .track_types(track)
@@ -57,7 +67,8 @@ struct Row {
 }
 
 /// Measures every configuration of one workload, reps interleaved.
-fn measure(name: &str, c: &Compiled, reps: u32) -> Row {
+fn measure(c: &Case, reps: u32) -> Row {
+    let name = &c.0;
     let mut steps = 0u64;
     let mut lazy_best = [f64::INFINITY; 3];
     let mut eager_best = [f64::INFINITY; 3];
@@ -102,45 +113,42 @@ fn geomean(xs: impl IntoIterator<Item = f64>) -> f64 {
 }
 
 /// The E9/E14 throughput rows plus the E15 audit-flavor rows.
-fn workloads(smoke: bool) -> Vec<(String, Compiled)> {
+fn workloads(smoke: bool) -> Vec<Case> {
     if smoke {
-        let budget = (2usize << 5) + 96;
         return vec![(
             "e1 tree depth 5 (gc)".to_string(),
-            compile_ast(&live_tree_churn(5, 120), Collector::Basic, budget),
+            compile_ast(&live_tree_churn(5, 120), Collector::Basic),
+            (2usize << 5) + 96,
         )];
     }
     [3u32, 5, 7, 9]
         .iter()
         .map(|&depth| {
-            let budget = (2usize << depth) + 96;
             (
                 format!("e1 tree depth {depth} (gc)"),
-                compile_ast(&live_tree_churn(depth, 120), Collector::Basic, budget),
+                compile_ast(&live_tree_churn(depth, 120), Collector::Basic),
+                (2usize << depth) + 96,
             )
         })
         .chain([6u32, 8].iter().map(|&depth| {
             (
                 format!("e4 tree depth {depth} (mut)"),
-                compile_ast(
-                    &live_tree_churn(depth, 120),
-                    Collector::Basic,
-                    1 << (depth + 3),
-                ),
+                compile_ast(&live_tree_churn(depth, 120), Collector::Basic),
+                1 << (depth + 3),
             )
         }))
         .chain([4u32].iter().map(|&depth| {
-            let budget = (2usize << depth) + 96;
             (
                 format!("dag depth {depth} (forwarding)"),
-                compile_ast(&live_dag_churn(depth, 15), Collector::Forwarding, budget),
+                compile_ast(&live_dag_churn(depth, 15), Collector::Forwarding),
+                (2usize << depth) + 96,
             )
         }))
         .chain([4u32].iter().map(|&depth| {
-            let budget = (2usize << depth) + 96;
             (
                 format!("tree depth {depth} (generational)"),
-                compile_ast(&live_tree_churn(depth, 15), Collector::Generational, budget),
+                compile_ast(&live_tree_churn(depth, 15), Collector::Generational),
+                (2usize << depth) + 96,
             )
         }))
         .collect()
@@ -227,8 +235,8 @@ fn main() {
     );
     let cases = workloads(smoke);
     let mut rows = Vec::new();
-    for (name, compiled) in &cases {
-        let row = measure(name, compiled, reps);
+    for case in &cases {
+        let row = measure(case, reps);
         println!(
             "{:<30} {:>10} {:>11.0} {:>11.0} {:>11.0} {:>6.1}x {:>6.2} {:>6.2} {:>6.2}",
             row.name,

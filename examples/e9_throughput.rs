@@ -14,26 +14,30 @@
 use std::time::Instant;
 
 use scavenger::workloads::{compile_ast, live_tree_churn};
-use scavenger::{Backend, Collector, Compiled};
+use scavenger::{Backend, Collector, Compiled, RunOptions};
 
-/// Times one full run on the given backend, returning (steps, seconds).
-fn timed_run(c: &Compiled, backend: Backend) -> (u64, f64) {
-    let c = c.clone().with_backend(backend);
+/// Times one full run on the given backend at the given region budget,
+/// returning (steps, seconds).
+fn timed_run(c: &Compiled, backend: Backend, budget: usize) -> (u64, f64) {
+    let opts = RunOptions::builder()
+        .backend(backend)
+        .budget(budget)
+        .build();
     let t0 = Instant::now();
-    let run = c.run(1_000_000_000).expect("runs");
+    let run = c.run_with(&opts).expect("runs");
     (run.stats.steps, t0.elapsed().as_secs_f64())
 }
 
 /// Best-of-n steps/second for both backends, reps interleaved so the two
 /// samples see the same scheduler conditions.
-fn steps_per_sec(c: &Compiled, reps: u32) -> (u64, u64, f64, f64) {
+fn steps_per_sec(c: &Compiled, budget: usize, reps: u32) -> (u64, u64, f64, f64) {
     let (mut best_s, mut best_e) = (0.0f64, 0.0f64);
     let (mut steps_s, mut steps_e) = (0, 0);
     for _ in 0..reps {
-        let (s, secs) = timed_run(c, Backend::Subst);
+        let (s, secs) = timed_run(c, Backend::Subst, budget);
         steps_s = s;
         best_s = best_s.max(s as f64 / secs);
-        let (s, secs) = timed_run(c, Backend::Env);
+        let (s, secs) = timed_run(c, Backend::Env, budget);
         steps_e = s;
         best_e = best_e.max(s as f64 / secs);
     }
@@ -51,28 +55,25 @@ fn main() {
     // E1 rows: live tree of depth d with a tight budget — collection-heavy,
     // so the control term carries the whole collector continuation.
     // E4 row: the same mutator with a large budget — mutator-dominated.
-    let cases: Vec<(String, Compiled)> = [3u32, 5, 7, 9]
+    let cases: Vec<(String, Compiled, usize)> = [3u32, 5, 7, 9]
         .iter()
         .map(|&depth| {
-            let budget = (2usize << depth) + 96;
             (
                 format!("e1 tree depth {depth} (gc)"),
-                compile_ast(&live_tree_churn(depth, 120), Collector::Basic, budget),
+                compile_ast(&live_tree_churn(depth, 120), Collector::Basic),
+                (2usize << depth) + 96,
             )
         })
         .chain([6u32, 8].iter().map(|&depth| {
             (
                 format!("e4 tree depth {depth} (mut)"),
-                compile_ast(
-                    &live_tree_churn(depth, 120),
-                    Collector::Basic,
-                    1 << (depth + 3),
-                ),
+                compile_ast(&live_tree_churn(depth, 120), Collector::Basic),
+                1 << (depth + 3),
             )
         }))
         .collect();
-    for (name, compiled) in &cases {
-        let (steps_s, steps_e, subst, env) = steps_per_sec(compiled, 5);
+    for (name, compiled, budget) in &cases {
+        let (steps_s, steps_e, subst, env) = steps_per_sec(compiled, *budget, 5);
         assert_eq!(steps_s, steps_e, "backends must take identical step counts");
         let speedup = env / subst;
         geomean += speedup.ln();

@@ -11,7 +11,7 @@
 //! cargo run --example generations
 //! ```
 
-use scavenger::{Collector, Pipeline, PipelineError};
+use scavenger::{Collector, PipelineError, RunOptions};
 
 const SRC: &str = "fun live (n : int) : int * int = if0 n then (0, 0) else \
     (let rest = live (n - 1) in (n + fst rest, n))\n\
@@ -21,9 +21,14 @@ const SRC: &str = "fun live (n : int) : int * int = if0 n then (0, 0) else \
 
 fn main() -> Result<(), PipelineError> {
     for collector in [Collector::Basic, Collector::Generational] {
-        let compiled = Pipeline::new(collector).region_budget(128).compile(SRC)?;
+        let opts = RunOptions::builder()
+            .collector(collector)
+            .budget(128)
+            .fuel(400_000_000)
+            .build();
+        let compiled = opts.compile(SRC)?;
         compiled.typecheck()?;
-        let run = compiled.run(400_000_000)?;
+        let run = compiled.run_with(&opts)?;
         println!("== {} collector ==", collector);
         println!(
             "result: {}   collections: {}",

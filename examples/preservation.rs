@@ -6,20 +6,23 @@
 //! cargo run --example preservation
 //! ```
 
-use scavenger::gc_lang::machine::StepOutcome;
+use scavenger::gc_lang::machine::{Machine, StepOutcome, SubstMachine};
 use scavenger::gc_lang::wf::{check_state, WfOptions};
-use scavenger::{Collector, Pipeline, PipelineError};
+use scavenger::{Collector, PipelineError, RunOptions};
 
 const SRC: &str =
     "fun f (n : int) : int = if0 n then 42 else (let p = (n, n) in snd p - n + f (n - 1))\n f 8";
 
 fn main() -> Result<(), PipelineError> {
-    let compiled = Pipeline::new(Collector::Basic)
-        .region_budget(32)
+    let opts = RunOptions::builder()
+        .collector(Collector::Basic)
+        .budget(32)
         .track_types(true)
-        .compile(SRC)?;
+        .build();
+    let compiled = opts.compile(SRC)?;
     compiled.typecheck()?;
-    let mut machine = compiled.machine();
+    // `check_state` reads the substitution machine's closed term.
+    let mut machine = SubstMachine::load(&compiled.program, opts.mem_config());
     let mut step = 0u64;
     let mut checked = 0u64;
     loop {

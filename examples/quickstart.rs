@@ -6,7 +6,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use scavenger::{Collector, Pipeline, PipelineError};
+use scavenger::{Collector, PipelineError, RunOptions};
 
 const PROGRAM: &str = r#"
 -- Sum the squares of 1..n, building a throwaway pair per step so the
@@ -20,16 +20,20 @@ sumsq 50
 
 fn main() -> Result<(), PipelineError> {
     // A deliberately tiny region budget so `ifgc` fires often.
-    let pipeline = Pipeline::new(Collector::Basic).region_budget(128);
+    let opts = RunOptions::builder()
+        .collector(Collector::Basic)
+        .budget(128)
+        .fuel(100_000_000)
+        .build();
 
     println!("compiling source → CPS → λCLOS → λGC (linked with the Fig. 12 collector)…");
-    let compiled = pipeline.compile(PROGRAM)?;
+    let compiled = opts.compile(PROGRAM)?;
 
     println!("typechecking the WHOLE λGC program (Definition 6.3)…");
     compiled.typecheck()?;
     println!("  ✓ certified: no trusted collector remains.");
 
-    let run = compiled.run(100_000_000)?;
+    let run = compiled.run_with(&opts)?;
     let oracle = compiled.reference_result(1_000_000)?;
     println!(
         "result: {} (reference evaluator says {})",

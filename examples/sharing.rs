@@ -16,7 +16,7 @@
 use scavenger::collectors::meta;
 use scavenger::gc_lang::memory::{GrowthPolicy, MemConfig, Memory};
 use scavenger::gc_lang::syntax::{RegionName, Value};
-use scavenger::{Collector, Pipeline, PipelineError};
+use scavenger::{Collector, PipelineError, RunOptions};
 
 /// A Fig. 4-style copy: no forwarding table, so shared subgraphs are
 /// duplicated along every path.
@@ -73,10 +73,12 @@ fn main() -> Result<(), PipelineError> {
                fun go (n : int) : int = if0 n then 0 else \
                  (let d = dup ((n, n)) in (let rest = go (n - 1) in fst (fst d) - n + rest))\n go 40";
     for collector in [Collector::Basic, Collector::Forwarding] {
-        let run = Pipeline::new(collector)
-            .region_budget(96)
-            .compile(src)?
-            .run(200_000_000)?;
+        let opts = RunOptions::builder()
+            .collector(collector)
+            .budget(96)
+            .fuel(200_000_000)
+            .build();
+        let run = opts.compile(src)?.run_with(&opts)?;
         println!(
             "  {:<11} result={} collections={} words copied to to-space={}",
             collector.to_string(),

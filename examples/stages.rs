@@ -7,7 +7,7 @@
 //! cargo run --example stages -- "let x = (1, 2) in fst x + snd x"
 //! ```
 
-use scavenger::{Collector, Pipeline, PipelineError};
+use scavenger::{Collector, PipelineError, RunOptions};
 
 const DEFAULT: &str = "fun double (x : int) : int = x + x\n double (double 10) + 2";
 
@@ -31,9 +31,12 @@ fn main() -> Result<(), PipelineError> {
     println!("══ 3. λCLOS (closed CPS + existential closures, §3) ═══");
     println!("{}\n", scavenger::clos::print::program(&clos));
 
-    let compiled = Pipeline::new(Collector::Basic)
-        .region_budget(128)
-        .compile(&src)?;
+    let opts = RunOptions::builder()
+        .collector(Collector::Basic)
+        .budget(128)
+        .fuel(100_000_000)
+        .build();
+    let compiled = opts.compile(&src)?;
     compiled.typecheck()?;
     println!("══ 4. λGC (Fig. 3 translation; collector at cd.0–cd.5) ");
     let n_collector = Collector::Basic.image().code.len();
@@ -47,7 +50,7 @@ fn main() -> Result<(), PipelineError> {
         scavenger::gc_lang::pretty::term_to_string(&compiled.program.main)
     );
 
-    let run = compiled.run(100_000_000)?;
+    let run = compiled.run_with(&opts)?;
     println!("══ 5. execution ═══════════════════════════════════════");
     println!(
         "result {} (oracle {}), {} machine steps, {} collections",

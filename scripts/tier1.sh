@@ -61,5 +61,8 @@ cargo clippy --workspace -- -D warnings
 # panicking escape hatches outside tests (clippy.toml relaxes the lints
 # inside #[cfg(test)]).
 cargo clippy -p ps-gc-lang -p ps-collectors -- -D warnings -D clippy::unwrap_used -D clippy::expect_used -D clippy::panic
+# Rustdoc gate: every intra-doc link must resolve, so docs cannot keep
+# pointing at APIs that were renamed or removed.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 cargo fmt --check
 echo "tier-1: OK"

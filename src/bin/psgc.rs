@@ -535,14 +535,14 @@ fn cmd_run(cli: &mut Cli, src: &str, check_only: bool) -> ExitCode {
     }
 
     if cli.opts.supervise {
-        let sup = compiled.supervise(&cli.opts);
+        let sup = scavenger::supervise(&compiled.program, &cli.opts.supervise_spec());
         let code = flush_telemetry(cli, &recorder);
         warn_unfired(&sup.unfired_faults);
         return match sup.outcome {
             SupervisedOutcome::Halted(result) => {
                 println!("{result}");
                 if cli.stats {
-                    print_machine_stats(compiled.backend(), &sup.stats);
+                    print_machine_stats(cli.opts.resolved_backend(), &sup.stats);
                     eprintln!("restarts:         {}", sup.restarts);
                 }
                 if cli.stats_intern {
@@ -572,7 +572,7 @@ fn cmd_run(cli: &mut Cli, src: &str, check_only: bool) -> ExitCode {
             println!("{}", run.result);
             warn_unfired(&run.unfired_faults);
             if cli.stats {
-                print_machine_stats(compiled.backend(), &run.stats);
+                print_machine_stats(cli.opts.resolved_backend(), &run.stats);
             }
             if cli.stats_pages {
                 let p = &run.pages;

@@ -9,7 +9,7 @@
 //! named.
 
 use scavenger::telemetry::Recorder;
-use scavenger::{AuditMode, Backend, Collector, Pipeline, RunOptions};
+use scavenger::{AuditMode, Backend, Collector, RunOptions};
 
 const PROGRAMS: &[(&str, &str, i64)] = &[
     ("arith", "1 + 2 * 3 - 4", 3),
@@ -107,14 +107,19 @@ fn battery_all_collectors_all_budgets() {
             Collector::Generational,
         ] {
             for budget in [64usize, 256, 1 << 22] {
-                let compiled = Pipeline::new(collector)
-                    .region_budget(budget)
+                let opts = |backend| {
+                    RunOptions::builder()
+                        .collector(collector)
+                        .backend(backend)
+                        .budget(budget)
+                        .fuel(500_000_000)
+                        .build()
+                };
+                let compiled = opts(Backend::Subst)
                     .compile(src)
                     .unwrap_or_else(|e| panic!("{name}/{collector}: compile failed: {e}"));
                 let oracle = compiled
-                    .clone()
-                    .with_backend(Backend::Subst)
-                    .run(500_000_000)
+                    .run_with(&opts(Backend::Subst))
                     .unwrap_or_else(|e| panic!("{name}/{collector}/budget {budget}/subst: {e}"));
                 assert_eq!(
                     oracle.result, *expected,
@@ -124,13 +129,9 @@ fn battery_all_collectors_all_budgets() {
                     if backend == Backend::Subst {
                         continue;
                     }
-                    let run = compiled
-                        .clone()
-                        .with_backend(backend)
-                        .run(500_000_000)
-                        .unwrap_or_else(|e| {
-                            panic!("{name}/{collector}/budget {budget}/{backend}: {e}")
-                        });
+                    let run = compiled.run_with(&opts(backend)).unwrap_or_else(|e| {
+                        panic!("{name}/{collector}/budget {budget}/{backend}: {e}")
+                    });
                     assert_eq!(
                         run.result, oracle.result,
                         "{name}/{collector}/budget {budget}/{backend}: result disagrees"
@@ -153,7 +154,7 @@ fn battery_whole_programs_typecheck() {
             Collector::Forwarding,
             Collector::Generational,
         ] {
-            Pipeline::new(collector)
+            RunOptions::new(collector)
                 .compile(src)
                 .unwrap_or_else(|e| panic!("{name}/{collector}: {e}"))
                 .typecheck()
@@ -175,12 +176,12 @@ fn battery_small_budgets_actually_collect() {
             Collector::Forwarding,
             Collector::Generational,
         ] {
-            let run = Pipeline::new(collector)
-                .region_budget(64)
-                .compile(src)
-                .unwrap()
-                .run(500_000_000)
-                .unwrap();
+            let opts = RunOptions::builder()
+                .collector(collector)
+                .budget(64)
+                .fuel(500_000_000)
+                .build();
+            let run = opts.compile(src).unwrap().run_with(&opts).unwrap();
             assert!(
                 run.stats.collections > 0,
                 "{name}/{collector} never collected"

@@ -14,7 +14,7 @@
 
 use proptest::prelude::*;
 
-use scavenger::gc_lang::machine::{Outcome, Program, SubstMachine};
+use scavenger::gc_lang::machine::{Machine, Outcome, Program, SubstMachine};
 use scavenger::gc_lang::memory::{GrowthPolicy, MemConfig};
 use scavenger::gc_lang::moper;
 use scavenger::gc_lang::reference::{self, RefSubst};

@@ -17,7 +17,7 @@ use ps_gc_lang::machine::Machine;
 use ps_gc_lang::memory::{GrowthPolicy, MemConfig};
 use ps_gc_lang::syntax::{Op, Region, Tag, Term};
 use ps_gc_lang::tyck::Checker;
-use scavenger::{Backend, Collector, Pipeline, PipelineError, RunOptions};
+use scavenger::{Backend, Collector, PipelineError, RunOptions};
 
 /// One structural mutation, selected and located by the byte tape.
 fn mutate_term(e: &Term, tape: &mut impl FnMut() -> u8) -> Term {
@@ -184,8 +184,7 @@ proptest! {
 
     #[test]
     fn accepted_mutants_never_get_stuck(bytes in proptest::collection::vec(any::<u8>(), 4..64)) {
-        let compiled = Pipeline::new(Collector::Basic)
-            .region_budget(64)
+        let compiled = RunOptions::new(Collector::Basic)
             .compile(SRC)
             .expect("base program compiles");
         let mut program = compiled.program.clone();

@@ -15,6 +15,7 @@
 
 use proptest::prelude::*;
 
+use ps_gc_lang::machine::Machine;
 use ps_ir::symbol::gensym;
 use ps_ir::Symbol;
 use ps_lambda::syntax::{BinOp, Expr, SrcProgram, SrcTy};
@@ -179,13 +180,7 @@ proptest! {
         let cps = ps_clos::cps::cps_program(&p).expect("cps");
         let clos = ps_clos::cc::cc_program(&cps).expect("cc");
         for collector in [Collector::Basic, Collector::Forwarding, Collector::Generational] {
-            let image = collector.image();
-            let program = match collector {
-                Collector::Basic => ps_trans::basic::translate(&clos, &image),
-                Collector::Forwarding => ps_trans::forwarding::translate(&clos, &image),
-                Collector::Generational => ps_trans::generational::translate(&clos, &image),
-            }
-            .expect("translate");
+            let program = collector.translate(&clos).expect("translate");
             let mut m = ps_gc_lang::machine::SubstMachine::load(
                 &program,
                 ps_gc_lang::memory::MemConfig {
@@ -215,13 +210,7 @@ proptest! {
         let cps = ps_clos::cps::cps_program(&p).expect("cps");
         let clos = ps_clos::cc::cc_program(&cps).expect("cc");
         for collector in [Collector::Basic, Collector::Forwarding, Collector::Generational] {
-            let image = collector.image();
-            let program = match collector {
-                Collector::Basic => ps_trans::basic::translate(&clos, &image),
-                Collector::Forwarding => ps_trans::forwarding::translate(&clos, &image),
-                Collector::Generational => ps_trans::generational::translate(&clos, &image),
-            }
-            .expect("translate");
+            let program = collector.translate(&clos).expect("translate");
             if let Err(e) = ps_gc_lang::tyck::Checker::check_program(&program) {
                 prop_assert!(false, "{collector}: {e}\nsource: {p:?}");
             }
@@ -236,13 +225,7 @@ proptest! {
         for collector in [Collector::Basic, Collector::Forwarding, Collector::Generational] {
             let cps = ps_clos::cps::cps_program(&p).expect("cps");
             let clos = ps_clos::cc::cc_program(&cps).expect("cc");
-            let image = collector.image();
-            let program = match collector {
-                Collector::Basic => ps_trans::basic::translate(&clos, &image),
-                Collector::Forwarding => ps_trans::forwarding::translate(&clos, &image),
-                Collector::Generational => ps_trans::generational::translate(&clos, &image),
-            }
-            .expect("translate");
+            let program = collector.translate(&clos).expect("translate");
             let mut m = ps_gc_lang::machine::SubstMachine::load(
                 &program,
                 ps_gc_lang::memory::MemConfig {

@@ -8,16 +8,21 @@
 use proptest::prelude::*;
 
 use scavenger::telemetry::{GcEvent, Recorder, SharedObserver};
-use scavenger::{Backend, Collector, Compiled, Pipeline};
+use scavenger::{Backend, Collector, Compiled, Machine, RunOptions, Snapshot};
 
 const SRC: &str = "fun build (n : int) : int * int = if0 n then (0, 0) else \
     (let rest = build (n - 1) in (n + fst rest, n))\n fst (build 8)";
 
 fn compile(collector: Collector) -> Compiled {
-    Pipeline::new(collector)
-        .region_budget(64)
+    RunOptions::new(collector)
         .compile(SRC)
         .expect("battery program compiles")
+}
+
+/// A fresh machine for `compiled` on `backend`, at a 64-word budget.
+fn load(compiled: &Compiled, backend: Backend) -> Box<dyn Machine> {
+    let config = RunOptions::builder().budget(64).build().mem_config();
+    backend.load(&compiled.program, config)
 }
 
 /// Runs the program uninterrupted on `backend` with a recorder attached;
@@ -28,7 +33,7 @@ fn uninterrupted(
 ) -> (i64, scavenger::gc_lang::machine::Stats, Vec<GcEvent>) {
     let rec = Recorder::new().into_shared();
     let obs: SharedObserver = rec.clone();
-    let mut m = compiled.machine_for(backend);
+    let mut m = load(compiled, backend);
     m.set_observer(obs, 0);
     let outcome = m.run(1_000_000).expect("clean program");
     let n = match outcome {
@@ -58,7 +63,7 @@ proptest! {
             // Run the first half with a recorder, stopping mid-flight.
             let prefix_rec = Recorder::new().into_shared();
             let obs: SharedObserver = prefix_rec.clone();
-            let mut a = compiled.machine_for(from);
+            let mut a = load(&compiled, from);
             a.set_observer(obs, 0);
             match a.run(k).expect("clean program") {
                 scavenger::gc_lang::machine::Outcome::OutOfFuel => {}
@@ -75,7 +80,7 @@ proptest! {
             for to in Backend::ALL {
                 let suffix_rec = Recorder::new().into_shared();
                 let obs: SharedObserver = suffix_rec.clone();
-                let mut b = compiled.machine_for(to);
+                let mut b = load(&compiled, to);
                 b.set_observer(obs, 0);
                 b.restore(&snap).expect("dialects match");
                 let outcome = b.run(1_000_000).expect("clean program");
@@ -109,19 +114,25 @@ proptest! {
 
 /// A checkpointing run differs from a plain run only by its `snapshot`
 /// telemetry events — results, statistics, and every other event agree —
-/// and the ring actually holds checkpoints at the end.
+/// and the ring actually holds checkpoints at the end. The checkpoint
+/// cadence is the same on every backend: the full event stream (snapshot
+/// events included) and the steps of the ring's checkpoints agree across
+/// `Backend::ALL`. (The observer keeps the bytecode backend on the
+/// per-step path; its unobserved chunked path may checkpoint up to one
+/// interval late by design.)
 #[test]
 fn checkpointing_changes_nothing_but_snapshot_events() {
     for collector in Collector::ALL {
         let compiled = compile(collector);
+        let mut first: Option<(Vec<GcEvent>, Vec<u64>)> = None;
         for backend in Backend::ALL {
             let (want_n, want_stats, want_events) = uninterrupted(&compiled, backend);
 
             let rec = Recorder::new().into_shared();
             let obs: SharedObserver = rec.clone();
-            let mut m = compiled.machine_for(backend);
+            let mut m = load(&compiled, backend);
             m.set_observer(obs, 0);
-            m.set_checkpoint_every(32);
+            m.run_control_mut().checkpoint_every = 32;
             let outcome = m.run(1_000_000).expect("clean program");
             assert_eq!(
                 outcome,
@@ -129,10 +140,13 @@ fn checkpointing_changes_nothing_but_snapshot_events() {
                 "{collector}/{backend}"
             );
             assert_eq!(m.stats(), &want_stats, "{collector}/{backend}");
-            assert!(
-                !m.snapshots().is_empty(),
-                "{collector}/{backend}: ring is empty"
-            );
+            let ring: Vec<u64> = m
+                .run_control()
+                .snapshots()
+                .iter()
+                .map(Snapshot::step)
+                .collect();
+            assert!(!ring.is_empty(), "{collector}/{backend}: ring is empty");
             let filtered: Vec<GcEvent> = rec
                 .borrow()
                 .events
@@ -145,6 +159,21 @@ fn checkpointing_changes_nothing_but_snapshot_events() {
                 rec.borrow().events.iter().any(|e| e.name() == "snapshot"),
                 "{collector}/{backend}: no snapshot events"
             );
+            let events = rec.borrow().events.clone();
+            match &first {
+                None => first = Some((events, ring)),
+                Some((first_events, first_ring)) => {
+                    let lead = Backend::ALL[0];
+                    assert_eq!(
+                        &events, first_events,
+                        "{collector}/{backend}: checkpointed event stream differs from {lead}"
+                    );
+                    assert_eq!(
+                        &ring, first_ring,
+                        "{collector}/{backend}: checkpoint steps differ from {lead}"
+                    );
+                }
+            }
         }
     }
 }

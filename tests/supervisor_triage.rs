@@ -6,7 +6,9 @@
 
 use scavenger::gc_lang::faults::{FaultKind, FaultPlan};
 use scavenger::gc_lang::machine::Outcome;
-use scavenger::{AuditMode, Backend, Collector, Compiled, RunOptions, SupervisedOutcome};
+use scavenger::{
+    supervise, AuditMode, Backend, Collector, Compiled, RunOptions, SupervisedOutcome,
+};
 
 const SRC: &str = "fun build (n : int) : int * int = if0 n then (0, 0) else \
     (let rest = build (n - 1) in (n + fst rest, n))\n fst (build 8)";
@@ -28,11 +30,12 @@ const UNAMBIGUOUS: &[FaultKind] = &[
 /// The step at which a fully audited (per-step, full-walk) oracle run
 /// first reports the injected violation — the ground truth the triage
 /// report must match.
-fn baseline_abort_step(compiled: &Compiled, plan: FaultPlan) -> u64 {
-    let mut m = compiled.machine_for(Backend::Subst);
-    m.set_verify_every(1);
-    m.set_audit_mode(AuditMode::Full);
-    m.set_fault_plans(&[plan]);
+fn baseline_abort_step(compiled: &Compiled, opts: &RunOptions, plan: FaultPlan) -> u64 {
+    let mut m = Backend::Subst.load(&compiled.program, opts.mem_config());
+    let ctl = m.run_control_mut();
+    ctl.verify_every = 1;
+    ctl.audit = AuditMode::Full;
+    ctl.faults = vec![plan];
     match m.run(1_000_000).expect("injection aborts, not sticks") {
         Outcome::InvariantViolation(_) => m.stats().steps,
         other => panic!("{}: fault escaped the full audit: {other:?}", plan.kind),
@@ -56,7 +59,7 @@ fn every_fault_class_is_triaged_to_its_exact_step() {
                 step: INJECT_STEP,
                 seed: 1,
             };
-            let want_step = baseline_abort_step(&compiled, plan);
+            let want_step = baseline_abort_step(&compiled, &opts, plan);
             for backend in Backend::ALL {
                 let label = format!("{kind}/{collector}/{backend}");
                 let opts = RunOptions::builder()
@@ -69,7 +72,7 @@ fn every_fault_class_is_triaged_to_its_exact_step() {
                     .inject(plan)
                     .supervise(true)
                     .build();
-                let sup = compiled.supervise(&opts);
+                let sup = supervise(&compiled.program, &opts.supervise_spec());
                 let report = match sup.outcome {
                     SupervisedOutcome::Triaged(report) => report,
                     other => panic!("{label}: not triaged: {other:?}"),

@@ -6,7 +6,7 @@
 
 use scavenger::gc_lang::faults::{FaultKind, FaultPlan};
 use scavenger::telemetry::{validate_jsonl_trace, GcEvent, Recorder, SharedObserver};
-use scavenger::{Backend, Collector, RunOptions, SupervisedOutcome};
+use scavenger::{supervise, Backend, Collector, RunOptions, SupervisedOutcome};
 
 /// Allocation-heavy members of the battery (tests/battery.rs) — the ones
 /// that actually trigger collections at a 64-word budget — plus one
@@ -170,7 +170,7 @@ fn aborted_then_triaged_traces_validate() {
         let compiled = opts
             .compile(src)
             .unwrap_or_else(|e| panic!("{label}: compile failed: {e}"));
-        let sup = compiled.supervise(&opts);
+        let sup = supervise(&compiled.program, &opts.supervise_spec());
         assert!(
             matches!(sup.outcome, SupervisedOutcome::Triaged(_)),
             "{label}: expected a triage, got {:?}",
