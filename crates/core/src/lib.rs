@@ -275,10 +275,6 @@ pub struct RunOptions {
     /// How the periodic heap audit walks the store: incrementally over
     /// dirtied pages (the default) or as a full walk every time.
     pub audit: AuditMode,
-    /// Enable superinstruction fusion in the bytecode backend (on by
-    /// default; the toggle exists for A/B measurement). Ignored by the
-    /// other backends.
-    pub superinstructions: bool,
     /// Force eager interning of every heap slot at `put` time, disabling
     /// the lazy ids-or-thunks slot representation (off by default; the
     /// toggle exists for A/B measurement and the lazy-vs-eager lockstep
@@ -317,7 +313,6 @@ impl Default for RunOptions {
             max_heap_words: None,
             page_words: MemConfig::default().page_words,
             audit: AuditMode::default(),
-            superinstructions: true,
             eager_intern: false,
             supervise: false,
             checkpoint_every: 0,
@@ -385,7 +380,6 @@ impl RunOptions {
         ctl.audit = self.audit;
         ctl.faults = self.inject.clone();
         ctl.timeout = self.timeout_ms.map(Duration::from_millis);
-        spec.superinstructions = self.superinstructions;
         spec.eager_intern = self.eager_intern;
         spec.observer = self.observer.clone();
         spec.step_interval = self.step_interval;
@@ -565,12 +559,6 @@ impl RunOptionsBuilder {
     /// Audit strategy for the periodic heap auditor.
     pub fn audit(mut self, mode: AuditMode) -> RunOptionsBuilder {
         self.opts.audit = mode;
-        self
-    }
-
-    /// Enable/disable superinstruction fusion in the bytecode backend.
-    pub fn superinstructions(mut self, on: bool) -> RunOptionsBuilder {
-        self.opts.superinstructions = on;
         self
     }
 

@@ -51,9 +51,7 @@
 //!
 //! Both preserve per-rule observability: each micro-op is still one
 //! machine step (`Stats.steps`, `on_step`, audit cadence, fault-injection
-//! points are byte-identical to the substitution oracle). The toggle
-//! ([`BcMachine::set_superinstructions`], `RunOptions.superinstructions`)
-//! exists for A/B measurement.
+//! points are byte-identical to the substitution oracle).
 //!
 //! Telemetry hooks, [`Stats`](crate::machine::Stats) counters, error messages, and the
 //! [resolved control view](BcMachine::resolved_control) all mirror the
@@ -69,13 +67,13 @@ use std::time::Instant;
 
 use ps_ir::{FxBuildHasher, FxHasher, Symbol};
 
-use crate::error::{stuck_err, ErrorKind, LangError, Result};
+use crate::error::Result;
 use crate::intern::{
     intern_term, intern_ty, intern_value, tag_fv, ty_fv, value_fv, LazyChild, SlotVal, TermId,
     TyId, ValId,
 };
 use crate::machine::sealed::{Core, HasCore};
-use crate::machine::{drive, widen_psi, Machine, Outcome, Program, StepOutcome};
+use crate::machine::{drive, widen_psi, Machine, Outcome, Program, TypecaseArm};
 use crate::memory::MemConfig;
 use crate::snapshot::Snapshot;
 use crate::subst::Subst;
@@ -314,8 +312,8 @@ struct Micro {
 #[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug)]
 enum Instr {
-    /// A maximal run of consecutive `let`s (length 1 when
-    /// superinstructions are off). Each micro-op is one machine step.
+    /// A maximal run of consecutive `let`s. Each micro-op is one machine
+    /// step.
     Lets(Box<[Micro]>),
     Call {
         f: ValOp,
@@ -442,7 +440,6 @@ struct UnitBuilder {
     ntag: u32,
     nrgn: u32,
     nalpha: u32,
-    superinstructions: bool,
     /// Allocator for [`TyTpl::Sub`] memoization sites.
     ty_sites: u32,
 }
@@ -739,14 +736,12 @@ impl UnitBuilder {
             Op::Proj(i, v) => MicroOp::Proj(*i, self.classify_val(v, scope)),
             Op::Put(rho, v) => {
                 let r = self.classify_rgn(rho, scope);
-                if self.superinstructions {
-                    if let Value::Pair(a, b) = v {
-                        return MicroOp::PutPair(
-                            r,
-                            self.classify_val(a.node(), scope),
-                            self.classify_val(b.node(), scope),
-                        );
-                    }
+                if let Value::Pair(a, b) = v {
+                    return MicroOp::PutPair(
+                        r,
+                        self.classify_val(a.node(), scope),
+                        self.classify_val(b.node(), scope),
+                    );
                 }
                 MicroOp::Put(r, self.classify_val(v, scope))
             }
@@ -775,9 +770,6 @@ impl UnitBuilder {
                         });
                         scope = nsc;
                         t = *body;
-                        if !self.superinstructions {
-                            break;
-                        }
                     }
                     self.push(Instr::Lets(micros.into_boxed_slice()), src0, scope0);
                 }
@@ -1068,11 +1060,8 @@ fn rgn_tpl(rho: &Region, binds: &[Bind]) -> RgnTpl {
 }
 
 /// Compiles the main term (empty initial scope).
-fn compile_main(main: &Term, superinstructions: bool) -> Unit {
-    let mut b = UnitBuilder {
-        superinstructions,
-        ..UnitBuilder::default()
-    };
+fn compile_main(main: &Term) -> Unit {
+    let mut b = UnitBuilder::default();
     b.compile_term(intern_term(main.clone()), NO_SCOPE);
     b.finish("<main>".to_string())
 }
@@ -1080,11 +1069,8 @@ fn compile_main(main: &Term, superinstructions: bool) -> Unit {
 /// Compiles one code block. Parameters take the first slots of each file
 /// (tags `0..`, regions `0..`, values `0..`, in declaration order), which
 /// is what [`BcMachine`]'s call sequence writes.
-fn compile_def(def: &CodeDef, superinstructions: bool) -> Unit {
-    let mut b = UnitBuilder {
-        superinstructions,
-        ..UnitBuilder::default()
-    };
+fn compile_def(def: &CodeDef) -> Unit {
+    let mut b = UnitBuilder::default();
     let mut sc = NO_SCOPE;
     for (t, _) in &def.tvars {
         sc = b.bind(sc, Ns::Tag, *t).0;
@@ -1114,7 +1100,6 @@ fn compile_def(def: &CodeDef, superinstructions: bool) -> Unit {
 pub struct BcMachine {
     core: Core,
     main: Term,
-    superinstructions: bool,
     /// Lazy ids-or-thunks slot representation: when set (the default),
     /// `put` stores operands whose interned identity is unknown as thunks
     /// and lets the page store backfill them on first identity demand.
@@ -1175,13 +1160,11 @@ struct PendingApp {
 
 impl BcMachine {
     /// Loads a program: installs its code blocks in `cd` and schedules the
-    /// main term. Compilation to bytecode happens lazily on the first step
-    /// (so [`BcMachine::set_superinstructions`] can still take effect).
+    /// main term. Compilation to bytecode happens lazily on the first step.
     pub fn load(program: &Program, config: MemConfig) -> BcMachine {
         BcMachine {
             core: Core::load(program, config),
             main: program.main.clone(),
-            superinstructions: true,
             lazy: true,
             cache: None,
             pending: None,
@@ -1264,26 +1247,22 @@ impl BcMachine {
         }
     }
 
-    /// The unobserved dispatch loop: per-step hooks are provably no-ops,
-    /// so each iteration is just dispatch + statistics. Fused chains
-    /// execute back-to-back micro-ops without re-entering the dispatch
-    /// match, one counted step (and one unit of fuel) per micro-op.
+    /// The unobserved dispatch loop: with no observer attached every
+    /// telemetry hook is a no-op, so each iteration is just dispatch +
+    /// statistics. Fused chains execute back-to-back micro-ops without
+    /// re-entering the dispatch match, one counted step (and one unit of
+    /// fuel) per micro-op.
     fn run_fast(&mut self, fuel: u64) -> Result<Outcome> {
         if let Some(n) = self.core.halted {
             return Ok(Outcome::Halted(n));
         }
-        self.ensure_compiled();
-        let mut cache = match self.cache.take() {
-            Some(c) => c,
-            None => return Err(self.stuck("bytecode cache missing".into())),
-        };
+        let mut cache = self.take_cache();
         let mut left = fuel;
         let out = loop {
             if left == 0 {
-                self.core.telem.on_fuel_exhausted(self.core.stats.steps);
                 break Ok(Outcome::OutOfFuel);
             }
-            if self.pending.is_none() && self.superinstructions {
+            if self.pending.is_none() {
                 if let Instr::Lets(ms) = &cache.units[self.unit as usize].instrs[self.pc as usize] {
                     let end = (ms.len() as u64).min(u64::from(self.sub) + left) as u32;
                     let mut sub = self.sub;
@@ -1299,11 +1278,7 @@ impl BcMachine {
                                 break;
                             }
                         }
-                        self.core.stats.peak_data_words = self
-                            .core
-                            .stats
-                            .peak_data_words
-                            .max(self.core.mem.data_words());
+                        self.core.sample_peak();
                         sub += 1;
                     }
                     if sub == ms.len() as u32 {
@@ -1321,69 +1296,44 @@ impl BcMachine {
             self.core.stats.steps += 1;
             left -= 1;
             match self.exec_with(&mut cache) {
-                Ok(true) => {
-                    self.core.stats.peak_data_words = self
-                        .core
-                        .stats
-                        .peak_data_words
-                        .max(self.core.mem.data_words());
-                }
-                Ok(false) => match self.core.halted {
-                    Some(n) => break Ok(Outcome::Halted(n)),
-                    None => {
-                        break Err(self.stuck("step ended without a term or a halt value".into()))
-                    }
-                },
+                Ok(true) => self.core.sample_peak(),
+                Ok(false) => break self.core.ended().map(Outcome::Halted),
                 Err(e) => break Err(e),
             }
         };
         self.cache = Some(cache);
-        match out {
-            Err(e) => {
-                if e.kind() == ErrorKind::OutOfMemory {
-                    let limit = self.core.mem.config().max_heap_words.unwrap_or(0);
-                    self.core.telem.on_oom(
-                        self.core.stats.steps,
-                        self.core.mem.data_words(),
-                        limit,
-                    );
-                }
-                Err(e)
-            }
-            ok => ok,
-        }
+        out
     }
 
-    fn stuck(&self, msg: String) -> LangError {
-        stuck_err(msg).in_context(format!("dialect {}", self.core.dialect))
-    }
-
-    fn ensure_compiled(&mut self) {
-        if self.cache.is_some() {
-            return;
+    /// Moves the code cache out of `self` for the duration of a step or a
+    /// fast run, compiling the program on first use: the dispatch body
+    /// borrows instructions from it freely while mutating registers, and
+    /// the sole strong reference means a fault-injection recompile extends
+    /// it in place instead of deep-cloning.
+    fn take_cache(&mut self) -> Arc<CodeCache> {
+        if let Some(cache) = self.cache.take() {
+            return cache;
         }
         let mut cache = CodeCache {
-            units: vec![compile_main(&self.main, self.superinstructions)],
+            units: vec![compile_main(&self.main)],
             by_def: HashMap::default(),
         };
         if let Some(cd) = self.core.mem.region(CD) {
             for (_, v) in cd.iter() {
                 if let Some(Value::Code(def)) = v.as_val() {
                     let u = cache.units.len() as u32;
-                    cache.units.push(compile_def(def, self.superinstructions));
+                    cache.units.push(compile_def(def));
                     cache.by_def.insert(Arc::as_ptr(def) as usize, u);
                 }
             }
         }
-        let (nv, nt, nr, na) = {
-            let u0 = &cache.units[0];
-            (u0.val_slots, u0.tag_slots, u0.rgn_slots, u0.alpha_slots)
-        };
-        self.cache = Some(Arc::new(cache));
+        let u0 = &cache.units[0];
+        let (nv, nt, nr, na) = (u0.val_slots, u0.tag_slots, u0.rgn_slots, u0.alpha_slots);
         self.unit = 0;
         self.pc = 0;
         self.sub = 0;
         self.grow_regs(nv, nt, nr, na);
+        Arc::new(cache)
     }
 
     fn grow_regs(&mut self, nv: u32, nt: u32, nr: u32, na: u32) {
@@ -1735,10 +1685,7 @@ impl BcMachine {
     }
 
     fn rname(&self, op: &RgnOp) -> Result<RegionName> {
-        match self.rrgn(op) {
-            Region::Name(nu) => Ok(nu),
-            Region::Var(r) => Err(self.stuck(format!("unsubstituted region variable {r}"))),
-        }
+        self.core.name(self.rrgn(op))
     }
 
     /// Reconstructs the environment at `scope` as a substitution, binding
@@ -1766,20 +1713,6 @@ impl BcMachine {
 
     /// Executes one rule. Returns `Ok(true)` to continue, `Ok(false)` when
     /// the machine halted this step.
-    /// Moves the code cache out of `self` for the duration of one step:
-    /// the dispatch body borrows instructions from it freely while mutating
-    /// registers, and the sole strong reference means a fault-injection
-    /// recompile extends it in place instead of deep-cloning.
-    fn exec_one(&mut self) -> Result<bool> {
-        let mut cache = match self.cache.take() {
-            Some(c) => c,
-            None => return Err(self.stuck("bytecode cache missing".into())),
-        };
-        let r = self.exec_with(&mut cache);
-        self.cache = Some(cache);
-        r
-    }
-
     fn exec_with(&mut self, cache: &mut Arc<CodeCache>) -> Result<bool> {
         if let Some(p) = self.pending.take() {
             return self.exec_pending(cache, p);
@@ -1803,79 +1736,53 @@ impl BcMachine {
                 args,
             } => {
                 let fv = self.rv(f);
-                match fv {
-                    Value::Addr(nu, loc) => {
-                        let code = match self.core.mem.get(nu, loc)? {
-                            Value::Code(def) => Arc::clone(def),
-                            other => {
-                                let msg = format!("application of non-code value {other:?}");
-                                return Err(self.stuck(msg));
-                            }
-                        };
-                        self.check_arity(&code, ts.len(), rgns.len(), args.len())?;
-                        // Operands land in scratch buffers reused across
-                        // calls, so the steady-state β-step is allocation
-                        // free.
-                        let mut rtags = std::mem::take(&mut self.scratch_tags);
-                        let mut rrgns = std::mem::take(&mut self.scratch_rgns);
-                        let mut rargs = std::mem::take(&mut self.scratch_args);
-                        rtags.clear();
-                        rrgns.clear();
-                        rargs.clear();
-                        rtags.extend(ts.iter().map(|tau| self.rtag_nf(tau)));
-                        rrgns.extend(rgns.iter().map(|r| self.rrgn(r)));
-                        for v in args.iter() {
-                            let id = self.rvid_opt(v);
-                            let rv = self.rv(v);
-                            rargs.push((rv, id));
-                        }
-                        self.enter_def(cache, &code, &mut rtags, &mut rrgns, &mut rargs);
-                        self.scratch_tags = rtags;
-                        self.scratch_rgns = rrgns;
-                        self.scratch_args = rargs;
-                        Ok(true)
+                if let Value::TagApp(inner, rec_tags, rec_rgns) = fv {
+                    // (vJ~τ;~ρK)[~τ][~ρ](~v) ⇒ v[~τ][~ρ](~v): spend one
+                    // step materializing the unfolded application, exactly
+                    // like the other backends.
+                    let mut out = Vec::with_capacity(args.len());
+                    for v in args.iter() {
+                        let id = self.rvid_opt(v);
+                        out.push((self.rv(v), id));
                     }
-                    Value::TagApp(inner, rec_tags, rec_rgns) => {
-                        // (vJ~τ;~ρK)[~τ][~ρ](~v) ⇒ v[~τ][~ρ](~v): spend one
-                        // step materializing the unfolded application,
-                        // exactly like the other backends.
-                        self.pending = Some(PendingApp {
-                            f: (*inner).clone(),
-                            tags: rec_tags,
-                            regions: rec_rgns,
-                            args: {
-                                let mut out = Vec::with_capacity(args.len());
-                                for v in args.iter() {
-                                    let id = self.rvid_opt(v);
-                                    out.push((self.rv(v), id));
-                                }
-                                out.into_boxed_slice()
-                            },
-                        });
-                        Ok(true)
-                    }
-                    other => Err(self.stuck(format!("application of non-code value {other:?}"))),
+                    self.pending = Some(PendingApp {
+                        f: (*inner).clone(),
+                        tags: rec_tags,
+                        regions: rec_rgns,
+                        args: out.into_boxed_slice(),
+                    });
+                    return Ok(true);
                 }
+                let code = self.core.callee(&fv, ts.len(), rgns.len(), args.len())?;
+                // Operands land in scratch buffers reused across calls, so
+                // the steady-state β-step is allocation free.
+                let mut rtags = std::mem::take(&mut self.scratch_tags);
+                let mut rrgns = std::mem::take(&mut self.scratch_rgns);
+                let mut rargs = std::mem::take(&mut self.scratch_args);
+                rtags.clear();
+                rrgns.clear();
+                rargs.clear();
+                rtags.extend(ts.iter().map(|tau| self.rtag_nf(tau)));
+                rrgns.extend(rgns.iter().map(|r| self.rrgn(r)));
+                for v in args.iter() {
+                    let id = self.rvid_opt(v);
+                    let rv = self.rv(v);
+                    rargs.push((rv, id));
+                }
+                self.enter_def(cache, &code, &mut rtags, &mut rrgns, &mut rargs);
+                self.scratch_tags = rtags;
+                self.scratch_rgns = rrgns;
+                self.scratch_args = rargs;
+                Ok(true)
             }
-            Instr::Halt(v) => match self.rv(v) {
-                Value::Int(n) => {
-                    self.core.halted = Some(n);
-                    self.core.telem.on_halt(n, self.core.stats.steps);
-                    Ok(false)
-                }
-                other => Err(self.stuck(format!("halt on non-integer value {other:?}"))),
-            },
+            Instr::Halt(v) => {
+                let v = self.rv(v);
+                self.core.halt(v)?;
+                Ok(false)
+            }
             Instr::IfGc { r, full, cont } => {
-                let nu = self.rname(r)?;
-                if self.core.mem.is_full(nu)? {
-                    self.core.stats.gc_triggers += 1;
-                    self.core
-                        .telem
-                        .on_gc_trigger(nu, &self.core.mem, self.core.stats.steps);
-                    self.pc = *full;
-                } else {
-                    self.pc = *cont;
-                }
+                let rho = self.rrgn(r);
+                self.pc = if self.core.ifgc(rho)? { *full } else { *cont };
                 Ok(true)
             }
             Instr::OpenTag { pkg, tdst, vdst } => match self.rv(pkg) {
@@ -1893,7 +1800,9 @@ impl BcMachine {
                     self.pc += 1;
                     Ok(true)
                 }
-                other => Err(self.stuck(format!("open(tag) on non-package {other:?}"))),
+                other => Err(self
+                    .core
+                    .stuck(format!("open(tag) on non-package {other:?}"))),
             },
             Instr::OpenAlpha { pkg, adst, vdst } => match self.rv(pkg) {
                 Value::PackAlpha { witness, val, .. } => {
@@ -1902,43 +1811,28 @@ impl BcMachine {
                     self.pc += 1;
                     Ok(true)
                 }
-                other => Err(self.stuck(format!("open(α) on non-package {other:?}"))),
+                other => Err(self.core.stuck(format!("open(α) on non-package {other:?}"))),
             },
             Instr::OpenRgn { pkg, rdst, vdst } => match self.rv(pkg) {
                 Value::PackRgn { witness, val, .. } => {
-                    let nu = match witness {
-                        Region::Name(nu) => nu,
-                        Region::Var(r) => {
-                            return Err(self.stuck(format!("unsubstituted region variable {r}")))
-                        }
-                    };
+                    let nu = self.core.name(witness)?;
                     self.rgn_regs[*rdst as usize] = Region::Name(nu);
                     self.set_val(*vdst, val.node().clone(), Some(val));
                     self.pc += 1;
                     Ok(true)
                 }
-                other => Err(self.stuck(format!("open(region) on non-package {other:?}"))),
+                other => Err(self
+                    .core
+                    .stuck(format!("open(region) on non-package {other:?}"))),
             },
             Instr::LetRegion { rdst } => {
-                let nu = self.core.mem.alloc_region();
-                self.core.stats.regions_created += 1;
-                self.core
-                    .telem
-                    .on_region_alloc(nu, &self.core.mem, self.core.stats.steps);
-                self.rgn_regs[*rdst as usize] = Region::Name(nu);
+                self.rgn_regs[*rdst as usize] = self.core.let_region();
                 self.pc += 1;
                 Ok(true)
             }
             Instr::Only { keep } => {
-                let mut names = Vec::with_capacity(keep.len());
-                for r in keep.iter() {
-                    names.push(self.rname(r)?);
-                }
-                let report = self.core.mem.only(&names);
-                self.core
-                    .telem
-                    .on_only(&report, &self.core.mem, self.core.stats.steps);
-                self.core.stats.record_reclaim(report);
+                let keep: Vec<Region> = keep.iter().map(|r| self.rrgn(r)).collect();
+                self.core.only(keep)?;
                 self.pc += 1;
                 Ok(true)
             }
@@ -1952,30 +1846,21 @@ impl BcMachine {
                 tedst,
                 exist_arm,
             } => {
-                self.core.stats.typecase_dispatches += 1;
                 let nf = self.rtag_nf(tag);
-                match nf {
-                    Tag::Int => {
-                        self.pc = *int_arm;
-                        Ok(true)
+                self.pc = match self.core.typecase(nf)? {
+                    TypecaseArm::Int => *int_arm,
+                    TypecaseArm::Arrow => *arrow_arm,
+                    TypecaseArm::Prod(a, b) => {
+                        self.tag_regs[*t1dst as usize] = a;
+                        self.tag_regs[*t2dst as usize] = b;
+                        *prod_arm
                     }
-                    Tag::Arrow(_) => {
-                        self.pc = *arrow_arm;
-                        Ok(true)
+                    TypecaseArm::Exist(f) => {
+                        self.tag_regs[*tedst as usize] = f;
+                        *exist_arm
                     }
-                    Tag::Prod(a, b) => {
-                        self.tag_regs[*t1dst as usize] = (*a).clone();
-                        self.tag_regs[*t2dst as usize] = (*b).clone();
-                        self.pc = *prod_arm;
-                        Ok(true)
-                    }
-                    Tag::Exist(t, body_tag) => {
-                        self.tag_regs[*tedst as usize] = Tag::Lam(t, body_tag);
-                        self.pc = *exist_arm;
-                        Ok(true)
-                    }
-                    other => Err(self.stuck(format!("typecase on non-constructor tag {other:?}"))),
-                }
+                };
+                Ok(true)
             }
             Instr::IfLeft {
                 dst,
@@ -1995,19 +1880,17 @@ impl BcMachine {
                         self.pc = *right;
                         Ok(true)
                     }
-                    other => Err(self.stuck(format!("ifleft on non-sum value {other:?}"))),
+                    other => Err(self
+                        .core
+                        .stuck(format!("ifleft on non-sum value {other:?}"))),
                 }
             }
-            Instr::Set { dst, src } => match self.rv(dst) {
-                Value::Addr(nu, loc) => {
-                    let v = self.rv(src);
-                    self.core.mem.set(nu, loc, v)?;
-                    self.core.stats.forwarding_installs += 1;
-                    self.pc += 1;
-                    Ok(true)
-                }
-                other => Err(self.stuck(format!("set on non-address {other:?}"))),
-            },
+            Instr::Set { dst, src } => {
+                let (dst, src) = (self.rv(dst), self.rv(src));
+                self.core.set(dst, src)?;
+                self.pc += 1;
+                Ok(true)
+            }
             Instr::Widen {
                 dst,
                 from,
@@ -2048,64 +1931,46 @@ impl BcMachine {
                     self.pc = *nonzero;
                     Ok(true)
                 }
-                other => Err(self.stuck(format!("if0 on non-integer {other:?}"))),
+                other => Err(self.core.stuck(format!("if0 on non-integer {other:?}"))),
             },
         }
     }
 
     /// Executes a materialized `TagApp` unfolding: a closed application,
     /// interpreted directly (no compilation — each unfolding is unique, so
-    /// caching it as a unit would never pay off).
+    /// caching it as a unit would never pay off). A failed application
+    /// leaves it pending.
     fn exec_pending(&mut self, cache: &mut Arc<CodeCache>, p: PendingApp) -> Result<bool> {
-        match p.f {
-            Value::Addr(nu, loc) => {
-                let code = match self.core.mem.get(nu, loc)? {
-                    Value::Code(def) => Arc::clone(def),
-                    other => {
-                        let msg = format!("application of non-code value {other:?}");
-                        return Err(self.stuck(msg));
-                    }
-                };
-                self.check_arity(&code, p.tags.len(), p.regions.len(), p.args.len())?;
-                let mut rtags = std::mem::take(&mut self.scratch_tags);
-                let mut rrgns = std::mem::take(&mut self.scratch_rgns);
-                rtags.clear();
-                rrgns.clear();
-                rtags.extend(p.tags.iter().map(tags::normalize));
-                rrgns.extend_from_slice(&p.regions);
-                let mut rargs: Vec<(Value, Option<ValId>)> = p.args.into_vec();
-                self.enter_def(cache, &code, &mut rtags, &mut rrgns, &mut rargs);
-                self.scratch_tags = rtags;
-                self.scratch_rgns = rrgns;
-                Ok(true)
-            }
-            Value::TagApp(inner, rec_tags, rec_rgns) => {
-                self.pending = Some(PendingApp {
-                    f: (*inner).clone(),
-                    tags: rec_tags,
-                    regions: rec_rgns,
-                    args: p.args,
-                });
-                Ok(true)
-            }
-            other => Err(self.stuck(format!("application of non-code value {other:?}"))),
+        if let Value::TagApp(inner, rec_tags, rec_rgns) = p.f {
+            self.pending = Some(PendingApp {
+                f: (*inner).clone(),
+                tags: rec_tags,
+                regions: rec_rgns,
+                args: p.args,
+            });
+            return Ok(true);
         }
-    }
-
-    fn check_arity(&self, code: &CodeDef, nt: usize, nr: usize, na: usize) -> Result<()> {
-        if code.tvars.len() != nt || code.rvars.len() != nr || code.params.len() != na {
-            return Err(self.stuck(format!(
-                "arity mismatch calling {}: expected [{}][{}]({}), got [{}][{}]({})",
-                code.name,
-                code.tvars.len(),
-                code.rvars.len(),
-                code.params.len(),
-                nt,
-                nr,
-                na
-            )));
-        }
-        Ok(())
+        let code = match self
+            .core
+            .callee(&p.f, p.tags.len(), p.regions.len(), p.args.len())
+        {
+            Ok(code) => code,
+            Err(e) => {
+                self.pending = Some(p);
+                return Err(e);
+            }
+        };
+        let mut rtags = std::mem::take(&mut self.scratch_tags);
+        let mut rrgns = std::mem::take(&mut self.scratch_rgns);
+        rtags.clear();
+        rrgns.clear();
+        rtags.extend(p.tags.iter().map(tags::normalize));
+        rrgns.extend_from_slice(&p.regions);
+        let mut rargs: Vec<(Value, Option<ValId>)> = p.args.into_vec();
+        self.enter_def(cache, &code, &mut rtags, &mut rrgns, &mut rargs);
+        self.scratch_tags = rtags;
+        self.scratch_rgns = rrgns;
+        Ok(true)
     }
 
     /// β-reduction: jump to the code block's unit with parameters written
@@ -2156,7 +2021,7 @@ impl BcMachine {
         if let Some(&u) = cache.by_def.get(&key) {
             return u;
         }
-        let unit = compile_def(def, self.superinstructions);
+        let unit = compile_def(def);
         let c = Arc::make_mut(cache);
         let u = c.units.len() as u32;
         c.units.push(unit);
@@ -2179,7 +2044,9 @@ impl BcMachine {
                             let id = if *i == 1 { *a } else { *b };
                             Ok((id.node().clone(), Some(id)))
                         }
-                        other => Err(self.stuck(format!("projection π{i} of non-pair {other:?}"))),
+                        other => Err(self
+                            .core
+                            .stuck(format!("projection π{i} of non-pair {other:?}"))),
                     };
                 }
                 match self.rv(v) {
@@ -2187,13 +2054,15 @@ impl BcMachine {
                         let id = if *i == 1 { a } else { b };
                         Ok((id.node().clone(), Some(id)))
                     }
-                    other => Err(self.stuck(format!("projection π{i} of non-pair {other:?}"))),
+                    other => Err(self
+                        .core
+                        .stuck(format!("projection π{i} of non-pair {other:?}"))),
                 }
             }
             MicroOp::Put(r, v) => {
                 let nu = self.rname(r)?;
                 let sv = self.rv_slot(v);
-                Ok((self.do_put(nu, sv)?, None))
+                Ok((self.core.put(nu, sv)?, None))
             }
             MicroOp::PutPair(r, a, b) => {
                 let nu = self.rname(r)?;
@@ -2204,19 +2073,23 @@ impl BcMachine {
                 } else {
                     SlotVal::Val(Value::Pair(self.rvid(a), self.rvid(b)))
                 };
-                Ok((self.do_put(nu, sv)?, None))
+                Ok((self.core.put(nu, sv)?, None))
             }
             MicroOp::Get(v) => match self.rv(v) {
                 Value::Addr(nu, loc) => Ok((self.core.mem.get(nu, loc)?.clone(), None)),
-                other => Err(self.stuck(format!("get of non-address {other:?}"))),
+                other => Err(self.core.stuck(format!("get of non-address {other:?}"))),
             },
             MicroOp::Strip(v) => match self.rv(v) {
                 Value::Inl(x) | Value::Inr(x) => Ok((x.node().clone(), Some(x))),
-                other => Err(self.stuck(format!("strip of untagged value {other:?}"))),
+                other => Err(self
+                    .core
+                    .stuck(format!("strip of untagged value {other:?}"))),
             },
             MicroOp::Prim(p, a, b) => match (self.rv(a), self.rv(b)) {
                 (Value::Int(x), Value::Int(y)) => Ok((Value::Int(p.apply(x, y)), None)),
-                (a, b) => Err(self.stuck(format!("primitive {p} on non-integers {a:?}, {b:?}"))),
+                (a, b) => Err(self
+                    .core
+                    .stuck(format!("primitive {p} on non-integers {a:?}, {b:?}"))),
             },
         }
     }
@@ -2282,19 +2155,6 @@ impl BcMachine {
             _ => LazyChild::thunk(self.inst_val(t)),
         }
     }
-
-    fn do_put(&mut self, nu: RegionName, sv: SlotVal) -> Result<Value> {
-        let rec = self.core.mem.put_slot_counted(nu, sv)?;
-        self.core.stats.allocations += 1;
-        self.core.stats.words_allocated += rec.words as u64;
-        if let Some(alloc) = rec.page {
-            self.core
-                .telem
-                .on_page_alloc(nu, alloc, self.core.stats.steps);
-        }
-        self.core.telem.on_put(nu, rec.words, self.core.stats.steps);
-        Ok(Value::Addr(nu, rec.loc))
-    }
 }
 
 impl HasCore for BcMachine {
@@ -2304,6 +2164,15 @@ impl HasCore for BcMachine {
 
     fn core_mut(&mut self) -> &mut Core {
         &mut self.core
+    }
+
+    /// One λGC reduction rule; a fused chain still steps through its
+    /// micro-ops one at a time.
+    fn reduce(&mut self) -> Result<bool> {
+        let mut cache = self.take_cache();
+        let r = self.exec_with(&mut cache);
+        self.cache = Some(cache);
+        r
     }
 }
 
@@ -2317,15 +2186,7 @@ impl Machine for BcMachine {
     /// or triaged.
     fn snapshot(&self) -> Snapshot {
         let Some((unit, src, scope)) = self.position() else {
-            return Snapshot::capture(
-                self.resolved_control(),
-                self.core.dialect,
-                self.core.mem.clone(),
-                self.core.stats.clone(),
-                self.core.halted,
-                self.core.ctl.faults.clone(),
-                self.core.telem.phase_state(),
-            );
+            return Snapshot::capture(&self.core, self.resolved_control());
         };
         // Innermost-first, mirroring the chain walk of `scope_subst`; the
         // closure rebinds outermost-first so shadowing resolves identically.
@@ -2342,26 +2203,18 @@ impl Machine for BcMachine {
             binds.push((n.sym, b));
             s = n.parent;
         }
-        Snapshot::capture_deferred(
-            move || {
-                let mut sub = Subst::new();
-                for (sym, b) in binds.iter().rev() {
-                    match b {
-                        SnapBind::Val(v) => sub.bind_val(*sym, v.clone()),
-                        SnapBind::Tag(t) => sub.bind_tag(*sym, t.clone()),
-                        SnapBind::Rgn(r) => sub.bind_rgn(*sym, *r),
-                        SnapBind::Alpha(a) => sub.bind_alpha(*sym, a.clone()),
-                    }
+        Snapshot::capture_deferred(&self.core, move || {
+            let mut sub = Subst::new();
+            for (sym, b) in binds.iter().rev() {
+                match b {
+                    SnapBind::Val(v) => sub.bind_val(*sym, v.clone()),
+                    SnapBind::Tag(t) => sub.bind_tag(*sym, t.clone()),
+                    SnapBind::Rgn(r) => sub.bind_rgn(*sym, *r),
+                    SnapBind::Alpha(a) => sub.bind_alpha(*sym, a.clone()),
                 }
-                sub.term(&src)
-            },
-            self.core.dialect,
-            self.core.mem.clone(),
-            self.core.stats.clone(),
-            self.core.halted,
-            self.core.ctl.faults.clone(),
-            self.core.telem.phase_state(),
-        )
+            }
+            sub.term(&src)
+        })
     }
 
     /// Restores a checkpoint captured by any backend. The snapshot's closed
@@ -2387,17 +2240,6 @@ impl Machine for BcMachine {
         Ok(())
     }
 
-    /// Enables or disables superinstruction fusion. Takes effect only
-    /// before the first step (the flag is baked into the compiled code);
-    /// later calls are ignored.
-    fn set_superinstructions(&mut self, on: bool) {
-        if self.core.stats.steps == 0 && self.superinstructions != on {
-            self.superinstructions = on;
-            self.cache = None;
-            self.ty_cache.clear();
-        }
-    }
-
     /// Disables (or re-enables) the lazy ids-or-thunks slot representation;
     /// with eager interning every `put` stores a fully-interned value.
     fn set_eager_intern(&mut self, on: bool) {
@@ -2419,33 +2261,6 @@ impl Machine for BcMachine {
         match self.position() {
             Some((unit, src, scope)) => self.scope_subst(unit, scope).term(&src),
             None => self.main.clone(),
-        }
-    }
-
-    /// One λGC reduction rule; a fused chain still steps through its
-    /// micro-ops one at a time.
-    fn step(&mut self) -> Result<StepOutcome> {
-        if let Some(n) = self.core.halted {
-            return Ok(StepOutcome::Halted(n));
-        }
-        self.ensure_compiled();
-        self.core.stats.steps += 1;
-        self.core
-            .telem
-            .on_step(self.core.stats.steps, &self.core.mem);
-        let continued = self.exec_one()?;
-        if continued {
-            self.core.stats.peak_data_words = self
-                .core
-                .stats
-                .peak_data_words
-                .max(self.core.mem.data_words());
-            Ok(StepOutcome::Continue)
-        } else {
-            match self.core.halted {
-                Some(n) => Ok(StepOutcome::Halted(n)),
-                None => Err(self.stuck("step ended without a term or a halt value".into())),
-            }
         }
     }
 
@@ -2479,16 +2294,15 @@ impl Machine for BcMachine {
 /// the main term, then one unit per code block in installation order.
 /// The output depends only on the program (and the interner's symbol
 /// names), not on any heap or machine state.
-pub fn disassemble(program: &Program, superinstructions: bool) -> String {
-    let mut units = vec![compile_main(&program.main, superinstructions)];
+pub fn disassemble(program: &Program) -> String {
+    let mut units = vec![compile_main(&program.main)];
     for def in &program.code {
-        units.push(compile_def(def, superinstructions));
+        units.push(compile_def(def));
     }
     let mut out = String::new();
     out.push_str(&format!(
-        ";; λGC bytecode — dialect {}, superinstructions {}\n;; {} unit(s)\n",
+        ";; λGC bytecode — dialect {}, superinstructions on\n;; {} unit(s)\n",
         program.dialect,
-        if superinstructions { "on" } else { "off" },
         units.len()
     ));
     for (i, u) in units.iter().enumerate() {
@@ -2704,7 +2518,7 @@ fn fmt_value(v: &Value) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::Backend;
+    use crate::machine::{Backend, StepOutcome};
     use crate::memory::GrowthPolicy;
     use crate::syntax::{Dialect, Kind};
 
@@ -2769,13 +2583,10 @@ mod tests {
                 body: intern_term(body),
             },
         };
-        for on in [true, false] {
-            let mut m = BcMachine::load(&program, MemConfig::default());
-            m.set_superinstructions(on);
-            assert_eq!(m.run(100).expect("runs"), Outcome::Halted(3));
-            assert_eq!(m.stats().steps, 7, "superinstructions {on}");
-            assert_eq!(m.stats().allocations, 1);
-        }
+        let mut m = BcMachine::load(&program, MemConfig::default());
+        assert_eq!(m.run(100).expect("runs"), Outcome::Halted(3));
+        assert_eq!(m.stats().steps, 7);
+        assert_eq!(m.stats().allocations, 1);
     }
 
     #[test]
@@ -2854,14 +2665,6 @@ mod tests {
     }
 
     #[test]
-    fn superinstruction_toggle_is_ignored_after_first_step() {
-        let mut m = BcMachine::load(&halt_program(1), MemConfig::default());
-        let _ = m.step().expect("steps");
-        m.set_superinstructions(false);
-        assert!(m.superinstructions, "toggle after first step is a no-op");
-    }
-
-    #[test]
     fn disassembly_is_deterministic_and_mentions_superinstructions() {
         let (r, p, q) = (sym("r"), sym("p"), sym("q"));
         let body = Term::let_(
@@ -2877,14 +2680,11 @@ mod tests {
                 body: intern_term(body),
             },
         };
-        let on = disassemble(&program, true);
-        assert_eq!(on, disassemble(&program, true));
+        let on = disassemble(&program);
+        assert_eq!(on, disassemble(&program));
         assert!(on.contains("superinstructions on"), "{on}");
         assert!(on.contains("put-pair[r0]"), "{on}");
         assert!(on.contains("let-region -> r0"), "{on}");
-        let off = disassemble(&program, false);
-        assert!(off.contains("superinstructions off"), "{off}");
-        assert!(!off.contains("put-pair"), "{off}");
     }
 
     #[test]

@@ -41,10 +41,10 @@
 
 use std::sync::Arc;
 
-use crate::error::{stuck_err, LangError, Result};
+use crate::error::Result;
 use crate::intern::{intern_term, LazyChild, SlotVal, TermId, ValId};
 use crate::machine::sealed::{Core, HasCore};
-use crate::machine::{widen_psi, Machine, Program, StepOutcome};
+use crate::machine::{widen_psi, Machine, Program, TypecaseArm};
 use crate::memory::MemConfig;
 use crate::snapshot::Snapshot;
 use crate::subst::Subst;
@@ -92,49 +92,33 @@ impl EnvMachine {
         }
     }
 
-    fn stuck(&self, msg: String) -> LangError {
-        stuck_err(msg).in_context(format!("dialect {}", self.core.dialect))
-    }
-
     /// Resolves a region against the environment down to a concrete name.
     fn resolve_name(&self, rho: &Region) -> Result<RegionName> {
-        match self.env.region(rho) {
-            Region::Name(nu) => Ok(nu),
-            Region::Var(r) => Err(self.stuck(format!("unsubstituted region variable {r}"))),
-        }
+        self.core.name(self.env.region(rho))
     }
 
     fn step_term(&mut self, term: &Term) -> Result<Option<Ctrl>> {
-        match term {
+        let next = match term {
             Term::App {
                 f,
                 tags: ts,
                 regions,
                 args,
-            } => self.step_app(f, ts, regions, args).map(Some),
+            } => return self.step_app(f, ts, regions, args).map(Some),
             Term::Let { x, op, body } => {
                 let v = self.eval_op(op)?;
                 self.env.bind_val(*x, v);
-                Ok(Some(Ctrl::Term(*body)))
+                body
             }
-            Term::Halt(v) => match self.env.value(v) {
-                Value::Int(n) => {
-                    self.core.halted = Some(n);
-                    self.core.telem.on_halt(n, self.core.stats.steps);
-                    Ok(None)
-                }
-                other => Err(self.stuck(format!("halt on non-integer value {other:?}"))),
-            },
+            Term::Halt(v) => {
+                self.core.halt(self.env.value(v))?;
+                return Ok(None);
+            }
             Term::IfGc { rho, full, cont } => {
-                let nu = self.resolve_name(rho)?;
-                if self.core.mem.is_full(nu)? {
-                    self.core.stats.gc_triggers += 1;
-                    self.core
-                        .telem
-                        .on_gc_trigger(nu, &self.core.mem, self.core.stats.steps);
-                    Ok(Some(Ctrl::Term(*full)))
+                if self.core.ifgc(self.env.region(rho))? {
+                    full
                 } else {
-                    Ok(Some(Ctrl::Term(*cont)))
+                    cont
                 }
             }
             Term::OpenTag { pkg, tvar, x, body } => match self.env.value(pkg) {
@@ -143,104 +127,86 @@ impl EnvMachine {
                     let nf = tags::normalize(&tag);
                     self.env.bind_tag(*tvar, nf);
                     self.env.bind_val(*x, (*val).clone());
-                    Ok(Some(Ctrl::Term(*body)))
+                    body
                 }
-                other => Err(self.stuck(format!("open(tag) on non-package {other:?}"))),
+                other => {
+                    return Err(self
+                        .core
+                        .stuck(format!("open(tag) on non-package {other:?}")))
+                }
             },
             Term::OpenAlpha { pkg, avar, x, body } => match self.env.value(pkg) {
                 Value::PackAlpha { witness, val, .. } => {
                     self.env.bind_alpha(*avar, witness);
                     self.env.bind_val(*x, (*val).clone());
-                    Ok(Some(Ctrl::Term(*body)))
+                    body
                 }
-                other => Err(self.stuck(format!("open(α) on non-package {other:?}"))),
+                other => return Err(self.core.stuck(format!("open(α) on non-package {other:?}"))),
             },
             Term::OpenRgn { pkg, rvar, x, body } => match self.env.value(pkg) {
                 Value::PackRgn { witness, val, .. } => {
-                    let nu = match witness {
-                        Region::Name(nu) => nu,
-                        Region::Var(r) => {
-                            return Err(self.stuck(format!("unsubstituted region variable {r}")))
-                        }
-                    };
+                    let nu = self.core.name(witness)?;
                     self.env.bind_rgn(*rvar, Region::Name(nu));
                     self.env.bind_val(*x, (*val).clone());
-                    Ok(Some(Ctrl::Term(*body)))
+                    body
                 }
-                other => Err(self.stuck(format!("open(region) on non-package {other:?}"))),
+                other => {
+                    return Err(self
+                        .core
+                        .stuck(format!("open(region) on non-package {other:?}")))
+                }
             },
             Term::LetRegion { rvar, body } => {
-                let nu = self.core.mem.alloc_region();
-                self.core.stats.regions_created += 1;
-                self.core
-                    .telem
-                    .on_region_alloc(nu, &self.core.mem, self.core.stats.steps);
-                self.env.bind_rgn(*rvar, Region::Name(nu));
-                Ok(Some(Ctrl::Term(*body)))
+                let rho = self.core.let_region();
+                self.env.bind_rgn(*rvar, rho);
+                body
             }
             Term::Only { regions, body } => {
-                let mut keep = Vec::with_capacity(regions.len());
-                for r in regions {
-                    keep.push(self.resolve_name(r)?);
-                }
-                let report = self.core.mem.only(&keep);
-                self.core
-                    .telem
-                    .on_only(&report, &self.core.mem, self.core.stats.steps);
-                self.core.stats.record_reclaim(report);
-                Ok(Some(Ctrl::Term(*body)))
+                self.core.only(regions.iter().map(|r| self.env.region(r)))?;
+                body
             }
             Term::Typecase {
                 tag,
                 int_arm,
                 arrow_arm,
-                prod_arm,
-                exist_arm,
-            } => {
-                self.core.stats.typecase_dispatches += 1;
-                let nf = tags::normalize(&self.env.tag(tag));
-                match nf {
-                    Tag::Int => Ok(Some(Ctrl::Term(*int_arm))),
-                    Tag::Arrow(_) => Ok(Some(Ctrl::Term(*arrow_arm))),
-                    Tag::Prod(a, b) => {
-                        let (t1, t2, body) = prod_arm;
-                        self.env.bind_tag(*t1, (*a).clone());
-                        self.env.bind_tag(*t2, (*b).clone());
-                        Ok(Some(Ctrl::Term(*body)))
-                    }
-                    Tag::Exist(t, body_tag) => {
-                        let (te, body) = exist_arm;
-                        self.env.bind_tag(*te, Tag::Lam(t, body_tag));
-                        Ok(Some(Ctrl::Term(*body)))
-                    }
-                    other => Err(self.stuck(format!("typecase on non-constructor tag {other:?}"))),
+                prod_arm: (t1, t2, prod_body),
+                exist_arm: (te, exist_body),
+            } => match self.core.typecase(tags::normalize(&self.env.tag(tag)))? {
+                TypecaseArm::Int => int_arm,
+                TypecaseArm::Arrow => arrow_arm,
+                TypecaseArm::Prod(a, b) => {
+                    self.env.bind_tag(*t1, a);
+                    self.env.bind_tag(*t2, b);
+                    prod_body
                 }
-            }
+                TypecaseArm::Exist(f) => {
+                    self.env.bind_tag(*te, f);
+                    exist_body
+                }
+            },
             Term::IfLeft {
                 x,
                 scrut,
                 left,
                 right,
-            } => match self.env.value(scrut) {
-                v @ Value::Inl(_) => {
-                    self.env.bind_val(*x, v);
-                    Ok(Some(Ctrl::Term(*left)))
-                }
-                v @ Value::Inr(_) => {
-                    self.env.bind_val(*x, v);
-                    Ok(Some(Ctrl::Term(*right)))
-                }
-                other => Err(self.stuck(format!("ifleft on non-sum value {other:?}"))),
-            },
-            Term::Set { dst, src, body } => match self.env.value(dst) {
-                Value::Addr(nu, loc) => {
-                    let v = self.env.value(src);
-                    self.core.mem.set(nu, loc, v)?;
-                    self.core.stats.forwarding_installs += 1;
-                    Ok(Some(Ctrl::Term(*body)))
-                }
-                other => Err(self.stuck(format!("set on non-address {other:?}"))),
-            },
+            } => {
+                let v = self.env.value(scrut);
+                let arm = match v {
+                    Value::Inl(_) => left,
+                    Value::Inr(_) => right,
+                    other => {
+                        return Err(self
+                            .core
+                            .stuck(format!("ifleft on non-sum value {other:?}")))
+                    }
+                };
+                self.env.bind_val(*x, v);
+                arm
+            }
+            Term::Set { dst, src, body } => {
+                self.core.set(self.env.value(dst), self.env.value(src))?;
+                body
+            }
             Term::Widen {
                 x,
                 from,
@@ -259,15 +225,13 @@ impl EnvMachine {
                     widen_psi(&mut self.core.mem, &rv, &nf, from, to)?;
                 }
                 self.env.bind_val(*x, rv);
-                Ok(Some(Ctrl::Term(*body)))
+                body
             }
             Term::IfReg { r1, r2, eq, ne } => {
-                let n1 = self.resolve_name(r1)?;
-                let n2 = self.resolve_name(r2)?;
-                if n1 == n2 {
-                    Ok(Some(Ctrl::Term(*eq)))
+                if self.resolve_name(r1)? == self.resolve_name(r2)? {
+                    eq
                 } else {
-                    Ok(Some(Ctrl::Term(*ne)))
+                    ne
                 }
             }
             Term::If0 {
@@ -275,11 +239,12 @@ impl EnvMachine {
                 zero,
                 nonzero,
             } => match self.env.value(scrut) {
-                Value::Int(0) => Ok(Some(Ctrl::Term(*zero))),
-                Value::Int(_) => Ok(Some(Ctrl::Term(*nonzero))),
-                other => Err(self.stuck(format!("if0 on non-integer {other:?}"))),
+                Value::Int(0) => zero,
+                Value::Int(_) => nonzero,
+                other => return Err(self.core.stuck(format!("if0 on non-integer {other:?}"))),
             },
-        }
+        };
+        Ok(Some(Ctrl::Term(*next)))
     }
 
     fn step_app(
@@ -289,70 +254,44 @@ impl EnvMachine {
         regions: &[Region],
         args: &[Value],
     ) -> Result<Ctrl> {
-        match self.env.value(f) {
-            Value::Addr(nu, loc) => {
-                let code = match self.core.mem.get(nu, loc)? {
-                    Value::Code(def) => Arc::clone(def),
-                    other => {
-                        let msg = format!("application of non-code value {other:?}");
-                        return Err(self.stuck(msg));
-                    }
-                };
-                if code.tvars.len() != ts.len()
-                    || code.rvars.len() != regions.len()
-                    || code.params.len() != args.len()
-                {
-                    return Err(self.stuck(format!(
-                        "arity mismatch calling {}: expected [{}][{}]({}), got [{}][{}]({})",
-                        code.name,
-                        code.tvars.len(),
-                        code.rvars.len(),
-                        code.params.len(),
-                        ts.len(),
-                        regions.len(),
-                        args.len()
-                    )));
-                }
-                // Resolve every argument against the caller's environment
-                // *before* clearing it — the callee's frame starts from the
-                // empty environment because code blocks are closed.
-                // Fig. 5's first rule normalizes tag arguments at the β step.
-                let rtags: Vec<Tag> = ts
-                    .iter()
-                    .map(|tau| tags::normalize(&self.env.tag(tau)))
-                    .collect();
-                let rrgns: Vec<Region> = regions.iter().map(|r| self.env.region(r)).collect();
-                let rargs: Vec<Value> = args.iter().map(|v| self.env.value(v)).collect();
-                self.env.clear();
-                for ((t, _), tau) in code.tvars.iter().zip(rtags) {
-                    self.env.bind_tag(*t, tau);
-                }
-                for (r, rho) in code.rvars.iter().zip(rrgns) {
-                    self.env.bind_rgn(*r, rho);
-                }
-                for ((x, _), v) in code.params.iter().zip(rargs) {
-                    self.env.bind_val(*x, v);
-                }
-                Ok(Ctrl::Body(code))
-            }
-            Value::TagApp(inner, rec_tags, rec_rgns) => {
-                // (vJ~τ;~ρK)[~τ][~ρ](~v) ⇒ v[~τ][~ρ](~v), one step, exactly
-                // like the substitution machine (which also spends a step
-                // materializing the unfolded application). The recorded
-                // tags/regions are already resolved — they were part of a
-                // resolved value — and the args are resolved here, so the
-                // materialized term is closed and re-resolution on the next
-                // step is the identity.
-                let _ = regions;
-                Ok(Ctrl::Term(intern_term(Term::App {
-                    f: (*inner).clone(),
-                    tags: rec_tags.iter().cloned().collect(),
-                    regions: rec_rgns.to_vec(),
-                    args: args.iter().map(|v| self.env.value(v)).collect(),
-                })))
-            }
-            other => Err(self.stuck(format!("application of non-code value {other:?}"))),
+        let f = self.env.value(f);
+        if let Value::TagApp(inner, rec_tags, rec_rgns) = f {
+            // (vJ~τ;~ρK)[~τ][~ρ](~v) ⇒ v[~τ][~ρ](~v), one step, exactly
+            // like the substitution machine (which also spends a step
+            // materializing the unfolded application). The recorded
+            // tags/regions are already resolved — they were part of a
+            // resolved value — and the args are resolved here, so the
+            // materialized term is closed and re-resolution on the next
+            // step is the identity.
+            return Ok(Ctrl::Term(intern_term(Term::App {
+                f: (*inner).clone(),
+                tags: rec_tags.iter().cloned().collect(),
+                regions: rec_rgns.to_vec(),
+                args: args.iter().map(|v| self.env.value(v)).collect(),
+            })));
         }
+        let code = self.core.callee(&f, ts.len(), regions.len(), args.len())?;
+        // Resolve every argument against the caller's environment
+        // *before* clearing it — the callee's frame starts from the
+        // empty environment because code blocks are closed.
+        // Fig. 5's first rule normalizes tag arguments at the β step.
+        let rtags: Vec<Tag> = ts
+            .iter()
+            .map(|tau| tags::normalize(&self.env.tag(tau)))
+            .collect();
+        let rrgns: Vec<Region> = regions.iter().map(|r| self.env.region(r)).collect();
+        let rargs: Vec<Value> = args.iter().map(|v| self.env.value(v)).collect();
+        self.env.clear();
+        for ((t, _), tau) in code.tvars.iter().zip(rtags) {
+            self.env.bind_tag(*t, tau);
+        }
+        for (r, rho) in code.rvars.iter().zip(rrgns) {
+            self.env.bind_rgn(*r, rho);
+        }
+        for ((x, _), v) in code.params.iter().zip(rargs) {
+            self.env.bind_val(*x, v);
+        }
+        Ok(Ctrl::Body(code))
     }
 
     /// Closes one child of a `put` payload for the lazy slot path: when the
@@ -371,7 +310,9 @@ impl EnvMachine {
             Op::Val(v) => Ok(self.env.value(v)),
             Op::Proj(i, v) => match self.env.value(v) {
                 Value::Pair(a, b) => Ok(if *i == 1 { (*a).clone() } else { (*b).clone() }),
-                other => Err(self.stuck(format!("projection π{i} of non-pair {other:?}"))),
+                other => Err(self
+                    .core
+                    .stuck(format!("projection π{i} of non-pair {other:?}"))),
             },
             Op::Put(rho, v) => {
                 let nu = self.resolve_name(rho)?;
@@ -387,28 +328,23 @@ impl EnvMachine {
                 } else {
                     SlotVal::Val(self.env.value(v))
                 };
-                let rec = self.core.mem.put_slot_counted(nu, sv)?;
-                self.core.stats.allocations += 1;
-                self.core.stats.words_allocated += rec.words as u64;
-                if let Some(alloc) = rec.page {
-                    self.core
-                        .telem
-                        .on_page_alloc(nu, alloc, self.core.stats.steps);
-                }
-                self.core.telem.on_put(nu, rec.words, self.core.stats.steps);
-                Ok(Value::Addr(nu, rec.loc))
+                self.core.put(nu, sv)
             }
             Op::Get(v) => match self.env.value(v) {
                 Value::Addr(nu, loc) => Ok(self.core.mem.get(nu, loc)?.clone()),
-                other => Err(self.stuck(format!("get of non-address {other:?}"))),
+                other => Err(self.core.stuck(format!("get of non-address {other:?}"))),
             },
             Op::Strip(v) => match self.env.value(v) {
                 Value::Inl(x) | Value::Inr(x) => Ok((*x).clone()),
-                other => Err(self.stuck(format!("strip of untagged value {other:?}"))),
+                other => Err(self
+                    .core
+                    .stuck(format!("strip of untagged value {other:?}"))),
             },
             Op::Prim(p, a, b) => match (self.env.value(a), self.env.value(b)) {
                 (Value::Int(x), Value::Int(y)) => Ok(Value::Int(p.apply(x, y))),
-                (a, b) => Err(self.stuck(format!("primitive {p} on non-integers {a:?}, {b:?}"))),
+                (a, b) => Err(self
+                    .core
+                    .stuck(format!("primitive {p} on non-integers {a:?}, {b:?}"))),
             },
         }
     }
@@ -422,6 +358,19 @@ impl HasCore for EnvMachine {
     fn core_mut(&mut self) -> &mut Core {
         &mut self.core
     }
+
+    fn reduce(&mut self) -> Result<bool> {
+        // Cheap handle clone so `self` stays free for mutation while the
+        // current term is being matched.
+        let ctrl = self.control.clone();
+        match self.step_term(ctrl.term())? {
+            Some(next) => {
+                self.control = next;
+                Ok(true)
+            }
+            None => Ok(false),
+        }
+    }
 }
 
 impl Machine for EnvMachine {
@@ -433,15 +382,7 @@ impl Machine for EnvMachine {
     fn snapshot(&self) -> Snapshot {
         let env = self.env.clone();
         let control = self.control.clone();
-        Snapshot::capture_deferred(
-            move || env.term(control.term()),
-            self.core.dialect,
-            self.core.mem.clone(),
-            self.core.stats.clone(),
-            self.core.halted,
-            self.core.ctl.faults.clone(),
-            self.core.telem.phase_state(),
-        )
+        Snapshot::capture_deferred(&self.core, move || env.term(control.term()))
     }
 
     /// Restores a checkpoint captured by any backend. The snapshot's
@@ -466,40 +407,12 @@ impl Machine for EnvMachine {
     fn resolved_control(&self) -> Term {
         self.env.term(self.control.term())
     }
-
-    fn step(&mut self) -> Result<StepOutcome> {
-        if let Some(n) = self.core.halted {
-            return Ok(StepOutcome::Halted(n));
-        }
-        self.core.stats.steps += 1;
-        self.core
-            .telem
-            .on_step(self.core.stats.steps, &self.core.mem);
-        // Cheap handle clone so `self` stays free for mutation while the
-        // current term is being matched.
-        let ctrl = self.control.clone();
-        match self.step_term(ctrl.term())? {
-            Some(next) => {
-                self.control = next;
-                self.core.stats.peak_data_words = self
-                    .core
-                    .stats
-                    .peak_data_words
-                    .max(self.core.mem.data_words());
-                Ok(StepOutcome::Continue)
-            }
-            None => match self.core.halted {
-                Some(n) => Ok(StepOutcome::Halted(n)),
-                None => Err(self.stuck("step ended without a term or a halt value".into())),
-            },
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::{Outcome, SubstMachine};
+    use crate::machine::{Outcome, StepOutcome, SubstMachine};
     use crate::memory::GrowthPolicy;
     use crate::syntax::{Dialect, Op, PrimOp, CD};
     use ps_ir::Symbol;

@@ -33,7 +33,7 @@
 //!   [`machine::Backend`];
 //! * [`bytecode`] — a register-based bytecode VM for the same semantics:
 //!   interned programs compiled once to a flat instruction stream with
-//!   compile-time slot resolution and optional superinstructions; the
+//!   compile-time slot resolution and fused superinstructions; the
 //!   third [`machine::Backend`], observationally identical to the other
 //!   two;
 //! * [`wf`] — machine-state well-formedness (`⊢ (M,e)`, Fig. 7), the

@@ -15,10 +15,11 @@ use std::time::{Duration, Instant};
 
 use crate::error::{dialect_err, stuck_err, ErrorKind, LangError, Result};
 use crate::faults::FaultPlan;
+use crate::intern::SlotVal;
 use crate::memory::{MemConfig, Memory, ReclaimReport};
 use crate::snapshot::{SnapRing, Snapshot};
 use crate::subst::Subst;
-use crate::syntax::{Dialect, Op, Region, RegionName, Tag, Term, Ty, Value};
+use crate::syntax::{CodeDef, Dialect, Op, Region, RegionName, Tag, Term, Ty, Value};
 use crate::tags;
 use crate::telemetry::{SharedObserver, Telemetry};
 use sealed::{Core, HasCore};
@@ -47,7 +48,7 @@ pub const MAX_RECLAIM_EVENTS: usize = 1024;
 /// Statistics collected while running.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Stats {
-    /// SubstMachine steps taken.
+    /// Machine steps taken (one per reduction rule).
     pub steps: u64,
     /// Number of `put` allocations.
     pub allocations: u64,
@@ -78,8 +79,8 @@ pub struct Stats {
 impl Stats {
     /// Folds an `only` report into the statistics: counts it as a
     /// collection if it dropped anything, updates the aggregate counters,
-    /// and appends to the bounded event log. Shared by both interpreter
-    /// backends so their `Stats` stay bit-for-bit identical.
+    /// and appends to the bounded event log. Called only by
+    /// `Core::only`, so every backend's `Stats` stay bit-for-bit identical.
     pub(crate) fn record_reclaim(&mut self, report: ReclaimReport) {
         if report.dropped.is_empty() {
             return;
@@ -122,9 +123,9 @@ impl std::fmt::Display for Stats {
 ///   is the paper-faithful oracle.
 /// * [`Backend::Env`] — the environment machine
 ///   ([`crate::env_machine::EnvMachine`]): terms run against a
-///   value/tag/region environment, continuations are shared via `Rc`,
-///   and variables are resolved lazily at use sites. O(1) per step
-///   modulo value size.
+///   value/tag/region environment, the control is an interned term handle
+///   (or a code block's shared `Arc<CodeDef>`), and variables are resolved
+///   lazily at use sites. O(1) per step modulo value size.
 /// * [`Backend::Bytecode`] — the register-based bytecode VM
 ///   ([`crate::bytecode::BcMachine`]): terms are compiled once to a flat
 ///   instruction stream with variable occurrences resolved to register
@@ -314,18 +315,32 @@ impl RunControl {
     }
 }
 
+/// The arm a `typecase` dispatch selects, with the tags its binders get.
+pub(crate) enum TypecaseArm {
+    Int,
+    Arrow,
+    /// `τ₁ × τ₂`: the product arm binds `t₁ := τ₁` and `t₂ := τ₂`.
+    Prod(Tag, Tag),
+    /// `∃t.τ`: the existential arm binds `tₑ := λt.τ`.
+    Exist(Tag),
+}
+
 pub(crate) mod sealed {
     use std::sync::Arc;
 
     use super::{
-        dialect_err, Dialect, MemConfig, Memory, Program, Result, RunControl, Snapshot, Stats,
-        Telemetry, Value,
+        dialect_err, stuck_err, CodeDef, Dialect, LangError, MemConfig, Memory, Program, Region,
+        RegionName, Result, RunControl, SlotVal, Snapshot, Stats, Tag, Telemetry, TypecaseArm,
+        Value,
     };
 
-    /// The state every backend keeps in the same shape and the provided
-    /// [`super::Machine`] methods and the run loop work on. (`pub` only
-    /// because the sealed trait's signature names it; it cannot be named
-    /// outside this crate.)
+    /// The state every backend keeps in the same shape, and the effect half
+    /// of every Fig. 5 rule: its memory call, its [`Stats`] counter, its
+    /// telemetry hook and its stuck message. A backend resolves a rule's
+    /// operands against its own state and decides where control goes next;
+    /// what the rule *does* is written here once. (`pub` only because the
+    /// sealed trait's signature names it; it cannot be named outside this
+    /// crate.)
     #[derive(Clone, Debug)]
     pub struct Core {
         pub(crate) mem: Memory,
@@ -374,14 +389,160 @@ pub(crate) mod sealed {
             self.telem.restore_phase(snap.telemetry_phase());
             Ok(())
         }
+
+        /// A stuck-state error, in the context of the machine's dialect.
+        pub(crate) fn stuck(&self, msg: String) -> LangError {
+            stuck_err(msg).in_context(format!("dialect {}", self.dialect))
+        }
+
+        /// The name of a resolved region operand; stuck on a region
+        /// variable nothing bound.
+        pub(crate) fn name(&self, rho: Region) -> Result<RegionName> {
+            match rho {
+                Region::Name(nu) => Ok(nu),
+                Region::Var(r) => Err(self.stuck(format!("unsubstituted region variable {r}"))),
+            }
+        }
+
+        /// Folds the current data-region size into the peak, after every
+        /// step that did not halt.
+        #[inline]
+        pub(crate) fn sample_peak(&mut self) {
+            self.stats.peak_data_words = self.stats.peak_data_words.max(self.mem.data_words());
+        }
+
+        /// The halt value once a step ended the control.
+        pub(crate) fn ended(&self) -> Result<i64> {
+            self.halted
+                .ok_or_else(|| self.stuck("step ended without a term or a halt value".into()))
+        }
+
+        /// `halt v`: the machine stops with the integer `v`.
+        pub(crate) fn halt(&mut self, v: Value) -> Result<()> {
+            match v {
+                Value::Int(n) => {
+                    self.halted = Some(n);
+                    self.telem.on_halt(n, self.stats.steps);
+                    Ok(())
+                }
+                other => Err(self.stuck(format!("halt on non-integer value {other:?}"))),
+            }
+        }
+
+        /// `ifgc ρ`: whether region `ρ` is full, counted as a collection
+        /// trigger when it is.
+        pub(crate) fn ifgc(&mut self, rho: Region) -> Result<bool> {
+            let nu = self.name(rho)?;
+            let full = self.mem.is_full(nu)?;
+            if full {
+                self.stats.gc_triggers += 1;
+                self.telem.on_gc_trigger(nu, &self.mem, self.stats.steps);
+            }
+            Ok(full)
+        }
+
+        /// `let region r`: the fresh region `r` names.
+        pub(crate) fn let_region(&mut self) -> Region {
+            let nu = self.mem.alloc_region();
+            self.stats.regions_created += 1;
+            self.telem.on_region_alloc(nu, &self.mem, self.stats.steps);
+            Region::Name(nu)
+        }
+
+        /// `only ∆`: reclaims every data region outside `keep`.
+        pub(crate) fn only(&mut self, keep: impl IntoIterator<Item = Region>) -> Result<()> {
+            let keep = keep
+                .into_iter()
+                .map(|rho| self.name(rho))
+                .collect::<Result<Vec<_>>>()?;
+            let report = self.mem.only(&keep);
+            self.telem.on_only(&report, &self.mem, self.stats.steps);
+            self.stats.record_reclaim(report);
+            Ok(())
+        }
+
+        /// `put[ν] v`: stores `sv` in region `nu`, returning its address.
+        pub(crate) fn put(&mut self, nu: RegionName, sv: SlotVal) -> Result<Value> {
+            let rec = self.mem.put_slot_counted(nu, sv)?;
+            self.stats.allocations += 1;
+            self.stats.words_allocated += rec.words as u64;
+            if let Some(alloc) = rec.page {
+                self.telem.on_page_alloc(nu, alloc, self.stats.steps);
+            }
+            self.telem.on_put(nu, rec.words, self.stats.steps);
+            Ok(Value::Addr(nu, rec.loc))
+        }
+
+        /// `set v₁ := v₂`: overwrites the object at address `dst` (a
+        /// forwarding-pointer install).
+        pub(crate) fn set(&mut self, dst: Value, src: Value) -> Result<()> {
+            match dst {
+                Value::Addr(nu, loc) => {
+                    self.mem.set(nu, loc, src)?;
+                    self.stats.forwarding_installs += 1;
+                    Ok(())
+                }
+                other => Err(self.stuck(format!("set on non-address {other:?}"))),
+            }
+        }
+
+        /// `typecase τ`: the arm the normal tag `nf` selects.
+        pub(crate) fn typecase(&mut self, nf: Tag) -> Result<TypecaseArm> {
+            self.stats.typecase_dispatches += 1;
+            match nf {
+                Tag::Int => Ok(TypecaseArm::Int),
+                Tag::Arrow(_) => Ok(TypecaseArm::Arrow),
+                Tag::Prod(a, b) => Ok(TypecaseArm::Prod(a.node().clone(), b.node().clone())),
+                Tag::Exist(t, body) => Ok(TypecaseArm::Exist(Tag::Lam(t, body))),
+                other => Err(self.stuck(format!("typecase on non-constructor tag {other:?}"))),
+            }
+        }
+
+        /// The code block `f[~τ][~ρ](~v)` enters, for an `f` that is not a
+        /// tag application: `f` must address code taking `nt` tags, `nr`
+        /// regions and `na` values.
+        pub(crate) fn callee(
+            &mut self,
+            f: &Value,
+            nt: usize,
+            nr: usize,
+            na: usize,
+        ) -> Result<Arc<CodeDef>> {
+            let target = match f {
+                Value::Addr(nu, loc) => self.mem.get(*nu, *loc)?,
+                other => other,
+            };
+            let code = match (f, target) {
+                (Value::Addr(..), Value::Code(def)) => Arc::clone(def),
+                (_, other) => {
+                    let msg = format!("application of non-code value {other:?}");
+                    return Err(self.stuck(msg));
+                }
+            };
+            if code.tvars.len() != nt || code.rvars.len() != nr || code.params.len() != na {
+                return Err(self.stuck(format!(
+                    "arity mismatch calling {}: expected [{}][{}]({}), got [{nt}][{nr}]({na})",
+                    code.name,
+                    code.tvars.len(),
+                    code.rvars.len(),
+                    code.params.len(),
+                )));
+            }
+            Ok(code)
+        }
     }
 
     /// Gives the provided [`super::Machine`] methods the backend's
-    /// [`Core`]; implemented by the three backends only, so `Machine`
-    /// cannot be implemented outside this crate.
+    /// [`Core`] and its one reduction step; implemented by the three
+    /// backends only, so `Machine` cannot be implemented outside this
+    /// crate.
     pub trait HasCore {
         fn core(&self) -> &Core;
         fn core_mut(&mut self) -> &mut Core;
+        /// Reduces the control by one rule, its effects applied through the
+        /// [`Core`]: `Ok(false)` when the control ended (`halt`). A failed
+        /// reduction leaves the control as it was.
+        fn reduce(&mut self) -> Result<bool>;
     }
 }
 
@@ -435,10 +596,6 @@ pub trait Machine: sealed::HasCore {
     /// under a different dialect.
     fn restore(&mut self, snap: &Snapshot) -> Result<()>;
 
-    /// Toggles superinstruction fusion (bytecode backend only; the other
-    /// backends ignore this). Must be called before the first step.
-    fn set_superinstructions(&mut self, _on: bool) {}
-
     /// Forces eager interning of every heap slot at `put` time, disabling
     /// the lazy ids-or-thunks representation. The substitution oracle
     /// ignores this: its values are interned by construction. Must be
@@ -489,12 +646,27 @@ pub trait Machine: sealed::HasCore {
         crate::verify::audit_state(self.memory(), self.dialect(), &self.resolved_control())
     }
 
-    /// Takes a single machine step (one reduction rule).
+    /// Takes a single machine step (one reduction rule). A halted machine
+    /// stays halted without counting a step; a failed step leaves the
+    /// control as it was, so stepping again fails the same way.
     ///
     /// # Errors
     ///
     /// Returns a stuck-state or memory error if no rule applies.
-    fn step(&mut self) -> Result<StepOutcome>;
+    fn step(&mut self) -> Result<StepOutcome> {
+        let c = self.core_mut();
+        if let Some(n) = c.halted {
+            return Ok(StepOutcome::Halted(n));
+        }
+        c.stats.steps += 1;
+        c.telem.on_step(c.stats.steps, &c.mem);
+        if self.reduce()? {
+            self.core_mut().sample_peak();
+            Ok(StepOutcome::Continue)
+        } else {
+            self.core().ended().map(StepOutcome::Halted)
+        }
+    }
 
     /// Runs until `halt`, an error, or `fuel` steps, honouring the
     /// [`RunControl`]: after each step it injects due fault plans, audits
@@ -631,152 +803,108 @@ impl SubstMachine {
         &self.term
     }
 
-    fn stuck(&self, msg: String) -> LangError {
-        stuck_err(msg).in_context(format!("dialect {}", self.core.dialect))
-    }
-
-    fn step_term(&mut self, term: Term) -> Result<Option<Term>> {
-        match term {
+    /// One Fig. 5 rule on the closed term `term`: the next term, or `None`
+    /// once `halt` stopped the machine.
+    fn step_term(core: &mut Core, term: &Term) -> Result<Option<Term>> {
+        let next = match term {
             Term::App {
                 f,
                 tags: ts,
                 regions,
                 args,
-            } => self.step_app(f, ts, regions, args).map(Some),
+            } => Self::step_app(core, f, ts, regions, args)?,
             Term::Let { x, op, body } => {
-                let v = self.eval_op(op)?;
+                let v = Self::eval_op(core, op)?;
                 let mut sub = Subst::new();
-                sub.bind_val(x, v);
-                Ok(Some(sub.term(&body)))
+                sub.bind_val(*x, v);
+                sub.term(body)
             }
-            Term::Halt(v) => match v {
-                Value::Int(n) => {
-                    self.core.halted = Some(n);
-                    self.core.telem.on_halt(n, self.core.stats.steps);
-                    Ok(None)
-                }
-                other => Err(self.stuck(format!("halt on non-integer value {other:?}"))),
-            },
+            Term::Halt(v) => {
+                core.halt(v.clone())?;
+                return Ok(None);
+            }
             Term::IfGc { rho, full, cont } => {
-                let nu = self.expect_name(&rho)?;
-                if self.core.mem.is_full(nu)? {
-                    self.core.stats.gc_triggers += 1;
-                    self.core
-                        .telem
-                        .on_gc_trigger(nu, &self.core.mem, self.core.stats.steps);
-                    Ok(Some((*full).clone()))
-                } else {
-                    Ok(Some((*cont).clone()))
-                }
+                let arm = if core.ifgc(*rho)? { full } else { cont };
+                arm.node().clone()
             }
             Term::OpenTag { pkg, tvar, x, body } => match pkg {
-                Value::PackTag {
-                    tvar: _, tag, val, ..
-                } => {
+                Value::PackTag { tag, val, .. } => {
                     // Fig. 5 normalizes the witness tag before substituting.
-                    let nf = tags::normalize(&tag);
                     let mut sub = Subst::new();
-                    sub.bind_tag(tvar, nf);
-                    sub.bind_val(x, (*val).clone());
-                    Ok(Some(sub.term(&body)))
+                    sub.bind_tag(*tvar, tags::normalize(tag));
+                    sub.bind_val(*x, val.node().clone());
+                    sub.term(body)
                 }
-                other => Err(self.stuck(format!("open(tag) on non-package {other:?}"))),
+                other => return Err(core.stuck(format!("open(tag) on non-package {other:?}"))),
             },
             Term::OpenAlpha { pkg, avar, x, body } => match pkg {
                 Value::PackAlpha { witness, val, .. } => {
                     let mut sub = Subst::new();
-                    sub.bind_alpha(avar, witness);
-                    sub.bind_val(x, (*val).clone());
-                    Ok(Some(sub.term(&body)))
+                    sub.bind_alpha(*avar, witness.clone());
+                    sub.bind_val(*x, val.node().clone());
+                    sub.term(body)
                 }
-                other => Err(self.stuck(format!("open(α) on non-package {other:?}"))),
+                other => return Err(core.stuck(format!("open(α) on non-package {other:?}"))),
             },
             Term::OpenRgn { pkg, rvar, x, body } => match pkg {
                 Value::PackRgn { witness, val, .. } => {
-                    let nu = self.expect_name(&witness)?;
+                    let nu = core.name(*witness)?;
                     let mut sub = Subst::new();
-                    sub.bind_rgn(rvar, Region::Name(nu));
-                    sub.bind_val(x, (*val).clone());
-                    Ok(Some(sub.term(&body)))
+                    sub.bind_rgn(*rvar, Region::Name(nu));
+                    sub.bind_val(*x, val.node().clone());
+                    sub.term(body)
                 }
-                other => Err(self.stuck(format!("open(region) on non-package {other:?}"))),
+                other => return Err(core.stuck(format!("open(region) on non-package {other:?}"))),
             },
             Term::LetRegion { rvar, body } => {
-                let nu = self.core.mem.alloc_region();
-                self.core.stats.regions_created += 1;
-                self.core
-                    .telem
-                    .on_region_alloc(nu, &self.core.mem, self.core.stats.steps);
                 let mut sub = Subst::new();
-                sub.bind_rgn(rvar, Region::Name(nu));
-                Ok(Some(sub.term(&body)))
+                sub.bind_rgn(*rvar, core.let_region());
+                sub.term(body)
             }
             Term::Only { regions, body } => {
-                let mut keep = Vec::with_capacity(regions.len());
-                for r in &regions {
-                    keep.push(self.expect_name(r)?);
-                }
-                let report = self.core.mem.only(&keep);
-                self.core
-                    .telem
-                    .on_only(&report, &self.core.mem, self.core.stats.steps);
-                self.core.stats.record_reclaim(report);
-                Ok(Some((*body).clone()))
+                core.only(regions.iter().copied())?;
+                body.node().clone()
             }
             Term::Typecase {
                 tag,
                 int_arm,
                 arrow_arm,
-                prod_arm,
-                exist_arm,
-            } => {
-                self.core.stats.typecase_dispatches += 1;
-                let nf = tags::normalize(&tag);
-                match nf {
-                    Tag::Int => Ok(Some((*int_arm).clone())),
-                    Tag::Arrow(_) => Ok(Some((*arrow_arm).clone())),
-                    Tag::Prod(a, b) => {
-                        let (t1, t2, body) = prod_arm;
-                        let mut sub = Subst::new();
-                        sub.bind_tag(t1, (*a).clone());
-                        sub.bind_tag(t2, (*b).clone());
-                        Ok(Some(sub.term(&body)))
-                    }
-                    Tag::Exist(t, body_tag) => {
-                        let (te, body) = exist_arm;
-                        let mut sub = Subst::new();
-                        sub.bind_tag(te, Tag::Lam(t, body_tag));
-                        Ok(Some(sub.term(&body)))
-                    }
-                    other => Err(self.stuck(format!("typecase on non-constructor tag {other:?}"))),
+                prod_arm: (t1, t2, prod_body),
+                exist_arm: (te, exist_body),
+            } => match core.typecase(tags::normalize(tag))? {
+                TypecaseArm::Int => int_arm.node().clone(),
+                TypecaseArm::Arrow => arrow_arm.node().clone(),
+                TypecaseArm::Prod(a, b) => {
+                    let mut sub = Subst::new();
+                    sub.bind_tag(*t1, a);
+                    sub.bind_tag(*t2, b);
+                    sub.term(prod_body)
                 }
-            }
+                TypecaseArm::Exist(f) => {
+                    let mut sub = Subst::new();
+                    sub.bind_tag(*te, f);
+                    sub.term(exist_body)
+                }
+            },
             Term::IfLeft {
                 x,
                 scrut,
                 left,
                 right,
-            } => match scrut {
-                v @ (Value::Inl(_) | Value::Inr(_)) => {
-                    let arm = if matches!(v, Value::Inl(_)) {
-                        left
-                    } else {
-                        right
-                    };
-                    let mut sub = Subst::new();
-                    sub.bind_val(x, v);
-                    Ok(Some(sub.term(&arm)))
-                }
-                other => Err(self.stuck(format!("ifleft on non-sum value {other:?}"))),
-            },
-            Term::Set { dst, src, body } => match dst {
-                Value::Addr(nu, loc) => {
-                    self.core.mem.set(nu, loc, src)?;
-                    self.core.stats.forwarding_installs += 1;
-                    Ok(Some((*body).clone()))
-                }
-                other => Err(self.stuck(format!("set on non-address {other:?}"))),
-            },
+            } => {
+                let arm = match scrut {
+                    Value::Inl(_) => left,
+                    Value::Inr(_) => right,
+                    other => return Err(core.stuck(format!("ifleft on non-sum value {other:?}"))),
+                };
+                let mut sub = Subst::new();
+                sub.bind_val(*x, scrut.clone());
+                sub.term(arm)
+            }
+            Term::Set { dst, src, body } => {
+                core.set(dst.clone(), src.clone())?;
+                body.node().clone()
+            }
             Term::Widen {
                 x,
                 from,
@@ -788,136 +916,93 @@ impl SubstMachine {
                 // Operationally a no-op: `widen` is the cast whose soundness
                 // §7.1 establishes; only the (observer) memory typing Ψ is
                 // rewritten by the T operator of Appendix C.
-                if self.core.mem.config().track_types {
-                    let from = self.expect_name(&from)?;
-                    let to = self.expect_name(&to)?;
-                    widen_psi(&mut self.core.mem, &v, &tags::normalize(&tag), from, to)?;
+                if core.mem.config().track_types {
+                    let from = core.name(*from)?;
+                    let to = core.name(*to)?;
+                    widen_psi(&mut core.mem, v, &tags::normalize(tag), from, to)?;
                 }
                 let mut sub = Subst::new();
-                sub.bind_val(x, v);
-                Ok(Some(sub.term(&body)))
+                sub.bind_val(*x, v.clone());
+                sub.term(body)
             }
             Term::IfReg { r1, r2, eq, ne } => {
-                let n1 = self.expect_name(&r1)?;
-                let n2 = self.expect_name(&r2)?;
-                if n1 == n2 {
-                    Ok(Some((*eq).clone()))
+                let arm = if core.name(*r1)? == core.name(*r2)? {
+                    eq
                 } else {
-                    Ok(Some((*ne).clone()))
-                }
+                    ne
+                };
+                arm.node().clone()
             }
             Term::If0 {
                 scrut,
                 zero,
                 nonzero,
             } => match scrut {
-                Value::Int(0) => Ok(Some((*zero).clone())),
-                Value::Int(_) => Ok(Some((*nonzero).clone())),
-                other => Err(self.stuck(format!("if0 on non-integer {other:?}"))),
+                Value::Int(0) => zero.node().clone(),
+                Value::Int(_) => nonzero.node().clone(),
+                other => return Err(core.stuck(format!("if0 on non-integer {other:?}"))),
             },
-        }
+        };
+        Ok(Some(next))
     }
 
     fn step_app(
-        &mut self,
-        f: Value,
-        ts: Vec<Tag>,
-        regions: Vec<Region>,
-        args: Vec<Value>,
+        core: &mut Core,
+        f: &Value,
+        ts: &[Tag],
+        regions: &[Region],
+        args: &[Value],
     ) -> Result<Term> {
-        match f {
-            Value::Addr(nu, loc) => {
-                let code = match self.core.mem.get(nu, loc)? {
-                    Value::Code(def) => def.clone(),
-                    other => {
-                        let msg = format!("application of non-code value {other:?}");
-                        return Err(self.stuck(msg));
-                    }
-                };
-                if code.tvars.len() != ts.len()
-                    || code.rvars.len() != regions.len()
-                    || code.params.len() != args.len()
-                {
-                    return Err(self.stuck(format!(
-                        "arity mismatch calling {}: expected [{}][{}]({}), got [{}][{}]({})",
-                        code.name,
-                        code.tvars.len(),
-                        code.rvars.len(),
-                        code.params.len(),
-                        ts.len(),
-                        regions.len(),
-                        args.len()
-                    )));
-                }
-                // Fig. 5's first rule normalizes the tag arguments before the
-                // β step.
-                let mut sub = Subst::new();
-                for ((t, _), tau) in code.tvars.iter().zip(ts.iter()) {
-                    sub.bind_tag(*t, tags::normalize(tau));
-                }
-                for (r, rho) in code.rvars.iter().zip(regions.iter()) {
-                    sub.bind_rgn(*r, *rho);
-                }
-                for ((x, _), v) in code.params.iter().zip(args.iter()) {
-                    sub.bind_val(*x, v.clone());
-                }
-                Ok(sub.term(&code.body))
-            }
-            Value::TagApp(inner, rec_tags, rec_rgns) => {
-                // (vJ~τ;~ρK)[~τ][~ρ](~v) ⇒ v[~τ][~ρ](~v). The recorded tags
-                // and regions are authoritative; the supplied ones must
-                // agree (checked statically).
-                let _ = regions;
-                Ok(Term::App {
-                    f: (*inner).clone(),
-                    tags: rec_tags.iter().cloned().collect(),
-                    regions: rec_rgns.iter().copied().collect(),
-                    args,
-                })
-            }
-            other => Err(self.stuck(format!("application of non-code value {other:?}"))),
+        if let Value::TagApp(inner, rec_tags, rec_rgns) = f {
+            // (vJ~τ;~ρK)[~τ][~ρ](~v) ⇒ v[~τ][~ρ](~v). The recorded tags
+            // and regions are authoritative; the supplied ones must
+            // agree (checked statically).
+            return Ok(Term::App {
+                f: inner.node().clone(),
+                tags: rec_tags.to_vec(),
+                regions: rec_rgns.to_vec(),
+                args: args.to_vec(),
+            });
         }
+        let code = core.callee(f, ts.len(), regions.len(), args.len())?;
+        // Fig. 5's first rule normalizes the tag arguments before the β
+        // step.
+        let mut sub = Subst::new();
+        for ((t, _), tau) in code.tvars.iter().zip(ts) {
+            sub.bind_tag(*t, tags::normalize(tau));
+        }
+        for (r, rho) in code.rvars.iter().zip(regions) {
+            sub.bind_rgn(*r, *rho);
+        }
+        for ((x, _), v) in code.params.iter().zip(args) {
+            sub.bind_val(*x, v.clone());
+        }
+        Ok(sub.term(&code.body))
     }
 
-    fn eval_op(&mut self, op: Op) -> Result<Value> {
+    fn eval_op(core: &mut Core, op: &Op) -> Result<Value> {
         match op {
-            Op::Val(v) => Ok(v),
+            Op::Val(v) => Ok(v.clone()),
             Op::Proj(i, v) => match v {
-                Value::Pair(a, b) => Ok(if i == 1 { (*a).clone() } else { (*b).clone() }),
-                other => Err(self.stuck(format!("projection π{i} of non-pair {other:?}"))),
+                Value::Pair(a, b) => Ok(if *i == 1 { a } else { b }.node().clone()),
+                other => Err(core.stuck(format!("projection π{i} of non-pair {other:?}"))),
             },
             Op::Put(rho, v) => {
-                let nu = self.expect_name(&rho)?;
-                let rec = self.core.mem.put_counted(nu, v)?;
-                self.core.stats.allocations += 1;
-                self.core.stats.words_allocated += rec.words as u64;
-                if let Some(alloc) = rec.page {
-                    self.core
-                        .telem
-                        .on_page_alloc(nu, alloc, self.core.stats.steps);
-                }
-                self.core.telem.on_put(nu, rec.words, self.core.stats.steps);
-                Ok(Value::Addr(nu, rec.loc))
+                let nu = core.name(*rho)?;
+                core.put(nu, SlotVal::Val(v.clone()))
             }
             Op::Get(v) => match v {
-                Value::Addr(nu, loc) => Ok(self.core.mem.get(nu, loc)?.clone()),
-                other => Err(self.stuck(format!("get of non-address {other:?}"))),
+                Value::Addr(nu, loc) => Ok(core.mem.get(*nu, *loc)?.clone()),
+                other => Err(core.stuck(format!("get of non-address {other:?}"))),
             },
             Op::Strip(v) => match v {
-                Value::Inl(x) | Value::Inr(x) => Ok((*x).clone()),
-                other => Err(self.stuck(format!("strip of untagged value {other:?}"))),
+                Value::Inl(x) | Value::Inr(x) => Ok(x.node().clone()),
+                other => Err(core.stuck(format!("strip of untagged value {other:?}"))),
             },
             Op::Prim(p, a, b) => match (a, b) {
-                (Value::Int(x), Value::Int(y)) => Ok(Value::Int(p.apply(x, y))),
-                (a, b) => Err(self.stuck(format!("primitive {p} on non-integers {a:?}, {b:?}"))),
+                (Value::Int(x), Value::Int(y)) => Ok(Value::Int(p.apply(*x, *y))),
+                (a, b) => Err(core.stuck(format!("primitive {p} on non-integers {a:?}, {b:?}"))),
             },
-        }
-    }
-
-    fn expect_name(&self, rho: &Region) -> Result<RegionName> {
-        match rho {
-            Region::Name(nu) => Ok(*nu),
-            Region::Var(r) => Err(self.stuck(format!("unsubstituted region variable {r}"))),
         }
     }
 }
@@ -930,19 +1015,21 @@ impl HasCore for SubstMachine {
     fn core_mut(&mut self) -> &mut Core {
         &mut self.core
     }
+
+    fn reduce(&mut self) -> Result<bool> {
+        match Self::step_term(&mut self.core, &self.term)? {
+            Some(next) => {
+                self.term = next;
+                Ok(true)
+            }
+            None => Ok(false),
+        }
+    }
 }
 
 impl Machine for SubstMachine {
     fn snapshot(&self) -> Snapshot {
-        Snapshot::capture(
-            self.term.clone(),
-            self.core.dialect,
-            self.core.mem.clone(),
-            self.core.stats.clone(),
-            self.core.halted,
-            self.core.ctl.faults.clone(),
-            self.core.telem.phase_state(),
-        )
+        Snapshot::capture(&self.core, self.term.clone())
     }
 
     fn restore(&mut self, snap: &Snapshot) -> Result<()> {
@@ -959,33 +1046,6 @@ impl Machine for SubstMachine {
     fn audit(&self) -> Result<()> {
         crate::verify::audit_state(&self.core.mem, self.core.dialect, &self.term)
     }
-
-    fn step(&mut self) -> Result<StepOutcome> {
-        if let Some(n) = self.core.halted {
-            return Ok(StepOutcome::Halted(n));
-        }
-        self.core.stats.steps += 1;
-        self.core
-            .telem
-            .on_step(self.core.stats.steps, &self.core.mem);
-        let term = std::mem::replace(&mut self.term, Term::Halt(Value::Int(0)));
-        let next = self.step_term(term)?;
-        match next {
-            Some(t) => {
-                self.term = t;
-                self.core.stats.peak_data_words = self
-                    .core
-                    .stats
-                    .peak_data_words
-                    .max(self.core.mem.data_words());
-                Ok(StepOutcome::Continue)
-            }
-            None => match self.core.halted {
-                Some(n) => Ok(StepOutcome::Halted(n)),
-                None => Err(self.stuck("step ended without a term or a halt value".into())),
-            },
-        }
-    }
 }
 
 /// Rewrites `Ψ` for a `widen` by walking the live graph from `v` guided
@@ -994,7 +1054,7 @@ impl Machine for SubstMachine {
 /// corresponding `C`-form. Unreached entries of the from-region are
 /// dropped from `Ψ` (they are garbage; Def. 7.1's `M̄ ⊆ M`).
 ///
-/// A free function over the memory so both interpreter backends share it.
+/// A free function over the memory so all three backends share it.
 pub(crate) fn widen_psi(
     mem: &mut Memory,
     v: &Value,

@@ -698,24 +698,16 @@ impl Memory {
     /// Fails if the region does not exist or is the code region, or with a
     /// typed out-of-memory error if a fresh page would exceed the heap cap.
     pub fn put(&mut self, nu: RegionName, v: Value) -> Result<u32> {
-        Ok(self.put_counted(nu, v)?.loc)
+        Ok(self.put_slot_counted(nu, SlotVal::Val(v))?.loc)
     }
 
-    /// Like [`Memory::put`], but also returns the stored value's size in
-    /// words and any fresh page allocation, so callers tallying statistics
-    /// and telemetry reuse the walk the size-class computation performed.
-    ///
-    /// # Errors
-    ///
-    /// As [`Memory::put`].
-    pub fn put_counted(&mut self, nu: RegionName, v: Value) -> Result<PutRecord> {
-        self.put_slot_counted(nu, SlotVal::Val(v))
-    }
-
-    /// Like [`Memory::put_counted`], but stores a [`SlotVal`] directly, so
-    /// allocation paths can defer the interning of freshly built pairs and
-    /// injections ([`SlotVal::pair`]/[`SlotVal::inl`]/[`SlotVal::inr`]).
-    /// Word accounting and `Ψ` inference read the uninterned nodes; both
+    /// Like [`Memory::put`], but stores a [`SlotVal`] directly and also
+    /// returns the stored value's size in words and any fresh page
+    /// allocation, so callers tallying statistics and telemetry reuse the
+    /// walk the size-class computation performed. Allocation paths can
+    /// defer the interning of freshly built pairs and injections
+    /// ([`SlotVal::pair`]/[`SlotVal::inl`]/[`SlotVal::inr`]): word
+    /// accounting and `Ψ` inference read the uninterned nodes, and both
     /// agree exactly with the forced form.
     ///
     /// # Errors

@@ -10,8 +10,8 @@
 //! when a post-checkpoint write touches it — a checkpoint costs O(pages)
 //! pointer copies, not a heap walk.
 //!
-//! Control capture can be **deferred** ([`Snapshot::capture_deferred`]):
-//! instead of materializing the resolved term at checkpoint time, a backend
+//! Control capture can be **deferred**: instead of materializing the
+//! resolved term at checkpoint time, a backend
 //! hands over the point-in-time ingredients (e.g. an environment clone plus
 //! the raw control id — everything `Arc`-shared and immutable) and the term
 //! is built on first [`Snapshot::control`] access. Restore and triage are
@@ -33,6 +33,7 @@
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
+use crate::machine::sealed::Core;
 use crate::machine::Stats;
 use crate::memory::Memory;
 use crate::syntax::{Dialect, Term};
@@ -89,53 +90,37 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Assembles a snapshot from a machine's parts. `control` must be the
+    /// A snapshot of a machine's `Core`. `control` must be the
     /// machine's *resolved* (closed) control term.
-    pub fn capture(
-        control: Term,
-        dialect: Dialect,
-        memory: Memory,
-        stats: Stats,
-        halted: Option<i64>,
-        pending_faults: Vec<crate::faults::FaultPlan>,
-        telem_phase: TelemetryPhase,
-    ) -> Snapshot {
-        Snapshot {
-            control: SnapControl::Ready(Box::new(control)),
-            dialect,
-            memory,
-            stats,
-            halted,
-            pending_faults,
-            telem_phase,
-        }
+    pub(crate) fn capture(core: &Core, control: Term) -> Snapshot {
+        Snapshot::of(core, SnapControl::Ready(Box::new(control)))
     }
 
-    /// As [`Snapshot::capture`], but the resolved control is built lazily:
-    /// `resolve` must capture the machine's point-in-time resolution state
+    /// As `capture`, but the resolved control is built lazily: `resolve`
+    /// must capture the machine's point-in-time resolution state
     /// (immutable, `Arc`-shared clones) and is evaluated once, on the first
     /// [`Snapshot::control`] access.
-    #[allow(clippy::too_many_arguments)]
-    pub fn capture_deferred(
+    pub(crate) fn capture_deferred(
+        core: &Core,
         resolve: impl Fn() -> Term + Send + Sync + 'static,
-        dialect: Dialect,
-        memory: Memory,
-        stats: Stats,
-        halted: Option<i64>,
-        pending_faults: Vec<crate::faults::FaultPlan>,
-        telem_phase: TelemetryPhase,
     ) -> Snapshot {
+        let control = SnapControl::Deferred {
+            resolve: Arc::new(resolve),
+            cell: Arc::new(OnceLock::new()),
+        };
+        Snapshot::of(core, control)
+    }
+
+    /// The one capture path: everything but the control comes from `core`.
+    fn of(core: &Core, control: SnapControl) -> Snapshot {
         Snapshot {
-            control: SnapControl::Deferred {
-                resolve: Arc::new(resolve),
-                cell: Arc::new(OnceLock::new()),
-            },
-            dialect,
-            memory,
-            stats,
-            halted,
-            pending_faults,
-            telem_phase,
+            control,
+            dialect: core.dialect,
+            memory: core.mem.clone(),
+            stats: core.stats.clone(),
+            halted: core.halted,
+            pending_faults: core.ctl.faults.clone(),
+            telem_phase: core.telem.phase_state(),
         }
     }
 
@@ -219,31 +204,19 @@ impl SnapRing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::Stats;
-    use crate::memory::{GrowthPolicy, MemConfig};
+    use crate::machine::Program;
+    use crate::memory::MemConfig;
     use crate::syntax::Value;
 
     fn dummy(step: u64) -> Snapshot {
-        let mem = Memory::new(MemConfig {
-            region_budget: 16,
-            growth: GrowthPolicy::Fixed,
-            track_types: false,
-            max_heap_words: None,
-            page_words: 8,
-        });
-        let stats = Stats {
-            steps: step,
-            ..Stats::default()
+        let program = Program {
+            dialect: Dialect::Basic,
+            code: vec![],
+            main: Term::Halt(Value::Int(0)),
         };
-        Snapshot::capture(
-            Term::Halt(Value::Int(0)),
-            Dialect::Basic,
-            mem,
-            stats,
-            None,
-            Vec::new(),
-            TelemetryPhase::default(),
-        )
+        let mut core = Core::load(&program, MemConfig::default());
+        core.stats.steps = step;
+        Snapshot::capture(&core, program.main)
     }
 
     #[test]

@@ -53,8 +53,6 @@ pub struct SuperviseSpec {
     /// audit by default — containment without detection is useless. A
     /// restart re-arms the plans its checkpoint still holds instead.
     pub control: RunControl,
-    /// Superinstruction fusion (bytecode backend only).
-    pub superinstructions: bool,
     /// Force eager slot interning — disable the lazy ids-or-thunks
     /// representation (env and bytecode backends).
     pub eager_intern: bool,
@@ -83,7 +81,6 @@ impl SuperviseSpec {
             config,
             fuel,
             control,
-            superinstructions: true,
             eager_intern: false,
             observer: None,
             step_interval: 0,
@@ -93,12 +90,11 @@ impl SuperviseSpec {
     }
 
     /// A fresh machine for `program`, configured by this spec: backend,
-    /// memory, superinstructions, interning, run control and observer.
+    /// memory, interning, run control and observer.
     /// [`supervise`] loads every attempt through this, and an
     /// unsupervised caller can load its one machine the same way.
     pub fn load(&self, program: &Program) -> Box<dyn Machine> {
         let mut m = self.backend.load(program, self.config);
-        m.set_superinstructions(self.superinstructions);
         m.set_eager_intern(self.eager_intern);
         *m.run_control_mut() = self.control.clone();
         if let Some(obs) = &self.observer {

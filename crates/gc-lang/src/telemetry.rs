@@ -1,5 +1,5 @@
-//! Structured GC telemetry: an event stream emitted by both interpreter
-//! backends, for all collectors.
+//! Structured GC telemetry: an event stream emitted by every interpreter
+//! backend, for all collectors.
 //!
 //! The paper certifies the collector *inside* the language, but the
 //! machine statistics ([`crate::machine::Stats`]) are a flat struct
@@ -14,10 +14,10 @@
 //! * [`Observer`] — the consumer interface. Every hook has a no-op
 //!   default, and a machine with no observer attached pays only an
 //!   `Option` check per hook site (the "disabled" path measured by E10).
-//! * [`Telemetry`] — the emitter state shared by both backends. The
-//!   substitution machine and the environment machine call the same hooks
-//!   at the same rule applications on the same shared [`Memory`], so the
-//!   two backends produce *identical* event sequences (checked by the
+//! * [`Telemetry`] — the emitter state every backend keeps. The rule
+//!   effects each backend calls on its machine core fire the hooks at the
+//!   same rule applications on the same shared [`Memory`], so the
+//!   backends produce *identical* event sequences (checked by the
 //!   differential suites).
 //! * [`Recorder`] — an [`Observer`] that aggregates [`Metrics`]
 //!   (counters and copy-size histograms) and optionally keeps the raw
@@ -465,8 +465,8 @@ struct GcPhase {
     objects_promoted: u64,
 }
 
-/// The emitter: owned by each machine, called from the same rule sites in
-/// both backends. With no observer attached every hook is a single
+/// The emitter: owned by each machine, called from the same rule effects
+/// on every backend. With no observer attached every hook is a single
 /// `Option` check (`None` short-circuit) — the "disabled path" whose cost
 /// E10 bounds at < 2% of E9 throughput.
 #[derive(Clone, Debug, Default)]
@@ -1810,7 +1810,9 @@ mod tests {
         let mut m = mem();
         let r = m.alloc_region();
         t.on_region_alloc(r, &m, 1);
-        let put = m.put_counted(r, Value::Int(9)).unwrap();
+        let put = m
+            .put_slot_counted(r, crate::intern::SlotVal::Val(Value::Int(9)))
+            .unwrap();
         let alloc = put.page.expect("first put opens a page");
         t.on_page_alloc(r, alloc, 2);
         t.on_step(3, &m);

@@ -1,4 +1,4 @@
-//! SubstMachine-state well-formedness: `⊢ (M, e)` (Fig. 7, Definitions 6.3 and
+//! Machine-state well-formedness: `⊢ (M, e)` (Fig. 7, Definitions 6.3 and
 //! 7.1).
 //!
 //! A state is well formed when some memory typing `Ψ` types the store

@@ -14,6 +14,7 @@
 
 use proptest::prelude::*;
 
+use ps_gc_lang::error::ErrorKind;
 use ps_gc_lang::machine::{Backend, Machine, Program, StepOutcome};
 use ps_gc_lang::memory::{GrowthPolicy, MemConfig};
 use ps_gc_lang::syntax::{CodeDef, Dialect, Kind, Op, PrimOp, Region, Tag, Term, Ty, Value, CD};
@@ -551,6 +552,247 @@ fn backends_agree_under_fault_injection() {
                 assert_eq!(s_subst, s, "{kind}@{seed}/{backend}: stats diverge");
                 assert_eq!(t_subst, t, "{kind}@{seed}/{backend}: telemetry diverges");
             }
+        }
+    }
+}
+
+/// One ill-formed program per way a reduction rule can get stuck, each
+/// with a fragment of the stuck message it must produce. Some take a few
+/// good steps first, so the step count at the failure is pinned as well.
+fn stuck_programs() -> Vec<(&'static str, Program)> {
+    let sym = Symbol::intern;
+    let (x, t, r) = (sym("st_x"), sym("st_t"), sym("st_r"));
+    let halt = || Term::Halt(Value::Int(0)).id();
+    // `let x = op in halt 0`
+    let bind = |op: Op| Term::let_(x, op, Term::Halt(Value::Int(0)));
+    let one = || Value::Int(1);
+    let pair = || Value::pair(Value::Int(1), Value::Int(2));
+    let unbound = Region::Var(sym("st_unbound"));
+    // code finish(x) = halt x
+    let finish = CodeDef {
+        name: sym("st_finish"),
+        tvars: vec![],
+        rvars: vec![],
+        params: vec![(x, Ty::Int)],
+        body: Term::Halt(Value::Var(x)),
+    };
+    let table = [
+        (
+            "halt on non-integer value",
+            Dialect::Basic,
+            Term::let_(x, Op::Val(pair()), Term::Halt(Value::Var(x))),
+        ),
+        (
+            "if0 on non-integer",
+            Dialect::Basic,
+            Term::If0 {
+                scrut: pair(),
+                zero: halt(),
+                nonzero: halt(),
+            },
+        ),
+        (
+            "ifleft on non-sum value",
+            Dialect::Forwarding,
+            Term::IfLeft {
+                x,
+                scrut: one(),
+                left: halt(),
+                right: halt(),
+            },
+        ),
+        (
+            "set on non-address",
+            Dialect::Forwarding,
+            Term::Set {
+                dst: one(),
+                src: one(),
+                body: halt(),
+            },
+        ),
+        (
+            "application of non-code value Int(5)",
+            Dialect::Basic,
+            Term::LetRegion {
+                rvar: r,
+                body: Term::let_(
+                    x,
+                    Op::Put(Region::Var(r), Value::Int(5)),
+                    Term::app(Value::Var(x), [], [], []),
+                )
+                .id(),
+            },
+        ),
+        (
+            "arity mismatch calling st_finish: expected [0][0](1), got [0][0](0)",
+            Dialect::Basic,
+            Term::let_(
+                x,
+                Op::Prim(PrimOp::Add, one(), one()),
+                Term::app(Value::Addr(CD, 0), [], [], []),
+            ),
+        ),
+        (
+            "arity mismatch calling st_finish: expected [0][0](1), got [0][0](2)",
+            Dialect::Basic,
+            Term::app(
+                Value::tag_app(Value::Addr(CD, 0), [], []),
+                [],
+                [],
+                [one(), one()],
+            ),
+        ),
+        (
+            "typecase on non-constructor tag",
+            Dialect::Basic,
+            Term::Typecase {
+                tag: Tag::Var(t),
+                int_arm: halt(),
+                arrow_arm: halt(),
+                prod_arm: (sym("st_t1"), sym("st_t2"), halt()),
+                exist_arm: (sym("st_te"), halt()),
+            },
+        ),
+        ("get of non-address", Dialect::Basic, bind(Op::Get(one()))),
+        (
+            "projection π1 of non-pair",
+            Dialect::Basic,
+            bind(Op::Proj(1, one())),
+        ),
+        (
+            "strip of untagged value",
+            Dialect::Forwarding,
+            bind(Op::Strip(one())),
+        ),
+        (
+            "primitive + on non-integers",
+            Dialect::Basic,
+            bind(Op::Prim(PrimOp::Add, pair(), one())),
+        ),
+        (
+            "unsubstituted region variable st_unbound",
+            Dialect::Basic,
+            bind(Op::Put(unbound, one())),
+        ),
+        (
+            "unsubstituted region variable st_unbound",
+            Dialect::Basic,
+            Term::IfGc {
+                rho: unbound,
+                full: halt(),
+                cont: halt(),
+            },
+        ),
+        (
+            "unsubstituted region variable st_unbound",
+            Dialect::Basic,
+            Term::LetRegion {
+                rvar: r,
+                body: Term::Only {
+                    regions: vec![Region::Var(r), unbound],
+                    body: halt(),
+                }
+                .id(),
+            },
+        ),
+        (
+            "unsubstituted region variable st_unbound",
+            Dialect::Generational,
+            Term::IfReg {
+                r1: unbound,
+                r2: unbound,
+                eq: halt(),
+                ne: halt(),
+            },
+        ),
+        (
+            "open(tag) on non-package",
+            Dialect::Basic,
+            Term::OpenTag {
+                pkg: one(),
+                tvar: t,
+                x,
+                body: halt(),
+            },
+        ),
+        (
+            "open(α) on non-package",
+            Dialect::Basic,
+            Term::OpenAlpha {
+                pkg: one(),
+                avar: sym("st_a"),
+                x,
+                body: halt(),
+            },
+        ),
+        (
+            "open(region) on non-package",
+            Dialect::Generational,
+            Term::OpenRgn {
+                pkg: one(),
+                rvar: r,
+                x,
+                body: halt(),
+            },
+        ),
+    ];
+    table
+        .into_iter()
+        .map(|(msg, dialect, main)| {
+            let program = Program {
+                dialect,
+                code: vec![finish.clone()],
+                main,
+            };
+            (msg, program)
+        })
+        .collect()
+}
+
+/// Every stuck rule fails with the same error after the same number of
+/// steps on every backend, and the error is the one its rule names.
+#[test]
+fn stuck_states_agree_on_every_backend() {
+    for (msg, program) in stuck_programs() {
+        let runs: Vec<_> = Backend::ALL
+            .into_iter()
+            .map(|backend| {
+                let mut m = backend.load(&program, MemConfig::default());
+                let err = m.run(100).expect_err("the program is stuck");
+                (err, m.stats().clone())
+            })
+            .collect();
+        let (err, stats) = &runs[0];
+        assert_eq!(err.kind(), ErrorKind::Stuck, "{msg}: {err}");
+        assert!(err.to_string().contains(msg), "want {msg:?}, got {err}");
+        for (backend, run) in Backend::ALL.into_iter().zip(&runs).skip(1) {
+            assert_eq!(&run.0, err, "{msg}: {backend} fails differently");
+            assert_eq!(run.1.steps, stats.steps, "{msg}: {backend} step count");
+        }
+    }
+}
+
+/// A failed step changes nothing a caller can see: the control term is
+/// the one that failed, the machine has not halted, and stepping again
+/// fails the same way.
+#[test]
+fn a_failed_step_keeps_the_control() {
+    for (msg, program) in stuck_programs() {
+        for backend in Backend::ALL {
+            let mut m = backend.load(&program, MemConfig::default());
+            let (control, err) = loop {
+                let control = m.resolved_control();
+                match m.step() {
+                    Ok(StepOutcome::Continue) => {}
+                    Ok(halted) => panic!("{msg}: {backend} halted: {halted:?}"),
+                    Err(e) => break (control, e),
+                }
+            };
+            assert_eq!(m.resolved_control(), control, "{msg}: {backend} control");
+            assert_eq!(m.halted(), None, "{msg}: {backend} halted");
+            assert_eq!(m.step(), Err(err), "{msg}: {backend} second step");
+            assert_eq!(m.resolved_control(), control, "{msg}: {backend} control");
+            assert_eq!(m.halted(), None, "{msg}: {backend} halted");
         }
     }
 }

@@ -10,6 +10,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
+use ps_gc_lang::intern::SlotVal;
 use ps_gc_lang::memory::{value_words, MemConfig, Memory};
 use ps_gc_lang::syntax::{Dialect, RegionName, Term, Value};
 
@@ -167,7 +168,9 @@ fn run_tape(bytes: &[u8], dialect: Dialect) {
                 }
                 let nu = regions[tape.next() as usize % regions.len()];
                 let v = gen_value(&mut tape, 3);
-                let rec = mem.put_counted(nu, v.clone()).expect("unbounded put");
+                let rec = mem
+                    .put_slot_counted(nu, SlotVal::Val(v.clone()))
+                    .expect("unbounded put");
                 assert_eq!(rec.words, value_words(&v));
                 if let Some(alloc) = rec.page {
                     // A fresh page must reuse a previously freed id when

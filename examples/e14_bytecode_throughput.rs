@@ -7,9 +7,8 @@
 //! pre-resolves every variable to a register slot at compile time and
 //! dispatches over a flat instruction stream, with let-spines and
 //! `put`-pair allocations fused into superinstructions. This example times
-//! complete runs of identical compiled programs on all three backends,
-//! plus the bytecode backend with superinstruction fusion disabled (the
-//! A/B knob), and reports steps/second:
+//! complete runs of identical compiled programs on all three backends and
+//! reports steps/second:
 //!
 //! ```text
 //! cargo run --release --example e14_bytecode_throughput
@@ -26,32 +25,25 @@ use scavenger::{Backend, Collector, Compiled, RunOptions};
 
 /// Times one full run at the given region budget, returning (steps,
 /// seconds).
-fn timed_run(c: &Compiled, budget: usize, backend: Backend, superinstructions: bool) -> (u64, f64) {
+fn timed_run(c: &Compiled, budget: usize, backend: Backend) -> (u64, f64) {
     let opts = RunOptions::builder()
         .collector(Collector::Basic) // collector ignored by run_with
         .budget(budget)
         .backend(backend)
-        .superinstructions(superinstructions)
         .build();
     let t0 = Instant::now();
     let run = c.run_with(&opts).expect("runs");
     (run.stats.steps, t0.elapsed().as_secs_f64())
 }
 
-/// Best-of-n steps/second for each configuration, reps interleaved so all
-/// samples see the same scheduler conditions. Configurations: every
-/// backend in [`Backend::ALL`], plus bytecode without superinstructions.
+/// Best-of-n steps/second for every backend in [`Backend::ALL`], reps
+/// interleaved so all samples see the same scheduler conditions.
 fn steps_per_sec(c: &Compiled, budget: usize, reps: u32) -> (u64, Vec<f64>) {
-    let configs: Vec<(Backend, bool)> = Backend::ALL
-        .into_iter()
-        .map(|b| (b, true))
-        .chain([(Backend::Bytecode, false)])
-        .collect();
-    let mut best = vec![0.0f64; configs.len()];
+    let mut best = vec![0.0f64; Backend::ALL.len()];
     let mut steps = 0u64;
     for _ in 0..reps {
-        for (i, &(backend, fuse)) in configs.iter().enumerate() {
-            let (s, secs) = timed_run(c, budget, backend, fuse);
+        for (i, backend) in Backend::ALL.into_iter().enumerate() {
+            let (s, secs) = timed_run(c, budget, backend);
             if i == 0 {
                 steps = s;
             } else {
@@ -66,10 +58,10 @@ fn steps_per_sec(c: &Compiled, budget: usize, reps: u32) -> (u64, Vec<f64>) {
 fn main() {
     println!("E14: steps/second, bytecode VM vs environment machine");
     println!(
-        "{:<26} {:>10} {:>12} {:>12} {:>12} {:>12} {:>7} {:>7}",
-        "workload", "steps", "subst st/s", "env st/s", "bc st/s", "bc -sup", "bc/env", "-sup/bc"
+        "{:<26} {:>10} {:>12} {:>12} {:>12} {:>7}",
+        "workload", "steps", "subst st/s", "env st/s", "bc st/s", "bc/env"
     );
-    let (mut geo_env, mut geo_fuse) = (0.0f64, 0.0f64);
+    let mut geo_env = 0.0f64;
     let mut n = 0u32;
     // E1 rows: live tree of depth d with a tight budget — collection-heavy,
     // so the control term carries the whole collector continuation.
@@ -93,23 +85,16 @@ fn main() {
         .collect();
     for (name, compiled, budget) in &cases {
         let (steps, best) = steps_per_sec(compiled, *budget, 5);
-        let [subst, env, bc, bc_nosuper] = best[..] else {
-            unreachable!("four configurations")
+        let [subst, env, bc] = best[..] else {
+            unreachable!("three backends")
         };
         let speedup = bc / env;
-        let fusion = bc_nosuper / bc;
         geo_env += speedup.ln();
-        geo_fuse += fusion.ln();
         n += 1;
-        println!(
-            "{name:<26} {steps:>10} {subst:>12.0} {env:>12.0} {bc:>12.0} {bc_nosuper:>12.0} \
-             {speedup:>6.1}x {fusion:>6.2}x"
-        );
+        println!("{name:<26} {steps:>10} {subst:>12.0} {env:>12.0} {bc:>12.0} {speedup:>6.1}x");
     }
     println!(
-        "\ngeometric-mean speedup over the environment machine: {:.1}x \
-         (superinstructions off retain {:.0}% of that)",
-        (geo_env / f64::from(n)).exp(),
-        100.0 * (geo_fuse / f64::from(n)).exp()
+        "\ngeometric-mean speedup over the environment machine: {:.1}x",
+        (geo_env / f64::from(n)).exp()
     );
 }

@@ -9,6 +9,11 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q --workspace
+# The demo examples drive the library surface end to end; `cargo test`
+# only compiles them, so run each and fail on a non-zero exit.
+for example in quickstart sharing generations mobile_gc preservation stages certify catch_gc_bugs; do
+  cargo run --release -q --example "$example" >/dev/null
+done
 # Certification parallelizes over code blocks by default; exercise the
 # serial path too so both sides of the PS_CERT_THREADS split stay green.
 PS_CERT_THREADS=1 ./target/release/psgc certify --collector generational >/dev/null

@@ -79,7 +79,7 @@ fn parse_number<T: std::str::FromStr>(v: &str, flag: &str) -> Result<T, String> 
         .map_err(|_| format!("invalid value {v:?} for {flag} (expected a number)"))
 }
 
-fn flag_specs() -> [FlagSpec; 23] {
+fn flag_specs() -> [FlagSpec; 22] {
     [
         FlagSpec {
             name: "--collector",
@@ -219,15 +219,6 @@ fn flag_specs() -> [FlagSpec; 23] {
             help: "print the compiled bytecode instruction stream before running",
             apply: |c, _| {
                 c.dump_bytecode = true;
-                Ok(())
-            },
-        },
-        FlagSpec {
-            name: "--no-superinstructions",
-            metavar: None,
-            help: "disable superinstruction fusion in the bytecode backend (A/B knob)",
-            apply: |c, _| {
-                c.opts.superinstructions = false;
                 Ok(())
             },
         },
@@ -481,7 +472,7 @@ fn cmd_disasm(cli: &Cli, src: &str) -> ExitCode {
     };
     print!(
         "{}",
-        scavenger::gc_lang::bytecode::disassemble(&compiled.program, cli.opts.superinstructions)
+        scavenger::gc_lang::bytecode::disassemble(&compiled.program)
     );
     if cli.stats_intern {
         print_intern_stats();
@@ -520,10 +511,7 @@ fn cmd_run(cli: &mut Cli, src: &str, check_only: bool) -> ExitCode {
     if cli.dump_bytecode {
         print!(
             "{}",
-            scavenger::gc_lang::bytecode::disassemble(
-                &compiled.program,
-                cli.opts.superinstructions
-            )
+            scavenger::gc_lang::bytecode::disassemble(&compiled.program)
         );
     }
     if check_only {

@@ -54,7 +54,6 @@ fn help_is_generated_from_the_flag_and_command_tables() {
         "--max-heap-words",
         "--page-words",
         "--dump-bytecode",
-        "--no-superinstructions",
         "--eager-intern",
         "--trace",
         "--metrics",

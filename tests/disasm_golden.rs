@@ -1,6 +1,5 @@
 //! Golden-file test for the bytecode disassembler: `psgc disasm` must
-//! print a byte-stable instruction stream for two battery programs, in
-//! both superinstruction modes.
+//! print a byte-stable instruction stream for two battery programs.
 //!
 //! Symbol names in the listing come from a process-global gensym counter,
 //! so stability is only guaranteed per process; the test therefore goes
@@ -8,7 +7,7 @@
 //! user would. To regenerate after an intentional instruction-set change:
 //!
 //! ```text
-//! cargo run --bin psgc -- disasm <program.lam> [--no-superinstructions]
+//! cargo run --bin psgc -- disasm <program.lam>
 //! ```
 //!
 //! and redirect into `tests/golden/<name>.disasm`.
@@ -29,11 +28,10 @@ const PROGRAMS: &[(&str, &str)] = &[
     ),
 ];
 
-fn disasm(src_path: &str, extra: &[&str]) -> String {
+fn disasm(src_path: &str) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_psgc"))
         .arg("disasm")
         .arg(src_path)
-        .args(extra)
         .output()
         .expect("psgc runs");
     assert_eq!(out.status.code(), Some(0), "{out:?}");
@@ -60,7 +58,7 @@ fn disassembly_matches_the_golden_files() {
     for (name, src) in PROGRAMS {
         let prog = write_program(&format!("{name}.lam"), src);
         let prog = prog.to_str().unwrap();
-        let listing = disasm(prog, &[]);
+        let listing = disasm(prog);
         assert_eq!(
             listing,
             golden(name),
@@ -68,19 +66,6 @@ fn disassembly_matches_the_golden_files() {
              (regenerate with `psgc disasm` if the change is intentional)"
         );
         // A second fresh process must reproduce the listing byte-for-byte.
-        assert_eq!(listing, disasm(prog, &[]), "{name}: listing not stable");
+        assert_eq!(listing, disasm(prog), "{name}: listing not stable");
     }
-
-    // The superinstruction toggle is part of the stable format: the header
-    // flips and the fused `lets`/`put-pair` forms unfuse.
-    let (name, src) = PROGRAMS[0];
-    let prog = write_program(&format!("{name}-nosuper.lam"), src);
-    let plain = disasm(prog.to_str().unwrap(), &["--no-superinstructions"]);
-    assert_eq!(
-        plain,
-        golden("factorial-nosuper"),
-        "{name}: --no-superinstructions listing drifted"
-    );
-    assert!(plain.contains("superinstructions off"), "{plain}");
-    assert!(!plain.contains("put-pair"), "{plain}");
 }
