@@ -18,7 +18,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use ps_ir::symbol::gensym;
-use ps_ir::Symbol;
+use ps_ir::{scoped, Symbol, SymbolSet};
 
 use ps_lambda::syntax::{Expr, SrcProgram, SrcTy};
 
@@ -58,22 +58,20 @@ struct Cc<'a> {
 }
 
 /// Conversion-time environment: in-scope variables with both their source
-/// and converted types.
-#[derive(Clone, Default)]
-struct Env {
-    vars: HashMap<Symbol, (SrcTy, CTy)>,
-}
+/// and converted types. One per function body, extended in place at each
+/// binder and restored after it.
+type Env = HashMap<Symbol, (SrcTy, CTy)>;
 
 impl<'a> Cc<'a> {
     /// Ordered free variables of `e` that are bound in `env` (top-level
     /// names and the expression's own binders excluded).
     fn free_vars(&self, e: &Expr, env: &Env) -> Vec<Symbol> {
-        fn go(e: &Expr, bound: &mut Vec<Symbol>, out: &mut Vec<Symbol>) {
+        fn go(e: &Expr, bound: &mut SymbolSet, out: &mut SymbolSet) {
             match e {
                 Expr::Int(_) => {}
                 Expr::Var(x) => {
-                    if !bound.contains(x) && !out.contains(x) {
-                        out.push(*x);
+                    if !bound.contains(x) {
+                        out.insert(*x);
                     }
                 }
                 Expr::Bin(_, a, b) | Expr::Pair(a, b) | Expr::App(a, b) => {
@@ -87,26 +85,21 @@ impl<'a> Cc<'a> {
                 }
                 Expr::Proj(_, a) => go(a, bound, out),
                 Expr::Lam { param, body, .. } => {
-                    bound.push(*param);
-                    go(body, bound, out);
-                    bound.pop();
+                    scoped(bound, *param, (), |bound| go(body, bound, out));
                 }
                 Expr::Let { x, rhs, body } => {
                     go(rhs, bound, out);
-                    bound.push(*x);
-                    go(body, bound, out);
-                    bound.pop();
+                    scoped(bound, *x, (), |bound| go(body, bound, out));
                 }
             }
         }
-        let mut raw = Vec::new();
-        go(e, &mut Vec::new(), &mut raw);
-        let mut out: Vec<Symbol> = raw
+        let mut seen = SymbolSet::default();
+        go(e, &mut SymbolSet::default(), &mut seen);
+        let mut out: Vec<Symbol> = seen
             .into_iter()
-            .filter(|x| env.vars.contains_key(x) && !self.top.contains_key(x))
+            .filter(|x| env.contains_key(x) && !self.top.contains_key(x))
             .collect();
         out.sort();
-        out.dedup();
         out
     }
 
@@ -115,12 +108,12 @@ impl<'a> Cc<'a> {
         if fvs.is_empty() {
             return (CVal::Int(0), CTy::Int, SrcTy::Int);
         }
-        let (last_src, last_cc) = env.vars[fvs.last().unwrap()].clone();
+        let (last_src, last_cc) = env[fvs.last().unwrap()].clone();
         let mut val = CVal::Var(*fvs.last().unwrap());
         let mut cty = last_cc;
         let mut sty = last_src;
         for x in fvs[..fvs.len() - 1].iter().rev() {
-            let (xs, xc) = env.vars[x].clone();
+            let (xs, xc) = env[x].clone();
             val = CVal::pair(CVal::Var(*x), val);
             cty = CTy::prod(xc, cty);
             sty = SrcTy::prod(xs, sty);
@@ -130,11 +123,11 @@ impl<'a> Cc<'a> {
 
     /// Converts a *value* expression (the CPS invariant guarantees these
     /// are the only expressions in value positions).
-    fn value(&mut self, env: &Env, e: &Expr) -> CResult<CVal> {
+    fn value(&mut self, env: &mut Env, e: &Expr) -> CResult<CVal> {
         match e {
             Expr::Int(n) => Ok(CVal::Int(*n)),
             Expr::Var(x) => {
-                if env.vars.contains_key(x) {
+                if env.contains_key(x) {
                     Ok(CVal::Var(*x))
                 } else if let Some(fty) = self.top.get(x) {
                     // A reference to a top-level function becomes a closure
@@ -174,12 +167,10 @@ impl<'a> Cc<'a> {
                 // Inner scope: captured variables + the parameter.
                 let mut inner = Env::default();
                 for x in &fvs {
-                    inner.vars.insert(*x, env.vars[x].clone());
+                    inner.insert(*x, env[x].clone());
                 }
-                inner
-                    .vars
-                    .insert(*param, (param_ty.clone(), cc_ty(param_ty)));
-                let mut body_exp = self.tail(&inner, body)?;
+                inner.insert(*param, (param_ty.clone(), cc_ty(param_ty)));
+                let mut body_exp = self.tail(&mut inner, body)?;
                 // Destructure the environment tuple (right-nested pairs):
                 // record the binding chain forwards, then wrap the body
                 // innermost-last so each `rest` is in scope for the next.
@@ -249,7 +240,7 @@ impl<'a> Cc<'a> {
     }
 
     /// Converts a tail expression.
-    fn tail(&mut self, env: &Env, e: &Expr) -> CResult<CExp> {
+    fn tail(&mut self, env: &mut Env, e: &Expr) -> CResult<CExp> {
         match e {
             Expr::Let { x, rhs, body } => {
                 // The rhs is one of the CPS-value forms or a primitive.
@@ -257,14 +248,13 @@ impl<'a> Cc<'a> {
                     Expr::Bin(op, a, b) => {
                         let av = self.value(env, a)?;
                         let bv = self.value(env, b)?;
-                        let mut env2 = env.clone();
-                        env2.vars.insert(*x, (SrcTy::Int, CTy::Int));
+                        let body = self.tail_under(env, *x, SrcTy::Int, body)?;
                         Ok(CExp::LetPrim {
                             x: *x,
                             op: *op,
                             a: av,
                             b: bv,
-                            body: Rc::new(self.tail(&env2, body)?),
+                            body: Rc::new(body),
                         })
                     }
                     Expr::Proj(i, a) => {
@@ -282,16 +272,14 @@ impl<'a> Cc<'a> {
                                 return Err(CcError(format!("projection of non-pair type {other}")))
                             }
                         };
-                        let mut env2 = env.clone();
-                        env2.vars.insert(*x, (comp.clone(), cc_ty(&comp)));
-                        Ok(CExp::let_proj(*x, *i, av, self.tail(&env2, body)?))
+                        let body = self.tail_under(env, *x, comp, body)?;
+                        Ok(CExp::let_proj(*x, *i, av, body))
                     }
                     value_form => {
                         let v = self.value(env, value_form)?;
                         let src_ty = self.src_ty_of(env, value_form)?;
-                        let mut env2 = env.clone();
-                        env2.vars.insert(*x, (src_ty.clone(), cc_ty(&src_ty)));
-                        Ok(CExp::let_(*x, v, self.tail(&env2, body)?))
+                        let body = self.tail_under(env, *x, src_ty, body)?;
+                        Ok(CExp::let_(*x, v, body))
                     }
                 }
             }
@@ -351,12 +339,17 @@ impl<'a> Cc<'a> {
         }
     }
 
+    /// Converts the tail expression `body` in the scope of `x : ty`.
+    fn tail_under(&mut self, env: &mut Env, x: Symbol, ty: SrcTy, body: &Expr) -> CResult<CExp> {
+        let cty = cc_ty(&ty);
+        scoped(env, x, (ty, cty), |env| self.tail(env, body))
+    }
+
     /// The source type of a CPS-value expression.
     fn src_ty_of(&mut self, env: &Env, e: &Expr) -> CResult<SrcTy> {
         match e {
             Expr::Int(_) => Ok(SrcTy::Int),
             Expr::Var(x) => env
-                .vars
                 .get(x)
                 .map(|(s, _)| s.clone())
                 .or_else(|| self.top.get(x).cloned())
@@ -392,9 +385,8 @@ pub fn cc_program(p: &SrcProgram) -> CResult<CProgram> {
         // (dummy-env × converted-parameter).
         let pf = gensym("fp");
         let mut env = Env::default();
-        env.vars
-            .insert(d.param, (d.param_ty.clone(), cc_ty(&d.param_ty)));
-        let body = cc.tail(&env, &d.body)?;
+        env.insert(d.param, (d.param_ty.clone(), cc_ty(&d.param_ty)));
+        let body = cc.tail(&mut env, &d.body)?;
         funs.push(CFun {
             name: d.name,
             param: pf,
@@ -402,7 +394,7 @@ pub fn cc_program(p: &SrcProgram) -> CResult<CProgram> {
             body: CExp::let_proj(d.param, 2, CVal::Var(pf), body),
         });
     }
-    let main = cc.tail(&Env::default(), &p.main)?;
+    let main = cc.tail(&mut Env::default(), &p.main)?;
     funs.extend(cc.lifted);
     Ok(CProgram { funs, main })
 }
@@ -545,6 +537,6 @@ mod tests {
             Rc::new(Expr::Int(1)),
             Rc::new(Expr::Int(2)),
         );
-        assert!(cc.value(&Env::default(), &bad).is_err());
+        assert!(cc.value(&mut Env::default(), &bad).is_err());
     }
 }

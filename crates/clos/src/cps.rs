@@ -18,15 +18,36 @@
 //! The implementation is one-pass with meta-continuations (in the style of
 //! Danvy–Filinski, paper ref. 7), so no administrative β-redexes are produced;
 //! `if0` reifies a join-point continuation to avoid duplicating contexts.
+//!
+//! # Scopes
+//!
+//! A meta-continuation builds the code for the *rest* of the enclosing
+//! expression, and it runs inside the extent of any `let` its subject
+//! expression ends in: converting `(let x = 5 in x) + x` emits the second
+//! `x` under the first's `let x = 5`. In the output, a source `let`'s scope
+//! runs on to the end of its function body, past the end of its source
+//! scope. Two things follow.
+//!
+//! * A source `let` binder whose name is already bound earlier in the same
+//!   definition — by an outer `let` it shadows, a sibling `let`, a
+//!   parameter or a top-level function — is renamed to a fresh symbol, or
+//!   it would capture the continuation's occurrences of the other binding
+//!   (`(let x = 1 in x) + (let x = 2 in x)` would add the second `x` to
+//!   itself). Parameters need no renaming: a converted `fn`'s body is
+//!   closed off from every continuation but its own. Binders whose names
+//!   are new keep them.
+//! * Conversion cannot keep one mutable environment either: the
+//!   continuation would see the inner binding. Instead a linear pre-pass
+//!   (`Scan`) resolves every node once, in its own scope, and conversion
+//!   reads the results by the node's pre-order index.
 
 use std::collections::HashMap;
 use std::fmt;
 
 use ps_ir::symbol::gensym;
-use ps_ir::Symbol;
+use ps_ir::{scoped, Symbol, SymbolSet};
 
 use ps_lambda::syntax::{Expr, FunDef, SrcProgram, SrcTy};
-use ps_lambda::typecheck;
 
 /// An error raised during CPS conversion (only on ill-typed input).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -58,26 +79,122 @@ pub fn cps_ty(ty: &SrcTy) -> SrcTy {
 /// expression and that expression's **source** type.
 type MetaK<'a> = &'a mut dyn FnMut(Expr, &SrcTy) -> CResult<Expr>;
 
-fn infer_src(env: &HashMap<Symbol, SrcTy>, e: &Expr) -> CResult<SrcTy> {
-    typecheck::infer(env, e).map_err(|te| CpsError(te.0))
+/// One node of a source expression, as [`Scan`] resolved it.
+struct Node {
+    /// Pre-order index one past this node's subtree: where its next
+    /// sibling's entry is.
+    end: usize,
+    /// The node's source type.
+    ty: SrcTy,
+    /// The emitted name of a renamed `let` binder, or of a variable that
+    /// one binds.
+    renamed: Option<Symbol>,
 }
 
-/// Converts one expression. `env` maps variables to their **source**
-/// types (used only to compute result types of lambdas and branches).
-fn cps_exp(env: &HashMap<Symbol, SrcTy>, e: &Expr, k: MetaK) -> CResult<Expr> {
+/// The pre-pass environment: source name ↦ emitted name and source type.
+/// It holds the top-level functions throughout.
+type Env = HashMap<Symbol, (Symbol, SrcTy)>;
+
+/// The pre-pass: one walk over an expression in a single scoped
+/// environment, recording a `Node` per node in pre-order.
+///
+/// It computes types rather than checking them (its input has passed the
+/// source typechecker), failing only where a type it needs does not exist.
+#[derive(Default)]
+struct Scan {
+    /// Every binder name of the current definition met so far.
+    seen: SymbolSet,
+    nodes: Vec<Node>,
+}
+
+impl Scan {
+    /// Resolves `e` and its subtree under `env`, appending their entries.
+    fn expr(&mut self, env: &mut Env, e: &Expr) -> CResult<SrcTy> {
+        let at = self.nodes.len();
+        self.nodes.push(Node {
+            end: at,
+            ty: SrcTy::Int,
+            renamed: None,
+        });
+        let mut renamed = None;
+        let ty = match e {
+            Expr::Int(_) => SrcTy::Int,
+            Expr::Var(x) => {
+                let (emitted, ty) = env
+                    .get(x)
+                    .ok_or_else(|| CpsError(format!("unbound variable {x}")))?;
+                renamed = (emitted != x).then_some(*emitted);
+                ty.clone()
+            }
+            Expr::Bin(_, a, b) => {
+                self.expr(env, a)?;
+                self.expr(env, b)?;
+                SrcTy::Int
+            }
+            Expr::If0(c, t, f) => {
+                self.expr(env, c)?;
+                let ty = self.expr(env, t)?;
+                self.expr(env, f)?;
+                ty
+            }
+            Expr::Pair(a, b) => SrcTy::prod(self.expr(env, a)?, self.expr(env, b)?),
+            Expr::Proj(i, a) => match self.expr(env, a)? {
+                SrcTy::Prod(x, y) => (*if *i == 1 { x } else { y }).clone(),
+                other => return Err(CpsError(format!("projection of non-pair type {other}"))),
+            },
+            Expr::Lam {
+                param,
+                param_ty,
+                body,
+            } => {
+                self.seen.insert(*param);
+                let binding = (*param, param_ty.clone());
+                let ret = scoped(env, *param, binding, |env| self.expr(env, body))?;
+                SrcTy::arrow(param_ty.clone(), ret)
+            }
+            Expr::App(f, a) => match self.expr(env, f)? {
+                SrcTy::Arrow(_, cod) => {
+                    self.expr(env, a)?;
+                    (*cod).clone()
+                }
+                other => {
+                    return Err(CpsError(format!(
+                        "application of non-function type {other}"
+                    )))
+                }
+            },
+            Expr::Let { x, rhs, body } => {
+                let rt = self.expr(env, rhs)?;
+                let taken = !self.seen.insert(*x) || env.contains_key(x);
+                renamed = taken.then(|| x.fresh());
+                let binding = (renamed.unwrap_or(*x), rt);
+                scoped(env, *x, binding, |env| self.expr(env, body))?
+            }
+        };
+        self.nodes[at] = Node {
+            end: self.nodes.len(),
+            ty: ty.clone(),
+            renamed,
+        };
+        Ok(ty)
+    }
+}
+
+/// Converts one expression, the node at pre-order index `at` of `nodes`.
+fn cps_exp(nodes: &[Node], at: usize, e: &Expr, k: MetaK) -> CResult<Expr> {
+    // Children sit at `at + 1`, then each at its elder sibling's `end`.
+    let first = at + 1;
+    let second = || nodes[first].end;
     match e {
         Expr::Int(n) => k(Expr::Int(*n), &SrcTy::Int),
         Expr::Var(x) => {
-            let ty = env
-                .get(x)
-                .cloned()
-                .ok_or_else(|| CpsError(format!("unbound variable {x}")))?;
-            k(Expr::Var(*x), &ty)
+            let node = &nodes[at];
+            k(Expr::Var(node.renamed.unwrap_or(*x)), &node.ty)
         }
         Expr::Bin(op, a, b) => {
             let op = *op;
-            cps_exp(env, a, &mut |va, _| {
-                cps_exp(env, b, &mut |vb, _| {
+            cps_exp(nodes, first, a, &mut |va, _| {
+                cps_exp(nodes, second(), b, &mut |vb, _| {
                     let x = gensym("prim");
                     let body = k(Expr::Var(x), &SrcTy::Int)?;
                     Ok(Expr::let_(
@@ -88,9 +205,9 @@ fn cps_exp(env: &HashMap<Symbol, SrcTy>, e: &Expr, k: MetaK) -> CResult<Expr> {
                 })
             })
         }
-        Expr::Pair(a, b) => cps_exp(env, a, &mut |va, ta| {
+        Expr::Pair(a, b) => cps_exp(nodes, first, a, &mut |va, ta| {
             let ta = ta.clone();
-            cps_exp(env, b, &mut |vb, tb| {
+            cps_exp(nodes, second(), b, &mut |vb, tb| {
                 let x = gensym("pair");
                 let ty = SrcTy::prod(ta.clone(), tb.clone());
                 let body = k(Expr::Var(x), &ty)?;
@@ -99,7 +216,7 @@ fn cps_exp(env: &HashMap<Symbol, SrcTy>, e: &Expr, k: MetaK) -> CResult<Expr> {
         }),
         Expr::Proj(i, a) => {
             let i = *i;
-            cps_exp(env, a, &mut |va, ta| {
+            cps_exp(nodes, first, a, &mut |va, ta| {
                 let comp = match ta {
                     SrcTy::Prod(x, y) => {
                         if i == 1 {
@@ -116,21 +233,23 @@ fn cps_exp(env: &HashMap<Symbol, SrcTy>, e: &Expr, k: MetaK) -> CResult<Expr> {
             })
         }
         Expr::If0(c, t, f) => {
-            // Infer the (common) branch type in the source world.
-            let branch_ty = infer_src(env, t)?;
-            cps_exp(env, c, &mut |vc, _| {
+            // The (common) branch type, resolved by the pre-pass.
+            let branch_ty = &nodes[at].ty;
+            let then_at = second();
+            let else_at = nodes[then_at].end;
+            cps_exp(nodes, first, c, &mut |vc, _| {
                 let jk = gensym("join");
                 let xj = gensym("jv");
                 // The join continuation carries a CPS-world value.
-                let jk_body = k(Expr::Var(xj), &branch_ty)?;
+                let jk_body = k(Expr::Var(xj), branch_ty)?;
                 let jk_lam = Expr::Lam {
                     param: xj,
-                    param_ty: cps_ty(&branch_ty),
+                    param_ty: cps_ty(branch_ty),
                     body: jk_body.into(),
                 };
                 let call_join = |v: Expr| Expr::app(Expr::Var(jk), v);
-                let then_e = cps_exp(env, t, &mut |v, _| Ok(call_join(v)))?;
-                let else_e = cps_exp(env, f, &mut |v, _| Ok(call_join(v)))?;
+                let then_e = cps_exp(nodes, then_at, t, &mut |v, _| Ok(call_join(v)))?;
+                let else_e = cps_exp(nodes, else_at, f, &mut |v, _| Ok(call_join(v)))?;
                 Ok(Expr::let_(
                     jk,
                     jk_lam,
@@ -143,15 +262,15 @@ fn cps_exp(env: &HashMap<Symbol, SrcTy>, e: &Expr, k: MetaK) -> CResult<Expr> {
             param_ty,
             body,
         } => {
-            let mut env2 = env.clone();
-            env2.insert(*param, param_ty.clone());
-            let ret_ty = infer_src(&env2, body)?;
+            let ret_ty = &nodes[first].ty;
             let p = gensym("clo");
             let kv = gensym("k");
-            let inner = cps_exp(&env2, body, &mut |v, _| Ok(Expr::app(Expr::Var(kv), v)))?;
+            let inner = cps_exp(nodes, first, body, &mut |v, _| {
+                Ok(Expr::app(Expr::Var(kv), v))
+            })?;
             let cps_lam = Expr::Lam {
                 param: p,
-                param_ty: SrcTy::prod(cps_ty(param_ty), SrcTy::arrow(cps_ty(&ret_ty), SrcTy::Int)),
+                param_ty: SrcTy::prod(cps_ty(param_ty), SrcTy::arrow(cps_ty(ret_ty), SrcTy::Int)),
                 body: Expr::let_(
                     *param,
                     Expr::Proj(1, Expr::Var(p).into()),
@@ -159,20 +278,19 @@ fn cps_exp(env: &HashMap<Symbol, SrcTy>, e: &Expr, k: MetaK) -> CResult<Expr> {
                 )
                 .into(),
             };
-            let src_ty = SrcTy::arrow(param_ty.clone(), ret_ty);
+            let src_ty = SrcTy::arrow(param_ty.clone(), ret_ty.clone());
             k(cps_lam, &src_ty)
         }
-        Expr::App(f, a) => cps_exp(env, f, &mut |vf, tf| {
-            let (dom, cod) = match tf {
-                SrcTy::Arrow(d, c) => ((**d).clone(), (**c).clone()),
+        Expr::App(f, a) => cps_exp(nodes, first, f, &mut |vf, tf| {
+            let cod = match tf {
+                SrcTy::Arrow(_, c) => (**c).clone(),
                 other => {
                     return Err(CpsError(format!(
                         "application of non-function type {other}"
                     )))
                 }
             };
-            let _ = dom;
-            cps_exp(env, a, &mut |va, _| {
+            cps_exp(nodes, second(), a, &mut |va, _| {
                 let r = gensym("ret");
                 let body = k(Expr::Var(r), &cod)?;
                 let cont = Expr::Lam {
@@ -183,12 +301,13 @@ fn cps_exp(env: &HashMap<Symbol, SrcTy>, e: &Expr, k: MetaK) -> CResult<Expr> {
                 Ok(Expr::app(vf.clone(), Expr::pair(va, cont)))
             })
         }),
-        Expr::Let { x, rhs, body } => cps_exp(env, rhs, &mut |v, trhs| {
-            let mut env2 = env.clone();
-            env2.insert(*x, trhs.clone());
-            let inner = cps_exp(&env2, body, k)?;
-            Ok(Expr::let_(*x, v, inner))
-        }),
+        Expr::Let { x, rhs, body } => {
+            let x = nodes[at].renamed.unwrap_or(*x);
+            cps_exp(nodes, first, rhs, &mut |v, _| {
+                let inner = cps_exp(nodes, second(), body, k)?;
+                Ok(Expr::let_(x, v, inner))
+            })
+        }
     }
 }
 
@@ -203,14 +322,22 @@ fn cps_exp(env: &HashMap<Symbol, SrcTy>, e: &Expr, k: MetaK) -> CResult<Expr> {
 /// Fails only on ill-typed input (run
 /// [`ps_lambda::typecheck::check_program`] first for a better message).
 pub fn cps_program(p: &SrcProgram) -> CResult<SrcProgram> {
-    let top = typecheck::top_env(p);
+    // The top-level functions keep their names; conversion emits them
+    // verbatim, so the CPS'd program refers to the CPS'd functions.
+    let mut env: Env = p.defs.iter().map(|d| (d.name, (d.name, d.ty()))).collect();
+    let mut scan = Scan::default();
     let mut defs = Vec::with_capacity(p.defs.len());
     for d in &p.defs {
-        let mut env = top.clone();
-        env.insert(d.param, d.param_ty.clone());
+        scan.nodes.clear();
+        scan.seen.clear();
+        scan.seen.insert(d.param);
+        let binding = (d.param, d.param_ty.clone());
+        scoped(&mut env, d.param, binding, |env| scan.expr(env, &d.body))?;
         let pk = gensym("parg");
         let kv = gensym("k");
-        let inner = cps_exp(&env, &d.body, &mut |v, _| Ok(Expr::app(Expr::Var(kv), v)))?;
+        let inner = cps_exp(&scan.nodes, 0, &d.body, &mut |v, _| {
+            Ok(Expr::app(Expr::Var(kv), v))
+        })?;
         let body = Expr::let_(
             d.param,
             Expr::Proj(1, Expr::Var(pk).into()),
@@ -227,12 +354,10 @@ pub fn cps_program(p: &SrcProgram) -> CResult<SrcProgram> {
             body,
         });
     }
-    // The CPS'd top-level environment gives functions their new types, but
-    // conversion of the main expression needs the *source* environment for
-    // type computation — original `top` — while emitted code refers to the
-    // CPS'd functions. These coincide because conversion only consults the
-    // environment for source types and emits names verbatim.
-    let main = cps_exp(&top, &p.main, &mut |v, _| Ok(v))?;
+    scan.nodes.clear();
+    scan.seen.clear();
+    scan.expr(&mut env, &p.main)?;
+    let main = cps_exp(&scan.nodes, 0, &p.main, &mut |v, _| Ok(v))?;
     Ok(SrcProgram { defs, main })
 }
 
@@ -241,6 +366,7 @@ mod tests {
     use super::*;
     use ps_lambda::eval::run_program;
     use ps_lambda::parse::parse_program;
+    use ps_lambda::typecheck;
 
     /// Source and CPS'd program must agree, and the CPS'd program must
     /// still typecheck.
@@ -323,6 +449,55 @@ mod tests {
             ),
             42
         );
+    }
+
+    #[test]
+    fn shadowing_lets_do_not_capture_the_continuation() {
+        // The continuation of `(let x = 5 in x)` converts the second `x`
+        // inside that `let`: the inner binder must not capture it.
+        assert_eq!(roundtrip("let x = 1 in (let x = 5 in x) + x"), 6);
+        assert_eq!(roundtrip("let x = (1, 2) in (let x = 5 in x) + fst x"), 6);
+        assert_eq!(
+            roundtrip("fun f (x : int) : int = (let x = 5 in x) + x\n f 1"),
+            6
+        );
+        assert_eq!(
+            roundtrip("fun g (y : int) : int = y\n (let g = 2 in g) + g 3"),
+            5
+        );
+        assert_eq!(
+            roundtrip("let x = 1 in (if0 (let x = 0 in x) then x else 7) + x"),
+            2
+        );
+        // Sibling lets shadow nothing in the source, but the first one's
+        // scope in the output covers the second and the addition.
+        assert_eq!(roundtrip("(let x = 1 in x) + (let x = 2 in x)"), 3);
+        assert_eq!(
+            roundtrip(
+                "(let a = let a = 1 in fn (a : int) => a + 10 in a) (let a = let a = 2 in a in a)"
+            ),
+            12
+        );
+    }
+
+    #[test]
+    fn only_shadowing_binders_are_renamed() {
+        let binders = |src: &str| {
+            let q = cps_program(&parse_program(src).unwrap()).unwrap();
+            let mut out = Vec::new();
+            let mut e = &q.main;
+            while let Expr::Let { x, body, .. } = e {
+                out.push(*x);
+                e = body;
+            }
+            out
+        };
+        let (x, y) = (Symbol::intern("x"), Symbol::intern("y"));
+        assert_eq!(binders("let x = 4 in let y = x in y"), vec![x, y]);
+        let renamed = binders("let x = 4 in let x = x in x");
+        assert_eq!(renamed[0], x);
+        assert_ne!(renamed[1], x);
+        assert_eq!(renamed[1].base(), "x");
     }
 
     #[test]

@@ -2,12 +2,14 @@
 //!
 //! Environments: `Θ` for existential type variables, `Γ` for value
 //! variables, plus the `letrec` function signatures. Types compare up to
-//! α-equivalence.
+//! α-equivalence. One context serves a whole program: binders extend it in
+//! place and restore what they shadowed on the way out
+//! ([`ps_ir::scope`]), so checking is linear in the program.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
-use ps_ir::Symbol;
+use ps_ir::{scoped, Scope, Symbol};
 
 use crate::syntax::{cty_alpha_eq, CExp, CProgram, CTy, CVal};
 
@@ -26,6 +28,8 @@ impl std::error::Error for ClosTypeError {}
 type TResult<T> = Result<T, ClosTypeError>;
 
 /// The checking context.
+///
+/// The checker extends it in place and hands it back as it found it.
 #[derive(Clone, Debug, Default)]
 pub struct ClosCtx {
     /// Function signatures (the `letrec` environment).
@@ -36,26 +40,23 @@ pub struct ClosCtx {
     pub gamma: HashMap<Symbol, CTy>,
 }
 
-fn wf(ctx: &ClosCtx, ty: &CTy) -> TResult<()> {
+/// Type formation under `Θ`.
+fn wf(theta: &mut HashSet<Symbol>, ty: &CTy) -> TResult<()> {
     match ty {
         CTy::Int => Ok(()),
         CTy::Var(t) => {
-            if ctx.theta.contains(t) {
+            if theta.contains(t) {
                 Ok(())
             } else {
                 Err(ClosTypeError(format!("unbound type variable {t}")))
             }
         }
         CTy::Prod(a, b) => {
-            wf(ctx, a)?;
-            wf(ctx, b)
+            wf(theta, a)?;
+            wf(theta, b)
         }
-        CTy::Arrow(a) => wf(ctx, a),
-        CTy::Exist(t, body) => {
-            let mut ctx2 = ctx.clone();
-            ctx2.theta.insert(*t);
-            wf(&ctx2, body)
-        }
+        CTy::Arrow(a) => wf(theta, a),
+        CTy::Exist(t, body) => scoped(theta, *t, (), |theta| wf(theta, body)),
     }
 }
 
@@ -64,7 +65,7 @@ fn wf(ctx: &ClosCtx, ty: &CTy) -> TResult<()> {
 /// # Errors
 ///
 /// Fails on unbound variables and ill-typed packages.
-pub fn infer_val(ctx: &ClosCtx, v: &CVal) -> TResult<CTy> {
+pub fn infer_val(ctx: &mut ClosCtx, v: &CVal) -> TResult<CTy> {
     match v {
         CVal::Int(_) => Ok(CTy::Int),
         CVal::Var(x) => ctx
@@ -84,12 +85,8 @@ pub fn infer_val(ctx: &ClosCtx, v: &CVal) -> TResult<CTy> {
             val,
             body_ty,
         } => {
-            wf(ctx, witness)?;
-            {
-                let mut ctx2 = ctx.clone();
-                ctx2.theta.insert(*tvar);
-                wf(&ctx2, body_ty)?;
-            }
+            wf(&mut ctx.theta, witness)?;
+            scoped(&mut ctx.theta, *tvar, (), |theta| wf(theta, body_ty))?;
             let expected = body_ty.subst(*tvar, witness);
             let got = infer_val(ctx, val)?;
             if !cty_alpha_eq(&got, &expected) {
@@ -107,20 +104,16 @@ pub fn infer_val(ctx: &ClosCtx, v: &CVal) -> TResult<CTy> {
 /// # Errors
 ///
 /// Fails on the first rule violation, with a short description.
-pub fn check_exp(ctx: &ClosCtx, e: &CExp) -> TResult<()> {
+pub fn check_exp(ctx: &mut ClosCtx, e: &CExp) -> TResult<()> {
     match e {
         CExp::Let { x, v, body } => {
             let t = infer_val(ctx, v)?;
-            let mut ctx2 = ctx.clone();
-            ctx2.gamma.insert(*x, t);
-            check_exp(&ctx2, body)
+            check_in(ctx, *x, t, body)
         }
         CExp::LetProj { x, i, v, body } => match infer_val(ctx, v)? {
             CTy::Prod(a, b) => {
                 let t = if *i == 1 { (*a).clone() } else { (*b).clone() };
-                let mut ctx2 = ctx.clone();
-                ctx2.gamma.insert(*x, t);
-                check_exp(&ctx2, body)
+                check_in(ctx, *x, t, body)
             }
             other => Err(ClosTypeError(format!(
                 "projection of non-pair type {other}"
@@ -137,9 +130,7 @@ pub fn check_exp(ctx: &ClosCtx, e: &CExp) -> TResult<()> {
                     }
                 }
             }
-            let mut ctx2 = ctx.clone();
-            ctx2.gamma.insert(*x, CTy::Int);
-            check_exp(&ctx2, body)
+            check_in(ctx, *x, CTy::Int, body)
         }
         CExp::App(f, a) => match infer_val(ctx, f)? {
             CTy::Arrow(dom) => {
@@ -158,12 +149,14 @@ pub fn check_exp(ctx: &ClosCtx, e: &CExp) -> TResult<()> {
         },
         CExp::Open { pkg, tvar, x, body } => match infer_val(ctx, pkg)? {
             CTy::Exist(t0, bty) => {
-                let mut ctx2 = ctx.clone();
-                if !ctx2.theta.insert(*tvar) {
+                if ctx.theta.contains(tvar) {
                     return Err(ClosTypeError(format!("open shadows type variable {tvar}")));
                 }
-                ctx2.gamma.insert(*x, bty.subst(t0, &CTy::Var(*tvar)));
-                check_exp(&ctx2, body)
+                let opened = bty.subst(t0, &CTy::Var(*tvar));
+                ctx.theta.insert(*tvar);
+                let verdict = check_in(ctx, *x, opened, body);
+                ctx.theta.remove(tvar);
+                verdict
             }
             other => Err(ClosTypeError(format!(
                 "open of non-existential type {other}"
@@ -188,6 +181,14 @@ pub fn check_exp(ctx: &ClosCtx, e: &CExp) -> TResult<()> {
     }
 }
 
+/// Checks `body` under `Γ, x : t`, then takes the binding back.
+fn check_in(ctx: &mut ClosCtx, x: Symbol, t: CTy, body: &CExp) -> TResult<()> {
+    let shadowed = ctx.gamma.bind(x, t);
+    let verdict = check_exp(ctx, body);
+    ctx.gamma.unbind(x, shadowed);
+    verdict
+}
+
 /// Checks a whole program: each function body under its parameter (code is
 /// closed — only the `letrec` names and the parameter are in scope), then
 /// the main term.
@@ -196,28 +197,21 @@ pub fn check_exp(ctx: &ClosCtx, e: &CExp) -> TResult<()> {
 ///
 /// Fails on the first ill-typed definition or term.
 pub fn check_program(p: &CProgram) -> TResult<()> {
-    let mut funs = HashMap::new();
+    // One context for the whole program: between definitions its `Θ` and
+    // `Γ` are back to empty, so each body sees only its parameter.
+    let mut ctx = ClosCtx::default();
     for f in &p.funs {
-        if funs.insert(f.name, f.ty()).is_some() {
+        if ctx.funs.insert(f.name, f.ty()).is_some() {
             return Err(ClosTypeError(format!("duplicate function {}", f.name)));
         }
     }
     for f in &p.funs {
-        let mut ctx = ClosCtx {
-            funs: funs.clone(),
-            ..ClosCtx::default()
-        };
-        wf(&ctx, &f.param_ty)
+        wf(&mut ctx.theta, &f.param_ty)
             .map_err(|e| ClosTypeError(format!("{} (parameter of {})", e.0, f.name)))?;
-        ctx.gamma.insert(f.param, f.param_ty.clone());
-        check_exp(&ctx, &f.body)
+        check_in(&mut ctx, f.param, f.param_ty.clone(), &f.body)
             .map_err(|e| ClosTypeError(format!("{} (in body of {})", e.0, f.name)))?;
     }
-    let ctx = ClosCtx {
-        funs,
-        ..ClosCtx::default()
-    };
-    check_exp(&ctx, &p.main).map_err(|e| ClosTypeError(format!("{} (in main)", e.0)))
+    check_exp(&mut ctx, &p.main).map_err(|e| ClosTypeError(format!("{} (in main)", e.0)))
 }
 
 #[cfg(test)]
@@ -231,13 +225,13 @@ mod tests {
 
     #[test]
     fn halt_int() {
-        check_exp(&ClosCtx::default(), &CExp::Halt(CVal::Int(1))).unwrap();
+        check_exp(&mut ClosCtx::default(), &CExp::Halt(CVal::Int(1))).unwrap();
     }
 
     #[test]
     fn halt_pair_fails() {
         let e = CExp::Halt(CVal::pair(CVal::Int(1), CVal::Int(2)));
-        assert!(check_exp(&ClosCtx::default(), &e).is_err());
+        assert!(check_exp(&mut ClosCtx::default(), &e).is_err());
     }
 
     #[test]
@@ -326,7 +320,7 @@ mod tests {
             val: std::rc::Rc::new(CVal::pair(CVal::Int(1), CVal::Int(2))),
             body_ty: CTy::Var(t),
         };
-        assert!(infer_val(&ClosCtx::default(), &pkg).is_err());
+        assert!(infer_val(&mut ClosCtx::default(), &pkg).is_err());
     }
 
     #[test]
@@ -345,7 +339,7 @@ mod tests {
             x: s("x"),
             body: std::rc::Rc::new(CExp::Halt(CVal::Var(s("x")))),
         };
-        assert!(check_exp(&ClosCtx::default(), &e).is_err());
+        assert!(check_exp(&mut ClosCtx::default(), &e).is_err());
     }
 
     #[test]
@@ -361,7 +355,43 @@ mod tests {
                 nonzero: std::rc::Rc::new(CExp::Halt(CVal::Int(0))),
             }),
         };
-        check_exp(&ClosCtx::default(), &e).unwrap();
+        check_exp(&mut ClosCtx::default(), &e).unwrap();
+    }
+
+    #[test]
+    fn opened_type_variable_stays_in_its_arm() {
+        // `⟨t = u, 1⟩ : ∃t.Int` is well formed only where `u` is bound, so
+        // it is fine inside the `open` that binds `u` and must be rejected
+        // in the other `if0` arm: a context that forgot to restore `Θ`
+        // after the first arm would accept it.
+        let uses_u = || CVal::Pack {
+            tvar: s("t"),
+            witness: CTy::Var(s("u")),
+            val: std::rc::Rc::new(CVal::Int(1)),
+            body_ty: CTy::Int,
+        };
+        let pkg = CVal::Pack {
+            tvar: s("t"),
+            witness: CTy::Int,
+            val: std::rc::Rc::new(CVal::Int(1)),
+            body_ty: CTy::Var(s("t")),
+        };
+        let open_then = |body: CExp| CExp::Open {
+            pkg: pkg.clone(),
+            tvar: s("u"),
+            x: s("y"),
+            body: std::rc::Rc::new(body),
+        };
+        let use_u = || CExp::let_(s("z"), uses_u(), CExp::Halt(CVal::Int(0)));
+        check_exp(&mut ClosCtx::default(), &open_then(use_u())).unwrap();
+        let leak = CExp::If0 {
+            v: CVal::Int(0),
+            zero: std::rc::Rc::new(open_then(CExp::Halt(CVal::Int(0)))),
+            nonzero: std::rc::Rc::new(use_u()),
+        };
+        let mut ctx = ClosCtx::default();
+        assert!(check_exp(&mut ctx, &leak).is_err());
+        assert!(ctx.theta.is_empty() && ctx.gamma.is_empty());
     }
 
     use crate::syntax::BinOp;

@@ -25,6 +25,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
+use ps_ir::scope::{unbind_all, Scope};
 use ps_ir::Symbol;
 
 use crate::error::{dialect_err, form_err, type_err, LangError, Result};
@@ -52,6 +53,11 @@ fn cert_threads() -> usize {
 pub type PsiTable = BTreeMap<RegionName, BTreeMap<u32, Ty>>;
 
 /// The static environments `∆; Θ; Φ; Γ` of Fig. 6.
+///
+/// The judgements that take it mutably ([`Checker::check_term`],
+/// [`Checker::ty_wf`]) extend it in place at each binder and restore what
+/// the binder shadowed on every exit path, so a caller gets it back as it
+/// passed it, whatever the verdict.
 #[derive(Clone, Debug, Default)]
 pub struct Ctx {
     /// `∆` — regions in scope (`cd` is always implicitly present).
@@ -154,17 +160,26 @@ impl<'p> Checker<'p> {
         self.psi.get(&nu)?.get(&loc)
     }
 
-    /// `Ψ|∆′` — restrict to the given names plus `cd`.
-    fn restrict_psi(&self, keep: &BTreeSet<Region>) -> Checker<'static> {
-        let psi = self
-            .psi
-            .iter()
-            .filter(|(n, _)| n.is_cd() || keep.contains(&Region::Name(**n)))
-            .map(|(n, t)| (*n, t.clone()))
-            .collect();
+    /// `Ψ|∆′` — restrict to the given names plus `cd`. A restriction that
+    /// keeps every region borrows `Ψ` instead of copying it: under
+    /// [`Checker::check_program`] `Ψ` holds only `cd`, and copying `Ψ|cd`
+    /// for each of n code blocks would make certification O(n²).
+    fn restrict_psi(&self, keep: &BTreeSet<Region>) -> Checker<'_> {
+        let kept = |n: &RegionName| n.is_cd() || keep.contains(&Region::Name(*n));
+        let psi = if self.psi.keys().all(kept) {
+            Cow::Borrowed(&*self.psi)
+        } else {
+            Cow::Owned(
+                self.psi
+                    .iter()
+                    .filter(|(n, _)| kept(n))
+                    .map(|(n, t)| (*n, t.clone()))
+                    .collect(),
+            )
+        };
         Checker {
             dialect: self.dialect,
-            psi: Cow::Owned(psi),
+            psi,
         }
     }
 
@@ -203,7 +218,7 @@ impl<'p> Checker<'p> {
         let checker = Checker::with_psi(program.dialect, psi);
         checker.check_code_blocks(&program.code)?;
         checker
-            .check_term(&Ctx::empty(), &program.main)
+            .check_term(&mut Ctx::empty(), &program.main)
             .map_err(|e| e.in_context("main term"))
     }
 
@@ -271,14 +286,14 @@ impl<'p> Checker<'p> {
         let restricted = self.restrict_psi(&BTreeSet::new());
         for (x, sigma) in &def.params {
             restricted
-                .ty_wf(&ctx, sigma)
+                .ty_wf(&mut ctx, sigma)
                 .map_err(|e| e.in_context(format!("parameter {x} of {}", def.name)))?;
             if ctx.gamma.insert(*x, sigma.clone()).is_some() {
                 return Err(type_err(format!("duplicate parameter {x} in {}", def.name)));
             }
         }
         restricted
-            .check_term(&ctx, &def.body)
+            .check_term(&mut ctx, &def.body)
             .map_err(|e| e.in_context(format!("body of {}", def.name)))
     }
 
@@ -286,7 +301,7 @@ impl<'p> Checker<'p> {
 
     /// The type-formation judgement `∆; Θ; Φ ⊢ σ` of Fig. 6 (left column),
     /// extended per Figs. 8 and 10.
-    pub fn ty_wf(&self, ctx: &Ctx, sigma: &Ty) -> Result<()> {
+    pub fn ty_wf(&self, ctx: &mut Ctx, sigma: &Ty) -> Result<()> {
         match sigma {
             Ty::Int => Ok(()),
             Ty::Prod(a, b) => {
@@ -319,14 +334,15 @@ impl<'p> Checker<'p> {
                     inner.delta.insert(Region::Var(*r));
                 }
                 for a in args.iter() {
-                    self.ty_wf(&inner, a)?;
+                    self.ty_wf(&mut inner, a)?;
                 }
                 Ok(())
             }
             Ty::ExistTag { tvar, kind, body } => {
-                let mut inner = ctx.clone();
-                inner.theta.insert(*tvar, *kind);
-                self.ty_wf(&inner, body)
+                let shadowed = ctx.theta.bind(*tvar, *kind);
+                let verdict = self.ty_wf(ctx, body);
+                ctx.theta.unbind(*tvar, shadowed);
+                verdict
             }
             Ty::At(inner, rho) => {
                 if !ctx.in_delta(rho) {
@@ -378,9 +394,10 @@ impl<'p> Checker<'p> {
                         return Err(form_err(format!("∃α bound region {r} not in scope")));
                     }
                 }
-                let mut inner = ctx.clone();
-                inner.phi.insert(*avar, regions.to_vec());
-                self.ty_wf(&inner, body)
+                let shadowed = ctx.phi.bind(*avar, regions.to_vec());
+                let verdict = self.ty_wf(ctx, body);
+                ctx.phi.unbind(*avar, shadowed);
+                verdict
             }
             Ty::Trans {
                 tags: ts,
@@ -419,9 +436,11 @@ impl<'p> Checker<'p> {
                         return Err(form_err(format!("∃r bound region {r} not in scope")));
                     }
                 }
-                let mut inner = ctx.clone();
-                inner.delta.insert(Region::Var(*rvar));
-                self.ty_wf(&inner, body)
+                let r = Region::Var(*rvar);
+                let shadowed = ctx.delta.bind(r, ());
+                let verdict = self.ty_wf(ctx, body);
+                ctx.delta.unbind(r, shadowed);
+                verdict
             }
         }
     }
@@ -482,7 +501,7 @@ impl<'p> Checker<'p> {
                     .filter(|(_, bound)| bound.iter().all(|r| r.is_cd() || regions.contains(r)))
                     .map(|(a, b)| (*a, b.clone()))
                     .collect();
-                self.ty_wf(&inner, witness)
+                self.ty_wf(&mut inner, witness)
                     .map_err(|e| e.in_context("α-package witness"))?;
                 let instantiated = Subst::one_alpha(*avar, witness.clone()).ty(body_ty);
                 self.check_value(ctx, val, &instantiated)
@@ -749,7 +768,7 @@ impl<'p> Checker<'p> {
     // ===== terms =========================================================
 
     /// The term judgement `Ψ; ∆; Θ; Φ; Γ ⊢ e`.
-    pub fn check_term(&self, ctx: &Ctx, e: &Term) -> Result<()> {
+    pub fn check_term(&self, ctx: &mut Ctx, e: &Term) -> Result<()> {
         match e {
             Term::App {
                 f,
@@ -758,17 +777,10 @@ impl<'p> Checker<'p> {
                 args,
             } => self.check_app(ctx, f, ts, regions, args),
             Term::Let { .. } => {
-                // Iterative over the let spine (it can be thousands deep).
-                let mut inner = ctx.clone();
-                let mut cur = e;
-                while let Term::Let { x, op, body } = cur {
-                    let sigma = self
-                        .synth_op(&inner, op)
-                        .map_err(|e| e.in_context(format!("let-binding of {x}")))?;
-                    inner.gamma.insert(*x, sigma);
-                    cur = body;
-                }
-                self.check_term(&inner, cur)
+                let mut shadowed = Vec::new();
+                let verdict = self.check_let_spine(ctx, e, &mut shadowed);
+                unbind_all(&mut ctx.gamma, shadowed);
+                verdict
             }
             Term::Halt(v) => self
                 .check_value(ctx, v, &Ty::Int)
@@ -788,13 +800,14 @@ impl<'p> Checker<'p> {
                         kind,
                         body: bty,
                     } => {
-                        let mut inner = ctx.clone();
-                        if inner.theta.insert(*tvar, kind).is_some() {
+                        if ctx.theta.contains_key(tvar) {
                             return Err(type_err(format!("open shadows tag variable {tvar}")));
                         }
                         let opened = Subst::one_tag(t0, Tag::Var(*tvar)).ty(&bty);
-                        inner.gamma.insert(*x, opened);
-                        self.check_term(&inner, body)
+                        ctx.theta.insert(*tvar, kind);
+                        let verdict = self.check_in(ctx, *x, opened, body);
+                        ctx.theta.remove(tvar);
+                        verdict
                     }
                     other => Err(type_err(format!("open(tag) of non-existential {other:?}"))),
                 }
@@ -807,13 +820,14 @@ impl<'p> Checker<'p> {
                         regions,
                         body: bty,
                     } => {
-                        let mut inner = ctx.clone();
-                        if inner.phi.insert(*avar, regions.to_vec()).is_some() {
+                        if ctx.phi.contains_key(avar) {
                             return Err(type_err(format!("open shadows type variable {avar}")));
                         }
                         let opened = Subst::one_alpha(a0, Ty::Alpha(*avar)).ty(&bty);
-                        inner.gamma.insert(*x, opened);
-                        self.check_term(&inner, body)
+                        ctx.phi.insert(*avar, regions.to_vec());
+                        let verdict = self.check_in(ctx, *x, opened, body);
+                        ctx.phi.remove(avar);
+                        verdict
                     }
                     other => Err(type_err(format!("open(α) of non-existential {other:?}"))),
                 }
@@ -827,16 +841,17 @@ impl<'p> Checker<'p> {
                         bound,
                         body: bty,
                     } => {
-                        let mut inner = ctx.clone();
-                        if !inner.delta.insert(Region::Var(*rvar)) {
+                        let r = Region::Var(*rvar);
+                        if ctx.delta.contains(&r) {
                             return Err(type_err(format!("open shadows region variable {rvar}")));
                         }
-                        inner.rbounds.insert(*rvar, bound.to_vec());
-                        let opened = Subst::one_rgn(r0, Region::Var(*rvar))
-                            .ty(&bty)
-                            .at(Region::Var(*rvar));
-                        inner.gamma.insert(*x, opened);
-                        self.check_term(&inner, body)
+                        let opened = Subst::one_rgn(r0, r).ty(&bty).at(r);
+                        ctx.delta.insert(r);
+                        let shadowed = ctx.rbounds.bind(*rvar, bound.to_vec());
+                        let verdict = self.check_in(ctx, *x, opened, body);
+                        ctx.rbounds.unbind(*rvar, shadowed);
+                        ctx.delta.remove(&r);
+                        verdict
                     }
                     other => Err(type_err(format!(
                         "open(region) of non-existential {other:?}"
@@ -844,12 +859,15 @@ impl<'p> Checker<'p> {
                 }
             }
             Term::LetRegion { rvar, body } => {
-                let mut inner = ctx.clone();
-                if !inner.delta.insert(Region::Var(*rvar)) {
+                let r = Region::Var(*rvar);
+                if ctx.delta.contains(&r) {
                     // paper: unique binders assumed (Appendix A).
                     return Err(type_err(format!("let region shadows {rvar}")));
                 }
-                self.check_term(&inner, body)
+                ctx.delta.insert(r);
+                let verdict = self.check_term(ctx, body);
+                ctx.delta.remove(&r);
+                verdict
             }
             Term::Only { regions, body } => {
                 for r in regions {
@@ -884,7 +902,7 @@ impl<'p> Checker<'p> {
                     })
                     .map(|(x, t)| (*x, t.clone()))
                     .collect();
-                restricted.check_term(&inner, body)
+                restricted.check_term(&mut inner, body)
             }
             Term::Typecase {
                 tag,
@@ -903,12 +921,8 @@ impl<'p> Checker<'p> {
                 let t = normalize_ty(&self.synth_value(ctx, scrut)?, self.dialect);
                 match t {
                     Ty::Sum(a, b) => {
-                        let mut lctx = ctx.clone();
-                        lctx.gamma.insert(*x, Ty::Left(a));
-                        self.check_term(&lctx, left)?;
-                        let mut rctx = ctx.clone();
-                        rctx.gamma.insert(*x, Ty::Right(b));
-                        self.check_term(&rctx, right)
+                        self.check_in(ctx, *x, Ty::Left(a), left)?;
+                        self.check_in(ctx, *x, Ty::Right(b), right)
                     }
                     // A literal `inl v`/`inr v` scrutinee (mid-execution
                     // machine state) synthesizes a bare `left`/`right` type;
@@ -916,14 +930,10 @@ impl<'p> Checker<'p> {
                     // side, and only the live branch needs checking — the
                     // analogue of Fig. 10's literal `ifreg (ν₁ = ν₂)` rules.
                     Ty::Left(a) if matches!(scrut, Value::Inl(_)) => {
-                        let mut lctx = ctx.clone();
-                        lctx.gamma.insert(*x, Ty::Left(a));
-                        self.check_term(&lctx, left)
+                        self.check_in(ctx, *x, Ty::Left(a), left)
                     }
                     Ty::Right(b) if matches!(scrut, Value::Inr(_)) => {
-                        let mut rctx = ctx.clone();
-                        rctx.gamma.insert(*x, Ty::Right(b));
-                        self.check_term(&rctx, right)
+                        self.check_in(ctx, *x, Ty::Right(b), right)
                     }
                     other => Err(type_err(format!("ifleft on non-sum type {other:?}"))),
                 }
@@ -972,7 +982,7 @@ impl<'p> Checker<'p> {
                     .map(|(a, b)| (*a, b.clone()))
                     .collect();
                 inner.gamma.insert(*x, Ty::c(*from, *to, tag.clone()));
-                restricted.check_term(&inner, body)
+                restricted.check_term(&mut inner, body)
             }
             Term::IfReg { r1, r2, eq, ne } => {
                 self.require_dialect(&[Dialect::Generational], "ifreg")?;
@@ -988,6 +998,34 @@ impl<'p> Checker<'p> {
                 self.check_term(ctx, nonzero)
             }
         }
+    }
+
+    /// Checks `body` under `Γ, x : σ`, then takes the binding back.
+    fn check_in(&self, ctx: &mut Ctx, x: Symbol, sigma: Ty, body: &Term) -> Result<()> {
+        let shadowed = ctx.gamma.bind(x, sigma);
+        let verdict = self.check_term(ctx, body);
+        ctx.gamma.unbind(x, shadowed);
+        verdict
+    }
+
+    /// Binds the `let` spine that starts at `e` into `Γ`, logging what each
+    /// binding shadows in `shadowed` for the caller to restore, then checks
+    /// the term at its end. Iterative: a spine can be thousands deep.
+    fn check_let_spine(
+        &self,
+        ctx: &mut Ctx,
+        e: &Term,
+        shadowed: &mut Vec<(Symbol, Option<Ty>)>,
+    ) -> Result<()> {
+        let mut cur = e;
+        while let Term::Let { x, op, body } = cur {
+            let sigma = self
+                .synth_op(ctx, op)
+                .map_err(|e| e.in_context(format!("let-binding of {x}")))?;
+            shadowed.push((*x, ctx.gamma.bind(*x, sigma)));
+            cur = body;
+        }
+        self.check_term(ctx, cur)
     }
 
     fn check_app(
@@ -1083,7 +1121,7 @@ impl<'p> Checker<'p> {
     #[allow(clippy::too_many_arguments)]
     fn check_typecase(
         &self,
-        ctx: &Ctx,
+        ctx: &mut Ctx,
         tag: &Tag,
         int_arm: &Term,
         arrow_arm: &Term,
@@ -1109,52 +1147,45 @@ impl<'p> Checker<'p> {
             }
             Tag::Var(t) => {
                 // The refining rule of Fig. 6: each arm is checked with the
-                // variable refined in Γ and in the arm itself.
-                let refine = |ctx: &Ctx, refined: Tag, arm: &Term| -> Result<()> {
-                    let sub = Subst::one_tag(t, refined);
-                    let mut inner = ctx.clone();
-                    inner.gamma = ctx
+                // variable refined in Γ and in the arm itself. Γ is rebuilt
+                // under the refinement for the arm and put back after it.
+                let refine = |ctx: &mut Ctx, sub: &Subst, arm: &Term| -> Result<()> {
+                    let refined = ctx
                         .gamma
                         .iter()
                         .map(|(x, sigma)| (*x, sub.ty(sigma)))
                         .collect();
-                    self.check_term(&inner, &sub.term(arm))
+                    let outer = std::mem::replace(&mut ctx.gamma, refined);
+                    let verdict = self.check_term(ctx, &sub.term(arm));
+                    ctx.gamma = outer;
+                    verdict
                 };
-                refine(ctx, Tag::Int, int_arm).map_err(|e| e.in_context("typecase int arm"))?;
+                refine(ctx, &Subst::one_tag(t, Tag::Int), int_arm)
+                    .map_err(|e| e.in_context("typecase int arm"))?;
                 // paper: Fig. 6 checks eλ without refinement; we refine to
                 // AnyArrow(t) (see syntax::Tag::AnyArrow) so that Fig. 4's
                 // `λ ⇒ x` arm typechecks.
-                refine(ctx, Tag::AnyArrow(t), arrow_arm)
+                refine(ctx, &Subst::one_tag(t, Tag::AnyArrow(t)), arrow_arm)
                     .map_err(|e| e.in_context("typecase λ arm"))?;
                 {
                     let (t1, t2, body) = prod_arm;
-                    let mut inner = ctx.clone();
-                    inner.theta.insert(*t1, Kind::Omega);
-                    inner.theta.insert(*t2, Kind::Omega);
-                    let refined = Tag::prod(Tag::Var(*t1), Tag::Var(*t2));
-                    let sub = Subst::one_tag(t, refined);
-                    inner.gamma = ctx
-                        .gamma
-                        .iter()
-                        .map(|(x, sigma)| (*x, sub.ty(sigma)))
-                        .collect();
-                    self.check_term(&inner, &sub.term(body))
-                        .map_err(|e| e.in_context("typecase × arm"))?;
+                    let sub = Subst::one_tag(t, Tag::prod(Tag::Var(*t1), Tag::Var(*t2)));
+                    let shadowed1 = ctx.theta.bind(*t1, Kind::Omega);
+                    let shadowed2 = ctx.theta.bind(*t2, Kind::Omega);
+                    let verdict = refine(ctx, &sub, body);
+                    ctx.theta.unbind(*t2, shadowed2);
+                    ctx.theta.unbind(*t1, shadowed1);
+                    verdict.map_err(|e| e.in_context("typecase × arm"))?;
                 }
                 {
                     let (te, body) = exist_arm;
-                    let mut inner = ctx.clone();
-                    inner.theta.insert(*te, Kind::Arrow);
                     let u = Symbol::intern("t!u").fresh();
                     let refined = Tag::exist(u, Tag::app(Tag::Var(*te), Tag::Var(u)));
                     let sub = Subst::one_tag(t, refined);
-                    inner.gamma = ctx
-                        .gamma
-                        .iter()
-                        .map(|(x, sigma)| (*x, sub.ty(sigma)))
-                        .collect();
-                    self.check_term(&inner, &sub.term(body))
-                        .map_err(|e| e.in_context("typecase ∃ arm"))?;
+                    let shadowed = ctx.theta.bind(*te, Kind::Arrow);
+                    let verdict = refine(ctx, &sub, body);
+                    ctx.theta.unbind(*te, shadowed);
+                    verdict.map_err(|e| e.in_context("typecase ∃ arm"))?;
                 }
                 Ok(())
             }
@@ -1164,7 +1195,14 @@ impl<'p> Checker<'p> {
         }
     }
 
-    fn check_ifreg(&self, ctx: &Ctx, r1: &Region, r2: &Region, eq: &Term, ne: &Term) -> Result<()> {
+    fn check_ifreg(
+        &self,
+        ctx: &mut Ctx,
+        r1: &Region,
+        r2: &Region,
+        eq: &Term,
+        ne: &Term,
+    ) -> Result<()> {
         if !ctx.in_delta(r1) || !ctx.in_delta(r2) {
             return Err(type_err("ifreg region not in scope".to_string()));
         }
@@ -1186,14 +1224,17 @@ impl<'p> Checker<'p> {
                     .with_rgn(*a, Region::Var(fresh))
                     .with_rgn(*b, Region::Var(fresh));
                 self.check_term(
-                    &subst_ctx(ctx, &sub, Some(Region::Var(fresh))),
+                    &mut subst_ctx(ctx, &sub, Some(Region::Var(fresh))),
                     &sub.term(eq),
                 )?;
                 self.check_term(ctx, ne)
             }
             (Region::Var(a), Region::Name(n)) | (Region::Name(n), Region::Var(a)) => {
                 let sub = Subst::one_rgn(*a, Region::Name(*n));
-                self.check_term(&subst_ctx(ctx, &sub, Some(Region::Name(*n))), &sub.term(eq))?;
+                self.check_term(
+                    &mut subst_ctx(ctx, &sub, Some(Region::Name(*n))),
+                    &sub.term(eq),
+                )?;
                 self.check_term(ctx, ne)
             }
         }
@@ -1267,20 +1308,20 @@ mod tests {
     #[test]
     fn halt_int_checks() {
         basic()
-            .check_term(&Ctx::empty(), &Term::Halt(Value::Int(3)))
+            .check_term(&mut Ctx::empty(), &Term::Halt(Value::Int(3)))
             .unwrap();
     }
 
     #[test]
     fn halt_pair_fails() {
         let e = Term::Halt(Value::pair(Value::Int(1), Value::Int(2)));
-        assert!(basic().check_term(&Ctx::empty(), &e).is_err());
+        assert!(basic().check_term(&mut Ctx::empty(), &e).is_err());
     }
 
     #[test]
     fn unbound_variable_fails() {
         assert!(basic()
-            .check_term(&Ctx::empty(), &Term::Halt(Value::Var(s("ghost"))))
+            .check_term(&mut Ctx::empty(), &Term::Halt(Value::Var(s("ghost"))))
             .is_err());
     }
 
@@ -1293,7 +1334,7 @@ mod tests {
             Op::Val(Value::pair(Value::Int(1), Value::Int(2))),
             Term::let_(y, Op::Proj(1, Value::Var(x)), Term::Halt(Value::Var(y))),
         );
-        basic().check_term(&Ctx::empty(), &e).unwrap();
+        basic().check_term(&mut Ctx::empty(), &e).unwrap();
     }
 
     #[test]
@@ -1303,8 +1344,8 @@ mod tests {
             Op::Put(Region::Var(s("r")), Value::Int(1)),
             Term::Halt(Value::Int(0)),
         );
-        assert!(basic().check_term(&Ctx::empty(), &e).is_err());
-        basic().check_term(&ctx_with_region("r"), &e).unwrap();
+        assert!(basic().check_term(&mut Ctx::empty(), &e).is_err());
+        basic().check_term(&mut ctx_with_region("r"), &e).unwrap();
     }
 
     #[test]
@@ -1314,7 +1355,7 @@ mod tests {
             Op::Put(Region::cd(), Value::Int(1)),
             Term::Halt(Value::Int(0)),
         );
-        assert!(basic().check_term(&Ctx::empty(), &e).is_err());
+        assert!(basic().check_term(&mut Ctx::empty(), &e).is_err());
     }
 
     #[test]
@@ -1331,7 +1372,7 @@ mod tests {
             ))
             .into(),
         };
-        basic().check_term(&Ctx::empty(), &e).unwrap();
+        basic().check_term(&mut Ctx::empty(), &e).unwrap();
     }
 
     #[test]
@@ -1361,7 +1402,7 @@ mod tests {
             })
             .into(),
         };
-        assert!(basic().check_term(&Ctx::empty(), &bad).is_err());
+        assert!(basic().check_term(&mut Ctx::empty(), &bad).is_err());
         // Keeping r1 instead makes it fine.
         let good = Term::LetRegion {
             rvar: r1,
@@ -1384,7 +1425,7 @@ mod tests {
             })
             .into(),
         };
-        basic().check_term(&Ctx::empty(), &good).unwrap();
+        basic().check_term(&mut Ctx::empty(), &good).unwrap();
     }
 
     #[test]
@@ -1398,7 +1439,7 @@ mod tests {
             ),
             Term::Halt(Value::Int(0)),
         );
-        assert!(basic().check_term(&Ctx::empty(), &e).is_err());
+        assert!(basic().check_term(&mut Ctx::empty(), &e).is_err());
     }
 
     #[test]
@@ -1500,6 +1541,79 @@ mod tests {
             body,
         };
         basic().check_code(&def).unwrap();
+    }
+
+    #[test]
+    fn region_from_one_if0_arm_is_out_of_scope_in_the_other() {
+        // A checker whose context forgot to restore `∆` after `let region`
+        // would accept the `put` in the other arm.
+        let r = s("r");
+        let put_r = || {
+            Term::let_(
+                s("a"),
+                Op::Put(Region::Var(r), Value::Int(1)),
+                Term::Halt(Value::Int(0)),
+            )
+        };
+        let own_arm = Term::LetRegion {
+            rvar: r,
+            body: put_r().into(),
+        };
+        basic().check_term(&mut Ctx::empty(), &own_arm).unwrap();
+        let leak = Term::If0 {
+            scrut: Value::Int(0),
+            zero: (Term::LetRegion {
+                rvar: r,
+                body: (Term::Halt(Value::Int(0))).into(),
+            })
+            .into(),
+            nonzero: put_r().into(),
+        };
+        let mut ctx = Ctx::empty();
+        assert!(basic().check_term(&mut ctx, &leak).is_err());
+        assert!(ctx.delta.is_empty() && ctx.gamma.is_empty());
+    }
+
+    #[test]
+    fn typecase_product_binders_stay_in_their_arm() {
+        // `⟨u = t1, 0⟩ : ∃u:Ω.int` is well formed only where the × arm's
+        // binder `t1` is: fine in that arm, rejected in the int arm and in
+        // the ∃ arm (checked after ×, so a forgotten restore would show
+        // there).
+        let (t, t1, t2) = (s("t"), s("t1"), s("t2"));
+        let halt = || Term::Halt(Value::Int(0));
+        let uses_t1 = || {
+            Term::let_(
+                s("z"),
+                Op::Val(Value::PackTag {
+                    tvar: s("u"),
+                    kind: Kind::Omega,
+                    tag: Tag::Var(t1),
+                    val: Value::Int(0).into(),
+                    body_ty: Ty::Int,
+                }),
+                Term::Halt(Value::Int(0)),
+            )
+        };
+        let typecase = |int_arm: Term, prod: Term, exist: Term| Term::Typecase {
+            tag: Tag::Var(t),
+            int_arm: int_arm.into(),
+            arrow_arm: halt().into(),
+            prod_arm: (t1, t2, prod.into()),
+            exist_arm: (s("te"), exist.into()),
+        };
+        let mut ctx = Ctx::empty();
+        ctx.theta.insert(t, Kind::Omega);
+        basic()
+            .check_term(&mut ctx, &typecase(halt(), uses_t1(), halt()))
+            .unwrap();
+        assert!(basic()
+            .check_term(&mut ctx, &typecase(uses_t1(), halt(), halt()))
+            .is_err());
+        assert!(basic()
+            .check_term(&mut ctx, &typecase(halt(), halt(), uses_t1()))
+            .is_err());
+        assert_eq!(ctx.theta.len(), 1, "the arms' binders are gone again");
     }
 
     #[test]
@@ -1606,7 +1720,7 @@ mod tests {
             x,
             body: (Term::Halt(Value::Int(0))).into(),
         };
-        basic().check_term(&Ctx::empty(), &e).unwrap();
+        basic().check_term(&mut Ctx::empty(), &e).unwrap();
     }
 
     #[test]
@@ -1630,9 +1744,9 @@ mod tests {
             Op::Strip(Value::inl(Value::Int(1))),
             Term::Halt(Value::Var(s("x"))),
         );
-        assert!(basic().check_term(&Ctx::empty(), &e).is_err());
+        assert!(basic().check_term(&mut Ctx::empty(), &e).is_err());
         Checker::new(Dialect::Forwarding)
-            .check_term(&Ctx::empty(), &e)
+            .check_term(&mut Ctx::empty(), &e)
             .unwrap();
     }
 
@@ -1650,14 +1764,14 @@ mod tests {
             src: Value::inr(Value::Int(2)),
             body: (Term::Halt(Value::Int(0))).into(),
         };
-        fw.check_term(&ctx, &e).unwrap();
+        fw.check_term(&mut ctx, &e).unwrap();
         // A bare int is not of sum type.
         let bad = Term::Set {
             dst: Value::Var(x),
             src: Value::Int(2),
             body: (Term::Halt(Value::Int(0))).into(),
         };
-        assert!(fw.check_term(&ctx, &bad).is_err());
+        assert!(fw.check_term(&mut ctx, &bad).is_err());
     }
 
     #[test]
@@ -1680,14 +1794,14 @@ mod tests {
             ))
             .into(),
         };
-        fw.check_term(&ctx, &e).unwrap();
+        fw.check_term(&mut ctx, &e).unwrap();
         let bad = Term::IfLeft {
             x,
             scrut: Value::Var(s("v")),
             left: (Term::Halt(Value::Int(0))).into(),
             right: (Term::let_(y, Op::Strip(Value::Var(x)), Term::Halt(Value::Var(y)))).into(),
         };
-        assert!(fw.check_term(&ctx, &bad).is_err());
+        assert!(fw.check_term(&mut ctx, &bad).is_err());
     }
 
     #[test]
@@ -1713,7 +1827,7 @@ mod tests {
             })
             .into(),
         };
-        fw.check_term(&Ctx::empty(), &e).unwrap();
+        fw.check_term(&mut Ctx::empty(), &e).unwrap();
         // The body may NOT use outer bindings (Γ is just x).
         let leak = s("leak");
         let mut ctx = Ctx::empty();
@@ -1734,7 +1848,7 @@ mod tests {
             })
             .into(),
         };
-        assert!(fw.check_term(&ctx, &bad).is_err());
+        assert!(fw.check_term(&mut ctx, &bad).is_err());
     }
 
     #[test]
@@ -1769,7 +1883,7 @@ mod tests {
             })
             .into(),
         };
-        gen.check_term(&Ctx::empty(), &e).unwrap();
+        gen.check_term(&mut Ctx::empty(), &e).unwrap();
     }
 
     #[test]
@@ -1800,7 +1914,7 @@ mod tests {
             ))
             .into(),
         };
-        gen.check_term(&Ctx::empty(), &e).unwrap();
+        gen.check_term(&mut Ctx::empty(), &e).unwrap();
     }
 
     #[test]
@@ -1835,9 +1949,9 @@ mod tests {
         let ck = Checker::with_psi(Dialect::Basic, psi);
         let tapp = Value::tag_app(Value::Addr(CD, 0), [Tag::Int], []);
         let ok = Term::app(tapp.clone(), [Tag::Int], [], [Value::Int(1)]);
-        ck.check_term(&Ctx::empty(), &ok).unwrap();
+        ck.check_term(&mut Ctx::empty(), &ok).unwrap();
         let bad = Term::app(tapp, [Tag::prod(Tag::Int, Tag::Int)], [], [Value::Int(1)]);
-        assert!(ck.check_term(&Ctx::empty(), &bad).is_err());
+        assert!(ck.check_term(&mut Ctx::empty(), &bad).is_err());
     }
 
     #[test]

@@ -110,7 +110,7 @@ pub fn check_state(machine: &SubstMachine, opts: WfOptions) -> Result<()> {
 
     // Ψ; Dom(Ψ); ·; ·; · ⊢ e.
     checker
-        .check_term(&ctx, machine.term())
+        .check_term(&mut ctx, machine.term())
         .map_err(|e| e.in_context("current term"))
 }
 

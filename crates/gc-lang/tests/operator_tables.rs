@@ -223,8 +223,10 @@ fn c_is_forwarding_only() {
     ctx.delta.insert(r("p"));
     ctx.delta.insert(r("q"));
     let ty = Ty::c(r("p"), r("q"), Tag::Int);
-    assert!(Checker::new(Dialect::Basic).ty_wf(&ctx, &ty).is_err());
-    assert!(Checker::new(Dialect::Forwarding).ty_wf(&ctx, &ty).is_ok());
+    assert!(Checker::new(Dialect::Basic).ty_wf(&mut ctx, &ty).is_err());
+    assert!(Checker::new(Dialect::Forwarding)
+        .ty_wf(&mut ctx, &ty)
+        .is_ok());
 }
 
 #[test]
@@ -234,6 +236,8 @@ fn mgen_is_generational_only() {
     ctx.delta.insert(r("p"));
     ctx.delta.insert(r("q"));
     let ty = Ty::mgen(r("p"), r("q"), Tag::Int);
-    assert!(Checker::new(Dialect::Basic).ty_wf(&ctx, &ty).is_err());
-    assert!(Checker::new(Dialect::Generational).ty_wf(&ctx, &ty).is_ok());
+    assert!(Checker::new(Dialect::Basic).ty_wf(&mut ctx, &ty).is_err());
+    assert!(Checker::new(Dialect::Generational)
+        .ty_wf(&mut ctx, &ty)
+        .is_ok());
 }

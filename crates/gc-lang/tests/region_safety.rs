@@ -204,7 +204,7 @@ fn ints_are_not_sums() {
         left: (Term::Halt(Value::Int(0))).into(),
         right: (Term::Halt(Value::Int(0))).into(),
     };
-    assert!(fw.check_term(&ctx, &e).is_err());
+    assert!(fw.check_term(&mut ctx, &e).is_err());
 }
 
 /// Applying code at the wrong number of regions is rejected.

@@ -1,11 +1,13 @@
 //! Shared compiler infrastructure for the Principled Scavenging reproduction.
 //!
-//! This crate provides the two pieces of machinery every calculus in the
-//! workspace needs:
+//! This crate provides the machinery every calculus in the workspace
+//! needs:
 //!
 //! * [`Symbol`] — cheap interned identifiers with a global `gensym` for
 //!   generating fresh binders during CPS conversion, closure conversion and
 //!   capture-avoiding substitution.
+//! * [`scope`] — the one insert/restore step with which every pass keeps a
+//!   single scoped environment instead of copying it at each binder.
 //! * [`doc`] — a small Wadler-style pretty-printing library used to render
 //!   λCLOS and λGC programs in a notation close to the paper's.
 //!
@@ -22,8 +24,10 @@
 
 pub mod doc;
 pub mod interner;
+pub mod scope;
 pub mod symbol;
 
 pub use doc::Doc;
 pub use interner::{ChunkedSlab, ConcurrentInterner, FxBuildHasher, FxHasher};
+pub use scope::{scoped, unbind_all, Scope};
 pub use symbol::{Symbol, SymbolMap, SymbolSet};

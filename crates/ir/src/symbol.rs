@@ -5,8 +5,10 @@
 //! notation. Capture-avoiding substitution therefore needs a cheap source of
 //! fresh names; [`Symbol::fresh`] provides one backed by a global counter.
 
+use std::collections::hash_map::{Entry, VacantEntry};
 use std::collections::HashMap;
 use std::fmt;
+use std::fmt::Write as _;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::RwLock;
@@ -14,9 +16,11 @@ use std::sync::RwLock;
 /// An interned identifier.
 ///
 /// Two symbols compare equal iff they intern the same string. Fresh symbols
-/// produced by [`Symbol::fresh`] embed a globally unique suffix (`base%N`) and
-/// therefore never collide with source-level names (the `%` character is not
-/// accepted by any of our lexers).
+/// produced by [`Symbol::fresh`] and [`gensym`] have the form `base%N` and
+/// are fresh by construction: `gensym` skips every `N` whose name is already
+/// interned. The source-language lexer rejects `%`, but the λGC text lexer
+/// accepts it (printed programs carry gensym'd names), so a name read from
+/// λGC text may take any `base%N` first.
 ///
 /// # Examples
 ///
@@ -28,9 +32,25 @@ use std::sync::RwLock;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Symbol(u32);
 
+#[derive(Default)]
 struct Interner {
     names: Vec<String>,
     table: HashMap<String, u32>,
+}
+
+impl Interner {
+    /// Records the name of a vacant table entry as the next id.
+    ///
+    /// # Panics
+    ///
+    /// Panics after `u32::MAX` distinct names (unreachable in practice).
+    #[allow(clippy::expect_used)]
+    fn push(names: &mut Vec<String>, slot: VacantEntry<'_, String, u32>) -> u32 {
+        let id = u32::try_from(names.len()).expect("interner overflow");
+        names.push(slot.key().clone());
+        slot.insert(id);
+        id
+    }
 }
 
 static INTERNER: RwLock<Option<Interner>> = RwLock::new(None);
@@ -42,7 +62,6 @@ impl Symbol {
     /// # Panics
     ///
     /// Panics after `u32::MAX` distinct names (unreachable in practice).
-    #[allow(clippy::expect_used)]
     pub fn intern(name: &str) -> Symbol {
         {
             // The interner is append-only, so a value poisoned by a
@@ -59,17 +78,11 @@ impl Symbol {
         let mut guard = INTERNER
             .write()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let interner = guard.get_or_insert_with(|| Interner {
-            names: Vec::new(),
-            table: HashMap::new(),
-        });
-        if let Some(&id) = interner.table.get(name) {
-            return Symbol(id);
+        let interner = guard.get_or_insert_with(Interner::default);
+        match interner.table.entry(name.to_owned()) {
+            Entry::Occupied(e) => Symbol(*e.get()),
+            Entry::Vacant(e) => Symbol(Interner::push(&mut interner.names, e)),
         }
-        let id = u32::try_from(interner.names.len()).expect("interner overflow");
-        interner.names.push(name.to_owned());
-        interner.table.insert(name.to_owned(), id);
-        Symbol(id)
     }
 
     /// Returns the interned string.
@@ -148,6 +161,11 @@ pub type SymbolSet = std::collections::HashSet<Symbol, BuildHasherDefault<Symbol
 
 /// Produces a globally fresh symbol with the given base name.
 ///
+/// The result is `base%N` for the next counter value `N` whose name is not
+/// interned yet, so it is fresh even against `%` names read from λGC text.
+/// The whole step runs under one write lock with one table probe per
+/// candidate name.
+///
 /// # Examples
 ///
 /// ```
@@ -155,8 +173,18 @@ pub type SymbolSet = std::collections::HashSet<Symbol, BuildHasherDefault<Symbol
 /// assert_ne!(gensym("r"), gensym("r"));
 /// ```
 pub fn gensym(base: &str) -> Symbol {
-    let n = GENSYM.fetch_add(1, Ordering::Relaxed);
-    Symbol::intern(&format!("{base}%{n}"))
+    let mut guard = INTERNER
+        .write()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let interner = guard.get_or_insert_with(Interner::default);
+    loop {
+        let n = GENSYM.fetch_add(1, Ordering::Relaxed);
+        let mut name = String::with_capacity(base.len() + 8);
+        let _ = write!(name, "{base}%{n}");
+        if let Entry::Vacant(slot) = interner.table.entry(name) {
+            return Symbol(Interner::push(&mut interner.names, slot));
+        }
+    }
 }
 
 impl fmt::Display for Symbol {
@@ -204,6 +232,22 @@ mod tests {
         let x = Symbol::intern("kont");
         assert_eq!(x.fresh().base(), "kont");
         assert_eq!(x.fresh().fresh().base(), "kont");
+    }
+
+    #[test]
+    fn gensym_skips_names_interned_from_text() {
+        // A λGC text may carry `base%N` names that no gensym produced (its
+        // lexer accepts `%`); the names the counter reaches next must not
+        // be handed out again.
+        let next = GENSYM.load(Ordering::Relaxed);
+        let taken: Vec<Symbol> = (next..next + 64)
+            .map(|n| Symbol::intern(&format!("t%{n}")))
+            .collect();
+        for _ in 0..64 {
+            let g = gensym("t");
+            assert!(!taken.contains(&g), "gensym returned pre-interned {g}");
+            assert_eq!(g.base(), "t");
+        }
     }
 
     #[test]

@@ -73,6 +73,9 @@ enum Tok {
 struct Lexer<'a> {
     src: &'a [u8],
     pos: usize,
+    /// Newlines before `pos`. Tokens never contain one, so `skip_ws` is
+    /// the only place that counts them.
+    line: usize,
 }
 
 impl<'a> Lexer<'a> {
@@ -80,6 +83,7 @@ impl<'a> Lexer<'a> {
         let mut l = Lexer {
             src: src.as_bytes(),
             pos: 0,
+            line: 0,
         };
         let mut toks = Vec::new();
         loop {
@@ -88,15 +92,15 @@ impl<'a> Lexer<'a> {
                 return Ok(toks);
             }
             let start = l.pos;
-            let line = src[..start].bytes().filter(|b| *b == b'\n').count();
             let tok = l.next_tok()?;
-            toks.push((start, line, tok));
+            toks.push((start, l.line, tok));
         }
     }
 
     fn skip_ws(&mut self) {
         loop {
             while self.pos < self.src.len() && self.src[self.pos].is_ascii_whitespace() {
+                self.line += usize::from(self.src[self.pos] == b'\n');
                 self.pos += 1;
             }
             // Line comments: `-- ...`.

@@ -1,12 +1,14 @@
 //! Typechecker for the source language.
 //!
 //! Synthesis-directed: every binder is annotated, so types are inferred
-//! bottom-up with no unification.
+//! bottom-up with no unification. One environment serves the whole pass:
+//! each binder extends it in place and restores the shadowed entry on the
+//! way out ([`ps_ir::scope`]), so checking is linear in the program.
 
 use std::collections::HashMap;
 use std::fmt;
 
-use ps_ir::Symbol;
+use ps_ir::{scoped, Symbol};
 
 use crate::syntax::{Expr, SrcProgram, SrcTy};
 
@@ -26,10 +28,13 @@ type TResult<T> = Result<T, TypeError>;
 
 /// Infers the type of an expression under the given environment.
 ///
+/// The binders of `e` extend `env` for their extent only; on return (`Err`
+/// included) `env` is as it was passed.
+///
 /// # Errors
 ///
 /// Returns a [`TypeError`] naming the mismatch.
-pub fn infer(env: &HashMap<Symbol, SrcTy>, e: &Expr) -> TResult<SrcTy> {
+pub fn infer(env: &mut HashMap<Symbol, SrcTy>, e: &Expr) -> TResult<SrcTy> {
     match e {
         Expr::Int(_) => Ok(SrcTy::Int),
         Expr::Var(x) => env
@@ -62,9 +67,7 @@ pub fn infer(env: &HashMap<Symbol, SrcTy>, e: &Expr) -> TResult<SrcTy> {
             param_ty,
             body,
         } => {
-            let mut env2 = env.clone();
-            env2.insert(*param, param_ty.clone());
-            let ret = infer(&env2, body)?;
+            let ret = scoped(env, *param, param_ty.clone(), |env| infer(env, body))?;
             Ok(SrcTy::arrow(param_ty.clone(), ret))
         }
         Expr::App(f, a) => match infer(env, f)? {
@@ -83,14 +86,12 @@ pub fn infer(env: &HashMap<Symbol, SrcTy>, e: &Expr) -> TResult<SrcTy> {
         },
         Expr::Let { x, rhs, body } => {
             let rt = infer(env, rhs)?;
-            let mut env2 = env.clone();
-            env2.insert(*x, rt);
-            infer(&env2, body)
+            scoped(env, *x, rt, |env| infer(env, body))
         }
     }
 }
 
-fn expect(env: &HashMap<Symbol, SrcTy>, e: &Expr, want: &SrcTy, what: &str) -> TResult<()> {
+fn expect(env: &mut HashMap<Symbol, SrcTy>, e: &Expr, want: &SrcTy, what: &str) -> TResult<()> {
     let got = infer(env, e)?;
     if &got == want {
         Ok(())
@@ -112,15 +113,15 @@ pub fn top_env(p: &SrcProgram) -> HashMap<Symbol, SrcTy> {
 ///
 /// Returns the first [`TypeError`] found.
 pub fn check_program(p: &SrcProgram) -> TResult<()> {
-    let top = top_env(p);
+    let mut env = top_env(p);
     let mut names = std::collections::HashSet::new();
     for d in &p.defs {
         if !names.insert(d.name) {
             return Err(TypeError(format!("duplicate function {}", d.name)));
         }
-        let mut env = top.clone();
-        env.insert(d.param, d.param_ty.clone());
-        let got = infer(&env, &d.body)?;
+        let got = scoped(&mut env, d.param, d.param_ty.clone(), |env| {
+            infer(env, &d.body)
+        })?;
         if got != d.ret_ty {
             return Err(TypeError(format!(
                 "function {} declares return type {} but its body has type {got}",
@@ -128,7 +129,7 @@ pub fn check_program(p: &SrcProgram) -> TResult<()> {
             )));
         }
     }
-    expect(&top, &p.main, &SrcTy::Int, "main expression")
+    expect(&mut env, &p.main, &SrcTy::Int, "main expression")
 }
 
 #[cfg(test)]
@@ -137,7 +138,7 @@ mod tests {
     use crate::parse::{parse_expr, parse_program};
 
     fn infer_str(src: &str) -> TResult<SrcTy> {
-        infer(&HashMap::new(), &parse_expr(src).unwrap())
+        infer(&mut HashMap::new(), &parse_expr(src).unwrap())
     }
 
     #[test]
@@ -176,6 +177,21 @@ mod tests {
     #[test]
     fn unbound_variable() {
         assert!(infer_str("mystery").is_err());
+    }
+
+    #[test]
+    fn scopes_end_where_their_binders_do() {
+        // A checker whose environment forgot to restore would let `y`
+        // escape its `let`, or a parameter its function.
+        assert!(infer_str("(let y = 1 in y) + y").is_err());
+        assert!(infer_str("(fn (z : int) => z) 1 + z").is_err());
+        let p = parse_program("fun f (q : int) : int = q\n q").unwrap();
+        assert!(check_program(&p).is_err());
+        // The restore puts a shadowed binding back, not just removes.
+        assert_eq!(
+            infer_str("let x = (1, 2) in (let x = 5 in x) + fst x").unwrap(),
+            SrcTy::Int
+        );
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //!
 //! The region-package annotations need the component types of every
 //! allocation, so this translation tracks λCLOS types as it goes (via
-//! [`ps_clos::tyck`]'s value inference).
+//! [`ps_clos::tyck`]'s value inference), in one [`ClosCtx`] that each
+//! binder extends in place and restores on the way out.
 
 use ps_ir::symbol::gensym;
-use ps_ir::Symbol;
+use ps_ir::{Scope, Symbol};
 
 use ps_clos::syntax::{CExp, CProgram, CTy, CVal};
 use ps_clos::tyck::{infer_val, ClosCtx};
@@ -54,7 +55,7 @@ impl Trans {
         Ty::mgen(self.ryv(), self.rov(), tag)
     }
 
-    fn value(&self, ctx: &ClosCtx, v: &CVal, binds: &mut Vec<(Symbol, Op)>) -> TResult<Value> {
+    fn value(&self, ctx: &mut ClosCtx, v: &CVal, binds: &mut Vec<(Symbol, Op)>) -> TResult<Value> {
         match v {
             CVal::Int(n) => Ok(Value::Int(*n)),
             CVal::Var(x) => Ok(Value::Var(*x)),
@@ -123,15 +124,14 @@ impl Trans {
             .fold(body, |acc, (x, op)| Term::let_(x, op, acc))
     }
 
-    fn exp(&self, ctx: &ClosCtx, e: &CExp) -> TResult<Term> {
+    fn exp(&self, ctx: &mut ClosCtx, e: &CExp) -> TResult<Term> {
         match e {
             CExp::Let { x, v, body } => {
                 let ty = infer_val(ctx, v).map_err(|e| TransError(e.0))?;
                 let mut binds = Vec::new();
                 let gv = self.value(ctx, v, &mut binds)?;
-                let mut ctx2 = ctx.clone();
-                ctx2.gamma.insert(*x, ty);
-                let rest = Term::let_(*x, Op::Val(gv), self.exp(&ctx2, body)?);
+                let body = self.exp_in(ctx, *x, ty, body)?;
+                let rest = Term::let_(*x, Op::Val(gv), body);
                 Ok(Self::wrap(binds, rest))
             }
             CExp::LetProj { x, i, v, body } => {
@@ -148,9 +148,7 @@ impl Trans {
                 };
                 let mut binds = Vec::new();
                 let gv = self.value(ctx, v, &mut binds)?;
-                let mut ctx2 = ctx.clone();
-                ctx2.gamma.insert(*x, comp);
-                let body = self.exp(&ctx2, body)?;
+                let body = self.exp_in(ctx, *x, comp, body)?;
                 // open v as ⟨r, a⟩ in let y = get a in let x = πᵢ y in …
                 let rp = gensym("ro");
                 let a = gensym("a");
@@ -172,9 +170,8 @@ impl Trans {
                 let mut binds = Vec::new();
                 let av = self.value(ctx, a, &mut binds)?;
                 let bv = self.value(ctx, b, &mut binds)?;
-                let mut ctx2 = ctx.clone();
-                ctx2.gamma.insert(*x, CTy::Int);
-                let rest = Term::let_(*x, Op::Prim(prim_of(*op), av, bv), self.exp(&ctx2, body)?);
+                let body = self.exp_in(ctx, *x, CTy::Int, body)?;
+                let rest = Term::let_(*x, Op::Prim(prim_of(*op), av, bv), body);
                 Ok(Self::wrap(binds, rest))
             }
             CExp::App(f, a) => {
@@ -194,10 +191,10 @@ impl Trans {
                 };
                 let mut binds = Vec::new();
                 let pv = self.value(ctx, pkg, &mut binds)?;
-                let mut ctx2 = ctx.clone();
-                ctx2.theta.insert(*tvar);
-                ctx2.gamma.insert(*x, inner_ty);
-                let body = self.exp(&ctx2, body)?;
+                let shadowed = ctx.theta.bind(*tvar, ());
+                let body = self.exp_in(ctx, *x, inner_ty, body);
+                ctx.theta.unbind(*tvar, shadowed);
+                let body = body?;
                 let rp = gensym("ro");
                 let a = gensym("a");
                 let y = gensym("y");
@@ -239,12 +236,18 @@ impl Trans {
         }
     }
 
-    fn function(&self, top: &ClosCtx, f: &ps_clos::syntax::CFun) -> TResult<CodeDef> {
+    /// Translates `body` with `x : ty` in `Γ`, then takes the binding back.
+    fn exp_in(&self, ctx: &mut ClosCtx, x: Symbol, ty: CTy, body: &CExp) -> TResult<Term> {
+        let shadowed = ctx.gamma.bind(x, ty);
+        let term = self.exp(ctx, body);
+        ctx.gamma.unbind(x, shadowed);
+        term
+    }
+
+    fn function(&self, ctx: &mut ClosCtx, f: &ps_clos::syntax::CFun) -> TResult<CodeDef> {
         let off = self.labels[&f.name];
         let tag = tag_of(&f.param_ty);
-        let mut ctx = top.clone();
-        ctx.gamma.insert(f.param, f.param_ty.clone());
-        let body = self.exp(&ctx, &f.body)?;
+        let body = self.exp_in(ctx, f.param, f.param_ty.clone(), &f.body)?;
         let guarded = Term::IfGc {
             rho: self.ryv(),
             full: (Term::app(
@@ -286,13 +289,13 @@ pub fn translate(p: &CProgram, collector: &CollectorImage) -> TResult<Program> {
         ry: gensym("ry"),
         ro: gensym("ro"),
     };
-    let top = ClosCtx {
+    let mut top = ClosCtx {
         funs: p.funs.iter().map(|f| (f.name, f.ty())).collect(),
         ..ClosCtx::default()
     };
     let mut code = collector.code.clone();
     for f in &p.funs {
-        code.push(tr.function(&top, f)?);
+        code.push(tr.function(&mut top, f)?);
     }
     // let region ro in let region ry in e′ — the old region outlives minor
     // collections; the young one is recreated by each gc.
@@ -300,7 +303,7 @@ pub fn translate(p: &CProgram, collector: &CollectorImage) -> TResult<Program> {
         rvar: tr.ro,
         body: (Term::LetRegion {
             rvar: tr.ry,
-            body: (tr.exp(&top, &p.main)?).into(),
+            body: (tr.exp(&mut top, &p.main)?).into(),
         })
         .into(),
     };

@@ -22,10 +22,29 @@ PS_CERT_THREADS=4 ./target/release/psgc certify --collector generational >/dev/n
 # a tight budget, audited against Fig. 7 every 64 steps, plus the
 # disassembler over the same source and its golden-file test.
 tmp="$(mktemp --suffix=.lam)"
-trap 'rm -f "$tmp"' EXIT
+chain="$(mktemp --suffix=.lam)"
+trap 'rm -f "$tmp" "$chain"' EXIT
 printf 'fun build (n : int) : int * int = if0 n then (0, 0) else (let rest = build (n - 1) in (n + fst rest, n))\n fst (build 24)' > "$tmp"
 ./target/release/psgc run "$tmp" --backend bytecode --verify-every 64 --budget 64 --stats >/dev/null
 ./target/release/psgc disasm "$tmp" >/dev/null
+# Front-end depth guard: an 800-binding arithmetic `let` chain, twice the
+# compile workload's, must run to exactly what the evaluator prints. The
+# recursive passes overflow the stack between 900 and 1 000 bindings, so
+# this keeps the depth they must reach in view.
+awk 'BEGIN {
+  print "let x0 = 7 in"
+  for (i = 1; i <= 800; i++) {
+    op = substr("+-*", i % 3 + 1, 1)
+    printf "let x%d = x%d %s %d in\n", i, i - 1, op, (op == "*") ? 1 : i % 9 + 1
+  }
+  print "x800"
+}' > "$chain"
+want="$(./target/release/psgc eval "$chain")"
+got="$(./target/release/psgc run "$chain")"
+if [ "$got" != "$want" ]; then
+  echo "tier-1: 800-binding let chain: psgc run printed '$got', psgc eval '$want'" >&2
+  exit 1
+fi
 # The incremental (dirty-page) auditor at full blast: the same program
 # audited every step must be byte-identical to the unaudited run — stdout,
 # stats, metrics, page counters — on every backend. `cmp` on the whole
@@ -61,7 +80,7 @@ scripts/bench.sh --smoke >/dev/null
 # deterministic counter (steps, gc.*, pages.*, mem.*, intern.*) with
 # perfbench/expected_counters.json.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 # Panic audit: the language runtime and the collectors must stay free of
 # panicking escape hatches outside tests (clippy.toml relaxes the lints
 # inside #[cfg(test)]).

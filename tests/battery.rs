@@ -91,6 +91,22 @@ const PROGRAMS: &[(&str, &str, i64)] = &[
          churn 60",
         0,
     ),
+    // A `let` that shadows a variable the rest of the enclosing expression
+    // still uses: CPS must not let the inner binder capture it.
+    ("shadow-let", "let x = 1 in (let x = 5 in x) + x", 6),
+    (
+        "shadow-let-pair",
+        "let x = (1, 2) in (let x = 5 in x) + fst x",
+        6,
+    ),
+    (
+        "shadow-param",
+        "fun f (x : int) : int = (let x = 5 in x) + x\n f 1",
+        6,
+    ),
+    // Sibling `let`s of one name shadow nothing in the source, yet the
+    // first one's scope in the CPS output covers the second.
+    ("sibling-lets", "(let x = 1 in x) + (let x = 2 in x)", 3),
 ];
 
 #[test]

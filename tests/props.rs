@@ -3,7 +3,8 @@
 //!
 //! The generator is type-directed, so every program typechecks by
 //! construction, and — being pure simply-typed λ-calculus (no `letrec`) —
-//! every program terminates. Each case is run through:
+//! every program terminates. Binder names come from a small pool part of
+//! the time, so programs shadow. Each case is run through:
 //!
 //! * the reference evaluator (the observational oracle),
 //! * the full pipeline under all three certified collectors with a tiny
@@ -47,14 +48,31 @@ fn gen_ty(tape: &mut Tape, depth: u32) -> SrcTy {
     }
 }
 
-/// Builds an expression of the requested type under `env`.
+/// A binder name: fresh most of the time, but one of a small fixed pool a
+/// third of the time, so that generated programs shadow — and every pass's
+/// scope handling meets binders that hide an outer variable of the same
+/// name, possibly of another type.
+fn gen_binder(tape: &mut Tape, base: &str) -> Symbol {
+    const POOL: [&str; 3] = ["a", "b", "c"];
+    let pick = tape.next();
+    if pick.is_multiple_of(3) {
+        Symbol::intern(POOL[usize::from(pick / 3) % POOL.len()])
+    } else {
+        gensym(base)
+    }
+}
+
+/// Builds an expression of the requested type under `env` (innermost
+/// binding last).
 fn gen_expr(tape: &mut Tape, env: &mut Vec<(Symbol, SrcTy)>, ty: &SrcTy, depth: u32) -> Expr {
     // Prefer a variable of the right type sometimes (and always at the
-    // bottom if one exists).
+    // bottom if one exists). Only the innermost binding of a name is
+    // visible.
     let candidates: Vec<Symbol> = env
         .iter()
-        .filter(|(_, t)| t == ty)
-        .map(|(x, _)| *x)
+        .enumerate()
+        .filter(|(i, (x, t))| t == ty && !env[i + 1..].iter().any(|(y, _)| y == x))
+        .map(|(_, (x, _))| *x)
         .collect();
     if !candidates.is_empty() && (depth == 0 || tape.next().is_multiple_of(4)) {
         let i = tape.next() as usize % candidates.len();
@@ -68,7 +86,7 @@ fn gen_expr(tape: &mut Tape, env: &mut Vec<(Symbol, SrcTy)>, ty: &SrcTy, depth: 
         0 => {
             let xt = gen_ty(tape, depth - 1);
             let rhs = gen_expr(tape, env, &xt, depth - 1);
-            let x = gensym("gx");
+            let x = gen_binder(tape, "gx");
             env.push((x, xt));
             let body = gen_expr(tape, env, ty, depth - 1);
             env.pop();
@@ -109,7 +127,7 @@ fn base_case(tape: &mut Tape, env: &mut Vec<(Symbol, SrcTy)>, ty: &SrcTy) -> Exp
         SrcTy::Int => Expr::Int((tape.next() as i64) - 128),
         SrcTy::Prod(a, b) => Expr::pair(base_case(tape, env, a), base_case(tape, env, b)),
         SrcTy::Arrow(a, b) => {
-            let x = gensym("gl");
+            let x = gen_binder(tape, "gl");
             env.push((x, (**a).clone()));
             let body = base_case(tape, env, b);
             env.pop();
@@ -139,7 +157,7 @@ fn base_case_deep(tape: &mut Tape, env: &mut Vec<(Symbol, SrcTy)>, ty: &SrcTy, d
             gen_expr(tape, env, b, depth - 1),
         ),
         SrcTy::Arrow(a, b) => {
-            let x = gensym("gl");
+            let x = gen_binder(tape, "gl");
             env.push((x, (**a).clone()));
             let body = gen_expr(tape, env, b, depth - 1);
             env.pop();
