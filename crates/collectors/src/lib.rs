@@ -12,7 +12,7 @@
 //!   plus the full-collection companion §8 alludes to;
 //! * [`meta`] — an *untyped* meta-level copying collector operating
 //!   directly on the machine state: the trusted-GC baseline the paper
-//!   argues against, used for comparison benchmarks.
+//!   argues against, the sharing-preserving foil of `examples/sharing.rs`.
 
 pub mod basic;
 pub mod cont;

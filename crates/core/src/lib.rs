@@ -246,8 +246,6 @@ pub struct RunOptions {
     pub fuel: u64,
     /// Maintain the memory typing `Ψ` while running.
     pub track_types: bool,
-    /// Typecheck every intermediate program during compilation.
-    pub check_stages: bool,
     /// Telemetry observer to attach to the machine, if any.
     pub observer: Option<SharedObserver>,
     /// Emit a [`telemetry::GcEvent::Step`] heap sample every this many
@@ -305,7 +303,6 @@ impl Default for RunOptions {
             growth: MemConfig::default().growth,
             fuel: 1_000_000_000,
             track_types: false,
-            check_stages: true,
             observer: None,
             step_interval: 0,
             verify_every: 0,
@@ -387,26 +384,38 @@ impl RunOptions {
     }
 
     /// Compiles `source` all the way to a λGC program linked with
-    /// `self.collector`. Only `collector` and `check_stages` matter here;
+    /// `self.collector`: parses it, then hands the AST to
+    /// [`RunOptions::compile_program`]. Only `collector` matters here;
     /// everything else configures [`Compiled::run_with`].
     ///
     /// # Errors
     ///
-    /// Returns the first stage error; with `check_stages` on (the default),
-    /// every intermediate program is typechecked, so miscompilation
-    /// surfaces as a [`PipelineError::ClosType`]/[`PipelineError::GcType`]
-    /// here rather than at run time.
+    /// Returns the first stage error, [`PipelineError::Parse`] included.
     pub fn compile(&self, source: &str) -> Result<Compiled, PipelineError> {
         let src = ps_lambda::parse::parse_program(source).map_err(PipelineError::Parse)?;
+        self.compile_program(src)
+    }
+
+    /// Compiles a source AST (for programs built in code, such as
+    /// [`workloads`]) the way [`RunOptions::compile`] compiles text:
+    /// source typecheck, CPS, closure conversion, then the Fig. 3
+    /// translation linked with `self.collector`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first stage error. The CPS and λCLOS intermediate
+    /// programs are typechecked too, so a miscompilation surfaces here as a
+    /// [`PipelineError::SourceType`]/[`PipelineError::ClosType`] rather than
+    /// at run time.
+    pub fn compile_program(
+        &self,
+        src: ps_lambda::syntax::SrcProgram,
+    ) -> Result<Compiled, PipelineError> {
         ps_lambda::typecheck::check_program(&src).map_err(PipelineError::SourceType)?;
         let cps = ps_clos::cps::cps_program(&src).map_err(PipelineError::Cps)?;
-        if self.check_stages {
-            ps_lambda::typecheck::check_program(&cps).map_err(PipelineError::SourceType)?;
-        }
+        ps_lambda::typecheck::check_program(&cps).map_err(PipelineError::SourceType)?;
         let clos = ps_clos::cc::cc_program(&cps).map_err(PipelineError::Cc)?;
-        if self.check_stages {
-            ps_clos::tyck::check_program(&clos).map_err(PipelineError::ClosType)?;
-        }
+        ps_clos::tyck::check_program(&clos).map_err(PipelineError::ClosType)?;
         let program = self
             .collector
             .translate(&clos)
@@ -489,12 +498,6 @@ impl RunOptionsBuilder {
     /// Maintain the memory typing `Ψ` while running.
     pub fn track_types(mut self, on: bool) -> RunOptionsBuilder {
         self.opts.track_types = on;
-        self
-    }
-
-    /// Typecheck every intermediate program during compilation.
-    pub fn check_stages(mut self, on: bool) -> RunOptionsBuilder {
-        self.opts.check_stages = on;
         self
     }
 
@@ -728,9 +731,12 @@ mod tests {
     fn budget_controls_collection_count() {
         // The budget is a run setting: one compiled program, run at two
         // budgets, collects only at the small one — whether it came from
-        // source text or was built as an AST (the E14/E17 path).
-        let parsed = RunOptions::new(Collector::Basic).compile(FIB).unwrap();
-        let built = workloads::compile_ast(&workloads::live_tree_churn(4, 60), Collector::Basic);
+        // source text or was built as an AST (`compile_program`).
+        let opts = RunOptions::new(Collector::Basic);
+        let parsed = opts.compile(FIB).unwrap();
+        let built = opts
+            .compile_program(workloads::live_tree_churn(4, 60))
+            .unwrap();
         for (compiled, small_budget) in [(&parsed, 64), (&built, 128)] {
             let run = |budget| {
                 let opts = RunOptions::builder()

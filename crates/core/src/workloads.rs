@@ -1,11 +1,13 @@
-//! Shared workload builders for the E1–E9 experiments.
+//! Shared workload builders for the paper-claim gates and the benchmark.
 //!
 //! The paper has no empirical tables; its quantitative claims live in
-//! prose (sharing loss without forwarding pointers, the CPS continuation
-//! region of §6.1, `only` cost of §4.1/§6.4, §2.2.1's type growth). Each
-//! claim gets an experiment; this module builds the mutator programs they
-//! sweep over. It lives in `scavenger` so the offline examples and the
-//! benchmark in `perfbench/` share one set of builders.
+//! prose (copy cost tracking live data, sharing loss without forwarding
+//! pointers, the CPS continuation region of §6.1, minor collections that
+//! spare the old generation). `tests/paper_claims.rs` pins each claim's
+//! counters on the mutator programs built here, and the benchmark in
+//! `perfbench/` times the same programs, so both share one set of
+//! builders. Compile them with
+//! [`RunOptions::compile_program`](crate::RunOptions::compile_program).
 //!
 //! Source programs with *deep live structure* need types of matching depth
 //! (the source language is simply typed), so the builders construct source
@@ -13,8 +15,6 @@
 
 use ps_ir::symbol::gensym;
 use ps_lambda::syntax::{BinOp, Expr, FunDef, SrcProgram, SrcTy};
-
-use crate::{Backend, Collector, Compiled, RunOptions};
 
 /// The type of a complete pair-tree of the given depth.
 pub fn tree_ty(depth: u32) -> SrcTy {
@@ -133,99 +133,28 @@ pub fn live_dag_churn(depth: u32, k: i64) -> SrcProgram {
     }
 }
 
-/// Compiles a source AST with the given collector. The region budget is a
-/// run setting ([`RunOptions::budget`]), not part of the result.
-pub fn compile_ast(p: &SrcProgram, collector: Collector) -> Compiled {
-    let cps = ps_clos::cps::cps_program(p).expect("cps");
-    let clos = ps_clos::cc::cc_program(&cps).expect("cc");
-    let program = collector.translate(&clos).expect("translate");
-    Compiled {
-        source: p.clone(),
-        clos,
-        program,
-    }
-}
-
-/// Runs a compiled program at the given base region budget on the
-/// substitution backend and returns its machine statistics. (Backend
-/// choice is irrelevant for the statistics — the backends agree
-/// bit-for-bit — but the E1–E8 experiments predate the environment
-/// machine and are kept on the oracle.)
-pub fn run_stats(c: &Compiled, budget: usize) -> ps_gc_lang::machine::Stats {
-    let opts = RunOptions::builder()
-        .backend(Backend::Subst)
-        .budget(budget)
-        .build();
-    c.run_with(&opts).expect("runs").stats
-}
-
-/// Total words copied into to-space across all collections of a run — the
-/// collector's copy work (two-space collectors; for the generational
-/// collector use [`gc_alloc_overhead`], since the kept-word total
-/// re-counts the persistent old region at every event).
-pub fn copy_work(stats: &ps_gc_lang::machine::Stats) -> u64 {
-    stats.kept_words_total
-}
-
-/// Words allocated *by the collector* during a run: total allocation with
-/// the given budget minus the mutator's own allocation (measured with an
-/// effectively infinite budget, where no collection runs). Covers copies,
-/// promotions and continuation records uniformly across collectors.
-pub fn gc_alloc_overhead(p: &SrcProgram, collector: Collector, budget: usize) -> u64 {
-    let c = compile_ast(p, collector);
-    run_stats(&c, budget).words_allocated - run_stats(&c, 1 << 28).words_allocated
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tree_programs_run_and_collect() {
-        let p = live_tree_churn(4, 60);
-        ps_lambda::typecheck::check_program(&p).unwrap();
-        let c = compile_ast(&p, Collector::Basic);
-        let stats = run_stats(&c, 128);
-        assert!(stats.collections > 0);
-    }
+    use crate::{Collector, RunOptions};
 
     #[test]
     fn dag_programs_agree_with_the_oracle() {
         let p = live_dag_churn(6, 60);
-        ps_lambda::typecheck::check_program(&p).unwrap();
         let expected = ps_lambda::eval::run_program(&p, 1_000_000).unwrap();
         for collector in [Collector::Basic, Collector::Forwarding] {
-            let c = compile_ast(&p, collector);
-            let run = c
-                .run_with(&RunOptions::builder().budget(128).build())
+            let opts = RunOptions::builder()
+                .collector(collector)
+                .budget(128)
+                .build();
+            let run = opts
+                .compile_program(p.clone())
+                .unwrap()
+                .run_with(&opts)
                 .unwrap();
             assert_eq!(run.result, expected);
             assert!(run.stats.collections > 0, "{collector}");
         }
-    }
-
-    #[test]
-    fn dag_sharing_shows_in_copy_work() {
-        // Basic copies the DAG as a tree (≈2^d cells per collection);
-        // forwarding copies d cells.
-        let p = live_dag_churn(10, 40);
-        let basic = copy_work(&run_stats(&compile_ast(&p, Collector::Basic), 128));
-        let fwd = copy_work(&run_stats(&compile_ast(&p, Collector::Forwarding), 128));
-        assert!(
-            basic > fwd * 4,
-            "expected exponential blowup: basic={basic} forwarding={fwd}"
-        );
-    }
-
-    #[test]
-    fn generational_copies_less_with_long_lived_data() {
-        let p = live_tree_churn(6, 200);
-        let basic = gc_alloc_overhead(&p, Collector::Basic, 160);
-        let gener = gc_alloc_overhead(&p, Collector::Generational, 160);
-        assert!(
-            gener < basic,
-            "generational should copy the long-lived tree once: gen={gener} basic={basic}"
-        );
     }
 
     #[test]
@@ -234,8 +163,8 @@ mod tests {
             defs: vec![],
             main: leftmost(tree_expr(5), 5),
         };
-        ps_lambda::typecheck::check_program(&p).unwrap();
         assert_eq!(ps_lambda::eval::run_program(&p, 100_000).unwrap(), 1);
+        RunOptions::default().compile_program(p).unwrap();
         assert_eq!(tree_ty(2), SrcTy::prod(tree_ty(1), tree_ty(1)));
     }
 }

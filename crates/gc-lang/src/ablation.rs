@@ -88,18 +88,19 @@ mod tests {
 
     #[test]
     fn s_discipline_grows_linearly() {
-        let sizes = s_growth(16);
-        assert_eq!(sizes.len(), 16);
+        let sizes = s_growth(64);
+        assert_eq!(sizes.len(), 64);
         for (i, w) in sizes.windows(2).enumerate() {
             assert!(w[1] > w[0], "S tower must grow at step {i}");
         }
-        assert_eq!(*sizes.last().unwrap(), 17);
+        // E8's table: the tower is k + 1 after k = 1 / 16 / 64 collections.
+        assert_eq!([sizes[0], sizes[15], sizes[63]], [2, 17, 65]);
     }
 
     #[test]
     fn m_discipline_stays_constant() {
-        let sizes = m_growth(16);
-        assert!(sizes.windows(2).all(|w| w[0] == w[1]));
+        // E8's table: `M_ρ(t)` has size 2 after every collection.
+        assert_eq!(m_growth(64), vec![2; 64]);
     }
 
     #[test]

@@ -354,6 +354,14 @@ mod tests {
         let tau = Tag::app(Tag::id_fn(), Tag::app(Tag::id_fn(), Tag::Int));
         normalize_counted(&tau, &mut steps);
         assert_eq!(steps, 2);
+        // E7's β-chains `id (id (… (id τ)))`: one β-step per redex.
+        let inner = Tag::prod(Tag::Int, Tag::Int);
+        for n in [8, 64, 512] {
+            let chain = (0..n).fold(inner.clone(), |t, _| Tag::app(Tag::id_fn(), t));
+            let mut steps = 0;
+            assert_eq!(normalize_counted(&chain, &mut steps), inner);
+            assert_eq!(steps, n, "{n}-redex chain");
+        }
     }
 
     #[test]

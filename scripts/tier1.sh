@@ -10,9 +10,10 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q --workspace
 # The demo examples drive the library surface end to end; `cargo test`
-# only compiles them, so run each and fail on a non-zero exit.
-for example in quickstart sharing generations mobile_gc preservation stages certify catch_gc_bugs; do
-  cargo run --release -q --example "$example" >/dev/null
+# only compiles them, so run every one in examples/ and fail on a non-zero
+# exit.
+for example in examples/*.rs; do
+  cargo run --release -q --example "$(basename "$example" .rs)" >/dev/null
 done
 # Certification parallelizes over code blocks by default; exercise the
 # serial path too so both sides of the PS_CERT_THREADS split stay green.
@@ -72,9 +73,6 @@ if [ "$supervised_rc" -ne 4 ]; then
 fi
 cmp <(printf '%s\n' "$triage") tests/golden/triage_clobber_forward.json
 cargo test -q --test disasm_golden
-# E17 perf-tracking smoke: one workload at 2 reps must run end-to-end and
-# emit well-shaped JSON (the full run writes the checked-in BENCH_E17.json).
-scripts/bench.sh --smoke >/dev/null
 # The benchmark's exact-counter gate: `perfbench --smoke` checks one sample
 # of every kind on every workload against the evaluator and compares every
 # deterministic counter (steps, gc.*, pages.*, mem.*, intern.*) with
