@@ -365,9 +365,9 @@ fn copyexist1() -> CodeDef {
     let repacked = Value::PackTag {
         tvar: w,
         kind: Kind::Omega,
-        tag: Tag::Var(t1),
+        tag: Tag::Var(t1).into(),
         val: (Value::Var(s("z"))).into(),
-        body_ty: Ty::m(rv("r2"), Tag::app(Tag::Var(te), Tag::Var(w))),
+        body_ty: Ty::m(rv("r2"), Tag::app(Tag::Var(te), Tag::Var(w))).into(),
     };
     let body = Term::let_(
         s("zz"),

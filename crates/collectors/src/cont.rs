@@ -142,32 +142,33 @@ impl ContShape {
         let pack_alpha = Value::PackAlpha {
             avar: acg(),
             regions: (self.delta()).into(),
-            witness: env_ty,
+            witness: env_ty.into(),
             val: (payload).into(),
-            body_ty: sub123.ty(&tc_generic),
+            body_ty: sub123.ty(&tc_generic).into(),
         };
         let pack_te = Value::PackTag {
             tvar: teg(),
             kind: Kind::Arrow,
-            tag: we,
+            tag: we.into(),
             val: (pack_alpha).into(),
-            body_ty: Ty::exist_alpha(acg(), self.delta(), sub12.ty(&tc_generic)),
+            body_ty: Ty::exist_alpha(acg(), self.delta(), sub12.ty(&tc_generic)).into(),
         };
         let pack_t2 = Value::PackTag {
             tvar: t2g(),
             kind: Kind::Omega,
-            tag: w2,
+            tag: w2.into(),
             val: (pack_te).into(),
             body_ty: Ty::exist_tag(
                 teg(),
                 Kind::Arrow,
                 Ty::exist_alpha(acg(), self.delta(), sub1.ty(&tc_generic)),
-            ),
+            )
+            .into(),
         };
         Value::PackTag {
             tvar: t1g(),
             kind: Kind::Omega,
-            tag: w1,
+            tag: w1.into(),
             val: (pack_t2).into(),
             // The body *under* the ∃t₁ binder (t₁ free in the generic tc).
             body_ty: Ty::exist_tag(
@@ -178,7 +179,8 @@ impl ContShape {
                     Kind::Arrow,
                     Ty::exist_alpha(acg(), self.delta(), tc_generic.clone()),
                 ),
-            ),
+            )
+            .into(),
         }
     }
 

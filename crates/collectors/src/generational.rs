@@ -187,7 +187,7 @@ fn repack_old(val: Value, body: Ty) -> Value {
         bound: (vec![rv("ro")]).into(),
         witness: rv("ro"),
         val: (val).into(),
-        body_ty: body,
+        body_ty: body.into(),
     }
 }
 
@@ -478,9 +478,9 @@ fn gexist1() -> CodeDef {
     let inner_pack = Value::PackTag {
         tvar: u,
         kind: Kind::Omega,
-        tag: Tag::Var(t1),
+        tag: Tag::Var(t1).into(),
         val: (Value::Var(s("z"))).into(),
-        body_ty: Ty::mgen(rv("ro"), rv("ro"), Tag::app(Tag::Var(te), Tag::Var(u))),
+        body_ty: Ty::mgen(rv("ro"), rv("ro"), Tag::app(Tag::Var(te), Tag::Var(u))).into(),
     };
     let exist_body = Ty::exist_tag(
         u,

@@ -149,7 +149,7 @@ fn repack_new(val: Value, body: Ty) -> Value {
         bound: (vec![rv("rn")]).into(),
         witness: rv("rn"),
         val: (val).into(),
-        body_ty: body,
+        body_ty: body.into(),
     }
 }
 
@@ -420,9 +420,9 @@ fn mexist1() -> CodeDef {
     let inner_pack = Value::PackTag {
         tvar: u,
         kind: Kind::Omega,
-        tag: Tag::Var(t1),
+        tag: Tag::Var(t1).into(),
         val: (Value::Var(s("z"))).into(),
-        body_ty: Ty::mgen(rv("rn"), rv("rn"), Tag::app(Tag::Var(te), Tag::Var(u))),
+        body_ty: Ty::mgen(rv("rn"), rv("rn"), Tag::app(Tag::Var(te), Tag::Var(u))).into(),
     };
     let exist_body = Ty::exist_tag(
         u,

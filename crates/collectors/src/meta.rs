@@ -87,9 +87,9 @@ fn copy_value(
         } => Ok(Value::PackTag {
             tvar: *tvar,
             kind: *kind,
-            tag: tag.clone(),
+            tag: *tag,
             val: (copy_value(mem, val, to, forwarded, stats)?).into(),
-            body_ty: body_ty.clone(),
+            body_ty: *body_ty,
         }),
         Value::PackAlpha {
             avar,
@@ -100,9 +100,9 @@ fn copy_value(
         } => Ok(Value::PackAlpha {
             avar: *avar,
             regions: regions.clone(),
-            witness: witness.clone(),
+            witness: *witness,
             val: (copy_value(mem, val, to, forwarded, stats)?).into(),
-            body_ty: body_ty.clone(),
+            body_ty: *body_ty,
         }),
         Value::PackRgn {
             rvar,
@@ -115,7 +115,7 @@ fn copy_value(
             bound: bound.clone(),
             witness: *witness,
             val: (copy_value(mem, val, to, forwarded, stats)?).into(),
-            body_ty: body_ty.clone(),
+            body_ty: *body_ty,
         }),
         Value::TagApp(f, tags, regions) => Ok(Value::TagApp(
             (copy_value(mem, f, to, forwarded, stats)?).into(),

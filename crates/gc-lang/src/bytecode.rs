@@ -69,8 +69,8 @@ use ps_ir::{FxBuildHasher, FxHasher, Symbol};
 
 use crate::error::Result;
 use crate::intern::{
-    intern_term, intern_ty, intern_value, tag_fv, ty_fv, value_fv, LazyChild, SlotVal, TermId,
-    TyId, ValId,
+    intern_tag, intern_term, intern_ty, intern_value, tag_fv, ty_fv, value_fv, LazyChild, SlotVal,
+    TagId, TermId, TyId, ValId,
 };
 use crate::machine::sealed::{Core, HasCore};
 use crate::machine::{drive, widen_psi, Machine, Outcome, Program, TypecaseArm};
@@ -186,7 +186,7 @@ enum VTpl {
 /// A tag position inside a [`VTpl`].
 #[derive(Clone, Debug)]
 enum TagTpl {
-    Imm(Tag),
+    Imm(TagId),
     /// `Tag::Var(t)` with `t` bound: read the register.
     Reg(u32),
     /// `Tag::AnyArrow(t)` with `t` bound: apply [`Subst::tag`]'s collapse
@@ -194,7 +194,7 @@ enum TagTpl {
     AnyArrow(u32),
     /// A structural tag with bound variables inside: substitute.
     Sub {
-        tag: Tag,
+        tag: TagId,
         binds: Box<[(Symbol, u32)]>,
     },
 }
@@ -202,15 +202,13 @@ enum TagTpl {
 /// A type position inside a [`VTpl`].
 #[derive(Clone, Debug)]
 enum TyTpl {
-    Imm(Ty),
+    Imm(TyId),
     /// Substitute the bound registers into `ty`, memoized per `site`
     /// (unique within the unit) on the interned identities of the
-    /// register contents.
+    /// register contents. `ty` is also the content half of the global
+    /// closed-substitution memo key.
     Sub {
-        ty: Ty,
-        /// `ty`'s interned identity — the content half of the global
-        /// closed-substitution memo key.
-        tid: TyId,
+        ty: TyId,
         binds: Box<[Bind]>,
         site: u32,
     },
@@ -224,15 +222,14 @@ enum RgnTpl {
 }
 
 /// A captured register value keying one [`TyTpl::Sub`] cache entry.
-/// Equality is structural — interned children compare by id, so a probe
-/// is a handful of integer compares — and equal bind values guarantee
-/// equal substitution output (substitution is a pure function of the
-/// bindings).
-#[derive(Clone, Debug, PartialEq)]
+/// Tags and types are interned ids, so a probe is a handful of integer
+/// compares, and equal bind values guarantee equal substitution output
+/// (substitution is a pure function of the bindings).
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum BindVal {
-    Tag(Tag),
+    Tag(TagId),
     Rgn(Region),
-    Alpha(Ty),
+    Alpha(TyId),
 }
 
 /// Process-wide closed-substitution memo — the second level behind each
@@ -241,15 +238,15 @@ enum BindVal {
 /// hold the full key for exact structural comparison. Interned ids are
 /// global and region names restart per machine, so the working set across
 /// a whole benchmark sweep stays small; cleared wholesale at the cap.
-type TySubBucket = Vec<(Box<[(Symbol, BindVal)]>, Ty)>;
+type TySubBucket = Vec<(Box<[(Symbol, BindVal)]>, TyId)>;
 /// Per-machine bucket: captured register values → substituted type.
-type TyCacheBucket = Vec<(Box<[BindVal]>, Ty)>;
+type TyCacheBucket = Vec<(Box<[BindVal]>, TyId)>;
 #[allow(clippy::type_complexity)]
 static TY_SUB_MEMO: RwLock<Option<HashMap<(TyId, u64), TySubBucket, FxBuildHasher>>> =
     RwLock::new(None);
 
 /// Publishes a freshly computed substitution to [`TY_SUB_MEMO`].
-fn ty_sub_global_insert(tid: TyId, h: u64, key: Box<[(Symbol, BindVal)]>, out: Ty) {
+fn ty_sub_global_insert(tid: TyId, h: u64, key: Box<[(Symbol, BindVal)]>, out: TyId) {
     let mut guard = TY_SUB_MEMO
         .write()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -264,9 +261,9 @@ fn ty_sub_global_insert(tid: TyId, h: u64, key: Box<[(Symbol, BindVal)]>, out: T
 #[derive(Clone, Debug)]
 enum TagOp {
     Reg(u32),
-    Imm(Tag),
+    Imm(TagId),
     Build {
-        tag: Tag,
+        tag: TagId,
         binds: Box<[(Symbol, u32)]>,
     },
 }
@@ -602,9 +599,9 @@ impl UnitBuilder {
             } => VTpl::PackTag {
                 tvar: *tvar,
                 kind: *kind,
-                tag: self.tag_tpl(tag, binds),
+                tag: self.tag_tpl(*tag, binds),
                 val: self.vtpl_child(*val, binds).into(),
-                body_ty: self.ty_tpl(body_ty, binds, Some((Ns::Tag, *tvar))),
+                body_ty: self.ty_tpl(*body_ty, binds, Some((Ns::Tag, *tvar))),
             },
             Value::PackAlpha {
                 avar,
@@ -615,9 +612,9 @@ impl UnitBuilder {
             } => VTpl::PackAlpha {
                 avar: *avar,
                 regions: regions.iter().map(|r| rgn_tpl(r, binds)).collect(),
-                witness: self.ty_tpl(witness, binds, None),
+                witness: self.ty_tpl(*witness, binds, None),
                 val: self.vtpl_child(*val, binds).into(),
-                body_ty: self.ty_tpl(body_ty, binds, Some((Ns::Alpha, *avar))),
+                body_ty: self.ty_tpl(*body_ty, binds, Some((Ns::Alpha, *avar))),
             },
             Value::PackRgn {
                 rvar,
@@ -630,11 +627,11 @@ impl UnitBuilder {
                 bound: bound.iter().map(|r| rgn_tpl(r, binds)).collect(),
                 witness: rgn_tpl(witness, binds),
                 val: self.vtpl_child(*val, binds).into(),
-                body_ty: self.ty_tpl(body_ty, binds, Some((Ns::Rgn, *rvar))),
+                body_ty: self.ty_tpl(*body_ty, binds, Some((Ns::Rgn, *rvar))),
             },
             Value::TagApp(f, ts, rs) => VTpl::TagApp(
                 self.vtpl_child(*f, binds).into(),
-                ts.iter().map(|t| self.tag_tpl(t, binds)).collect(),
+                ts.iter().map(|t| self.tag_tpl(*t, binds)).collect(),
                 rs.iter().map(|r| rgn_tpl(r, binds)).collect(),
             ),
             Value::Inl(x) => VTpl::Inl(self.vtpl_child(*x, binds).into()),
@@ -647,19 +644,19 @@ impl UnitBuilder {
     /// Compiles one tag position, restricted to the tag-namespace binds
     /// that occur free in `tau` (restricting the domain to occurring
     /// variables leaves [`Subst::tag`] unchanged).
-    fn tag_tpl(&self, tau: &Tag, binds: &[Bind]) -> TagTpl {
-        let fv = tag_fv(tau.id());
+    fn tag_tpl(&self, tau: TagId, binds: &[Bind]) -> TagTpl {
+        let fv = tag_fv(tau);
         let hits: Vec<(Symbol, u32)> = binds
             .iter()
             .filter(|b| b.ns == Ns::Tag && fv.binary_search(&b.sym).is_ok())
             .map(|b| (b.sym, b.slot))
             .collect();
-        match (hits.as_slice(), tau) {
-            ([], _) => TagTpl::Imm(tau.clone()),
+        match (hits.as_slice(), tau.node()) {
+            ([], _) => TagTpl::Imm(tau),
             ([(_, slot)], Tag::Var(_)) => TagTpl::Reg(*slot),
             ([(_, slot)], Tag::AnyArrow(_)) => TagTpl::AnyArrow(*slot),
             _ => TagTpl::Sub {
-                tag: tau.clone(),
+                tag: tau,
                 binds: hits.into_boxed_slice(),
             },
         }
@@ -668,9 +665,8 @@ impl UnitBuilder {
     /// Compiles one type position, restricted to the binds that occur free
     /// in `sigma` (types never mention value variables), minus `skip` (the
     /// enclosing package's own binder).
-    fn ty_tpl(&mut self, sigma: &Ty, binds: &[Bind], skip: Option<(Ns, Symbol)>) -> TyTpl {
-        let tid = intern_ty(sigma.clone());
-        let fv = ty_fv(tid);
+    fn ty_tpl(&mut self, sigma: TyId, binds: &[Bind], skip: Option<(Ns, Symbol)>) -> TyTpl {
+        let fv = ty_fv(sigma);
         let hits: Vec<Bind> = binds
             .iter()
             .filter(|b| {
@@ -685,13 +681,12 @@ impl UnitBuilder {
             .copied()
             .collect();
         if hits.is_empty() {
-            TyTpl::Imm(sigma.clone())
+            TyTpl::Imm(sigma)
         } else {
             let site = self.ty_sites;
             self.ty_sites += 1;
             TyTpl::Sub {
-                ty: sigma.clone(),
-                tid,
+                ty: sigma,
                 binds: hits.into_boxed_slice(),
                 site,
             }
@@ -700,21 +695,20 @@ impl UnitBuilder {
 
     fn classify_tag(&self, tau: &Tag, scope: u32) -> TagOp {
         if let Tag::Var(t) = tau {
-            return match self.lookup(scope, Ns::Tag, *t) {
-                Some(slot) => TagOp::Reg(slot),
-                None => TagOp::Imm(tau.clone()),
-            };
+            if let Some(slot) = self.lookup(scope, Ns::Tag, *t) {
+                return TagOp::Reg(slot);
+            }
         }
-        let fv = tag_fv(tau.id());
-        let binds: Vec<(Symbol, u32)> = fv
+        let id = tau.id();
+        let binds: Vec<(Symbol, u32)> = tag_fv(id)
             .iter()
             .filter_map(|&t| self.lookup(scope, Ns::Tag, t).map(|slot| (t, slot)))
             .collect();
         if binds.is_empty() {
-            TagOp::Imm(tau.clone())
+            TagOp::Imm(id)
         } else {
             TagOp::Build {
-                tag: tau.clone(),
+                tag: id,
                 binds: binds.into_boxed_slice(),
             }
         }
@@ -1111,9 +1105,9 @@ pub struct BcMachine {
     /// interned) on the rare [`BcMachine::resolved_control`] query.
     pending: Option<PendingApp>,
     vals: Vec<Value>,
-    tag_regs: Vec<Tag>,
+    tag_regs: Vec<TagId>,
     rgn_regs: Vec<Region>,
-    alpha_regs: Vec<Ty>,
+    alpha_regs: Vec<TyId>,
     unit: u32,
     pc: u32,
     sub: u32,
@@ -1132,7 +1126,7 @@ pub struct BcMachine {
     /// of a constructed node skip re-interning; writers of fresh values
     /// (puts, gets, primitives) store `None`.
     val_ids: Vec<Option<ValId>>,
-    scratch_tags: Vec<Tag>,
+    scratch_tags: Vec<TagId>,
     scratch_rgns: Vec<Region>,
     scratch_args: Vec<(Value, Option<ValId>)>,
 }
@@ -1143,9 +1137,9 @@ pub struct BcMachine {
 /// only assembled into a [`Subst`] if the snapshot is ever resolved.
 enum SnapBind {
     Val(Value),
-    Tag(Tag),
+    Tag(TagId),
     Rgn(Region),
-    Alpha(Ty),
+    Alpha(TyId),
 }
 
 /// A materialized `TagApp` unfolding: `(vJ~τ;~ρK)[~τ′][~ρ′](~v) ⇒
@@ -1153,7 +1147,7 @@ enum SnapBind {
 #[derive(Clone, Debug)]
 struct PendingApp {
     f: Value,
-    tags: Arc<[Tag]>,
+    tags: Arc<[TagId]>,
     regions: Arc<[Region]>,
     args: Box<[(Value, Option<ValId>)]>,
 }
@@ -1342,13 +1336,13 @@ impl BcMachine {
             self.val_ids.resize(nv as usize, None);
         }
         if self.tag_regs.len() < nt as usize {
-            self.tag_regs.resize(nt as usize, Tag::Int);
+            self.tag_regs.resize(nt as usize, intern_tag(Tag::Int));
         }
         if self.rgn_regs.len() < nr as usize {
             self.rgn_regs.resize(nr as usize, Region::Name(CD));
         }
         if self.alpha_regs.len() < na as usize {
-            self.alpha_regs.resize(na as usize, Ty::Int);
+            self.alpha_regs.resize(na as usize, intern_ty(Ty::Int));
         }
     }
 
@@ -1363,11 +1357,9 @@ impl BcMachine {
                     for b in binds.iter() {
                         match b.ns {
                             Ns::Val => sub.bind_val(b.sym, self.vals[b.slot as usize].clone()),
-                            Ns::Tag => sub.bind_tag(b.sym, self.tag_regs[b.slot as usize].clone()),
+                            Ns::Tag => sub.bind_tag(b.sym, self.tag_regs[b.slot as usize]),
                             Ns::Rgn => sub.bind_rgn(b.sym, self.rgn_regs[b.slot as usize]),
-                            Ns::Alpha => {
-                                sub.bind_alpha(b.sym, self.alpha_regs[b.slot as usize].clone())
-                            }
+                            Ns::Alpha => sub.bind_alpha(b.sym, self.alpha_regs[b.slot as usize]),
                         }
                     }
                     sub.value(val)
@@ -1486,24 +1478,26 @@ impl BcMachine {
         }
     }
 
-    fn inst_tag(&self, t: &TagTpl) -> Tag {
+    fn inst_tag(&self, t: &TagTpl) -> TagId {
         match t {
-            TagTpl::Imm(tau) => tau.clone(),
-            TagTpl::Reg(i) => self.tag_regs[*i as usize].clone(),
-            TagTpl::AnyArrow(i) => match &self.tag_regs[*i as usize] {
-                // `AnyArrow(t)` follows `t` under renaming; a concrete
-                // arrow collapses it (mirrors `Subst::tag`).
-                Tag::Var(t2) => Tag::AnyArrow(*t2),
-                concrete @ Tag::Arrow(_) => concrete.clone(),
-                Tag::AnyArrow(t2) => Tag::AnyArrow(*t2),
-                other => other.clone(),
-            },
+            TagTpl::Imm(tau) => *tau,
+            TagTpl::Reg(i) => self.tag_regs[*i as usize],
+            TagTpl::AnyArrow(i) => {
+                // `AnyArrow(t)` follows `t` under renaming; any other
+                // contents, a concrete arrow included, replace it (mirrors
+                // `Subst::tag`).
+                let reg = self.tag_regs[*i as usize];
+                match reg.node() {
+                    Tag::Var(t2) => intern_tag(Tag::AnyArrow(*t2)),
+                    _ => reg,
+                }
+            }
             TagTpl::Sub { tag, binds } => {
                 let mut sub = Subst::new();
                 for (t2, slot) in binds.iter() {
-                    sub.bind_tag(*t2, self.tag_regs[*slot as usize].clone());
+                    sub.bind_tag(*t2, self.tag_regs[*slot as usize]);
                 }
-                sub.tag(tag)
+                sub.tag_id(*tag)
             }
         }
     }
@@ -1518,17 +1512,11 @@ impl BcMachine {
     /// Instantiates a type position. `Sub` sites memoize on the captured
     /// values of the bound registers, so repeated allocations of the same
     /// closure type (per scanned tag shape, per GC cycle) pay for one
-    /// substitution each; everything after is a probe of shallow compares
-    /// plus one node clone.
-    fn inst_ty(&mut self, t: &TyTpl) -> Ty {
+    /// substitution each; everything after is a probe of id compares.
+    fn inst_ty(&mut self, t: &TyTpl) -> TyId {
         match t {
-            TyTpl::Imm(sigma) => sigma.clone(),
-            TyTpl::Sub {
-                ty,
-                tid,
-                binds,
-                site,
-            } => {
+            TyTpl::Imm(sigma) => *sigma,
+            TyTpl::Sub { ty, binds, site } => {
                 // Hash the captured register values straight off the
                 // register files — a probe allocates nothing. `binds` never
                 // contains `Ns::Val` (types have no value variables), so
@@ -1557,7 +1545,7 @@ impl BcMachine {
                                 continue 'entry;
                             }
                         }
-                        return sigma.clone();
+                        return *sigma;
                     }
                 }
                 // Local miss: consult the process-wide memo. Interned type
@@ -1565,28 +1553,28 @@ impl BcMachine {
                 // and runs (the collector image is shared), so a closed
                 // substitution computed by one run is a hit for every later
                 // one regardless of which machine asks.
-                if let Some(out) = self.ty_sub_global(*tid, h, binds) {
+                if let Some(out) = self.ty_sub_global(*ty, h, binds) {
                     let key = self.capture_binds(binds);
-                    self.ty_cache_insert(*site, h, key, out.clone());
+                    self.ty_cache_insert(*site, h, key, out);
                     return out;
                 }
                 let mut sub = Subst::new();
                 let key = self.capture_binds(binds);
                 for (b, kv) in binds.iter().zip(key.iter()) {
-                    match kv {
-                        BindVal::Tag(v) => sub.bind_tag(b.sym, v.clone()),
-                        BindVal::Rgn(v) => sub.bind_rgn(b.sym, *v),
-                        BindVal::Alpha(v) => sub.bind_alpha(b.sym, v.clone()),
+                    match *kv {
+                        BindVal::Tag(v) => sub.bind_tag(b.sym, v),
+                        BindVal::Rgn(v) => sub.bind_rgn(b.sym, v),
+                        BindVal::Alpha(v) => sub.bind_alpha(b.sym, v),
                     }
                 }
-                let out = sub.ty(ty);
+                let out = sub.ty_id(*ty);
                 let gkey: Box<[(Symbol, BindVal)]> = binds
                     .iter()
                     .map(|b| b.sym)
-                    .zip(key.iter().cloned())
+                    .zip(key.iter().copied())
                     .collect();
-                ty_sub_global_insert(*tid, h, gkey, out.clone());
-                self.ty_cache_insert(*site, h, key, out.clone());
+                ty_sub_global_insert(*ty, h, gkey, out);
+                self.ty_cache_insert(*site, h, key, out);
                 out
             }
         }
@@ -1599,9 +1587,9 @@ impl BcMachine {
             .iter()
             .filter(|b| b.ns != Ns::Val)
             .map(|b| match b.ns {
-                Ns::Tag => BindVal::Tag(self.tag_regs[b.slot as usize].clone()),
+                Ns::Tag => BindVal::Tag(self.tag_regs[b.slot as usize]),
                 Ns::Rgn => BindVal::Rgn(self.rgn_regs[b.slot as usize]),
-                _ => BindVal::Alpha(self.alpha_regs[b.slot as usize].clone()),
+                _ => BindVal::Alpha(self.alpha_regs[b.slot as usize]),
             })
             .collect()
     }
@@ -1609,7 +1597,7 @@ impl BcMachine {
     /// Inserts into the per-machine substitution cache, clearing it
     /// wholesale at the cap: old entries die with their GC cycle (keys
     /// mention reclaimed regions), so per-site eviction buys nothing.
-    fn ty_cache_insert(&mut self, site: u32, h: u64, key: Vec<BindVal>, out: Ty) {
+    fn ty_cache_insert(&mut self, site: u32, h: u64, key: Vec<BindVal>, out: TyId) {
         if self.ty_cache.len() >= 1 << 13 {
             self.ty_cache.clear();
         }
@@ -1623,7 +1611,7 @@ impl BcMachine {
     /// binder symbols, same captured values (compared straight off the
     /// register files) — the closed substitution is a pure function of
     /// those, so the cached output is exact.
-    fn ty_sub_global(&self, tid: TyId, h: u64, binds: &[Bind]) -> Option<Ty> {
+    fn ty_sub_global(&self, tid: TyId, h: u64, binds: &[Bind]) -> Option<TyId> {
         let guard = TY_SUB_MEMO
             .read()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -1645,21 +1633,21 @@ impl BcMachine {
                     continue 'entry;
                 }
             }
-            return Some(sigma.clone());
+            return Some(*sigma);
         }
         None
     }
 
-    fn rtag(&self, op: &TagOp) -> Tag {
+    fn rtag(&self, op: &TagOp) -> TagId {
         match op {
-            TagOp::Reg(i) => self.tag_regs[*i as usize].clone(),
-            TagOp::Imm(t) => t.clone(),
+            TagOp::Reg(i) => self.tag_regs[*i as usize],
+            TagOp::Imm(t) => *t,
             TagOp::Build { tag, binds } => {
                 let mut sub = Subst::new();
                 for (t, slot) in binds.iter() {
-                    sub.bind_tag(*t, self.tag_regs[*slot as usize].clone());
+                    sub.bind_tag(*t, self.tag_regs[*slot as usize]);
                 }
-                sub.tag(tag)
+                sub.tag_id(*tag)
             }
         }
     }
@@ -1670,10 +1658,10 @@ impl BcMachine {
     /// subterm extraction `typecase` performs — so the `Reg` arm skips
     /// normalization outright; `Imm` and `Build` go through the memoized
     /// normalizer.
-    fn rtag_nf(&self, op: &TagOp) -> Tag {
+    fn rtag_nf(&self, op: &TagOp) -> TagId {
         match op {
-            TagOp::Reg(i) => self.tag_regs[*i as usize].clone(),
-            _ => tags::normalize(&self.rtag(op)),
+            TagOp::Reg(i) => self.tag_regs[*i as usize],
+            _ => tags::normalize_id(self.rtag(op)).0,
         }
     }
 
@@ -1703,9 +1691,9 @@ impl BcMachine {
             let n = &unit.scopes[s as usize];
             match n.ns {
                 Ns::Val => sub.bind_val(n.sym, self.vals[n.slot as usize].clone()),
-                Ns::Tag => sub.bind_tag(n.sym, self.tag_regs[n.slot as usize].clone()),
+                Ns::Tag => sub.bind_tag(n.sym, self.tag_regs[n.slot as usize]),
                 Ns::Rgn => sub.bind_rgn(n.sym, self.rgn_regs[n.slot as usize]),
-                Ns::Alpha => sub.bind_alpha(n.sym, self.alpha_regs[n.slot as usize].clone()),
+                Ns::Alpha => sub.bind_alpha(n.sym, self.alpha_regs[n.slot as usize]),
             }
         }
         sub
@@ -1788,14 +1776,7 @@ impl BcMachine {
             Instr::OpenTag { pkg, tdst, vdst } => match self.rv(pkg) {
                 Value::PackTag { tag, val, .. } => {
                     // Fig. 5 normalizes the witness tag before binding.
-                    // Leaf tags are normal by definition, which skips the
-                    // intern + memo round-trip for the common case of
-                    // opening a scanned leaf object.
-                    let nf = match tag {
-                        Tag::Var(_) | Tag::Int | Tag::AnyArrow(_) => tag,
-                        _ => tags::normalize(&tag),
-                    };
-                    self.tag_regs[*tdst as usize] = nf;
+                    self.tag_regs[*tdst as usize] = tags::normalize_id(tag).0;
                     self.set_val(*vdst, val.node().clone(), Some(val));
                     self.pc += 1;
                     Ok(true)
@@ -1906,7 +1887,7 @@ impl BcMachine {
                     let from = self.rname(from)?;
                     let to = self.rname(to)?;
                     let nf = self.rtag_nf(tag);
-                    widen_psi(&mut self.core.mem, &rv, &nf, from, to)?;
+                    widen_psi(&mut self.core.mem, &rv, nf, from, to)?;
                 }
                 self.set_val(*dst, rv, id);
                 self.pc += 1;
@@ -1964,7 +1945,7 @@ impl BcMachine {
         let mut rrgns = std::mem::take(&mut self.scratch_rgns);
         rtags.clear();
         rrgns.clear();
-        rtags.extend(p.tags.iter().map(tags::normalize));
+        rtags.extend(p.tags.iter().map(|tau| tags::normalize_id(*tau).0));
         rrgns.extend_from_slice(&p.regions);
         let mut rargs: Vec<(Value, Option<ValId>)> = p.args.into_vec();
         self.enter_def(cache, &code, &mut rtags, &mut rrgns, &mut rargs);
@@ -1982,7 +1963,7 @@ impl BcMachine {
         &mut self,
         cache: &mut Arc<CodeCache>,
         def: &Arc<CodeDef>,
-        rtags: &mut Vec<Tag>,
+        rtags: &mut Vec<TagId>,
         rrgns: &mut Vec<Region>,
         rargs: &mut Vec<(Value, Option<ValId>)>,
     ) {
@@ -2196,9 +2177,9 @@ impl Machine for BcMachine {
             let n = &unit.scopes[s as usize];
             let b = match n.ns {
                 Ns::Val => SnapBind::Val(self.vals[n.slot as usize].clone()),
-                Ns::Tag => SnapBind::Tag(self.tag_regs[n.slot as usize].clone()),
+                Ns::Tag => SnapBind::Tag(self.tag_regs[n.slot as usize]),
                 Ns::Rgn => SnapBind::Rgn(self.rgn_regs[n.slot as usize]),
-                Ns::Alpha => SnapBind::Alpha(self.alpha_regs[n.slot as usize].clone()),
+                Ns::Alpha => SnapBind::Alpha(self.alpha_regs[n.slot as usize]),
             };
             binds.push((n.sym, b));
             s = n.parent;
@@ -2208,9 +2189,9 @@ impl Machine for BcMachine {
             for (sym, b) in binds.iter().rev() {
                 match b {
                     SnapBind::Val(v) => sub.bind_val(*sym, v.clone()),
-                    SnapBind::Tag(t) => sub.bind_tag(*sym, t.clone()),
+                    SnapBind::Tag(t) => sub.bind_tag(*sym, *t),
                     SnapBind::Rgn(r) => sub.bind_rgn(*sym, *r),
-                    SnapBind::Alpha(a) => sub.bind_alpha(*sym, a.clone()),
+                    SnapBind::Alpha(a) => sub.bind_alpha(*sym, *a),
                 }
             }
             sub.term(&src)
@@ -2253,7 +2234,7 @@ impl Machine for BcMachine {
         if let Some(p) = &self.pending {
             return Term::App {
                 f: p.f.clone(),
-                tags: p.tags.to_vec(),
+                tags: p.tags.iter().map(|tau| tau.node().clone()).collect(),
                 regions: p.regions.to_vec(),
                 args: p.args.iter().map(|(v, _)| v.clone()).collect(),
             };
@@ -2508,7 +2489,7 @@ fn fmt_value(v: &Value) -> String {
         Value::TagApp(f, ts, rs) => format!(
             "{}[[{}; {}]]",
             fmt_value(f),
-            join(ts.iter().map(crate::pretty::tag_to_string)),
+            join(ts.iter().map(|tau| crate::pretty::tag_to_string(tau))),
             join(rs.iter().map(|r| format!("{r}")))
         ),
         Value::Code(def) => format!("code {}", def.name),
@@ -2703,9 +2684,9 @@ mod tests {
         let pkg = Value::PackTag {
             tvar: t,
             kind: Kind::Omega,
-            tag: Tag::Int,
+            tag: Tag::Int.into(),
             val: Value::Int(0).id(),
-            body_ty: Ty::Int,
+            body_ty: Ty::Int.into(),
         };
         let program = Program {
             dialect: Dialect::Basic,

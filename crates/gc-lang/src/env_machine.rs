@@ -42,7 +42,7 @@
 use std::sync::Arc;
 
 use crate::error::Result;
-use crate::intern::{intern_term, LazyChild, SlotVal, TermId, ValId};
+use crate::intern::{intern_term, LazyChild, SlotVal, TagId, TermId, ValId};
 use crate::machine::sealed::{Core, HasCore};
 use crate::machine::{widen_psi, Machine, Program, TypecaseArm};
 use crate::memory::MemConfig;
@@ -97,6 +97,12 @@ impl EnvMachine {
         self.core.name(self.env.region(rho))
     }
 
+    /// Resolves a tag against the environment and normalizes it, as Fig. 5
+    /// does before `typecase`, `widen` and a β step consume it.
+    fn resolve_tag_nf(&self, tau: &Tag) -> TagId {
+        tags::normalize_id(self.env.tag_id(tau.id())).0
+    }
+
     fn step_term(&mut self, term: &Term) -> Result<Option<Ctrl>> {
         let next = match term {
             Term::App {
@@ -124,8 +130,7 @@ impl EnvMachine {
             Term::OpenTag { pkg, tvar, x, body } => match self.env.value(pkg) {
                 Value::PackTag { tag, val, .. } => {
                     // Fig. 5 normalizes the witness tag before binding.
-                    let nf = tags::normalize(&tag);
-                    self.env.bind_tag(*tvar, nf);
+                    self.env.bind_tag(*tvar, tags::normalize_id(tag).0);
                     self.env.bind_val(*x, (*val).clone());
                     body
                 }
@@ -171,7 +176,7 @@ impl EnvMachine {
                 arrow_arm,
                 prod_arm: (t1, t2, prod_body),
                 exist_arm: (te, exist_body),
-            } => match self.core.typecase(tags::normalize(&self.env.tag(tag)))? {
+            } => match self.core.typecase(self.resolve_tag_nf(tag))? {
                 TypecaseArm::Int => int_arm,
                 TypecaseArm::Arrow => arrow_arm,
                 TypecaseArm::Prod(a, b) => {
@@ -221,8 +226,8 @@ impl EnvMachine {
                 if self.core.mem.config().track_types {
                     let from = self.resolve_name(from)?;
                     let to = self.resolve_name(to)?;
-                    let nf = tags::normalize(&self.env.tag(tag));
-                    widen_psi(&mut self.core.mem, &rv, &nf, from, to)?;
+                    let nf = self.resolve_tag_nf(tag);
+                    widen_psi(&mut self.core.mem, &rv, nf, from, to)?;
                 }
                 self.env.bind_val(*x, rv);
                 body
@@ -265,7 +270,7 @@ impl EnvMachine {
             // step is the identity.
             return Ok(Ctrl::Term(intern_term(Term::App {
                 f: (*inner).clone(),
-                tags: rec_tags.iter().cloned().collect(),
+                tags: rec_tags.iter().map(|tau| tau.node().clone()).collect(),
                 regions: rec_rgns.to_vec(),
                 args: args.iter().map(|v| self.env.value(v)).collect(),
             })));
@@ -275,10 +280,7 @@ impl EnvMachine {
         // *before* clearing it — the callee's frame starts from the
         // empty environment because code blocks are closed.
         // Fig. 5's first rule normalizes tag arguments at the β step.
-        let rtags: Vec<Tag> = ts
-            .iter()
-            .map(|tau| tags::normalize(&self.env.tag(tau)))
-            .collect();
+        let rtags: Vec<TagId> = ts.iter().map(|tau| self.resolve_tag_nf(tau)).collect();
         let rrgns: Vec<Region> = regions.iter().map(|r| self.env.region(r)).collect();
         let rargs: Vec<Value> = args.iter().map(|v| self.env.value(v)).collect();
         self.env.clear();

@@ -283,9 +283,9 @@ fn retarget(v: &Value, k: &mut i64, dead: RegionName) -> Value {
         } => Value::PackTag {
             tvar: *tvar,
             kind: *kind,
-            tag: tag.clone(),
+            tag: *tag,
             val: retarget(val, k, dead).id(),
-            body_ty: body_ty.clone(),
+            body_ty: *body_ty,
         },
         Value::PackAlpha {
             avar,
@@ -296,9 +296,9 @@ fn retarget(v: &Value, k: &mut i64, dead: RegionName) -> Value {
         } => Value::PackAlpha {
             avar: *avar,
             regions: regions.clone(),
-            witness: witness.clone(),
+            witness: *witness,
             val: retarget(val, k, dead).id(),
-            body_ty: body_ty.clone(),
+            body_ty: *body_ty,
         },
         Value::PackRgn {
             rvar,
@@ -311,7 +311,7 @@ fn retarget(v: &Value, k: &mut i64, dead: RegionName) -> Value {
             bound: bound.clone(),
             witness: *witness,
             val: retarget(val, k, dead).id(),
-            body_ty: body_ty.clone(),
+            body_ty: *body_ty,
         },
         Value::Inl(x) => Value::Inl(retarget(x, k, dead).id()),
         Value::Inr(x) => Value::Inr(retarget(x, k, dead).id()),

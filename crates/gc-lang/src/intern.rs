@@ -435,13 +435,12 @@ struct FvAcc {
 }
 
 impl FvAcc {
-    fn add_tag(&mut self, tag: &Tag) {
-        self.tvars
-            .extend_from_slice(tag_fv(intern_tag(tag.clone())));
+    fn add_tag(&mut self, tag: TagId) {
+        self.tvars.extend_from_slice(tag_fv(tag));
     }
 
-    fn add_ty(&mut self, sigma: &Ty) {
-        let fv = ty_fv(intern_ty(sigma.clone()));
+    fn add_ty(&mut self, sigma: TyId) {
+        let fv = ty_fv(sigma);
         self.tvars.extend_from_slice(&fv.tvars);
         self.rvars.extend_from_slice(&fv.rvars);
         self.avars.extend_from_slice(&fv.avars);
@@ -548,10 +547,10 @@ pub fn value_fv(id: ValId) -> &'static NodeFv {
             body_ty,
             ..
         } => {
-            acc.add_tag(tag);
+            acc.add_tag(*tag);
             acc.add_node(value_fv(*val));
             let mut body = FvAcc::default();
-            body.add_ty(body_ty);
+            body.add_ty(*body_ty);
             acc.tvars
                 .extend(body.tvars.into_iter().filter(|t| t != tvar));
             acc.rvars.extend(body.rvars);
@@ -567,10 +566,10 @@ pub fn value_fv(id: ValId) -> &'static NodeFv {
             for r in regions.iter() {
                 acc.add_rgn(r);
             }
-            acc.add_ty(witness);
+            acc.add_ty(*witness);
             acc.add_node(value_fv(*val));
             let mut body = FvAcc::default();
-            body.add_ty(body_ty);
+            body.add_ty(*body_ty);
             acc.tvars.extend(body.tvars);
             acc.rvars.extend(body.rvars);
             acc.avars
@@ -589,7 +588,7 @@ pub fn value_fv(id: ValId) -> &'static NodeFv {
             acc.add_rgn(witness);
             acc.add_node(value_fv(*val));
             let mut body = FvAcc::default();
-            body.add_ty(body_ty);
+            body.add_ty(*body_ty);
             acc.tvars.extend(body.tvars);
             acc.rvars
                 .extend(body.rvars.into_iter().filter(|r| r != rvar));
@@ -598,7 +597,7 @@ pub fn value_fv(id: ValId) -> &'static NodeFv {
         Value::TagApp(f, tags, regions) => {
             acc.add_node(value_fv(*f));
             for t in tags.iter() {
-                acc.add_tag(t);
+                acc.add_tag(*t);
             }
             for r in regions.iter() {
                 acc.add_rgn(r);
@@ -658,7 +657,7 @@ fn term_fv_node(id: TermId) -> &'static NodeFv {
         } => {
             acc.add_value(f);
             for t in tags {
-                acc.add_tag(t);
+                acc.add_tag(t.id());
             }
             for r in regions {
                 acc.add_rgn(r);
@@ -705,7 +704,7 @@ fn term_fv_node(id: TermId) -> &'static NodeFv {
             prod_arm,
             exist_arm,
         } => {
-            acc.add_tag(tag);
+            acc.add_tag(tag.id());
             acc.add_node(term_fv(*int_arm));
             acc.add_node(term_fv(*arrow_arm));
             let (t1, t2, pe) = prod_arm;
@@ -738,7 +737,7 @@ fn term_fv_node(id: TermId) -> &'static NodeFv {
         } => {
             acc.add_rgn(from);
             acc.add_rgn(to);
-            acc.add_tag(tag);
+            acc.add_tag(tag.id());
             acc.add_value(v);
             acc.add_node_minus(term_fv(*body), &[], &[], &[], &[*x]);
         }

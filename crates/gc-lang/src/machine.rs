@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 use crate::error::{dialect_err, stuck_err, ErrorKind, LangError, Result};
 use crate::faults::FaultPlan;
-use crate::intern::SlotVal;
+use crate::intern::{intern_tag, intern_ty, intern_value, SlotVal, TagId};
 use crate::memory::{MemConfig, Memory, ReclaimReport};
 use crate::snapshot::{SnapRing, Snapshot};
 use crate::subst::Subst;
@@ -320,18 +320,18 @@ pub(crate) enum TypecaseArm {
     Int,
     Arrow,
     /// `τ₁ × τ₂`: the product arm binds `t₁ := τ₁` and `t₂ := τ₂`.
-    Prod(Tag, Tag),
+    Prod(TagId, TagId),
     /// `∃t.τ`: the existential arm binds `tₑ := λt.τ`.
-    Exist(Tag),
+    Exist(TagId),
 }
 
 pub(crate) mod sealed {
     use std::sync::Arc;
 
     use super::{
-        dialect_err, stuck_err, CodeDef, Dialect, LangError, MemConfig, Memory, Program, Region,
-        RegionName, Result, RunControl, SlotVal, Snapshot, Stats, Tag, Telemetry, TypecaseArm,
-        Value,
+        dialect_err, intern_tag, stuck_err, CodeDef, Dialect, LangError, MemConfig, Memory,
+        Program, Region, RegionName, Result, RunControl, SlotVal, Snapshot, Stats, Tag, TagId,
+        Telemetry, TypecaseArm, Value,
     };
 
     /// The state every backend keeps in the same shape, and the effect half
@@ -487,13 +487,13 @@ pub(crate) mod sealed {
         }
 
         /// `typecase τ`: the arm the normal tag `nf` selects.
-        pub(crate) fn typecase(&mut self, nf: Tag) -> Result<TypecaseArm> {
+        pub(crate) fn typecase(&mut self, nf: TagId) -> Result<TypecaseArm> {
             self.stats.typecase_dispatches += 1;
-            match nf {
+            match nf.node() {
                 Tag::Int => Ok(TypecaseArm::Int),
                 Tag::Arrow(_) => Ok(TypecaseArm::Arrow),
-                Tag::Prod(a, b) => Ok(TypecaseArm::Prod(a.node().clone(), b.node().clone())),
-                Tag::Exist(t, body) => Ok(TypecaseArm::Exist(Tag::Lam(t, body))),
+                Tag::Prod(a, b) => Ok(TypecaseArm::Prod(*a, *b)),
+                Tag::Exist(t, body) => Ok(TypecaseArm::Exist(intern_tag(Tag::Lam(*t, *body)))),
                 other => Err(self.stuck(format!("typecase on non-constructor tag {other:?}"))),
             }
         }
@@ -831,7 +831,7 @@ impl SubstMachine {
                 Value::PackTag { tag, val, .. } => {
                     // Fig. 5 normalizes the witness tag before substituting.
                     let mut sub = Subst::new();
-                    sub.bind_tag(*tvar, tags::normalize(tag));
+                    sub.bind_tag(*tvar, tags::normalize_id(*tag).0);
                     sub.bind_val(*x, val.node().clone());
                     sub.term(body)
                 }
@@ -840,7 +840,7 @@ impl SubstMachine {
             Term::OpenAlpha { pkg, avar, x, body } => match pkg {
                 Value::PackAlpha { witness, val, .. } => {
                     let mut sub = Subst::new();
-                    sub.bind_alpha(*avar, witness.clone());
+                    sub.bind_alpha(*avar, *witness);
                     sub.bind_val(*x, val.node().clone());
                     sub.term(body)
                 }
@@ -871,7 +871,7 @@ impl SubstMachine {
                 arrow_arm,
                 prod_arm: (t1, t2, prod_body),
                 exist_arm: (te, exist_body),
-            } => match core.typecase(tags::normalize(tag))? {
+            } => match core.typecase(tags::normalize_id(tag.id()).0)? {
                 TypecaseArm::Int => int_arm.node().clone(),
                 TypecaseArm::Arrow => arrow_arm.node().clone(),
                 TypecaseArm::Prod(a, b) => {
@@ -919,7 +919,7 @@ impl SubstMachine {
                 if core.mem.config().track_types {
                     let from = core.name(*from)?;
                     let to = core.name(*to)?;
-                    widen_psi(&mut core.mem, v, &tags::normalize(tag), from, to)?;
+                    widen_psi(&mut core.mem, v, tags::normalize_id(tag.id()).0, from, to)?;
                 }
                 let mut sub = Subst::new();
                 sub.bind_val(*x, v.clone());
@@ -959,7 +959,7 @@ impl SubstMachine {
             // agree (checked statically).
             return Ok(Term::App {
                 f: inner.node().clone(),
-                tags: rec_tags.to_vec(),
+                tags: rec_tags.iter().map(|tau| tau.node().clone()).collect(),
                 regions: rec_rgns.to_vec(),
                 args: args.to_vec(),
             });
@@ -969,7 +969,7 @@ impl SubstMachine {
         // step.
         let mut sub = Subst::new();
         for ((t, _), tau) in code.tvars.iter().zip(ts) {
-            sub.bind_tag(*t, tags::normalize(tau));
+            sub.bind_tag(*t, tags::normalize_id(tau.id()).0);
         }
         for (r, rho) in code.rvars.iter().zip(regions) {
             sub.bind_rgn(*r, *rho);
@@ -1058,7 +1058,7 @@ impl Machine for SubstMachine {
 pub(crate) fn widen_psi(
     mem: &mut Memory,
     v: &Value,
-    tag: &Tag,
+    tag: TagId,
     from: RegionName,
     to: RegionName,
 ) -> Result<()> {
@@ -1081,12 +1081,12 @@ pub(crate) fn widen_psi(
 fn widen_visit(
     mem: &mut Memory,
     v: &Value,
-    tag: &Tag,
+    tag: TagId,
     from: RegionName,
     to: RegionName,
     visited: &mut HashSet<(RegionName, u32)>,
 ) -> Result<()> {
-    match tag {
+    match tag.node() {
         Tag::Int | Tag::Arrow(_) | Tag::AnyArrow(_) => Ok(()),
         Tag::Prod(t1, t2) => {
             let (nu, loc) = match v {
@@ -1106,8 +1106,8 @@ fn widen_visit(
             match stored {
                 Value::Inl(inner) => match &*inner {
                     Value::Pair(a, b) => {
-                        widen_visit(mem, a, t1, from, to, visited)?;
-                        widen_visit(mem, b, t2, from, to, visited)
+                        widen_visit(mem, a, *t1, from, to, visited)?;
+                        widen_visit(mem, b, *t2, from, to, visited)
                     }
                     other => Err(stuck_err(format!(
                         "widen walk: expected pair under inl, got {other:?}"
@@ -1148,22 +1148,22 @@ fn widen_visit(
                         // M to the collector view C together with Ψ —
                         // the step Lemma C.8's existential case performs
                         // implicitly.
-                        let new_body = Ty::c(
+                        let new_body = intern_ty(Ty::C(
                             Region::Name(from),
                             Region::Name(to),
-                            Subst::one_tag(*t, Tag::Var(*tvar)).tag(body),
-                        );
-                        let recast = Value::Inl(crate::intern::intern_value(Value::PackTag {
+                            Subst::one_tag(*t, Tag::Var(*tvar)).tag_id(*body),
+                        ));
+                        let recast = Value::Inl(intern_value(Value::PackTag {
                             tvar: *tvar,
                             kind: *kind,
-                            tag: witness.clone(),
+                            tag: *witness,
                             val: *val,
                             body_ty: new_body,
                         }));
                         mem.set(nu, loc, recast)?;
                         let child_tag =
-                            tags::normalize(&Subst::one_tag(*t, witness.clone()).tag(body));
-                        widen_visit(mem, val, &child_tag, from, to, visited)
+                            tags::normalize_id(Subst::one_tag(*t, *witness).tag_id(*body)).0;
+                        widen_visit(mem, val, child_tag, from, to, visited)
                     }
                     other => Err(stuck_err(format!(
                         "widen walk: expected package under inl, got {other:?}"
@@ -1182,11 +1182,11 @@ fn widen_visit(
 
 /// The stored-value part (i.e. without the outer `at`) of
 /// `C_{from,to}(τ)` for a heap object.
-fn c_stored_ty(tag: &Tag, from: RegionName, to: RegionName) -> Ty {
-    let c = Ty::c(Region::Name(from), Region::Name(to), tag.clone());
-    match crate::moper::normalize_ty(&c, Dialect::Forwarding) {
-        Ty::At(inner, _) => (*inner).clone(),
-        other => other,
+fn c_stored_ty(tag: TagId, from: RegionName, to: RegionName) -> Ty {
+    let c = intern_ty(Ty::C(Region::Name(from), Region::Name(to), tag));
+    match crate::moper::normalize_ty_id(c, Dialect::Forwarding).node() {
+        Ty::At(inner, _) => inner.node().clone(),
+        other => other.clone(),
     }
 }
 
@@ -1390,9 +1390,9 @@ mod tests {
         let pkg = Value::PackTag {
             tvar: t,
             kind: Kind::Omega,
-            tag: Tag::Int,
+            tag: Tag::Int.into(),
             val: Value::Int(9).id(),
-            body_ty: Ty::Int,
+            body_ty: Ty::Int.into(),
         };
         let e = Term::OpenTag {
             pkg,
@@ -1596,7 +1596,7 @@ mod tests {
                         bound: std::sync::Arc::from(vec![Region::Var(r0)]),
                         witness: Region::Var(r0),
                         val: Value::Var(a).id(),
-                        body_ty: Ty::Int,
+                        body_ty: Ty::Int.into(),
                     },
                     rvar: r,
                     x,

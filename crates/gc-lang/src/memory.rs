@@ -1313,23 +1313,31 @@ impl Memory {
                 kind,
                 body_ty,
                 ..
-            } => Ok(Ty::exist_tag(*tvar, *kind, body_ty.clone())),
+            } => Ok(Ty::ExistTag {
+                tvar: *tvar,
+                kind: *kind,
+                body: *body_ty,
+            }),
             Value::PackAlpha {
                 avar,
                 regions,
                 body_ty,
                 ..
-            } => Ok(Ty::exist_alpha(
-                *avar,
-                regions.iter().copied(),
-                body_ty.clone(),
-            )),
+            } => Ok(Ty::ExistAlpha {
+                avar: *avar,
+                regions: regions.clone(),
+                body: *body_ty,
+            }),
             Value::PackRgn {
                 rvar,
                 bound,
                 body_ty,
                 ..
-            } => Ok(Ty::exist_rgn(*rvar, bound.iter().copied(), body_ty.clone())),
+            } => Ok(Ty::ExistRgn {
+                rvar: *rvar,
+                bound: bound.clone(),
+                body: *body_ty,
+            }),
             Value::TagApp(f, tags, regions) => {
                 let fty = self.infer_stored_ty(f)?;
                 match fty {
@@ -1340,14 +1348,14 @@ impl Memory {
                             }
                             let mut sub = crate::subst::Subst::new();
                             for ((t, _), tau) in tvars.iter().zip(tags.iter()) {
-                                sub = sub.with_tag(*t, tau.clone());
+                                sub = sub.with_tag(*t, *tau);
                             }
                             for (r, nu) in rvars.iter().zip(regions.iter()) {
                                 sub = sub.with_rgn(*r, *nu);
                             }
                             Ok(Ty::Trans {
-                                tags: tags.iter().map(|t| t.id()).collect(),
-                                regions: regions.iter().copied().collect(),
+                                tags: tags.clone(),
+                                regions: regions.clone(),
                                 args: args.iter().map(|a| sub.ty_id(*a)).collect(),
                                 rho,
                             })
@@ -1443,9 +1451,9 @@ mod tests {
         let v = Value::PackTag {
             tvar: ps_ir::Symbol::intern("t"),
             kind: crate::syntax::Kind::Omega,
-            tag: crate::syntax::Tag::Int,
+            tag: crate::syntax::Tag::Int.into(),
             val: (Value::Int(1)).into(),
-            body_ty: Ty::Int,
+            body_ty: Ty::Int.into(),
         };
         assert_eq!(value_words(&v), 2, "one word for the runtime tag");
         assert_eq!(

@@ -791,9 +791,9 @@ impl P {
                             Ok(Value::PackAlpha {
                                 avar: v,
                                 regions: regions.into(),
-                                witness,
+                                witness: witness.into(),
                                 val: val.id(),
-                                body_ty,
+                                body_ty: body_ty.into(),
                             })
                         } else {
                             // ⟨t:κ = τ, v : σ⟩
@@ -808,9 +808,9 @@ impl P {
                             Ok(Value::PackTag {
                                 tvar: v,
                                 kind,
-                                tag,
+                                tag: tag.into(),
                                 val: val.id(),
-                                body_ty,
+                                body_ty: body_ty.into(),
                             })
                         }
                     }
@@ -830,7 +830,7 @@ impl P {
                             bound: bound.into(),
                             witness,
                             val: val.id(),
-                            body_ty,
+                            body_ty: body_ty.into(),
                         })
                     }
                     other => {

@@ -220,7 +220,7 @@ pub fn value(v: &Value) -> Doc {
             .append(Doc::text("⟩")),
         Value::TagApp(f, ts, rs) => value(f)
             .append(Doc::text("⟦"))
-            .append(Doc::join(ts.iter().map(tag), Doc::text(", ")))
+            .append(Doc::join(ts.iter().map(|t| tag(t)), Doc::text(", ")))
             .append(Doc::text("; "))
             .append(rgns(rs))
             .append(Doc::text("⟧")),

@@ -720,7 +720,7 @@ impl RefSubst {
                 val,
                 body_ty,
             } => {
-                let tag = self.tag(tag);
+                let tag = self.tag(tag).id();
                 let val = self.value(val).id();
                 let (sub, t2) = self.enter_tag_binder(*tvar);
                 Value::PackTag {
@@ -728,7 +728,7 @@ impl RefSubst {
                     kind: *kind,
                     tag,
                     val,
-                    body_ty: sub.ty(body_ty),
+                    body_ty: sub.ty(body_ty).id(),
                 }
             }
             Value::PackAlpha {
@@ -739,7 +739,7 @@ impl RefSubst {
                 body_ty,
             } => {
                 let regions: Arc<[Region]> = regions.iter().map(|r| self.region(r)).collect();
-                let witness = self.ty(witness);
+                let witness = self.ty(witness).id();
                 let val = self.value(val).id();
                 let (sub, a2) = self.enter_alpha_binder(*avar);
                 Value::PackAlpha {
@@ -747,7 +747,7 @@ impl RefSubst {
                     regions,
                     witness,
                     val,
-                    body_ty: sub.ty(body_ty),
+                    body_ty: sub.ty(body_ty).id(),
                 }
             }
             Value::PackRgn {
@@ -766,12 +766,12 @@ impl RefSubst {
                     bound,
                     witness,
                     val,
-                    body_ty: sub.ty(body_ty),
+                    body_ty: sub.ty(body_ty).id(),
                 }
             }
             Value::TagApp(f, tags, regions) => Value::TagApp(
                 self.value(f).id(),
-                tags.iter().map(|t| self.tag(t)).collect(),
+                tags.iter().map(|t| self.tag(t).id()).collect(),
                 regions.iter().map(|r| self.region(r)).collect(),
             ),
             Value::Code(def) => Value::Code(Arc::new(self.code_def(def))),

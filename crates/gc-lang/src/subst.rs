@@ -52,11 +52,15 @@ fn touches<V>(fv: &[Symbol], map: &SymbolMap<V>) -> bool {
 /// maps in place, and resolution of a value/tag/region against the
 /// environment is exactly substitution application. Sharing the
 /// implementation guarantees both backends resolve identically.
+///
+/// Tag and type ranges are held as interned ids, like the children of every
+/// node they are substituted into: a variable's image is reused by id, never
+/// rebuilt and re-interned.
 #[derive(Clone, Debug, Default)]
 pub struct Subst {
-    tags: SymbolMap<Tag>,
+    tags: SymbolMap<TagId>,
     rgns: SymbolMap<Region>,
-    alphas: SymbolMap<Ty>,
+    alphas: SymbolMap<TyId>,
     vals: SymbolMap<Value>,
     /// Free tag variables of all ranges (for capture checks).
     range_tvars: SymbolSet,
@@ -81,7 +85,7 @@ impl Subst {
     }
 
     /// Extends with `t ↦ τ`.
-    pub fn with_tag(mut self, t: Symbol, tau: Tag) -> Subst {
+    pub fn with_tag(mut self, t: Symbol, tau: impl Into<TagId>) -> Subst {
         self.insert_tag(t, tau);
         self
     }
@@ -102,7 +106,7 @@ impl Subst {
     /// Renaming the binders (ordinary capture avoidance) would break that
     /// pun — see the `paper:` note on the Trans formation rule in
     /// [`crate::tyck`].
-    pub fn with_alpha(mut self, a: Symbol, sigma: Ty) -> Subst {
+    pub fn with_alpha(mut self, a: Symbol, sigma: impl Into<TyId>) -> Subst {
         self.insert_alpha(a, sigma);
         self
     }
@@ -120,8 +124,9 @@ impl Subst {
     // ----- in-place extension (environment-machine entry points) --------
 
     /// Extends with `t ↦ τ` in place.
-    pub(crate) fn insert_tag(&mut self, t: Symbol, tau: Tag) {
-        free_tag_vars(&tau, &mut self.range_tvars);
+    pub(crate) fn insert_tag(&mut self, t: Symbol, tau: impl Into<TagId>) {
+        let tau = tau.into();
+        self.range_tvars.extend(intern::tag_fv(tau).iter().copied());
         self.tags.insert(t, tau);
     }
 
@@ -134,14 +139,11 @@ impl Subst {
     }
 
     /// Extends with `α ↦ σ` in place (capture caveats as [`Self::with_alpha`]).
-    pub(crate) fn insert_alpha(&mut self, a: Symbol, sigma: Ty) {
-        let mut dropped_rvars = HashSet::new();
-        ty_free_vars(
-            &sigma,
-            &mut self.range_tvars,
-            &mut dropped_rvars,
-            &mut self.range_avars,
-        );
+    pub(crate) fn insert_alpha(&mut self, a: Symbol, sigma: impl Into<TyId>) {
+        let sigma = sigma.into();
+        let fv = intern::ty_fv(sigma);
+        self.range_tvars.extend(fv.tvars.iter().copied());
+        self.range_avars.extend(fv.avars.iter().copied());
         self.alphas.insert(a, sigma);
     }
 
@@ -175,7 +177,7 @@ impl Subst {
 
     /// Extends with `t ↦ τ` in place without capture bookkeeping (`τ` must
     /// be a closed runtime tag).
-    pub(crate) fn bind_tag(&mut self, t: Symbol, tau: Tag) {
+    pub(crate) fn bind_tag(&mut self, t: Symbol, tau: TagId) {
         self.tags.insert(t, tau);
     }
 
@@ -187,7 +189,7 @@ impl Subst {
 
     /// Extends with `α ↦ σ` in place without capture bookkeeping (`σ` must
     /// be a closed runtime witness type).
-    pub(crate) fn bind_alpha(&mut self, a: Symbol, sigma: Ty) {
+    pub(crate) fn bind_alpha(&mut self, a: Symbol, sigma: TyId) {
         self.alphas.insert(a, sigma);
     }
 
@@ -211,7 +213,7 @@ impl Subst {
     }
 
     /// Convenience: the single-tag substitution `[τ/t]`.
-    pub fn one_tag(t: Symbol, tau: Tag) -> Subst {
+    pub fn one_tag(t: Symbol, tau: impl Into<TagId>) -> Subst {
         Subst::new().with_tag(t, tau)
     }
 
@@ -221,7 +223,7 @@ impl Subst {
     }
 
     /// Convenience: the single-α substitution `[σ/α]`.
-    pub fn one_alpha(a: Symbol, sigma: Ty) -> Subst {
+    pub fn one_alpha(a: Symbol, sigma: impl Into<TyId>) -> Subst {
         Subst::new().with_alpha(a, sigma)
     }
 
@@ -248,7 +250,7 @@ impl Subst {
         self.tags.remove(&t);
         if self.range_tvars.contains(&t) {
             let fresh = t.fresh();
-            self.insert_tag(t, Tag::Var(fresh));
+            self.insert_tag(t, intern_tag(Tag::Var(fresh)));
             fresh
         } else {
             t
@@ -292,7 +294,7 @@ impl Subst {
         self.alphas.remove(&a);
         if self.range_avars.contains(&a) {
             let fresh = a.fresh();
-            self.insert_alpha(a, Ty::Alpha(fresh));
+            self.insert_alpha(a, intern_ty(Ty::Alpha(fresh)));
             fresh
         } else {
             a
@@ -337,8 +339,11 @@ impl Subst {
             return tau.clone();
         }
         match tau {
-            Tag::Var(t) => self.tags.get(t).cloned().unwrap_or_else(|| tau.clone()),
-            Tag::AnyArrow(t) => match self.tags.get(t) {
+            Tag::Var(t) => self
+                .tags
+                .get(t)
+                .map_or_else(|| tau.clone(), |id| id.node().clone()),
+            Tag::AnyArrow(t) => match self.tags.get(t).map(|id| id.node()) {
                 // An `AnyArrow(t)` refinement follows `t` under renaming;
                 // substituting a concrete arrow for `t` collapses it.
                 Some(Tag::Var(t2)) => Tag::AnyArrow(*t2),
@@ -369,6 +374,11 @@ impl Subst {
     pub fn tag_id(&self, id: TagId) -> TagId {
         if self.tags.is_empty() || !touches(intern::tag_fv(id), &self.tags) {
             return id;
+        }
+        if let Tag::Var(t) = id.node() {
+            if let Some(&tau) = self.tags.get(t) {
+                return tau;
+            }
         }
         intern_tag(self.tag(id.node()))
     }
@@ -412,7 +422,10 @@ impl Subst {
             Ty::M(rho, tag) => Ty::M(self.region(rho), self.tag_id(*tag)),
             Ty::C(from, to, tag) => Ty::C(self.region(from), self.region(to), self.tag_id(*tag)),
             Ty::MGen(y, o, tag) => Ty::MGen(self.region(y), self.region(o), self.tag_id(*tag)),
-            Ty::Alpha(a) => self.alphas.get(a).cloned().unwrap_or_else(|| sigma.clone()),
+            Ty::Alpha(a) => self
+                .alphas
+                .get(a)
+                .map_or_else(|| sigma.clone(), |id| id.node().clone()),
             Ty::ExistAlpha {
                 avar,
                 regions,
@@ -456,12 +469,21 @@ impl Subst {
     /// fingerprint-based no-op skip as [`Self::tag_id`] — checked per
     /// namespace against the type's [`intern::TyFv`].
     pub fn ty_id(&self, id: TyId) -> TyId {
+        // As in `ty`: a vals-only substitution is the identity on types.
+        if self.tags.is_empty() && self.rgns.is_empty() && self.alphas.is_empty() {
+            return id;
+        }
         let fv = intern::ty_fv(id);
         let miss = (self.tags.is_empty() || !touches(&fv.tvars, &self.tags))
             && (self.rgns.is_empty() || !touches(&fv.rvars, &self.rgns))
             && (self.alphas.is_empty() || !touches(&fv.avars, &self.alphas));
         if miss {
             return id;
+        }
+        if let Ty::Alpha(a) = id.node() {
+            if let Some(&sigma) = self.alphas.get(a) {
+                return sigma;
+            }
         }
         intern_ty(self.ty(id.node()))
     }
@@ -490,7 +512,7 @@ impl Subst {
                 val,
                 body_ty,
             } => {
-                let tag = self.tag(tag);
+                let tag = self.tag_id(*tag);
                 let val = self.value_id(*val);
                 let (sub, t2) = self.enter_tag_binder(*tvar);
                 Value::PackTag {
@@ -498,7 +520,7 @@ impl Subst {
                     kind: *kind,
                     tag,
                     val,
-                    body_ty: sub.ty(body_ty),
+                    body_ty: sub.ty_id(*body_ty),
                 }
             }
             Value::PackAlpha {
@@ -509,7 +531,7 @@ impl Subst {
                 body_ty,
             } => {
                 let regions: Arc<[Region]> = regions.iter().map(|r| self.region(r)).collect();
-                let witness = self.ty(witness);
+                let witness = self.ty_id(*witness);
                 let val = self.value_id(*val);
                 let (sub, a2) = self.enter_alpha_binder(*avar);
                 Value::PackAlpha {
@@ -517,7 +539,7 @@ impl Subst {
                     regions,
                     witness,
                     val,
-                    body_ty: sub.ty(body_ty),
+                    body_ty: sub.ty_id(*body_ty),
                 }
             }
             Value::PackRgn {
@@ -536,12 +558,12 @@ impl Subst {
                     bound,
                     witness,
                     val,
-                    body_ty: sub.ty(body_ty),
+                    body_ty: sub.ty_id(*body_ty),
                 }
             }
             Value::TagApp(f, tags, regions) => Value::TagApp(
                 self.value_id(*f),
-                tags.iter().map(|t| self.tag(t)).collect(),
+                tags.iter().map(|t| self.tag_id(*t)).collect(),
                 regions.iter().map(|r| self.region(r)).collect(),
             ),
             Value::Code(def) => Value::Code(Arc::new(self.code_def(def))),
@@ -837,14 +859,6 @@ impl Subst {
 
 // ----- free variables ----------------------------------------------------
 
-/// Collects the free tag variables of a tag into `out`.
-///
-/// Backed by the per-node fingerprint [`intern::tag_fv`], so repeated calls
-/// on shared subtrees are O(|fv|) lookups rather than traversals.
-pub fn free_tag_vars<S: BuildHasher>(tau: &Tag, out: &mut HashSet<Symbol, S>) {
-    out.extend(intern::tag_fv(tau.id()).iter().copied());
-}
-
 /// Collects the free tag, region, and α variables of a type.
 ///
 /// Backed by the per-node fingerprint [`intern::ty_fv`].
@@ -1076,10 +1090,7 @@ mod tests {
         let t = s("t");
         let u = s("u");
         let tau = Tag::exist(t, Tag::prod(Tag::Var(t), Tag::Var(u)));
-        let mut fv = HashSet::new();
-        free_tag_vars(&tau, &mut fv);
-        assert!(fv.contains(&u));
-        assert!(!fv.contains(&t));
+        assert_eq!(intern::tag_fv(tau.id()), [u]);
     }
 
     #[test]
@@ -1131,9 +1142,9 @@ mod tests {
         let v = Value::PackTag {
             tvar: t,
             kind: Kind::Omega,
-            tag: Tag::Int,
+            tag: Tag::Int.into(),
             val: Value::Var(x).id(),
-            body_ty: Ty::m(Region::cd(), Tag::Var(t)),
+            body_ty: Ty::m(Region::cd(), Tag::Var(t)).into(),
         };
         let out = Subst::one_val(x, Value::Int(9)).value(&v);
         match out {

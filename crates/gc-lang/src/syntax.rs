@@ -422,9 +422,12 @@ impl CodeDef {
 
 /// A value `v` (Fig. 2, extended per Figs. 8 and 10).
 ///
-/// Like [`Tag`] and [`Ty`], nodes are *shallow*: value children are interned
-/// [`ValId`] handles into the global arena, so structurally equal subtrees
-/// are stored once, equality is an id compare, and clones are O(1).
+/// Like [`Tag`] and [`Ty`], nodes are *shallow*: every child — value, tag
+/// or type — is an interned [`ValId`]/[`TagId`]/[`TyId`] handle into the
+/// global arenas, so structurally equal subtrees are stored once, equality
+/// is an id compare, and clones are O(1). Region sets, `TagApp`'s lists
+/// and code blocks sit behind an `Arc`, so a node is 40 bytes on 64-bit
+/// targets, the size every interned value and every heap slot pays.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Value {
     /// An integer literal `n`.
@@ -439,17 +442,17 @@ pub enum Value {
     PackTag {
         tvar: Symbol,
         kind: Kind,
-        tag: Tag,
+        tag: TagId,
         val: ValId,
-        body_ty: Ty,
+        body_ty: TyId,
     },
     /// A type existential package `⟨α : ∆ = σ₁, v : σ₂⟩ : ∃α:∆.σ₂`.
     PackAlpha {
         avar: Symbol,
         regions: Arc<[Region]>,
-        witness: Ty,
+        witness: TyId,
         val: ValId,
-        body_ty: Ty,
+        body_ty: TyId,
     },
     /// A region existential package `⟨r ∈ ∆ = ρ, v : σ⟩ : ∃r∈∆.(σ at r)`
     /// (λGCgen).
@@ -458,12 +461,12 @@ pub enum Value {
         bound: Arc<[Region]>,
         witness: Region,
         val: ValId,
-        body_ty: Ty,
+        body_ty: TyId,
     },
     /// A translucent partial application `vJ~τ; ~ρK` (§6.1): a code pointer
     /// specialized to tags and regions, awaiting only its value arguments
     /// (see the `paper:` note on [`Ty::Trans`]).
-    TagApp(ValId, Arc<[Tag]>, Arc<[Region]>),
+    TagApp(ValId, Arc<[TagId]>, Arc<[Region]>),
     /// A code block literal (only placed in `cd` at load time; never
     /// constructed by running programs, §4.3).
     Code(Arc<CodeDef>),
@@ -502,7 +505,7 @@ impl Value {
     ) -> Value {
         Value::TagApp(
             intern_value(v),
-            tags.into_iter().collect(),
+            tags.into_iter().map(intern_tag).collect(),
             regions.into_iter().collect(),
         )
     }
@@ -789,6 +792,28 @@ mod tests {
         assert_eq!(PrimOp::Sub.apply(2, 3), -1);
         assert_eq!(PrimOp::Mul.apply(4, 5), 20);
         assert_eq!(PrimOp::Add.apply(i64::MAX, 1), i64::MIN);
+    }
+
+    /// Every interned value node and every heap slot pays `Value`'s size,
+    /// and every interned term pays `Term`'s, so a field that grows them
+    /// grows each arena and the whole heap. Children are ids for this
+    /// reason: an owned `Ty` or `Tag` field would make `Value` 136 bytes.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn node_sizes_stay_small() {
+        use std::mem::size_of;
+        assert!(
+            size_of::<Value>() <= 40,
+            "Value: {} bytes",
+            size_of::<Value>()
+        );
+        let slot = size_of::<crate::intern::SlotVal>();
+        assert!(slot <= 40, "SlotVal: {slot} bytes");
+        assert!(
+            size_of::<Term>() <= 112,
+            "Term: {} bytes",
+            size_of::<Term>()
+        );
     }
 
     #[test]

@@ -29,11 +29,12 @@ use ps_ir::scope::{unbind_all, Scope};
 use ps_ir::Symbol;
 
 use crate::error::{dialect_err, form_err, type_err, LangError, Result};
+use crate::intern::{intern_ty, TyId};
 use crate::machine::Program;
 use crate::memory::Memory;
-use crate::moper::normalize_ty;
 #[cfg(test)]
 use crate::moper::ty_eq;
+use crate::moper::{normalize_ty, normalize_ty_id};
 use crate::subst::{ty_regions, Subst};
 use crate::syntax::{CodeDef, Dialect, Kind, Op, Region, RegionName, Tag, Term, Ty, Value, CD};
 use crate::tags;
@@ -479,10 +480,14 @@ impl<'p> Checker<'p> {
                 body_ty,
             } => {
                 tags::check_kind(tag, &ctx.theta, *kind)?;
-                let instantiated = Subst::one_tag(*tvar, tag.clone()).ty(body_ty);
-                self.check_value(ctx, val, &instantiated)
+                let instantiated = Subst::one_tag(*tvar, *tag).ty_id(*body_ty);
+                self.check_value_id(ctx, val, instantiated, true)
                     .map_err(|e| e.in_context("tag package payload"))?;
-                Ok(Ty::exist_tag(*tvar, *kind, body_ty.clone()))
+                Ok(Ty::ExistTag {
+                    tvar: *tvar,
+                    kind: *kind,
+                    body: *body_ty,
+                })
             }
             Value::PackAlpha {
                 avar,
@@ -503,14 +508,14 @@ impl<'p> Checker<'p> {
                     .collect();
                 self.ty_wf(&mut inner, witness)
                     .map_err(|e| e.in_context("α-package witness"))?;
-                let instantiated = Subst::one_alpha(*avar, witness.clone()).ty(body_ty);
-                self.check_value(ctx, val, &instantiated)
+                let instantiated = Subst::one_alpha(*avar, *witness).ty_id(*body_ty);
+                self.check_value_id(ctx, val, instantiated, true)
                     .map_err(|e| e.in_context("α-package payload"))?;
-                Ok(Ty::exist_alpha(
-                    *avar,
-                    regions.iter().copied(),
-                    body_ty.clone(),
-                ))
+                Ok(Ty::ExistAlpha {
+                    avar: *avar,
+                    regions: regions.clone(),
+                    body: *body_ty,
+                })
             }
             Value::PackRgn {
                 rvar,
@@ -530,10 +535,17 @@ impl<'p> Checker<'p> {
                         return Err(type_err(format!("region package bound {r} not in scope")));
                     }
                 }
-                let instantiated = Subst::one_rgn(*rvar, *witness).ty(body_ty).at(*witness);
-                self.check_value(ctx, val, &instantiated)
+                let instantiated = intern_ty(Ty::At(
+                    Subst::one_rgn(*rvar, *witness).ty_id(*body_ty),
+                    *witness,
+                ));
+                self.check_value_id(ctx, val, instantiated, true)
                     .map_err(|e| e.in_context("region package payload"))?;
-                Ok(Ty::exist_rgn(*rvar, bound.iter().copied(), body_ty.clone()))
+                Ok(Ty::ExistRgn {
+                    rvar: *rvar,
+                    bound: bound.clone(),
+                    body: *body_ty,
+                })
             }
             Value::TagApp(f, ts, rhos) => {
                 let fty = normalize_ty(&self.synth_value(ctx, f)?, self.dialect);
@@ -552,7 +564,7 @@ impl<'p> Checker<'p> {
                             let mut sub = Subst::new();
                             for ((t, k), tau) in tvars.iter().zip(ts.iter()) {
                                 tags::check_kind(tau, &ctx.theta, *k)?;
-                                sub = sub.with_tag(*t, tau.clone());
+                                sub = sub.with_tag(*t, *tau);
                             }
                             for (r, nu) in rvars.iter().zip(rhos.iter()) {
                                 if !ctx.in_delta(nu) {
@@ -563,8 +575,8 @@ impl<'p> Checker<'p> {
                                 sub = sub.with_rgn(*r, *nu);
                             }
                             Ok(Ty::Trans {
-                                tags: ts.iter().map(|t| t.id()).collect(),
-                                regions: rhos.iter().copied().collect(),
+                                tags: ts.clone(),
+                                regions: rhos.clone(),
                                 args: args.iter().map(|a| sub.ty_id(*a)).collect(),
                                 rho,
                             })
@@ -597,30 +609,38 @@ impl<'p> Checker<'p> {
     /// subsumption (`v : σ₁ ⟹ v : σ₁ + σ₂`) structurally through value
     /// forms, as the paper's value judgements do.
     pub fn check_value(&self, ctx: &Ctx, v: &Value, expected: &Ty) -> Result<()> {
+        self.check_value_id(ctx, v, expected.id(), true)
+    }
+
+    /// [`Self::check_value`] against an interned type. `explain` only
+    /// decides whether a failure carries a message: the sum rule tries
+    /// `left`, then `right`, and throws both attempts' errors away, so the
+    /// attempts run with `explain` off and fail without formatting one.
+    fn check_value_id(&self, ctx: &Ctx, v: &Value, expected: TyId, explain: bool) -> Result<()> {
         // Fast path: exact (synthesized) match, or the generational
         // subtyping below. `expected` is normalized once, up front: both the
         // fast path and the structural match below compare against the same
         // `norm` (this used to normalize `expected` on each branch).
-        let norm = normalize_ty(expected, self.dialect);
+        let norm = normalize_ty_id(expected, self.dialect);
         let synth = self.synth_value(ctx, v);
         if let Ok(t) = &synth {
             if self.subty(ctx, &normalize_ty(t, self.dialect), &norm) {
                 return Ok(());
             }
         }
-        match (&norm, v) {
+        match (norm.node(), v) {
             (Ty::Sum(a, b), _) => {
-                let left = Ty::Left(*a);
-                let right = Ty::Right(*b);
-                self.check_value(ctx, v, &left)
-                    .or_else(|_| self.check_value(ctx, v, &right))
-                    .map_err(|_| self.mismatch(v, &norm, synth))
+                let left = intern_ty(Ty::Left(*a));
+                let right = intern_ty(Ty::Right(*b));
+                self.check_value_id(ctx, v, left, false)
+                    .or_else(|_| self.check_value_id(ctx, v, right, false))
+                    .map_err(|_| self.mismatch(explain, v, &norm, synth))
             }
-            (Ty::Left(a), Value::Inl(inner)) => self.check_value(ctx, inner, a),
-            (Ty::Right(b), Value::Inr(inner)) => self.check_value(ctx, inner, b),
+            (Ty::Left(a), Value::Inl(inner)) => self.check_value_id(ctx, inner, *a, explain),
+            (Ty::Right(b), Value::Inr(inner)) => self.check_value_id(ctx, inner, *b, explain),
             (Ty::Prod(a, b), Value::Pair(x, y)) => {
-                self.check_value(ctx, x, a)?;
-                self.check_value(ctx, y, b)
+                self.check_value_id(ctx, x, *a, explain)?;
+                self.check_value_id(ctx, y, *b, explain)
             }
             (
                 Ty::ExistTag { tvar, kind, body },
@@ -629,13 +649,13 @@ impl<'p> Checker<'p> {
                 },
             ) => {
                 if kind != vk {
-                    return Err(self.mismatch(v, &norm, synth));
+                    return Err(self.mismatch(explain, v, &norm, synth));
                 }
                 tags::check_kind(tag, &ctx.theta, *kind)?;
-                let instantiated = Subst::one_tag(*tvar, tag.clone()).ty(body);
-                self.check_value(ctx, val, &instantiated)
+                let instantiated = Subst::one_tag(*tvar, *tag).ty_id(*body);
+                self.check_value_id(ctx, val, instantiated, explain)
             }
-            _ => Err(self.mismatch(v, &norm, synth)),
+            _ => Err(self.mismatch(explain, v, &norm, synth)),
         }
     }
 
@@ -705,7 +725,12 @@ impl<'p> Checker<'p> {
         }
     }
 
-    fn mismatch(&self, v: &Value, expected: &Ty, synth: Result<Ty>) -> LangError {
+    /// The failure of `v` against `expected`, message-free when `explain`
+    /// is off (the caller discards it).
+    fn mismatch(&self, explain: bool, v: &Value, expected: &Ty, synth: Result<Ty>) -> LangError {
+        if !explain {
+            return type_err(String::new());
+        }
         match synth {
             Ok(t) => type_err(format!(
                 "value has type {:?} but {:?} was expected",
@@ -1588,9 +1613,9 @@ mod tests {
                 Op::Val(Value::PackTag {
                     tvar: s("u"),
                     kind: Kind::Omega,
-                    tag: Tag::Var(t1),
+                    tag: Tag::Var(t1).into(),
                     val: Value::Int(0).into(),
-                    body_ty: Ty::Int,
+                    body_ty: Ty::Int.into(),
                 }),
                 Term::Halt(Value::Int(0)),
             )
@@ -1710,9 +1735,9 @@ mod tests {
         let pkg = Value::PackTag {
             tvar: t,
             kind: Kind::Omega,
-            tag: Tag::Int,
+            tag: Tag::Int.into(),
             val: (Value::Int(5)).into(),
-            body_ty: Ty::m(Region::cd(), Tag::Var(t)),
+            body_ty: Ty::m(Region::cd(), Tag::Var(t)).into(),
         };
         let e = Term::OpenTag {
             pkg,
@@ -1729,9 +1754,9 @@ mod tests {
         let pkg = Value::PackTag {
             tvar: t,
             kind: Kind::Omega,
-            tag: Tag::prod(Tag::Int, Tag::Int),
+            tag: Tag::prod(Tag::Int, Tag::Int).into(),
             val: (Value::Int(5)).into(),
-            body_ty: Ty::m(Region::cd(), Tag::Var(t)),
+            body_ty: Ty::m(Region::cd(), Tag::Var(t)).into(),
         };
         // M_cd(Int×Int) is a reference, not an int.
         assert!(basic().synth_value(&Ctx::empty(), &pkg).is_err());
@@ -1772,6 +1797,22 @@ mod tests {
             body: (Term::Halt(Value::Int(0))).into(),
         };
         assert!(fw.check_term(&mut ctx, &bad).is_err());
+    }
+
+    /// A value that fits neither side of a sum fails with one message that
+    /// names the whole sum; the speculative `left`/`right` attempts add
+    /// nothing to it.
+    #[test]
+    fn value_fitting_neither_side_of_a_sum_names_the_sum() {
+        let fw = Checker::new(Dialect::Forwarding);
+        let v = Value::inl(Value::pair(Value::Int(1), Value::Int(2)));
+        let err = fw
+            .check_value(&Ctx::empty(), &v, &Ty::sum(Ty::Int, Ty::Int))
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "type error: value has type Left(Prod(Int, Int)) but Sum(Int, Int) was expected"
+        );
     }
 
     #[test]
@@ -1905,7 +1946,7 @@ mod tests {
                         bound: (vec![Region::Var(r0)]).into(),
                         witness: Region::Var(r0),
                         val: (Value::Var(a)).into(),
-                        body_ty: Ty::Int,
+                        body_ty: Ty::Int.into(),
                     },
                     rvar: s("ropen"),
                     x,
@@ -1928,7 +1969,7 @@ mod tests {
             bound: (vec![Region::Var(s("ra"))]).into(),
             witness: Region::Var(s("rb")),
             val: (Value::Int(0)).into(),
-            body_ty: Ty::Int,
+            body_ty: Ty::Int.into(),
         };
         assert!(gen.synth_value(&ctx, &pkg).is_err());
     }

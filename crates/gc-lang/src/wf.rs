@@ -498,7 +498,7 @@ mod tests {
                             bound: (vec![Region::Var(ry), Region::Var(ro)]).into(),
                             witness: Region::Var(ry),
                             val: (Value::Var(a)).into(),
-                            body_ty: crate::syntax::Ty::Int,
+                            body_ty: crate::syntax::Ty::Int.into(),
                         }),
                         Term::OpenRgn {
                             pkg: Value::Var(pkgv),

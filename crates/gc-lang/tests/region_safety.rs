@@ -60,9 +60,9 @@ fn alpha_package_bound_cannot_lie() {
                 Op::Val(Value::PackAlpha {
                     avar: s("al"),
                     regions: (vec![]).into(),
-                    witness: Ty::Int.at(Region::Var(s("ra"))),
+                    witness: Ty::Int.at(Region::Var(s("ra"))).into(),
                     val: (Value::Var(s("a"))).into(),
-                    body_ty: Ty::Alpha(s("al")),
+                    body_ty: Ty::Alpha(s("al")).into(),
                 }),
                 Term::Halt(Value::Int(0)),
             ),
@@ -81,7 +81,7 @@ fn region_package_bound_must_be_in_scope() {
         bound: (vec![Region::Var(s("ghost"))]).into(),
         witness: Region::Var(s("ghost")),
         val: (Value::Int(0)).into(),
-        body_ty: Ty::Int,
+        body_ty: Ty::Int.into(),
     };
     assert!(gen.synth_value(&Ctx::empty(), &pkg).is_err());
 }
@@ -122,9 +122,9 @@ fn only_drops_alphas_bound_to_dead_regions() {
                 Op::Val(Value::PackAlpha {
                     avar: s("al"),
                     regions: (vec![Region::Var(s("ra"))]).into(),
-                    witness: Ty::Int.at(Region::Var(s("ra"))),
+                    witness: Ty::Int.at(Region::Var(s("ra"))).into(),
                     val: (Value::Var(s("a"))).into(),
-                    body_ty: Ty::Alpha(s("al")),
+                    body_ty: Ty::Alpha(s("al")).into(),
                 }),
                 Term::OpenAlpha {
                     pkg: Value::Var(s("p")),

@@ -61,9 +61,9 @@ impl Trans {
                 let pack = Value::PackTag {
                     tvar: *tvar,
                     kind: Kind::Omega,
-                    tag: tag_of(witness),
+                    tag: tag_of(witness).into(),
                     val: (pv).into(),
-                    body_ty: Ty::m(self.rv(), tag_of(body_ty)),
+                    body_ty: Ty::m(self.rv(), tag_of(body_ty)).into(),
                 };
                 binds.push((x, Op::Put(self.rv(), Value::inl(pack))));
                 Ok(Value::Var(x))

@@ -80,7 +80,7 @@ impl Trans {
                     bound: (self.bound()).into(),
                     witness: self.ryv(),
                     val: (Value::Var(x)).into(),
-                    body_ty: body,
+                    body_ty: body.into(),
                 };
                 let y = gensym("pg");
                 binds.push((y, Op::Val(pkg)));
@@ -96,9 +96,9 @@ impl Trans {
                 let inner = Value::PackTag {
                     tvar: *tvar,
                     kind: Kind::Omega,
-                    tag: tag_of(witness),
+                    tag: tag_of(witness).into(),
                     val: (pv).into(),
-                    body_ty: self.mg(tag_of(body_ty)),
+                    body_ty: self.mg(tag_of(body_ty)).into(),
                 };
                 let x = gensym("pk");
                 binds.push((x, Op::Put(self.ryv(), inner)));
@@ -108,7 +108,8 @@ impl Trans {
                     bound: (self.bound()).into(),
                     witness: self.ryv(),
                     val: (Value::Var(x)).into(),
-                    body_ty: Ty::exist_tag(*tvar, Kind::Omega, self.mg_at(rp, tag_of(body_ty))),
+                    body_ty: Ty::exist_tag(*tvar, Kind::Omega, self.mg_at(rp, tag_of(body_ty)))
+                        .into(),
                 };
                 let y = gensym("pkg");
                 binds.push((y, Op::Val(pkg)));

@@ -30,8 +30,8 @@ printf 'fun build (n : int) : int * int = if0 n then (0, 0) else (let rest = bui
 ./target/release/psgc disasm "$tmp" >/dev/null
 # Front-end depth guard: an 800-binding arithmetic `let` chain, twice the
 # compile workload's, must run to exactly what the evaluator prints. The
-# recursive passes overflow the stack between 900 and 1 000 bindings, so
-# this keeps the depth they must reach in view.
+# recursive passes overflow the 8 MiB main stack between 2 440 and 2 460
+# bindings (x86-64), so this keeps the depth they must reach in view.
 awk 'BEGIN {
   print "let x0 = 7 in"
   for (i = 1; i <= 800; i++) {
@@ -48,16 +48,23 @@ if [ "$got" != "$want" ]; then
 fi
 # The incremental (dirty-page) auditor at full blast: the same program
 # audited every step must be byte-identical to the unaudited run — stdout,
-# stats, metrics, page counters — on every backend. `cmp` on the whole
-# observable output is the gate.
-for backend in subst env bytecode; do
-  plain="$(./target/release/psgc run "$tmp" --backend "$backend" --budget 64 --stats --stats-pages --metrics 2>&1)"
-  audited="$(./target/release/psgc run "$tmp" --backend "$backend" --budget 64 --verify-every 1 --audit incremental --stats --stats-pages --metrics 2>&1)"
-  if [ "$plain" != "$audited" ]; then
-    echo "tier-1: incremental audit changed observable output on $backend" >&2
-    diff <(printf '%s\n' "$plain") <(printf '%s\n' "$audited") >&2 || true
-    exit 1
-  fi
+# stats, metrics, page counters — on every collector × backend, without
+# and with the memory typing Ψ tracked (with it, the auditor also re-checks
+# each slot written since its `put` against its Ψ type). `cmp` on the
+# whole observable output is the gate.
+for types in "" --track-types; do
+  for collector in basic forwarding generational; do
+    for backend in subst env bytecode; do
+      run=(./target/release/psgc run "$tmp" --collector "$collector" --backend "$backend" --budget 64 $types --stats --stats-pages --metrics)
+      plain="$("${run[@]}" 2>&1)"
+      audited="$("${run[@]}" --verify-every 1 --audit incremental 2>&1)"
+      if [ "$plain" != "$audited" ]; then
+        echo "tier-1: incremental audit changed observable output on $collector/$backend ${types:-untyped}" >&2
+        diff <(printf '%s\n' "$plain") <(printf '%s\n' "$audited") >&2 || true
+        exit 1
+      fi
+    done
+  done
 done
 # The supervisor end-to-end: inject a clobbered forwarding pointer into
 # the same program under forwarding collection and let the supervisor

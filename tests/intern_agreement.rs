@@ -330,9 +330,9 @@ fn gen_value(tape: &mut Tape, e: &mut Envs, names: &mut Names, depth: u32) -> Va
             Value::PackTag {
                 tvar: t,
                 kind: Kind::Omega,
-                tag,
+                tag: tag.id(),
                 val,
-                body_ty,
+                body_ty: body_ty.id(),
             }
         }
         5 => {
@@ -362,9 +362,9 @@ fn gen_value(tape: &mut Tape, e: &mut Envs, names: &mut Names, depth: u32) -> Va
             Value::PackAlpha {
                 avar: a,
                 regions: regions.into(),
-                witness,
+                witness: witness.id(),
                 val,
-                body_ty,
+                body_ty: body_ty.id(),
             }
         }
         6 => {
@@ -388,12 +388,12 @@ fn gen_value(tape: &mut Tape, e: &mut Envs, names: &mut Names, depth: u32) -> Va
                 bound: bound.into(),
                 witness,
                 val,
-                body_ty,
+                body_ty: body_ty.id(),
             }
         }
         7 => Value::TagApp(
             gen_value(tape, e, names, depth - 1).id(),
-            [gen_tag(tape, &mut e.tenv, names, depth - 1)].into(),
+            [gen_tag(tape, &mut e.tenv, names, depth - 1).id()].into(),
             [gen_region(tape, &e.renv)].into(),
         ),
         8 => Value::Inl(gen_value(tape, e, names, depth - 1).id()),
