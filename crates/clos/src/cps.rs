@@ -15,9 +15,17 @@
 //! ⟦τ → σ⟧ = (⟦τ⟧ × (⟦σ⟧ → int)) → int
 //! ```
 //!
-//! The implementation is one-pass with meta-continuations (in the style of
-//! Danvy–Filinski, paper ref. 7), so no administrative β-redexes are produced;
-//! `if0` reifies a join-point continuation to avoid duplicating contexts.
+//! The implementation is one-pass with meta-continuations (after
+//! Danvy–Filinski, paper ref. 7), so no administrative β-redexes are
+//! produced; `if0` reifies a join-point continuation to avoid duplicating
+//! contexts. Unlike Danvy–Filinski's conversion, it never passes a
+//! continuation variable through unchanged, so it produces η-redexes: a
+//! call in tail position wraps the caller's continuation `k` as
+//! `λr. k r`, and an `if0` in tail position reifies its join as
+//! `λjv. k jv`. Each tail call therefore allocates continuation closures
+//! chained to the caller's, and tail calls are not space-safe: a
+//! tail-recursive loop keeps heap live in proportion to its iteration
+//! count.
 //!
 //! # Scopes
 //!

@@ -522,13 +522,6 @@ impl RunOptionsBuilder {
         self
     }
 
-    /// Arms several fault plans at once (e.g. from
-    /// [`gc_lang::faults::parse_plans`]).
-    pub fn inject_all(mut self, plans: &[FaultPlan]) -> RunOptionsBuilder {
-        self.opts.inject.extend_from_slice(plans);
-        self
-    }
-
     /// Run under the supervisor (checkpoint, restart, triage).
     pub fn supervise(mut self, on: bool) -> RunOptionsBuilder {
         self.opts.supervise = on;

@@ -62,7 +62,7 @@
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 use ps_ir::{FxBuildHasher, FxHasher, Symbol};
@@ -205,8 +205,7 @@ enum TyTpl {
     Imm(TyId),
     /// Substitute the bound registers into `ty`, memoized per `site`
     /// (unique within the unit) on the interned identities of the
-    /// register contents. `ty` is also the content half of the global
-    /// closed-substitution memo key.
+    /// register contents.
     Sub {
         ty: TyId,
         binds: Box<[Bind]>,
@@ -232,30 +231,8 @@ enum BindVal {
     Alpha(TyId),
 }
 
-/// Process-wide closed-substitution memo — the second level behind each
-/// machine's `ty_cache`. Keyed by the interned identity of the template
-/// type plus a hash of the binder symbols and captured values; buckets
-/// hold the full key for exact structural comparison. Interned ids are
-/// global and region names restart per machine, so the working set across
-/// a whole benchmark sweep stays small; cleared wholesale at the cap.
-type TySubBucket = Vec<(Box<[(Symbol, BindVal)]>, TyId)>;
 /// Per-machine bucket: captured register values → substituted type.
 type TyCacheBucket = Vec<(Box<[BindVal]>, TyId)>;
-#[allow(clippy::type_complexity)]
-static TY_SUB_MEMO: RwLock<Option<HashMap<(TyId, u64), TySubBucket, FxBuildHasher>>> =
-    RwLock::new(None);
-
-/// Publishes a freshly computed substitution to [`TY_SUB_MEMO`].
-fn ty_sub_global_insert(tid: TyId, h: u64, key: Box<[(Symbol, BindVal)]>, out: TyId) {
-    let mut guard = TY_SUB_MEMO
-        .write()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let map = guard.get_or_insert_with(HashMap::default);
-    if map.len() >= 1 << 15 {
-        map.clear();
-    }
-    map.entry((tid, h)).or_default().push((key, out));
-}
 
 /// A tag operand (tags can only mention tag variables).
 #[derive(Clone, Debug)]
@@ -1524,7 +1501,6 @@ impl BcMachine {
                 // structural compare below makes hash collisions harmless.
                 let mut hasher = FxHasher::default();
                 for b in binds.iter() {
-                    b.sym.hash(&mut hasher);
                     match b.ns {
                         Ns::Tag => self.tag_regs[b.slot as usize].hash(&mut hasher),
                         Ns::Rgn => self.rgn_regs[b.slot as usize].hash(&mut hasher),
@@ -1548,16 +1524,6 @@ impl BcMachine {
                         return *sigma;
                     }
                 }
-                // Local miss: consult the process-wide memo. Interned type
-                // ids and the captured runtime values recur across machines
-                // and runs (the collector image is shared), so a closed
-                // substitution computed by one run is a hit for every later
-                // one regardless of which machine asks.
-                if let Some(out) = self.ty_sub_global(*ty, h, binds) {
-                    let key = self.capture_binds(binds);
-                    self.ty_cache_insert(*site, h, key, out);
-                    return out;
-                }
                 let mut sub = Subst::new();
                 let key = self.capture_binds(binds);
                 for (b, kv) in binds.iter().zip(key.iter()) {
@@ -1568,12 +1534,6 @@ impl BcMachine {
                     }
                 }
                 let out = sub.ty_id(*ty);
-                let gkey: Box<[(Symbol, BindVal)]> = binds
-                    .iter()
-                    .map(|b| b.sym)
-                    .zip(key.iter().copied())
-                    .collect();
-                ty_sub_global_insert(*ty, h, gkey, out);
                 self.ty_cache_insert(*site, h, key, out);
                 out
             }
@@ -1605,37 +1565,6 @@ impl BcMachine {
             .entry((self.unit, site, h))
             .or_default()
             .push((key.into_boxed_slice(), out));
-    }
-
-    /// Probes the process-wide substitution memo: same interned type, same
-    /// binder symbols, same captured values (compared straight off the
-    /// register files) — the closed substitution is a pure function of
-    /// those, so the cached output is exact.
-    fn ty_sub_global(&self, tid: TyId, h: u64, binds: &[Bind]) -> Option<TyId> {
-        let guard = TY_SUB_MEMO
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let bucket = guard.as_ref()?.get(&(tid, h))?;
-        'entry: for (k, sigma) in bucket.iter() {
-            if k.len() != binds.len() {
-                continue;
-            }
-            for ((sym, kv), b) in k.iter().zip(binds.iter()) {
-                if *sym != b.sym {
-                    continue 'entry;
-                }
-                let eq = match kv {
-                    BindVal::Tag(t0) => *t0 == self.tag_regs[b.slot as usize],
-                    BindVal::Rgn(r0) => *r0 == self.rgn_regs[b.slot as usize],
-                    BindVal::Alpha(a0) => *a0 == self.alpha_regs[b.slot as usize],
-                };
-                if !eq {
-                    continue 'entry;
-                }
-            }
-            return Some(*sigma);
-        }
-        None
     }
 
     fn rtag(&self, op: &TagOp) -> TagId {

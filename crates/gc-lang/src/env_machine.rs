@@ -21,18 +21,20 @@
 //! A single mutable map with overwrite-on-shadow therefore implements
 //! lexical scope exactly, and it can be wholesale cleared at every `App`.
 //!
-//! # Why the two backends agree exactly
+//! # Why it agrees exactly with the substitution machine
 //!
 //! Resolution against the environment *is* substitution application — the
-//! environment is literally a [`Subst`], so both backends share one
-//! resolution code path. At runtime every substitution range is closed
+//! environment is literally a [`Subst`], so this machine and the Fig. 5
+//! substitution machine share one resolution code path (the third backend,
+//! the bytecode VM of [`crate::bytecode`], uses it too, for its `Build`
+//! operands). At runtime every substitution range is closed
 //! (values/tags/regions that reach the environment are fully resolved
 //! first), so [`Subst`]'s capture-avoidance never renames a binder and
 //! simultaneous application coincides with the substitution machine's
-//! sequential application. Consequently both backends produce identical
-//! heap contents, identical results, and identical [`Stats`](crate::machine::Stats) — checked
-//! program-by-program by the differential test suite and step-for-step by
-//! the lockstep property test.
+//! sequential application. Consequently the two machines produce identical
+//! heap contents, identical results, and identical
+//! [`Stats`](crate::machine::Stats) — checked program-by-program by the
+//! differential test suite and step-for-step by the lockstep property test.
 //!
 //! The substitution machine remains the oracle for `track_types`/wf
 //! checking: the well-formedness judgement `⊢ (M, e)` of [`crate::wf`]
@@ -433,8 +435,8 @@ mod tests {
         }
     }
 
-    /// Runs a program on both backends and asserts identical outcome and
-    /// identical statistics.
+    /// Runs a program on the substitution and environment machines and
+    /// asserts identical outcome and identical statistics.
     fn run_both(p: &Program) -> Outcome {
         let mut subst = SubstMachine::load(p, config());
         let mut env = EnvMachine::load(p, config());

@@ -219,7 +219,8 @@ fn mix(seed: u64) -> u64 {
 
 /// Reachable data-region slots with their values, in deterministic order.
 fn reachable_sites(mem: &Memory, root: &Term) -> Vec<(RegionName, u32)> {
-    let mut sites: Vec<(RegionName, u32)> = wf::reachable_slots_in(mem, root)
+    let mut sites: Vec<(RegionName, u32)> = wf::reachable_from(mem, root)
+        .slots
         .into_iter()
         .filter(|(nu, _)| !nu.is_cd())
         .collect();

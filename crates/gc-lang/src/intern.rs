@@ -34,10 +34,9 @@
 //! (`&'static`) and published through [`ChunkedSlab`]s — append-only
 //! chunked atomic-pointer tables — so dereferencing a [`TagId`] (it
 //! implements `Deref<Target = Tag>`) and probing any memo touch no lock at
-//! all. This matters for parallel certification: `check_program` fans code
-//! blocks over worker threads that deref ids and hit the memos on every
-//! node; a shared `RwLock` read on that path makes the threads bounce the
-//! lock's cache line and serializes them. Only *interning* (the hash-cons
+//! all. A run is single-threaded, but the tables are process-global, so
+//! they must stay safe to share: `cargo test` runs tests on parallel
+//! threads that intern into the same arenas. Only *interning* (the hash-cons
 //! lookup/insert) still takes the `RwLock` around one shard of the arena's
 //! hash table, and it is never held across recursive work: probe under a
 //! read lock, compute unlocked, insert under a short write lock.
@@ -233,13 +232,6 @@ pub struct TyFv {
     pub avars: Box<[Symbol]>,
 }
 
-impl TyFv {
-    /// No free variables in any namespace?
-    pub fn is_closed(&self) -> bool {
-        self.tvars.is_empty() && self.rvars.is_empty() && self.avars.is_empty()
-    }
-}
-
 fn sorted(mut v: Vec<Symbol>) -> Vec<Symbol> {
     v.sort_unstable();
     v.dedup();
@@ -413,16 +405,6 @@ pub struct NodeFv {
     pub avars: Box<[Symbol]>,
     /// Free value variables (`x`).
     pub xvars: Box<[Symbol]>,
-}
-
-impl NodeFv {
-    /// No free variables in any namespace?
-    pub fn is_closed(&self) -> bool {
-        self.tvars.is_empty()
-            && self.rvars.is_empty()
-            && self.avars.is_empty()
-            && self.xvars.is_empty()
-    }
 }
 
 /// Accumulator for a four-namespace fingerprint under construction.

@@ -32,9 +32,6 @@ fn ry_m() -> Symbol {
 fn ro_m() -> Symbol {
     Symbol::intern("ro!m")
 }
-fn t_m() -> Symbol {
-    Symbol::intern("t!m")
-}
 
 /// Expands one layer of `Mρ(τ)` for the given dialect, assuming `tag` is
 /// already in normal form. Returns `None` when the tag is neutral (variable
@@ -326,12 +323,6 @@ pub fn ty_size(sigma: &Ty) -> usize {
                 + args.iter().map(|a| ty_size(a)).sum::<usize>()
         }
     }
-}
-
-/// Fresh-binder helper exposed for the typechecker's expansion of
-/// `M`-operator results: returns the fixed tag binder used in expansions.
-pub fn m_tag_binder() -> Symbol {
-    t_m()
 }
 
 #[cfg(test)]

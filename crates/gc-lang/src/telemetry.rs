@@ -21,7 +21,7 @@
 //!   differential suites).
 //! * [`Recorder`] — an [`Observer`] that aggregates [`Metrics`]
 //!   (counters and copy-size histograms) and optionally keeps the raw
-//!   event log, with JSON-lines ([`Recorder::write_jsonl`]) and
+//!   event log, with JSON-lines ([`Recorder::to_jsonl`]) and
 //!   human-readable ([`Metrics`]' `Display`) exporters.
 //! * [`validate_jsonl_trace`] — the canonical schema check for exported
 //!   traces; the trace format is a stability contract, and this function
@@ -443,14 +443,6 @@ pub trait Observer: fmt::Debug {
 /// results after the run; the machine holds the other.
 pub type SharedObserver = Rc<RefCell<dyn Observer>>;
 
-/// The [`Observer`] that ignores everything — the explicit form of the
-/// default no-op behaviour (attaching it is equivalent to attaching
-/// nothing, except the hook-site `Option` check no longer short-circuits).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NullObserver;
-
-impl Observer for NullObserver {}
-
 /// State of the collection currently in progress.
 #[derive(Clone, Debug)]
 struct GcPhase {
@@ -870,8 +862,6 @@ pub struct Metrics {
     pub words_reclaimed: u64,
     /// Total machine steps spent inside collections.
     pub gc_steps: u64,
-    /// Largest observed total data-heap size, in words.
-    pub max_heap_words: usize,
     /// Histogram of per-object copy sizes (words per `Copy`).
     pub copy_sizes: Histogram,
     /// Histogram of per-collection copy volumes (words per `GcEnd`).
@@ -882,16 +872,10 @@ impl Metrics {
     fn record(&mut self, event: &GcEvent) {
         self.events += 1;
         match event {
-            GcEvent::RegionAlloc { heap_words, .. } => {
-                self.regions_allocated += 1;
-                self.max_heap_words = self.max_heap_words.max(*heap_words);
-            }
+            GcEvent::RegionAlloc { .. } => self.regions_allocated += 1,
             GcEvent::RegionFree { .. } => self.regions_freed += 1,
             GcEvent::PageAlloc { .. } => self.pages_allocated += 1,
             GcEvent::PageFree { .. } => self.pages_freed += 1,
-            GcEvent::GcBegin { heap_words, .. } => {
-                self.max_heap_words = self.max_heap_words.max(*heap_words);
-            }
             GcEvent::Copy {
                 words, promoted, ..
             } => {
@@ -907,19 +891,16 @@ impl Metrics {
                 gc_steps,
                 words_copied,
                 words_reclaimed,
-                heap_words,
                 ..
             } => {
                 self.collections += 1;
                 self.gc_steps += gc_steps;
                 self.words_reclaimed += words_reclaimed;
-                self.max_heap_words = self.max_heap_words.max(*heap_words);
                 self.collection_sizes.record(*words_copied);
             }
-            GcEvent::Step { heap_words, .. } => {
-                self.max_heap_words = self.max_heap_words.max(*heap_words);
-            }
-            GcEvent::FuelExhausted { .. }
+            GcEvent::GcBegin { .. }
+            | GcEvent::Step { .. }
+            | GcEvent::FuelExhausted { .. }
             | GcEvent::InvariantViolation { .. }
             | GcEvent::OutOfMemory { .. }
             | GcEvent::Snapshot { .. }
@@ -944,7 +925,6 @@ impl Metrics {
         o.int("objects_promoted", self.objects_promoted);
         o.int("words_reclaimed", self.words_reclaimed);
         o.int("gc_steps", self.gc_steps);
-        o.int("max_heap_words", self.max_heap_words as u64);
         o.raw("copy_sizes", &self.copy_sizes.to_json());
         o.raw("collection_sizes", &self.collection_sizes.to_json());
         o.finish()
@@ -976,7 +956,6 @@ impl fmt::Display for Metrics {
             self.objects_promoted, self.words_promoted
         )?;
         writeln!(f, "words reclaimed:   {}", self.words_reclaimed)?;
-        writeln!(f, "max heap words:    {}", self.max_heap_words)?;
         writeln!(f, "copy sizes (words/object):")?;
         write!(f, "{}", self.copy_sizes)?;
         writeln!(f, "collection sizes (words/collection):")?;
@@ -1024,23 +1003,8 @@ impl Recorder {
         Rc::new(RefCell::new(self))
     }
 
-    /// Exports the trace as JSON lines: a `meta` header (if set), one line
-    /// per event, and a closing `summary` line with the metrics.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the writer.
-    pub fn write_jsonl<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<()> {
-        if let Some(meta) = &self.meta {
-            writeln!(w, "{}", meta.to_json())?;
-        }
-        for ev in &self.events {
-            writeln!(w, "{}", ev.to_json())?;
-        }
-        writeln!(w, "{}", self.metrics.to_json())
-    }
-
-    /// The trace as a JSON-lines string.
+    /// The trace as JSON lines: a `meta` header (if set), one line per
+    /// event, and a closing `summary` line with the metrics.
     pub fn to_jsonl(&self) -> String {
         let mut buf = String::new();
         if let Some(meta) = &self.meta {
@@ -1295,7 +1259,6 @@ fn schema() -> &'static [(&'static str, &'static [(&'static str, FieldKind)])] {
                 ("objects_promoted", Int),
                 ("words_reclaimed", Int),
                 ("gc_steps", Int),
-                ("max_heap_words", Int),
                 ("copy_sizes", Buckets),
                 ("collection_sizes", Buckets),
             ],
@@ -1851,13 +1814,5 @@ mod tests {
                 (512, 1023, 1)
             ]
         );
-    }
-
-    #[test]
-    fn null_observer_observes_nothing() {
-        let mut t = Telemetry::default();
-        t.attach(Rc::new(RefCell::new(NullObserver)), 0);
-        assert!(t.is_enabled());
-        t.on_halt(1, 1); // must not panic
     }
 }

@@ -22,8 +22,6 @@
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 use ps_ir::scope::{unbind_all, Scope};
 use ps_ir::Symbol;
@@ -32,23 +30,10 @@ use crate::error::{dialect_err, form_err, type_err, LangError, Result};
 use crate::intern::{intern_ty, TyId};
 use crate::machine::Program;
 use crate::memory::Memory;
-#[cfg(test)]
-use crate::moper::ty_eq;
 use crate::moper::{normalize_ty, normalize_ty_id};
 use crate::subst::{ty_regions, Subst};
 use crate::syntax::{CodeDef, Dialect, Kind, Op, Region, RegionName, Tag, Term, Ty, Value, CD};
 use crate::tags;
-
-/// Worker count for parallel code-block certification: `PS_CERT_THREADS`
-/// if set (clamped to ≥ 1; `1` forces the serial path), otherwise the
-/// machine's available parallelism. Unparsable values fall back to serial
-/// rather than guessing.
-fn cert_threads() -> usize {
-    match std::env::var("PS_CERT_THREADS") {
-        Ok(v) => v.trim().parse::<usize>().map_or(1, |n| n.max(1)),
-        Err(_) => std::thread::available_parallelism().map_or(1, |n| n.get()),
-    }
-}
 
 /// The memory type `Ψ`: region name → offset → stored-value type.
 pub type PsiTable = BTreeMap<RegionName, BTreeMap<u32, Ty>>;
@@ -197,18 +182,14 @@ impl<'p> Checker<'p> {
 
     // ===== whole programs ================================================
 
-    /// Checks a whole program: every code block in `cd`, then the main term
-    /// under empty environments (Definition 6.3 without a data store).
-    ///
-    /// Code blocks are certified in parallel (they are independent: each is
-    /// closed and checked against the same `Ψ|cd`); set `PS_CERT_THREADS=1`
-    /// to force the serial path, or `PS_CERT_THREADS=n` to pin the worker
-    /// count. The verdict and the reported error are identical either way.
+    /// Checks a whole program: every code block in `cd`, in block order,
+    /// then the main term under empty environments (Definition 6.3 without
+    /// a data store).
     ///
     /// # Errors
     ///
-    /// Returns the first kinding/typing error found — in block order, not
-    /// completion order — with context naming the offending code block.
+    /// Returns the first kinding/typing error found, with context naming
+    /// the offending code block.
     pub fn check_program(program: &Program) -> Result<()> {
         let mut cd_entries = BTreeMap::new();
         for (i, def) in program.code.iter().enumerate() {
@@ -217,50 +198,14 @@ impl<'p> Checker<'p> {
         let mut psi = PsiTable::new();
         psi.insert(CD, cd_entries);
         let checker = Checker::with_psi(program.dialect, psi);
-        checker.check_code_blocks(&program.code)?;
+        for def in &program.code {
+            checker
+                .check_code(def)
+                .map_err(|e| e.in_context(format!("code block {}", def.name)))?;
+        }
         checker
             .check_term(&mut Ctx::empty(), &program.main)
             .map_err(|e| e.in_context("main term"))
-    }
-
-    /// Certifies every code block of a program, fanning out over
-    /// [`cert_threads`] workers when there is more than one block to check.
-    /// The only state shared between workers is the interning layer, whose
-    /// read paths (id deref, memo probes) are lock-free and whose hash-cons
-    /// tables are sharded, so workers do not serialize on it; results land
-    /// in per-block slots drained in block order, so a parallel run reports
-    /// exactly the error a serial run would.
-    fn check_code_blocks(&self, code: &[CodeDef]) -> Result<()> {
-        let threads = cert_threads().min(code.len());
-        if threads <= 1 {
-            for def in code {
-                self.check_code(def)
-                    .map_err(|e| e.in_context(format!("code block {}", def.name)))?;
-            }
-            return Ok(());
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<OnceLock<Result<()>>> = code.iter().map(|_| OnceLock::new()).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(def) = code.get(i) else { break };
-                    let res = self
-                        .check_code(def)
-                        .map_err(|e| e.in_context(format!("code block {}", def.name)));
-                    // Each index is claimed by exactly one worker.
-                    let _ = slots[i].set(res);
-                });
-            }
-        });
-        for slot in slots {
-            // The scope joins every worker, and the work counter stops
-            // handing out indices only after the last slot is claimed.
-            #[allow(clippy::expect_used)]
-            slot.into_inner().expect("slot filled by a joined worker")?;
-        }
-        Ok(())
     }
 
     /// Checks a code block (the `λ[t̄:κ̄][r̄](x̄:σ̄).e` rule of Fig. 6):
@@ -617,13 +562,27 @@ impl<'p> Checker<'p> {
     /// `left`, then `right`, and throws both attempts' errors away, so the
     /// attempts run with `explain` off and fail without formatting one.
     fn check_value_id(&self, ctx: &Ctx, v: &Value, expected: TyId, explain: bool) -> Result<()> {
+        let synth = self.synth_value(ctx, v);
+        self.check_synthed(ctx, v, &synth, expected, explain)
+    }
+
+    /// [`Self::check_value_id`] given `synth`, the type synthesized for
+    /// `v`: the sum rule's two attempts are on the same value, so they
+    /// share the one synthesis.
+    fn check_synthed(
+        &self,
+        ctx: &Ctx,
+        v: &Value,
+        synth: &Result<Ty>,
+        expected: TyId,
+        explain: bool,
+    ) -> Result<()> {
         // Fast path: exact (synthesized) match, or the generational
         // subtyping below. `expected` is normalized once, up front: both the
         // fast path and the structural match below compare against the same
-        // `norm` (this used to normalize `expected` on each branch).
+        // `norm`.
         let norm = normalize_ty_id(expected, self.dialect);
-        let synth = self.synth_value(ctx, v);
-        if let Ok(t) = &synth {
+        if let Ok(t) = synth {
             if self.subty(ctx, &normalize_ty(t, self.dialect), &norm) {
                 return Ok(());
             }
@@ -632,8 +591,8 @@ impl<'p> Checker<'p> {
             (Ty::Sum(a, b), _) => {
                 let left = intern_ty(Ty::Left(*a));
                 let right = intern_ty(Ty::Right(*b));
-                self.check_value_id(ctx, v, left, false)
-                    .or_else(|_| self.check_value_id(ctx, v, right, false))
+                self.check_synthed(ctx, v, synth, left, false)
+                    .or_else(|_| self.check_synthed(ctx, v, synth, right, false))
                     .map_err(|_| self.mismatch(explain, v, &norm, synth))
             }
             (Ty::Left(a), Value::Inl(inner)) => self.check_value_id(ctx, inner, *a, explain),
@@ -727,17 +686,17 @@ impl<'p> Checker<'p> {
 
     /// The failure of `v` against `expected`, message-free when `explain`
     /// is off (the caller discards it).
-    fn mismatch(&self, explain: bool, v: &Value, expected: &Ty, synth: Result<Ty>) -> LangError {
+    fn mismatch(&self, explain: bool, v: &Value, expected: &Ty, synth: &Result<Ty>) -> LangError {
         if !explain {
             return type_err(String::new());
         }
         match synth {
             Ok(t) => type_err(format!(
                 "value has type {:?} but {:?} was expected",
-                normalize_ty(&t, self.dialect),
+                normalize_ty(t, self.dialect),
                 expected
             )),
-            Err(e) => e.in_context(format!("while checking value {v:?}")),
+            Err(e) => e.clone().in_context(format!("while checking value {v:?}")),
         }
     }
 
@@ -1314,6 +1273,7 @@ fn subst_ctx(ctx: &Ctx, sub: &Subst, add: Option<Region>) -> Ctx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::moper::ty_eq;
     use crate::syntax::PrimOp;
 
     fn s(x: &str) -> Symbol {

@@ -33,14 +33,12 @@
 //! ([`crate::machine::RunControl::verify_every`]). [`crate::faults`]
 //! provides the adversarial counterpart that these checks must catch.
 
-use std::collections::HashSet;
-
 use crate::error::{wf_err, Result};
 use crate::intern::SlotVal;
 use crate::memory::{slot_words, Memory, PageView};
 use crate::syntax::{Dialect, RegionName, Term, Value, CD};
 use crate::tyck::{Checker, Ctx};
-use crate::wf;
+use crate::wf::{self, Reachable};
 
 /// Audits a memory against the invariants of Fig. 7, with `root` as the
 /// reachability root (the machine's current term, with any environment
@@ -55,9 +53,10 @@ pub fn audit_state(mem: &Memory, dialect: Dialect, root: &Term) -> Result<()> {
     audit_budgets(mem)?;
     audit_pages(mem)?;
     audit_words(mem, dialect)?;
-    audit_pointers(mem, root)?;
+    let reachable = wf::reachable_from(mem, root);
+    audit_pointers(&reachable)?;
     if mem.config().track_types {
-        audit_psi(mem, dialect, root)?;
+        audit_psi(mem, dialect, &reachable)?;
     }
     Ok(())
 }
@@ -296,25 +295,14 @@ fn audit_words(mem: &Memory, dialect: Dialect) -> Result<()> {
     Ok(())
 }
 
-/// Check 4: every address reachable from `root` hits a live slot.
-fn audit_pointers(mem: &Memory, root: &Term) -> Result<()> {
-    let mut work: Vec<(RegionName, u32)> = Vec::new();
-    wf::collect_term_addrs(root, &mut work);
-    let mut seen: HashSet<(RegionName, u32)> = HashSet::new();
-    while let Some((nu, loc)) = work.pop() {
-        if !seen.insert((nu, loc)) {
-            continue;
-        }
-        match mem.peek(nu, loc) {
-            Ok(v) => wf::collect_slot_addrs(v, &mut work),
-            Err(e) => {
-                return Err(wf_err(format!(
-                    "reachable pointer {nu}.{loc} is dangling: {e}"
-                )))
-            }
-        }
+/// Check 4: every address reachable from the root hits a live slot.
+fn audit_pointers(reachable: &Reachable) -> Result<()> {
+    match &reachable.dangling {
+        Some(((nu, loc), e)) => Err(wf_err(format!(
+            "reachable pointer {nu}.{loc} is dangling: {e}"
+        ))),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// Check 5: `⊢ M : Ψ` proper — every (for λGCforw: reachable) stored value
@@ -322,15 +310,10 @@ fn audit_pointers(mem: &Memory, root: &Term) -> Result<()> {
 /// here: the heap side is what corruption perturbs, and skipping the term
 /// keeps the audit identical across the substitution and environment
 /// backends (whose in-flight terms differ only by pending substitutions).
-fn audit_psi(mem: &Memory, dialect: Dialect, root: &Term) -> Result<()> {
+fn audit_psi(mem: &Memory, dialect: Dialect, reachable: &Reachable) -> Result<()> {
     let checker = Checker::from_memory(dialect, mem);
     let mut ctx = Ctx::empty();
     ctx.delta = checker.psi_domain();
-    let reachable = if dialect == Dialect::Forwarding {
-        Some(wf::reachable_slots_in(mem, root))
-    } else {
-        None
-    };
     for nu in mem.region_names() {
         if nu.is_cd() {
             continue;
@@ -339,10 +322,8 @@ fn audit_psi(mem: &Memory, dialect: Dialect, root: &Term) -> Result<()> {
             continue;
         };
         for (loc, stored) in region.iter() {
-            if let Some(set) = &reachable {
-                if !set.contains(&(nu, loc)) {
-                    continue;
-                }
+            if dialect == Dialect::Forwarding && !reachable.slots.contains(&(nu, loc)) {
+                continue;
             }
             let Some(entry) = mem.psi_entry(nu, loc) else {
                 // Dead garbage discarded by widen (Def. 7.1) — only the

@@ -17,7 +17,9 @@
 use std::collections::HashSet;
 
 use crate::error::{ErrorKind, LangError, Result};
+use crate::intern::SlotVal;
 use crate::machine::{Machine, SubstMachine};
+use crate::memory::Memory;
 use crate::syntax::{Dialect, Op, RegionName, Term, Value};
 use crate::tyck::{Checker, Ctx};
 
@@ -71,11 +73,8 @@ pub fn check_state(machine: &SubstMachine, opts: WfOptions) -> Result<()> {
     ctx.delta = checker.psi_domain();
 
     // Which slots to validate.
-    let reachable = if opts.reachable_only || dialect == Dialect::Forwarding {
-        Some(reachable_slots(machine))
-    } else {
-        None
-    };
+    let reachable = (opts.reachable_only || dialect == Dialect::Forwarding)
+        .then(|| reachable_from(machine.memory(), machine.term()).slots);
 
     // ⊢ M : Ψ — every (selected) stored value checks against its Ψ entry.
     for nu in machine.memory().region_names() {
@@ -114,47 +113,45 @@ pub fn check_state(machine: &SubstMachine, opts: WfOptions) -> Result<()> {
         .map_err(|e| e.in_context("current term"))
 }
 
-/// Computes the set of store slots reachable from the current term.
-fn reachable_slots(machine: &SubstMachine) -> HashSet<(RegionName, u32)> {
-    reachable_slots_in(machine.memory(), machine.term())
+/// The store addresses reachable from a root term, found by the one walk
+/// that [`check_state`], [`crate::verify`] and [`crate::faults`] share.
+pub(crate) struct Reachable {
+    /// Every address reached, dangling ones included.
+    pub(crate) slots: HashSet<(RegionName, u32)>,
+    /// The first dangling address reached, with [`Memory::peek`]'s error.
+    pub(crate) dangling: Option<((RegionName, u32), LangError)>,
 }
 
-/// Computes the set of store slots reachable from `root` through the live
-/// store, ignoring addresses into reclaimed regions (shared with
-/// [`crate::verify`] and [`crate::faults`]).
-pub(crate) fn reachable_slots_in(
-    mem: &crate::memory::Memory,
-    root: &Term,
-) -> HashSet<(RegionName, u32)> {
-    let mut roots: Vec<(RegionName, u32)> = Vec::new();
-    collect_term_addrs(root, &mut roots);
-    let mut seen: HashSet<(RegionName, u32)> = HashSet::new();
-    let mut work = roots;
+/// Walks the store depth-first from `root`, one O(1) [`Memory::peek`] per
+/// address; a dangling address is recorded and not followed.
+pub(crate) fn reachable_from(mem: &Memory, root: &Term) -> Reachable {
+    let mut work = Vec::new();
+    collect_term_addrs(root, &mut work);
+    let mut slots = HashSet::new();
+    let mut dangling = None;
     while let Some((nu, loc)) = work.pop() {
-        if !seen.insert((nu, loc)) {
+        if !slots.insert((nu, loc)) {
             continue;
         }
-        if let Some(region) = mem.region(nu) {
-            if let Some((_, v)) = region.iter().find(|(l, _)| *l == loc) {
-                collect_slot_addrs(v, &mut work);
-            }
+        match mem.peek(nu, loc) {
+            Ok(v) => collect_slot_addrs(v, &mut work),
+            Err(e) if dangling.is_none() => dangling = Some(((nu, loc), e)),
+            Err(_) => {}
         }
     }
-    seen
+    Reachable { slots, dangling }
 }
 
 /// [`collect_value_addrs`] over either arm of a heap slot, without forcing:
 /// a thunk's addresses live in its (canonical) child nodes.
-pub(crate) fn collect_slot_addrs(sv: &crate::intern::SlotVal, out: &mut Vec<(RegionName, u32)>) {
+pub(crate) fn collect_slot_addrs(sv: &SlotVal, out: &mut Vec<(RegionName, u32)>) {
     match sv {
-        crate::intern::SlotVal::Val(v) => collect_value_addrs(v, out),
-        crate::intern::SlotVal::LazyPair(c) => {
+        SlotVal::Val(v) => collect_value_addrs(v, out),
+        SlotVal::LazyPair(c) => {
             collect_value_addrs(c.0.value(), out);
             collect_value_addrs(c.1.value(), out);
         }
-        crate::intern::SlotVal::LazyInl(c) | crate::intern::SlotVal::LazyInr(c) => {
-            collect_value_addrs(c.value(), out)
-        }
+        SlotVal::LazyInl(c) | SlotVal::LazyInr(c) => collect_value_addrs(c.value(), out),
     }
 }
 
@@ -372,6 +369,26 @@ mod tests {
         m.step().unwrap();
         m.step().unwrap();
         assert!(check_state(&m, WfOptions::default()).is_err());
+    }
+
+    #[test]
+    fn reachability_walk_records_the_first_dangling_address_it_meets() {
+        let mut mem = Memory::new(MemConfig {
+            track_types: false,
+            ..tracked_config()
+        });
+        let nu = mem.alloc_region();
+        // The root reaches ν.0, and through it two addresses past the end.
+        mem.put(nu, Value::pair(Value::Addr(nu, 5), Value::Addr(nu, 6)))
+            .unwrap();
+        let reach = reachable_from(&mem, &Term::Halt(Value::Addr(nu, 0)));
+        let mut slots: Vec<_> = reach.slots.into_iter().collect();
+        slots.sort_unstable();
+        assert_eq!(slots, vec![(nu, 0), (nu, 5), (nu, 6)]);
+        // Depth-first off a stack: the pair's second component comes first.
+        let (addr, e) = reach.dangling.expect("a dangling address");
+        assert_eq!(addr, (nu, 6));
+        assert!(e.to_string().contains("bad offset"), "{e}");
     }
 
     #[test]

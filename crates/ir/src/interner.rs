@@ -7,13 +7,10 @@
 //! equality of values, which turns deep structural comparisons into
 //! integer compares and makes ids usable as memo-table keys.
 //!
-//! The arena is built to be shared by many threads: id dereference
+//! The arena is safe to share between threads: id dereference
 //! ([`ConcurrentInterner::get`]) is entirely lock-free via a
-//! [`ChunkedSlab`] node index, the hash-cons table is sharded so lookups
-//! from different threads rarely touch the same lock word, and hit
-//! counters are striped across padded per-thread cache lines. A single
-//! shared `RwLock` + one hit counter serializes parallel readers through
-//! two hot cache lines; the sharded layout removes exactly that.
+//! [`ChunkedSlab`] node index, and the hash-cons table is sharded so
+//! lookups from different threads rarely touch the same lock word.
 //!
 //! Each shard is an open-addressing table of packed `u64` slots — 32 bits
 //! of the node's hash beside its id — so an intern hashes the node once,
@@ -32,10 +29,9 @@
 //! assert_eq!(ARENA.len(), 1);
 //! ```
 
-use std::cell::Cell;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::ptr::null_mut;
-use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
 use std::sync::RwLock;
 
 // ----- hashing ------------------------------------------------------------
@@ -339,41 +335,12 @@ const SHARD_BITS: u32 = 4;
 /// Number of hash-cons table shards.
 const SHARDS: usize = 1 << SHARD_BITS;
 
-/// Number of striped hit counters, each on its own cache line.
-const HIT_STRIPES: usize = 8;
-
-/// A hit counter padded to a cache line so stripes do not false-share.
-#[repr(align(64))]
-struct PaddedCounter(AtomicU64);
-
-/// The stripe this thread bumps: threads are assigned round-robin on
-/// first use, so concurrent certification workers land on distinct cache
-/// lines.
-fn stripe_index() -> usize {
-    thread_local! {
-        static STRIPE: Cell<usize> = const { Cell::new(usize::MAX) };
-    }
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    STRIPE.with(|c| {
-        let mut i = c.get();
-        if i == usize::MAX {
-            i = NEXT.fetch_add(1, Ordering::Relaxed);
-            c.set(i);
-        }
-        i % HIT_STRIPES
-    })
-}
-
-/// A shared hash-consing arena built for parallel readers.
-///
-/// The hot paths are laid out so that many threads interning and
-/// dereferencing concurrently do not bounce shared cache lines:
+/// A hash-consing arena that threads can share.
 ///
 /// * [`get`](Self::get) (id → node) reads a [`ChunkedSlab`] — no lock;
 /// * [`intern`](Self::intern) hashes the value once and probes one of 16
 ///   independent packed tables, taking a read lock on only that shard
-///   (write lock and re-probe on a miss);
-/// * hit counters are striped over padded per-thread cache lines.
+///   (write lock and re-probe on a miss).
 ///
 /// Ids are dense across the whole arena (a shared allocation counter), and
 /// every node is published to the slab *before* its id is returned, so any
@@ -382,7 +349,7 @@ pub struct ConcurrentInterner<T: 'static> {
     shards: [RwLock<Table>; SHARDS],
     nodes: ChunkedSlab<T>,
     next: AtomicU32,
-    hits: [PaddedCounter; HIT_STRIPES],
+    hits: AtomicU64,
 }
 
 /// Read-locks a shard even if a writer panicked mid-insert: the tables are
@@ -406,12 +373,12 @@ impl<T: Eq + Hash> ConcurrentInterner<T> {
             shards: [const { RwLock::new(Table::new()) }; SHARDS],
             nodes: ChunkedSlab::new(),
             next: AtomicU32::new(0),
-            hits: [const { PaddedCounter(AtomicU64::new(0)) }; HIT_STRIPES],
+            hits: AtomicU64::new(0),
         }
     }
 
     fn note_hit(&self) {
-        self.hits[stripe_index()].0.fetch_add(1, Ordering::Relaxed);
+        self.hits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Interns `value`, returning its id.
@@ -463,7 +430,7 @@ impl<T> ConcurrentInterner<T> {
 
     /// Number of times an intern call found its value already present.
     pub fn hits(&self) -> u64 {
-        self.hits.iter().map(|s| s.0.load(Ordering::Relaxed)).sum()
+        self.hits.load(Ordering::Relaxed)
     }
 }
 
@@ -476,6 +443,7 @@ impl<T: Eq + Hash> Default for ConcurrentInterner<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     /// A key whose hash is one of three constants: equal tags over unequal
     /// nodes, so every probe walks a long run of candidates it must
@@ -631,14 +599,14 @@ mod tests {
     #[test]
     fn concurrent_interning_of_overlapping_key_sets() {
         for colliding in [false, true] {
-            let pairs: ConcurrentInterner<(u32, u32)> = ConcurrentInterner::new();
-            let clashes: ConcurrentInterner<Clash> = ConcurrentInterner::new();
+            let pairs: Arc<ConcurrentInterner<(u32, u32)>> = Arc::default();
+            let clashes: Arc<ConcurrentInterner<Clash>> = Arc::default();
             // Thread t interns keys [250 t, 250 t + 500): neighbours share
             // half their keys, 1250 distinct in all.
-            std::thread::scope(|s| {
-                for t in 0..4u32 {
-                    let (pairs, clashes) = (&pairs, &clashes);
-                    s.spawn(move || {
+            let workers: Vec<_> = (0..4u32)
+                .map(|t| {
+                    let (pairs, clashes) = (Arc::clone(&pairs), Arc::clone(&clashes));
+                    std::thread::spawn(move || {
                         for i in 250 * t..250 * t + 500 {
                             if colliding {
                                 let id = clashes.intern(Clash(i));
@@ -648,9 +616,12 @@ mod tests {
                                 assert_eq!(pairs.get(id), Some(&(i, i * 2)));
                             }
                         }
-                    });
-                }
-            });
+                    })
+                })
+                .collect();
+            for w in workers {
+                w.join().unwrap();
+            }
             let (len, hits) = if colliding {
                 (clashes.len(), clashes.hits())
             } else {

@@ -11,7 +11,7 @@ use std::rc::Rc;
 
 use ps_ir::Symbol;
 
-use crate::syntax::{Expr, FunDef, SrcProgram, SrcTy};
+use crate::syntax::{Expr, FunDef, SrcProgram};
 
 /// A runtime value.
 #[derive(Clone, Debug)]
@@ -180,12 +180,6 @@ pub fn run_program(p: &SrcProgram, fuel: u64) -> Result<i64, EvalError> {
     let mut ev = Evaluator::new(&p.defs, fuel);
     let env: Env = Rc::new(HashMap::new());
     ev.eval(&env, &p.main)?.as_int()
-}
-
-/// The declared type of a definition body parameter — re-exported helper
-/// used by the CPS converter's tests.
-pub fn def_param_ty(d: &FunDef) -> &SrcTy {
-    &d.param_ty
 }
 
 #[cfg(test)]

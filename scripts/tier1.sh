@@ -15,10 +15,10 @@ cargo test -q --workspace
 for example in examples/*.rs; do
   cargo run --release -q --example "$(basename "$example" .rs)" >/dev/null
 done
-# Certification parallelizes over code blocks by default; exercise the
-# serial path too so both sides of the PS_CERT_THREADS split stay green.
-PS_CERT_THREADS=1 ./target/release/psgc certify --collector generational >/dev/null
-PS_CERT_THREADS=4 ./target/release/psgc certify --collector generational >/dev/null
+# Every collector image must certify.
+for collector in basic forwarding generational; do
+  ./target/release/psgc certify --collector "$collector" >/dev/null
+done
 # The bytecode VM end-to-end: a program that allocates and collects under
 # a tight budget, audited against Fig. 7 every 64 steps, plus the
 # disassembler over the same source and its golden-file test.
