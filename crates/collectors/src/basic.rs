@@ -18,7 +18,7 @@
 
 use ps_ir::Symbol;
 
-use ps_gc_lang::syntax::{CodeDef, Kind, Op, Region, Tag, Term, Ty, Value, CD};
+use ps_gc_lang::syntax::{CodeDef, Dialect, Kind, Op, Region, Tag, Term, Ty, Value, CD};
 
 use crate::cont::{to_space_shape, ContShape};
 use crate::CollectorImage;
@@ -54,7 +54,7 @@ fn shape() -> ContShape {
 /// will be installed (0 in every pipeline here; kept explicit for clarity).
 pub fn collector() -> CollectorImage {
     CollectorImage {
-        name: "basic",
+        dialect: Dialect::Basic,
         code: vec![
             gc(),
             gcend(),
@@ -394,7 +394,6 @@ fn copyexist1() -> CodeDef {
 mod tests {
     use super::*;
     use ps_gc_lang::machine::Program;
-    use ps_gc_lang::syntax::Dialect;
     use ps_gc_lang::tyck::Checker;
 
     /// The headline result: our λGC typechecker certifies Fig. 12's

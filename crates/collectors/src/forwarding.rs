@@ -20,7 +20,7 @@
 
 use ps_ir::Symbol;
 
-use ps_gc_lang::syntax::{CodeDef, Kind, Op, Region, Tag, Term, Ty, Value, CD};
+use ps_gc_lang::syntax::{CodeDef, Dialect, Kind, Op, Region, Tag, Term, Ty, Value, CD};
 
 use crate::basic::mutator_fn_ty;
 use crate::cont::{to_space_shape, ContShape};
@@ -54,7 +54,7 @@ fn c_of(tag: Tag) -> Ty {
 /// Builds the forwarding collector.
 pub fn collector() -> CollectorImage {
     CollectorImage {
-        name: "forwarding",
+        dialect: Dialect::Forwarding,
         code: vec![gc(), gcend(), copy(), fwdpair1(), fwdpair2(), fwdexist1()],
         gc_entry: GC,
     }
@@ -510,7 +510,6 @@ fn fwdexist1() -> CodeDef {
 mod tests {
     use super::*;
     use ps_gc_lang::machine::Program;
-    use ps_gc_lang::syntax::Dialect;
     use ps_gc_lang::tyck::Checker;
 
     /// The forwarding collector is certified by the λGCforw typechecker

@@ -23,7 +23,7 @@
 
 use ps_ir::Symbol;
 
-use ps_gc_lang::syntax::{CodeDef, Kind, Op, Region, Tag, Term, Ty, Value, CD};
+use ps_gc_lang::syntax::{CodeDef, Dialect, Kind, Op, Region, Tag, Term, Ty, Value, CD};
 
 use crate::cont::ContShape;
 use crate::CollectorImage;
@@ -83,7 +83,7 @@ pub fn collector() -> CollectorImage {
     let mut code = vec![gc(), gcend(), copy(), gpair1(), gpair2(), gexist1()];
     code.extend(crate::major::blocks());
     CollectorImage {
-        name: "generational",
+        dialect: Dialect::Generational,
         code,
         gc_entry: GC,
     }
@@ -520,7 +520,6 @@ fn gexist1() -> CodeDef {
 mod tests {
     use super::*;
     use ps_gc_lang::machine::Program;
-    use ps_gc_lang::syntax::Dialect;
     use ps_gc_lang::tyck::Checker;
 
     /// The generational collector is certified by the λGCgen typechecker

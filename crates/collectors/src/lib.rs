@@ -21,15 +21,15 @@ pub mod generational;
 pub mod major;
 pub mod meta;
 
-use ps_gc_lang::syntax::CodeDef;
+use ps_gc_lang::syntax::{CodeDef, Dialect};
 
 /// A collector compiled to λGC code, ready to be installed at the front of
 /// the `cd` region.
 #[derive(Clone, Debug)]
 pub struct CollectorImage {
-    /// The collector's canonical name (`basic`/`forwarding`/`generational`),
-    /// used for telemetry metadata and diagnostics.
-    pub name: &'static str,
+    /// The λGC dialect the collector is written in, which is the dialect
+    /// a mutator must be translated into to link with it.
+    pub dialect: Dialect,
     /// The collector's code blocks (install at cd offsets `0..len`).
     pub code: Vec<CodeDef>,
     /// Offset of the `gc` entry point within `code`.

@@ -265,3 +265,30 @@ fn generational_freeing_old_region_is_rejected() {
     let err = check(Dialect::Generational, image.code).unwrap_err();
     assert!(err.to_string().contains("unbound variable y"), "{err}");
 }
+
+/// Bug: `copy` hands an already-old pair to its continuation with the
+/// young region passed as the old one. The rejection names the region
+/// `ifreg (rx = ro)` unifies the two into; that name, and with it the whole
+/// message, must not depend on what the process certified before.
+#[test]
+fn ifreg_rejection_text_is_independent_of_process_history() {
+    let mutant = || {
+        let mut image = generational::collector();
+        let block = block_mut(&mut image.code, "copy");
+        let listing = ps_gc_lang::pretty::code_def_to_string(block);
+        let call = "[ry, ro, r3](z, kenv!c)";
+        assert!(listing.contains(call), "{listing}");
+        let mutated = listing.replacen(call, "[ry, ry, r3](z, kenv!c)", 1);
+        *block = ps_gc_lang::parse::parse_code_def(&mutated).unwrap();
+        image.code
+    };
+    let first = check(Dialect::Generational, mutant())
+        .unwrap_err()
+        .to_string();
+    assert!(first.contains("r#eq"), "{first}");
+    check(Dialect::Generational, generational::collector().code).unwrap();
+    let again = check(Dialect::Generational, mutant())
+        .unwrap_err()
+        .to_string();
+    assert_eq!(first, again);
+}

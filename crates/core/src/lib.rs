@@ -125,12 +125,7 @@ impl Collector {
         self,
         clos: &ps_clos::syntax::CProgram,
     ) -> Result<Program, ps_trans::TransError> {
-        let image = self.image();
-        match self {
-            Collector::Basic => ps_trans::basic::translate(clos, &image),
-            Collector::Forwarding => ps_trans::forwarding::translate(clos, &image),
-            Collector::Generational => ps_trans::generational::translate(clos, &image),
-        }
+        ps_trans::translate(clos, &self.image())
     }
 }
 
@@ -756,7 +751,11 @@ mod tests {
     fn collector_and_backend_roundtrip_through_strings() {
         for c in Collector::ALL {
             assert_eq!(c.to_string().parse::<Collector>().unwrap(), c);
-            assert_eq!(c.image().name, c.name());
+            // The image's dialect is the program's, which names `c` back.
+            let compiled = RunOptions::builder().collector(c).build().compile("1");
+            let compiled = compiled.unwrap();
+            assert_eq!(compiled.program.dialect, c.image().dialect);
+            assert_eq!(compiled.collector(), c);
         }
         for b in Backend::ALL {
             assert_eq!(b.to_string().parse::<Backend>().unwrap(), b);

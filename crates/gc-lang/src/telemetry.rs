@@ -79,7 +79,7 @@ fn occupancy(mem: &Memory) -> Vec<RegionSnapshot> {
 }
 
 /// A telemetry event. All `step` fields are the machine's step counter at
-/// emission time, so events from the two backends can be compared (and
+/// emission time, so events from the three backends can be compared (and
 /// merged with [`crate::machine::Stats::steps`]) directly.
 #[derive(Clone, Debug, PartialEq)]
 pub enum GcEvent {

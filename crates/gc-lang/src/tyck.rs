@@ -27,7 +27,7 @@ use ps_ir::scope::{unbind_all, Scope};
 use ps_ir::Symbol;
 
 use crate::error::{dialect_err, form_err, type_err, LangError, Result};
-use crate::intern::{intern_ty, TyId};
+use crate::intern::{self, intern_ty, TermId, TyId};
 use crate::machine::Program;
 use crate::memory::Memory;
 use crate::moper::{normalize_ty, normalize_ty_id};
@@ -970,7 +970,7 @@ impl<'p> Checker<'p> {
             }
             Term::IfReg { r1, r2, eq, ne } => {
                 self.require_dialect(&[Dialect::Generational], "ifreg")?;
-                self.check_ifreg(ctx, r1, r2, eq, ne)
+                self.check_ifreg(ctx, r1, r2, *eq, ne)
             }
             Term::If0 {
                 scrut,
@@ -1184,7 +1184,7 @@ impl<'p> Checker<'p> {
         ctx: &mut Ctx,
         r1: &Region,
         r2: &Region,
-        eq: &Term,
+        eq: TermId,
         ne: &Term,
     ) -> Result<()> {
         if !ctx.in_delta(r1) || !ctx.in_delta(r2) {
@@ -1197,19 +1197,33 @@ impl<'p> Checker<'p> {
         match (r1, r2) {
             (Region::Name(n1), Region::Name(n2)) => {
                 if n1 == n2 {
-                    self.check_term(ctx, eq)
+                    self.check_term(ctx, &eq)
                 } else {
                     self.check_term(ctx, ne)
                 }
             }
             (Region::Var(a), Region::Var(b)) => {
-                let fresh = Symbol::intern("r!eq").fresh();
+                // The unified region is `r#eqN` for the least `N` neither
+                // in `∆` nor free in the branch (`only` can drop an
+                // enclosing refinement's region from `∆` while the branch
+                // still names it). The name depends on this check alone,
+                // not on what the process checked before, and no text can
+                // write it: neither lexer accepts `#`.
+                let free = &intern::term_fv(eq).rvars;
+                let mut n = 0u32;
+                let fresh = loop {
+                    let r = Symbol::intern(&format!("r#eq{n}"));
+                    if !ctx.delta.contains(&Region::Var(r)) && free.binary_search(&r).is_err() {
+                        break r;
+                    }
+                    n += 1;
+                };
                 let sub = Subst::new()
                     .with_rgn(*a, Region::Var(fresh))
                     .with_rgn(*b, Region::Var(fresh));
                 self.check_term(
                     &mut subst_ctx(ctx, &sub, Some(Region::Var(fresh))),
-                    &sub.term(eq),
+                    &sub.term(&eq),
                 )?;
                 self.check_term(ctx, ne)
             }
@@ -1217,7 +1231,7 @@ impl<'p> Checker<'p> {
                 let sub = Subst::one_rgn(*a, Region::Name(*n));
                 self.check_term(
                     &mut subst_ctx(ctx, &sub, Some(Region::Name(*n))),
-                    &sub.term(eq),
+                    &sub.term(&eq),
                 )?;
                 self.check_term(ctx, ne)
             }
@@ -1885,6 +1899,29 @@ mod tests {
             .into(),
         };
         gen.check_term(&mut Ctx::empty(), &e).unwrap();
+    }
+
+    /// The region `ifreg` unifies into is fresh for the branch: λGC text
+    /// cannot name it, and a nested `ifreg` under `only` does not reuse an
+    /// enclosing refinement's name that the branch still mentions.
+    #[test]
+    fn ifreg_refinement_is_fresh_for_its_branch() {
+        let gen = Checker::new(Dialect::Generational);
+        let regions = "let region ra in let region rb in let region rc in let region rd in";
+        for branch in [
+            "let x = put[r!eq0] 1 in halt 0",
+            "let x = put[r!eq%0] 1 in halt 0",
+            "only {rc, rd} in ifreg (rc = rd) then let x = put[ra] 1 in halt 0 else halt 0",
+        ] {
+            let src = format!("{regions} ifreg (ra = rb) then {branch} else halt 0");
+            let e = crate::parse::parse_term(&src).unwrap();
+            let err = gen.check_term(&mut Ctx::empty(), &e).unwrap_err();
+            assert!(
+                err.to_string().contains("out-of-scope region"),
+                "{src}: {err}"
+            );
+        }
+        assert!(crate::parse::parse_term("let x = put[r#eq0] 1 in halt 0").is_err());
     }
 
     #[test]

@@ -8,7 +8,7 @@ use ps_gc_lang::memory::{GrowthPolicy, MemConfig};
 use ps_gc_lang::tyck::Checker;
 use ps_gc_lang::wf::{check_state, WfOptions};
 use ps_lambda::parse::parse_program;
-use ps_trans::forwarding::translate;
+use ps_trans::translate;
 
 fn compile(src: &str) -> Program {
     let p = parse_program(src).unwrap();

@@ -6,7 +6,7 @@ use ps_clos::syntax::{CExp, CFun, CProgram, CTy, CVal};
 use ps_collectors::basic;
 use ps_gc_lang::syntax::{Op, Term, Value, CD};
 use ps_ir::Symbol;
-use ps_trans::basic::{tag_of, translate};
+use ps_trans::{tag_of, translate};
 
 fn s(x: &str) -> Symbol {
     Symbol::intern(x)
@@ -153,7 +153,7 @@ fn forwarding_translation_adds_tag_bits() {
         CExp::let_proj(s("a"), 1, CVal::Var(s("p")), CExp::Halt(CVal::Var(s("a")))),
     ));
     let image = ps_collectors::forwarding::collector();
-    let out = ps_trans::forwarding::translate(&p, &image).unwrap();
+    let out = translate(&p, &image).unwrap();
     let text = ps_gc_lang::pretty::code_def_to_string(&out.code[image.code.len()]);
     assert!(
         text.contains("inl ("),
@@ -175,7 +175,7 @@ fn generational_translation_packs_regions() {
         CExp::Halt(CVal::Int(0)),
     ));
     let image = ps_collectors::generational::collector();
-    let out = ps_trans::generational::translate(&p, &image).unwrap();
+    let out = translate(&p, &image).unwrap();
     let f = &out.code[image.code.len()];
     assert_eq!(f.rvars.len(), 2, "functions take [ry, ro]");
     let text = ps_gc_lang::pretty::code_def_to_string(f);

@@ -11,26 +11,22 @@
 
 use scavenger::gc_lang::machine::Program;
 use scavenger::gc_lang::pretty;
-use scavenger::gc_lang::syntax::{Dialect, Term, Value};
+use scavenger::gc_lang::syntax::{Term, Value};
 use scavenger::gc_lang::tyck::Checker;
 use scavenger::Collector;
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "basic".into());
-    let (collector, dialect) = match which.as_str() {
-        "basic" => (Collector::Basic, Dialect::Basic),
-        "forwarding" => (Collector::Forwarding, Dialect::Forwarding),
-        "generational" => (Collector::Generational, Dialect::Generational),
-        other => {
-            eprintln!("unknown collector {other}; use basic | forwarding | generational");
-            std::process::exit(1);
-        }
-    };
+    let collector: Collector = which.parse().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(1);
+    });
     let image = collector.image();
-    println!("── the {which} collector, as λGC code ──\n");
+    println!("── the {collector} collector, as λGC code ──\n");
     for def in &image.code {
         println!("{}\n", pretty::code_def_to_string(def));
     }
+    let dialect = image.dialect;
     let program = Program {
         dialect,
         code: image.code,

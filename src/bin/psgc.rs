@@ -52,7 +52,6 @@ struct Cli {
     stats_pages: bool,
     metrics: bool,
     trace: Option<String>,
-    dump_bytecode: bool,
 }
 
 /// One flag: its name, value placeholder (`None` for boolean flags), help
@@ -79,7 +78,7 @@ fn parse_number<T: std::str::FromStr>(v: &str, flag: &str) -> Result<T, String> 
         .map_err(|_| format!("invalid value {v:?} for {flag} (expected a number)"))
 }
 
-fn flag_specs() -> [FlagSpec; 22] {
+fn flag_specs() -> [FlagSpec; 21] {
     [
         FlagSpec {
             name: "--collector",
@@ -210,15 +209,6 @@ fn flag_specs() -> [FlagSpec; 22] {
                     ));
                 }
                 c.opts.page_words = words;
-                Ok(())
-            },
-        },
-        FlagSpec {
-            name: "--dump-bytecode",
-            metavar: None,
-            help: "print the compiled bytecode instruction stream before running",
-            apply: |c, _| {
-                c.dump_bytecode = true;
                 Ok(())
             },
         },
@@ -412,13 +402,8 @@ fn cmd_certify(cli: &Cli) -> ExitCode {
     for def in &image.code {
         println!("{}\n", scavenger::gc_lang::pretty::code_def_to_string(def));
     }
-    let dialect = match cli.opts.collector {
-        Collector::Basic => scavenger::gc_lang::syntax::Dialect::Basic,
-        Collector::Forwarding => scavenger::gc_lang::syntax::Dialect::Forwarding,
-        Collector::Generational => scavenger::gc_lang::syntax::Dialect::Generational,
-    };
     let program = scavenger::gc_lang::machine::Program {
-        dialect,
+        dialect: image.dialect,
         code: image.code,
         main: scavenger::gc_lang::syntax::Term::Halt(scavenger::gc_lang::syntax::Value::Int(0)),
     };
@@ -507,12 +492,6 @@ fn cmd_run(cli: &mut Cli, src: &str, check_only: bool) -> ExitCode {
     if let Err(e) = compiled.typecheck() {
         eprintln!("psgc: certification failed: {e}");
         return ExitCode::from(EXIT_COMPILE);
-    }
-    if cli.dump_bytecode {
-        print!(
-            "{}",
-            scavenger::gc_lang::bytecode::disassemble(&compiled.program)
-        );
     }
     if check_only {
         println!("✓ certified ({} collector)", cli.opts.collector);

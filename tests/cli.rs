@@ -53,7 +53,6 @@ fn help_is_generated_from_the_flag_and_command_tables() {
         "--inject",
         "--max-heap-words",
         "--page-words",
-        "--dump-bytecode",
         "--eager-intern",
         "--trace",
         "--metrics",

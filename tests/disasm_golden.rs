@@ -1,37 +1,42 @@
 //! Golden-file test for the bytecode disassembler: `psgc disasm` must
-//! print a byte-stable instruction stream for two battery programs.
+//! print a byte-stable instruction stream for two battery programs under
+//! each collector, which pins the Fig. 3 translation of every dialect
+//! (and its gensym'd names) along with the instruction set.
 //!
 //! Symbol names in the listing come from a process-global gensym counter,
 //! so stability is only guaranteed per process; the test therefore goes
 //! through the `psgc` binary (one fresh process per listing), exactly as a
-//! user would. To regenerate after an intentional instruction-set change:
+//! user would. To regenerate after an intentional instruction-set or
+//! translation change:
 //!
 //! ```text
-//! cargo run --bin psgc -- disasm <program.lam>
+//! cargo run --bin psgc -- disasm <program.lam> --collector <collector>
 //! ```
 //!
-//! and redirect into `tests/golden/<name>.disasm`.
+//! and redirect into `tests/golden/<golden>.disasm`.
 
 use std::path::PathBuf;
 use std::process::Command;
 
-const PROGRAMS: &[(&str, &str)] = &[
-    (
-        "factorial",
-        "fun fact (n : int) : int = if0 n then 1 else n * fact (n - 1)\n fact 9",
-    ),
-    (
-        "gc-stress",
-        "fun churn (n : int) : int = if0 n then 0 else \
-           (let p = ((n, n), (n, n)) in fst (fst p) - n + churn (n - 1))\n \
-         churn 60",
-    ),
+const FACTORIAL: &str = "fun fact (n : int) : int = if0 n then 1 else n * fact (n - 1)\n fact 9";
+
+const GC_STRESS: &str = "fun churn (n : int) : int = if0 n then 0 else \
+       (let p = ((n, n), (n, n)) in fst (fst p) - n + churn (n - 1))\n \
+     churn 60";
+
+/// `(golden file stem, collector, program)`.
+const PROGRAMS: &[(&str, &str, &str)] = &[
+    ("factorial", "basic", FACTORIAL),
+    ("gc-stress", "basic", GC_STRESS),
+    ("factorial-forwarding", "forwarding", FACTORIAL),
+    ("gc-stress-forwarding", "forwarding", GC_STRESS),
+    ("factorial-generational", "generational", FACTORIAL),
+    ("gc-stress-generational", "generational", GC_STRESS),
 ];
 
-fn disasm(src_path: &str) -> String {
+fn disasm(src_path: &str, collector: &str) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_psgc"))
-        .arg("disasm")
-        .arg(src_path)
+        .args(["disasm", src_path, "--collector", collector])
         .output()
         .expect("psgc runs");
     assert_eq!(out.status.code(), Some(0), "{out:?}");
@@ -55,10 +60,10 @@ fn write_program(name: &str, src: &str) -> PathBuf {
 
 #[test]
 fn disassembly_matches_the_golden_files() {
-    for (name, src) in PROGRAMS {
+    for (name, collector, src) in PROGRAMS {
         let prog = write_program(&format!("{name}.lam"), src);
         let prog = prog.to_str().unwrap();
-        let listing = disasm(prog);
+        let listing = disasm(prog, collector);
         assert_eq!(
             listing,
             golden(name),
@@ -66,6 +71,10 @@ fn disassembly_matches_the_golden_files() {
              (regenerate with `psgc disasm` if the change is intentional)"
         );
         // A second fresh process must reproduce the listing byte-for-byte.
-        assert_eq!(listing, disasm(prog), "{name}: listing not stable");
+        assert_eq!(
+            listing,
+            disasm(prog, collector),
+            "{name}: listing not stable"
+        );
     }
 }
