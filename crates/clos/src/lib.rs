@@ -24,6 +24,8 @@
 //! assert_eq!(ps_clos::eval::run_program(&clos, 100_000).unwrap(), 42);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cc;
 pub mod cps;
 pub mod eval;

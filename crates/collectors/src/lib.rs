@@ -14,6 +14,8 @@
 //!   directly on the machine state: the trusted-GC baseline the paper
 //!   argues against, the sharing-preserving foil of `examples/sharing.rs`.
 
+#![forbid(unsafe_code)]
+
 pub mod basic;
 pub mod cont;
 pub mod forwarding;

@@ -292,3 +292,26 @@ fn ifreg_rejection_text_is_independent_of_process_history() {
         .to_string();
     assert_eq!(first, again);
 }
+
+/// Bug: `copy`'s ∃ arm hands the still-packed `x` to the unpacked copier
+/// instead of the opened `y`. The rejection names the tag variable the arm
+/// refines `tx` with; that name, and with it the whole message, must not
+/// depend on what the process certified before.
+#[test]
+fn exist_arm_rejection_text_is_independent_of_process_history() {
+    let mutant = || {
+        let mut image = basic::collector();
+        let block = block_mut(&mut image.code, "copy");
+        let listing = ps_gc_lang::pretty::code_def_to_string(block);
+        let call = "cd.2[tc tx][r1, r2, r3](y, kp)";
+        assert!(listing.contains(call), "{listing}");
+        let mutated = listing.replacen(call, "cd.2[tc tx][r1, r2, r3](x, kp)", 1);
+        *block = ps_gc_lang::parse::parse_code_def(&mutated).unwrap();
+        image.code
+    };
+    let first = check(Dialect::Basic, mutant()).unwrap_err().to_string();
+    assert!(first.contains("t#u"), "{first}");
+    check(Dialect::Basic, basic::collector().code).unwrap();
+    let again = check(Dialect::Basic, mutant()).unwrap_err().to_string();
+    assert_eq!(first, again);
+}

@@ -7,9 +7,12 @@
 //! subtrees are stored exactly once and *structural equality of whole trees
 //! is equality of `u32` ids* (the derived `PartialEq` on nodes compares
 //! children by id). On top of the arenas this module keeps side tables, all
-//! indexed by id — ids are dense, so each table is an append-only
-//! [`ChunkedSlab`] probed by index rather than a `HashMap` (the
-//! normalization table for types keeps one slab per dialect):
+//! indexed by id — ids are dense, so each table is an append-only slab
+//! probed by index rather than a `HashMap`: a [`ChunkedSlab`] storing each
+//! entry in its slot for the id-valued memos and the tag fingerprints (the
+//! normalization table for types keeps one slab per dialect), and a
+//! [`PointerSlab`] of boxed fingerprints for the sparse type, term and value
+//! fingerprint tables:
 //!
 //! * **normalization memos** — [`crate::tags::normalize`] and
 //!   [`crate::moper::normalize_ty`] record their result (and, for tags, the
@@ -30,9 +33,10 @@
 //!   `∆`s. Two nodes are α-equivalent iff their canonical ids are equal,
 //!   which makes `alpha_eq` an integer compare after the first call.
 //!
-//! The *read* side is entirely lock-free: interned nodes are leaked
-//! (`&'static`) and published through [`ChunkedSlab`]s — append-only
-//! chunked atomic-pointer tables — so dereferencing a [`TagId`] (it
+//! The *read* side is entirely lock-free: interned nodes live in place in
+//! the slots of their arena's [`ChunkedSlab`] — append-only chunks that are
+//! never moved or freed, so a node is `&'static` — and a slot is published
+//! by a `Release` store of its state byte, so dereferencing a [`TagId`] (it
 //! implements `Deref<Target = Tag>`) and probing any memo touch no lock at
 //! all. A run is single-threaded, but the tables are process-global, so
 //! they must stay safe to share: `cargo test` runs tests on parallel
@@ -46,7 +50,7 @@ use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{OnceLock, RwLock};
 
-use ps_ir::{ChunkedSlab, ConcurrentInterner, Symbol};
+use ps_ir::{ChunkedSlab, ConcurrentInterner, PointerSlab, Symbol};
 
 use crate::syntax::{CodeDef, Dialect, Region, Tag, Term, Ty, Value};
 
@@ -161,11 +165,13 @@ id_impls!(ValId, Value, VALS, intern_value);
 
 // ----- memo tables --------------------------------------------------------
 
-/// An id-indexed memo table: ids are dense arena indices, so the table is
-/// an append-only [`ChunkedSlab`] rather than a hash map — a probe is two
-/// atomic loads and no lock. Memoized values are deterministic functions of
-/// the id, so concurrent writers racing on one entry publish equal values
-/// (the loser's box leaks, like every other interned allocation).
+/// An id-indexed memo table of small entries: ids are dense arena
+/// indices, so the table is an append-only [`ChunkedSlab`] rather than a
+/// hash map, with each entry stored in its slot. A probe is two atomic loads
+/// and no lock, and an insert allocates nothing once its chunk exists.
+/// Memoized values are deterministic functions of the id, so of two
+/// writers racing on one entry the first publishes and the other keeps the
+/// published, equal, value.
 type FlatMemo<V> = ChunkedSlab<V>;
 
 static TAG_NORM: FlatMemo<(TagId, u64)> = FlatMemo::new();
@@ -174,10 +180,21 @@ static TAG_NORM: FlatMemo<(TagId, u64)> = FlatMemo::new();
 static TY_NORM: [FlatMemo<TyId>; 3] = [FlatMemo::new(), FlatMemo::new(), FlatMemo::new()];
 static TAG_CANON: FlatMemo<TagId> = FlatMemo::new();
 static TY_CANON: FlatMemo<TyId> = FlatMemo::new();
-static TAG_FV: FlatMemo<&'static [Symbol]> = FlatMemo::new();
-static TY_FV: FlatMemo<&'static TyFv> = FlatMemo::new();
-static TERM_FV: FlatMemo<&'static NodeFv> = FlatMemo::new();
-static VAL_FV: FlatMemo<&'static NodeFv> = FlatMemo::new();
+/// A tag's fingerprint is one slice, so its slot holds the slice's own
+/// pointer: nearly every tag id gets one (7 039 of 7 869 while certifying
+/// the `compile` workload).
+static TAG_FV: FlatMemo<Box<[Symbol]>> = FlatMemo::new();
+
+/// The type, term and value fingerprint tables hold one pointer per id to
+/// the boxed fingerprint. They are sparse over their dense ids (most value
+/// ids never need one), and a fingerprint is 48 or 64 bytes, so storing it
+/// in place would make every untouched id that shares a page with a touched
+/// one cost a whole fingerprint of resident memory; a pointer slot costs
+/// 8 bytes. (Stored in place, they raised the collecting workloads' peak
+/// RSS by 13–18%; EXPERIMENTS.md, E22.)
+static TY_FV: PointerSlab<TyFv> = PointerSlab::new();
+static TERM_FV: PointerSlab<NodeFv> = PointerSlab::new();
+static VAL_FV: PointerSlab<NodeFv> = PointerSlab::new();
 
 fn dialect_index(dialect: Dialect) -> usize {
     match dialect {
@@ -187,35 +204,23 @@ fn dialect_index(dialect: Dialect) -> usize {
     }
 }
 
-fn memo_get<V: Copy + 'static>(memo: &FlatMemo<V>, id: u32) -> Option<V> {
-    memo.get(id).copied()
-}
-
-fn memo_put<V: Copy + 'static>(memo: &FlatMemo<V>, id: u32, value: V) {
-    memo.set(id, Box::leak(Box::new(value)));
-}
-
-fn memo_len<V>(memo: &FlatMemo<V>) -> usize {
-    memo.count()
-}
-
 /// Memoized result of [`crate::tags::normalize`]: normal form and β-step
 /// count for the subtree.
 pub(crate) fn tag_norm_lookup(id: TagId) -> Option<(TagId, u64)> {
-    memo_get(&TAG_NORM, id.index())
+    TAG_NORM.get(id.index()).copied()
 }
 
 pub(crate) fn tag_norm_insert(id: TagId, nf: TagId, steps: u64) {
-    memo_put(&TAG_NORM, id.index(), (nf, steps));
+    TAG_NORM.set(id.index(), (nf, steps));
 }
 
 /// Memoized result of [`crate::moper::normalize_ty`] for one dialect.
 pub(crate) fn ty_norm_lookup(id: TyId, dialect: Dialect) -> Option<TyId> {
-    memo_get(&TY_NORM[dialect_index(dialect)], id.index())
+    TY_NORM[dialect_index(dialect)].get(id.index()).copied()
 }
 
 pub(crate) fn ty_norm_insert(id: TyId, dialect: Dialect, nf: TyId) {
-    memo_put(&TY_NORM[dialect_index(dialect)], id.index(), nf);
+    TY_NORM[dialect_index(dialect)].set(id.index(), nf);
 }
 
 // ----- free-variable fingerprints -----------------------------------------
@@ -232,15 +237,15 @@ pub struct TyFv {
     pub avars: Box<[Symbol]>,
 }
 
-fn sorted(mut v: Vec<Symbol>) -> Vec<Symbol> {
+fn sorted(mut v: Vec<Symbol>) -> Box<[Symbol]> {
     v.sort_unstable();
     v.dedup();
-    v
+    v.into_boxed_slice()
 }
 
 /// The sorted free tag variables of a tag, computed once per node.
 pub fn tag_fv(id: TagId) -> &'static [Symbol] {
-    if let Some(fv) = memo_get(&TAG_FV, id.index()) {
+    if let Some(fv) = TAG_FV.get(id.index()) {
         return fv;
     }
     let mut out: Vec<Symbol> = Vec::new();
@@ -260,15 +265,13 @@ pub fn tag_fv(id: TagId) -> &'static [Symbol] {
             out.extend(tag_fv(*body).iter().copied().filter(|x| x != t));
         }
     }
-    let leaked: &'static [Symbol] = Box::leak(sorted(out).into_boxed_slice());
-    memo_put(&TAG_FV, id.index(), leaked);
-    leaked
+    TAG_FV.set(id.index(), sorted(out))
 }
 
 /// The free variables of a type (all three namespaces), computed once per
 /// node.
 pub fn ty_fv(id: TyId) -> &'static TyFv {
-    if let Some(fv) = memo_get(&TY_FV, id.index()) {
+    if let Some(fv) = TY_FV.get(id.index()) {
         return fv;
     }
     let mut tvars: Vec<Symbol> = Vec::new();
@@ -376,13 +379,14 @@ pub fn ty_fv(id: TyId) -> &'static TyFv {
             }
         }
     }
-    let leaked: &'static TyFv = Box::leak(Box::new(TyFv {
-        tvars: sorted(tvars).into_boxed_slice(),
-        rvars: sorted(rvars).into_boxed_slice(),
-        avars: sorted(avars).into_boxed_slice(),
-    }));
-    memo_put(&TY_FV, id.index(), leaked);
-    leaked
+    TY_FV.set(
+        id.index(),
+        Box::new(TyFv {
+            tvars: sorted(tvars),
+            rvars: sorted(rvars),
+            avars: sorted(avars),
+        }),
+    )
 }
 
 // ----- term/value fingerprints --------------------------------------------
@@ -480,13 +484,13 @@ impl FvAcc {
         }
     }
 
-    fn leak(self) -> &'static NodeFv {
-        Box::leak(Box::new(NodeFv {
-            tvars: sorted(self.tvars).into_boxed_slice(),
-            rvars: sorted(self.rvars).into_boxed_slice(),
-            avars: sorted(self.avars).into_boxed_slice(),
-            xvars: sorted(self.xvars).into_boxed_slice(),
-        }))
+    fn finish(self) -> Box<NodeFv> {
+        Box::new(NodeFv {
+            tvars: sorted(self.tvars),
+            rvars: sorted(self.rvars),
+            avars: sorted(self.avars),
+            xvars: sorted(self.xvars),
+        })
     }
 }
 
@@ -511,7 +515,7 @@ fn add_code_def(acc: &mut FvAcc, def: &CodeDef) {
 /// The free variables of a value (all four namespaces), computed once per
 /// node.
 pub fn value_fv(id: ValId) -> &'static NodeFv {
-    if let Some(fv) = memo_get(&VAL_FV, id.index()) {
+    if let Some(fv) = VAL_FV.get(id.index()) {
         return fv;
     }
     let mut acc = FvAcc::default();
@@ -588,16 +592,14 @@ pub fn value_fv(id: ValId) -> &'static NodeFv {
         Value::Code(def) => add_code_def(&mut acc, def),
         Value::Inl(v) | Value::Inr(v) => acc.add_node(value_fv(*v)),
     }
-    let leaked = acc.leak();
-    memo_put(&VAL_FV, id.index(), leaked);
-    leaked
+    VAL_FV.set(id.index(), acc.finish())
 }
 
 /// The free variables of a term (all four namespaces), computed once per
 /// node. `Let` spines are walked iteratively (they can be thousands of
 /// bindings deep), memoizing every suffix on the way back out.
 pub fn term_fv(id: TermId) -> &'static NodeFv {
-    if let Some(fv) = memo_get(&TERM_FV, id.index()) {
+    if let Some(fv) = TERM_FV.get(id.index()) {
         return fv;
     }
     // Collect the unmemoized prefix of the Let spine, innermost last.
@@ -605,7 +607,7 @@ pub fn term_fv(id: TermId) -> &'static NodeFv {
     let mut cur = id;
     while let Term::Let { body, .. } = cur.node() {
         spine.push(cur);
-        if memo_get(&TERM_FV, body.index()).is_some() {
+        if TERM_FV.get(body.index()).is_some() {
             break;
         }
         cur = *body;
@@ -614,21 +616,18 @@ pub fn term_fv(id: TermId) -> &'static NodeFv {
     // When `id` is a `Let` it is the spine's first element, so the loop
     // covers it; otherwise the spine is empty and it is computed below.
     for node in spine.into_iter().rev() {
-        let fv = term_fv_node(node);
-        memo_put(&TERM_FV, node.index(), fv);
+        TERM_FV.set(node.index(), term_fv_node(node));
     }
-    if let Some(fv) = memo_get(&TERM_FV, id.index()) {
+    if let Some(fv) = TERM_FV.get(id.index()) {
         return fv;
     }
-    let leaked = term_fv_node(id);
-    memo_put(&TERM_FV, id.index(), leaked);
-    leaked
+    TERM_FV.set(id.index(), term_fv_node(id))
 }
 
 /// Computes one node's fingerprint, assuming `Let` bodies are either
 /// memoized or reachable without re-walking a long spine (guaranteed by
 /// [`term_fv`]'s spine loop).
-fn term_fv_node(id: TermId) -> &'static NodeFv {
+fn term_fv_node(id: TermId) -> Box<NodeFv> {
     let mut acc = FvAcc::default();
     match id.node() {
         Term::App {
@@ -739,7 +738,7 @@ fn term_fv_node(id: TermId) -> &'static NodeFv {
             acc.add_node(term_fv(*nonzero));
         }
     }
-    acc.leak()
+    acc.finish()
 }
 
 // ----- fingerprint-skip counters ------------------------------------------
@@ -989,12 +988,10 @@ fn db_index(x: Symbol, env: &[Symbol]) -> Option<usize> {
 /// to their de Bruijn index `!i`. Two tags are α-equivalent iff their
 /// canonical ids are equal.
 pub fn canon_tag(id: TagId) -> TagId {
-    if let Some(c) = memo_get(&TAG_CANON, id.index()) {
+    if let Some(&c) = TAG_CANON.get(id.index()) {
         return c;
     }
-    let c = canon_tag_rec(id, &mut Vec::new());
-    memo_put(&TAG_CANON, id.index(), c);
-    c
+    *TAG_CANON.set(id.index(), canon_tag_rec(id, &mut Vec::new()))
 }
 
 fn canon_tag_rec(id: TagId, env: &mut Vec<Symbol>) -> TagId {
@@ -1069,12 +1066,10 @@ fn canon_region_set(rs: &[Region], env: &CanonEnv) -> Vec<Region> {
 /// (`!i` for tags, `!ri` for regions, `!ai` for αs). Two types are
 /// α-equivalent iff their canonical ids are equal.
 pub fn canon_ty(id: TyId) -> TyId {
-    if let Some(c) = memo_get(&TY_CANON, id.index()) {
+    if let Some(&c) = TY_CANON.get(id.index()) {
         return c;
     }
-    let c = canon_ty_rec(id, &mut CanonEnv::default());
-    memo_put(&TY_CANON, id.index(), c);
-    c
+    *TY_CANON.set(id.index(), canon_ty_rec(id, &mut CanonEnv::default()))
 }
 
 fn canon_ty_rec(id: TyId, env: &mut CanonEnv) -> TyId {
@@ -1262,18 +1257,18 @@ pub fn stats() -> InternStats {
         tag_hits,
         ty_nodes,
         ty_hits,
-        tag_norm: memo_len(&TAG_NORM),
-        ty_norm: TY_NORM.iter().map(memo_len).sum(),
-        tag_canon: memo_len(&TAG_CANON),
-        ty_canon: memo_len(&TY_CANON),
-        tag_fv: memo_len(&TAG_FV),
-        ty_fv: memo_len(&TY_FV),
+        tag_norm: TAG_NORM.count(),
+        ty_norm: TY_NORM.iter().map(ChunkedSlab::count).sum(),
+        tag_canon: TAG_CANON.count(),
+        ty_canon: TY_CANON.count(),
+        tag_fv: TAG_FV.count(),
+        ty_fv: TY_FV.count(),
         term_nodes,
         term_hits,
         val_nodes,
         val_hits,
-        term_fv: memo_len(&TERM_FV),
-        val_fv: memo_len(&VAL_FV),
+        term_fv: TERM_FV.count(),
+        val_fv: VAL_FV.count(),
         term_skips: TERM_SKIPS.load(Ordering::Relaxed),
         val_skips: VAL_SKIPS.load(Ordering::Relaxed),
         lazy_deferred: LAZY_DEFERRED.load(Ordering::Relaxed),

@@ -70,6 +70,8 @@
 //! assert_eq!(m.run(10).unwrap(), Outcome::Halted(42));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ablation;
 pub mod bytecode;
 pub mod env_machine;

@@ -798,9 +798,12 @@ mod tests {
     /// and every interned term pays `Term`'s, so a field that grows them
     /// grows each arena and the whole heap. Children are ids for this
     /// reason: an owned `Ty` or `Tag` field would make `Value` 136 bytes.
+    /// The arenas and the id-valued memos store entries in place, beside a
+    /// state byte that must fit in the entry's alignment padding.
     #[test]
     #[cfg(target_pointer_width = "64")]
     fn node_sizes_stay_small() {
+        use ps_ir::ChunkedSlab;
         use std::mem::size_of;
         assert!(
             size_of::<Value>() <= 40,
@@ -809,6 +812,10 @@ mod tests {
         );
         let slot = size_of::<crate::intern::SlotVal>();
         assert!(slot <= 40, "SlotVal: {slot} bytes");
+        let arena_slot = ChunkedSlab::<Value>::SLOT_BYTES;
+        assert!(arena_slot <= 48, "Value arena slot: {arena_slot} bytes");
+        let memo_slot = ChunkedSlab::<crate::intern::TyId>::SLOT_BYTES;
+        assert!(memo_slot <= 8, "TyId memo slot: {memo_slot} bytes");
         assert!(
             size_of::<Term>() <= 112,
             "Term: {} bytes",

@@ -1163,7 +1163,15 @@ impl<'p> Checker<'p> {
                 }
                 {
                     let (te, body) = exist_arm;
-                    let u = Symbol::intern("t!u").fresh();
+                    // The refinement `∃u. te u` binds `t#u`: the name
+                    // depends on this check alone, not on what the process
+                    // checked before, and no text can write it (neither
+                    // lexer accepts `#`). Its only free variable is `te`,
+                    // so `u` need only differ from that.
+                    let u = match Symbol::intern("t#u") {
+                        u if u != *te => u,
+                        _ => Symbol::intern("t#v"),
+                    };
                     let refined = Tag::exist(u, Tag::app(Tag::Var(*te), Tag::Var(u)));
                     let sub = Subst::one_tag(t, refined);
                     let shadowed = ctx.theta.bind(*te, Kind::Arrow);

@@ -1,21 +1,26 @@
 //! Generic hash-consing arenas.
 //!
 //! [`ConcurrentInterner<T>`] assigns each structurally distinct value of
-//! `T` a dense `u32` id and stores the value once, forever: interned nodes
-//! are leaked into `&'static` storage, so an id can be dereferenced without
-//! holding any lock for the lifetime of the process. Equality of ids is
-//! equality of values, which turns deep structural comparisons into
-//! integer compares and makes ids usable as memo-table keys.
+//! `T` a dense `u32` id and stores the value once, forever, in place in a
+//! [`ChunkedSlab`] slot that is never moved or freed, so an id can be
+//! dereferenced to a `&'static T` without holding any lock for the lifetime
+//! of the process. Equality of ids is equality of values, which turns deep
+//! structural comparisons into integer compares and makes ids usable as
+//! memo-table keys.
 //!
 //! The arena is safe to share between threads: id dereference
-//! ([`ConcurrentInterner::get`]) is entirely lock-free via a
-//! [`ChunkedSlab`] node index, and the hash-cons table is sharded so
-//! lookups from different threads rarely touch the same lock word.
+//! ([`ConcurrentInterner::get`]) is entirely lock-free, and the hash-cons
+//! table is sharded so lookups from different threads rarely touch the
+//! same lock word.
 //!
 //! Each shard is an open-addressing table of packed `u64` slots — 32 bits
 //! of the node's hash beside its id — so an intern hashes the node once,
 //! compares hash bits before it touches a candidate node, and grows by
 //! moving packed words without reading or re-hashing a single node.
+//!
+//! The same slabs back id-keyed memo tables: [`ChunkedSlab`] stores each
+//! entry in its slot, beside a state byte, and [`PointerSlab`] stores one
+//! pointer to a boxed entry, for tables that are sparse over their ids.
 //!
 //! # Examples
 //!
@@ -29,9 +34,13 @@
 //! assert_eq!(ARENA.len(), 1);
 //! ```
 
+use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
+use std::cell::UnsafeCell;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::marker::PhantomData;
+use std::mem::{size_of, MaybeUninit};
 use std::ptr::null_mut;
-use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::RwLock;
 
 // ----- hashing ------------------------------------------------------------
@@ -119,105 +128,268 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// `u32`.
 const SLAB_CHUNKS: usize = 33;
 
-/// A lock-free, append-only table from dense `u32` ids to leaked
-/// `&'static T`s: the node index of [`ConcurrentInterner`] and the backing
-/// store for id-keyed memo tables.
-///
-/// Entries live in doubling chunks so the table grows without ever moving
-/// an entry (a `Vec` resize would invalidate concurrent readers). Readers
-/// take two `Acquire` loads — chunk pointer, then entry pointer — and no
-/// lock. Writers allocate chunks with a CAS (the loser frees its copy) and
-/// publish entries with a `Release` store. Callers must only ever publish
-/// one value per id, or semantically equal values (a memo of a
-/// deterministic function may benignly race on one entry).
-pub struct ChunkedSlab<T> {
-    chunks: [AtomicPtr<AtomicPtr<T>>; SLAB_CHUNKS],
+/// (chunk, offset) of `id`: chunk `c = ⌊log2(id + 1)⌋` has `2^c` slots.
+fn locate(id: u32) -> (usize, usize) {
+    let n = u64::from(id) + 1;
+    let chunk = (63 - n.leading_zeros()) as usize;
+    (chunk, (n - (1u64 << chunk)) as usize)
 }
 
-impl<T> ChunkedSlab<T> {
-    /// An empty slab; usable in `static` initializers.
-    #[must_use]
-    pub const fn new() -> ChunkedSlab<T> {
-        ChunkedSlab {
+/// A slot type whose all-zero bit pattern is a valid empty slot, so that a
+/// chunk of slots can come straight from a zeroed allocation.
+///
+/// # Safety
+///
+/// Every byte of an implementor may be zero, and the type is not
+/// zero-sized.
+unsafe trait ZeroedSlot {}
+
+/// The doubling chunks of slots behind both slabs. A chunk is allocated
+/// zeroed on its first write and is never moved or freed, so a slot
+/// reference is valid for the rest of the process and a slab grows without
+/// invalidating concurrent readers (a `Vec` resize would). Pages of a chunk
+/// that no slot write touches stay untouched, so the unused tail of the
+/// newest chunk costs address space, not resident memory.
+struct Chunks<S> {
+    chunks: [AtomicPtr<S>; SLAB_CHUNKS],
+}
+
+impl<S: ZeroedSlot + 'static> Chunks<S> {
+    const fn new() -> Chunks<S> {
+        Chunks {
             chunks: [const { AtomicPtr::new(null_mut()) }; SLAB_CHUNKS],
         }
     }
 
-    /// (chunk, offset) of `id`: chunk `c = ⌊log2(id + 1)⌋` has `2^c`
-    /// entries.
-    fn locate(id: u32) -> (usize, usize) {
-        let n = u64::from(id) + 1;
-        let chunk = (63 - n.leading_zeros()) as usize;
-        (chunk, (n - (1u64 << chunk)) as usize)
+    /// The slot of `id`, if its chunk has been allocated. Lock-free.
+    fn slot(&self, id: u32) -> Option<&'static S> {
+        let (c, off) = locate(id);
+        let chunk = self.chunks[c].load(Ordering::Acquire);
+        // SAFETY: a non-null chunk pointer is a zeroed allocation of
+        // `1 << c` slots made in `slot_or_alloc` and never freed, all-zero
+        // slots are valid (`ZeroedSlot`), and `off < 1 << c` by `locate`.
+        (!chunk.is_null()).then(|| unsafe { &*chunk.add(off) })
+    }
+
+    /// The slot of `id`, allocating its chunk first if need be.
+    fn slot_or_alloc(&self, id: u32) -> &'static S {
+        if let Some(slot) = self.slot(id) {
+            return slot;
+        }
+        let (c, off) = locate(id);
+        let Ok(layout) = Layout::array::<S>(1 << c) else {
+            // A chunk larger than the address space cannot be allocated
+            // (only ids no table reaches live in chunks that large).
+            handle_alloc_error(Layout::new::<S>())
+        };
+        // SAFETY: `layout` is not zero-sized: `S` is not (`ZeroedSlot`) and
+        // a chunk holds at least one slot.
+        let fresh = unsafe { alloc_zeroed(layout) }.cast::<S>();
+        if fresh.is_null() {
+            handle_alloc_error(layout);
+        }
+        let chunk = match self.chunks[c].compare_exchange(
+            null_mut(),
+            fresh,
+            Ordering::AcqRel,
+            Ordering::Acquire,
+        ) {
+            Ok(_) => fresh,
+            Err(won) => {
+                // SAFETY: `fresh` was allocated above with `layout` and lost
+                // the race unpublished, so no other thread can see it.
+                unsafe { dealloc(fresh.cast(), layout) };
+                won
+            }
+        };
+        // SAFETY: as in `slot`.
+        unsafe { &*chunk.add(off) }
+    }
+
+    /// Every slot of every allocated chunk, for the occupancy counts.
+    fn all(&self) -> impl Iterator<Item = &'static S> + '_ {
+        self.chunks.iter().enumerate().flat_map(|(c, chunk)| {
+            let chunk = chunk.load(Ordering::Acquire);
+            let slots: &'static [S] = if chunk.is_null() {
+                &[]
+            } else {
+                // SAFETY: as in `slot`: `1 << c` valid slots, never freed.
+                unsafe { std::slice::from_raw_parts(chunk, 1 << c) }
+            };
+            slots.iter()
+        })
+    }
+}
+
+/// [`ChunkedSlab`] slot states. The all-zero slot is `EMPTY`.
+const EMPTY: u8 = 0;
+const WRITING: u8 = 1;
+const FULL: u8 = 2;
+
+/// A [`ChunkedSlab`] slot: the entry stored in place beside its state.
+struct Slot<T> {
+    state: AtomicU8,
+    value: UnsafeCell<MaybeUninit<T>>,
+}
+
+// SAFETY: all-zero is `state == EMPTY` beside an uninitialized value, and
+// the state byte keeps the slot at least one byte wide.
+unsafe impl<T> ZeroedSlot for Slot<T> {}
+
+// SAFETY: the all-zero `AtomicPtr` is null, and a pointer is not
+// zero-sized.
+unsafe impl<T> ZeroedSlot for AtomicPtr<T> {}
+
+/// A lock-free, append-only table from dense `u32` ids to entries stored
+/// in place: the node store of [`ConcurrentInterner`] and the backing store
+/// of dense id-keyed memo tables.
+///
+/// A slot is the entry beside a state byte, in doubling chunks that are
+/// never moved or freed, so a published entry is `&'static` even when the
+/// slab itself is not a `static`. A read is two `Acquire` loads (chunk
+/// pointer, then state) and no lock, and a write allocates nothing once
+/// its chunk exists. Exactly one writer fills a slot: it claims the empty
+/// slot, writes the entry and publishes it with a `Release` store; a
+/// writer that loses the claim drops its value and returns the published
+/// entry, so a memo of a deterministic function may race benignly on one
+/// id. Readers never see a half-written entry.
+pub struct ChunkedSlab<T: 'static> {
+    chunks: Chunks<Slot<T>>,
+    /// Readers on any thread get `&'static T`s, so sharing the slab is
+    /// sharing its entries.
+    _entries: PhantomData<&'static T>,
+}
+
+impl<T> ChunkedSlab<T> {
+    /// Bytes one slot takes: the entry plus its state byte, rounded up to
+    /// the entry's alignment.
+    pub const SLOT_BYTES: usize = size_of::<Slot<T>>();
+
+    /// An empty slab; usable in `static` initializers.
+    #[must_use]
+    pub const fn new() -> ChunkedSlab<T> {
+        ChunkedSlab {
+            chunks: Chunks::new(),
+            _entries: PhantomData,
+        }
     }
 
     /// The entry published for `id`, if any. Lock-free.
     pub fn get(&self, id: u32) -> Option<&'static T> {
-        let (c, off) = Self::locate(id);
-        let chunk = self.chunks[c].load(Ordering::Acquire);
-        if chunk.is_null() {
-            return None;
-        }
-        // SAFETY: a non-null chunk pointer is a leaked array of `1 << c`
-        // entries (allocated in `set`), and `off < 1 << c` by `locate`.
-        let entry = unsafe { &*chunk.add(off) };
-        // SAFETY: non-null entries are leaked `&'static T`s.
-        unsafe { entry.load(Ordering::Acquire).as_ref() }
+        let slot = self.chunks.slot(id)?;
+        // SAFETY: `FULL`, loaded with `Acquire`, means the writer's
+        // `Release` store followed its write of the value, which is never
+        // written again.
+        (slot.state.load(Ordering::Acquire) == FULL)
+            .then(|| unsafe { (*slot.value.get()).assume_init_ref() })
     }
 
-    /// Publishes the entry for `id`.
-    pub fn set(&self, id: u32, value: &'static T) {
-        let (c, off) = Self::locate(id);
-        let slot = &self.chunks[c];
-        let mut chunk = slot.load(Ordering::Acquire);
-        if chunk.is_null() {
-            let fresh: Box<[AtomicPtr<T>]> = (0..1usize << c)
-                .map(|_| AtomicPtr::new(null_mut()))
-                .collect();
-            let fresh = Box::leak(fresh).as_mut_ptr();
-            match slot.compare_exchange(null_mut(), fresh, Ordering::AcqRel, Ordering::Acquire) {
-                Ok(_) => chunk = fresh,
-                Err(won) => {
-                    // SAFETY: `fresh` was leaked just above from a boxed
-                    // slice of `1 << c` entries and lost the race
-                    // unpublished, so reclaiming it here is exclusive.
-                    drop(unsafe {
-                        Box::from_raw(std::ptr::slice_from_raw_parts_mut(fresh, 1usize << c))
-                    });
-                    chunk = won;
-                }
+    /// Publishes `value` for `id` unless an entry is already published (or
+    /// being written) there, and returns the entry that `id` holds. Callers
+    /// must only ever offer one value per id, or equal values.
+    pub fn set(&self, id: u32, value: T) -> &'static T {
+        let slot = self.chunks.slot_or_alloc(id);
+        if slot
+            .state
+            .compare_exchange(EMPTY, WRITING, Ordering::Acquire, Ordering::Acquire)
+            .is_ok()
+        {
+            // SAFETY: winning the `EMPTY → WRITING` claim makes this the only
+            // thread that writes the slot, and no reader looks at the value
+            // before `FULL`.
+            unsafe { (*slot.value.get()).write(value) };
+            slot.state.store(FULL, Ordering::Release);
+        } else {
+            // Another writer owns the slot; it publishes within a move.
+            while slot.state.load(Ordering::Acquire) != FULL {
+                std::thread::yield_now();
             }
         }
-        // SAFETY: as in `get`; the store publishes a leaked `&'static T`.
-        unsafe { &*chunk.add(off) }.store((value as *const T).cast_mut(), Ordering::Release);
+        // SAFETY: the state is `FULL`, stored by this thread or loaded with
+        // `Acquire` above, so the value is written and never written again.
+        unsafe { (*slot.value.get()).assume_init_ref() }
     }
 
     /// Number of published entries (for telemetry; walks the whole
     /// capacity).
     pub fn count(&self) -> usize {
-        let mut n = 0;
-        for (c, slot) in self.chunks.iter().enumerate() {
-            let chunk = slot.load(Ordering::Acquire);
-            if chunk.is_null() {
-                continue;
-            }
-            for off in 0..1usize << c {
-                // SAFETY: as in `get`.
-                if !unsafe { &*chunk.add(off) }
-                    .load(Ordering::Acquire)
-                    .is_null()
-                {
-                    n += 1;
-                }
-            }
-        }
-        n
+        self.chunks
+            .all()
+            .filter(|slot| slot.state.load(Ordering::Acquire) == FULL)
+            .count()
     }
 }
 
 impl<T> Default for ChunkedSlab<T> {
     fn default() -> ChunkedSlab<T> {
         ChunkedSlab::new()
+    }
+}
+
+/// A lock-free, append-only table from dense `u32` ids to boxed entries,
+/// one pointer per slot (null = empty): for tables that are *sparse* over
+/// their ids and whose entries are large, where storing the entry in place
+/// ([`ChunkedSlab`]) would spend a whole entry on every untouched id that
+/// shares a page with a touched one.
+///
+/// The first writer of an id publishes its box with a compare-and-swap; a
+/// writer that loses frees its box and returns the winner's entry.
+pub struct PointerSlab<T: 'static> {
+    chunks: Chunks<AtomicPtr<T>>,
+    /// As in [`ChunkedSlab`].
+    _entries: PhantomData<&'static T>,
+}
+
+impl<T> PointerSlab<T> {
+    /// An empty slab; usable in `static` initializers.
+    #[must_use]
+    pub const fn new() -> PointerSlab<T> {
+        PointerSlab {
+            chunks: Chunks::new(),
+            _entries: PhantomData,
+        }
+    }
+
+    /// The entry published for `id`, if any. Lock-free.
+    pub fn get(&self, id: u32) -> Option<&'static T> {
+        let entry = self.chunks.slot(id)?.load(Ordering::Acquire);
+        // SAFETY: a non-null entry is a leaked box, published with
+        // `Release` after it was written and never freed.
+        unsafe { entry.as_ref() }
+    }
+
+    /// Publishes `entry` for `id` unless an entry is already published
+    /// there, and returns the entry that `id` holds.
+    pub fn set(&self, id: u32, entry: Box<T>) -> &'static T {
+        let fresh = Box::into_raw(entry);
+        let slot = self.chunks.slot_or_alloc(id);
+        match slot.compare_exchange(null_mut(), fresh, Ordering::AcqRel, Ordering::Acquire) {
+            // SAFETY: `fresh` is now a published leaked box, never freed.
+            Ok(_) => unsafe { &*fresh },
+            Err(won) => {
+                // SAFETY: `fresh` came from `Box::into_raw` above and lost
+                // the race unpublished; `won` is a published leaked box.
+                unsafe {
+                    drop(Box::from_raw(fresh));
+                    &*won
+                }
+            }
+        }
+    }
+
+    /// Number of published entries (for telemetry; walks the whole
+    /// capacity).
+    pub fn count(&self) -> usize {
+        self.chunks
+            .all()
+            .filter(|entry| !entry.load(Ordering::Acquire).is_null())
+            .count()
+    }
+}
+
+impl<T> Default for PointerSlab<T> {
+    fn default() -> PointerSlab<T> {
+        PointerSlab::new()
     }
 }
 
@@ -343,8 +515,8 @@ const SHARDS: usize = 1 << SHARD_BITS;
 ///   (write lock and re-probe on a miss).
 ///
 /// Ids are dense across the whole arena (a shared allocation counter), and
-/// every node is published to the slab *before* its id is returned, so any
-/// id obtained from `intern` can be dereferenced lock-free forever.
+/// every node is written into its slab slot *before* its id is returned, so
+/// any id obtained from `intern` can be dereferenced lock-free forever.
 pub struct ConcurrentInterner<T: 'static> {
     shards: [RwLock<Table>; SHARDS],
     nodes: ChunkedSlab<T>,
@@ -406,7 +578,7 @@ impl<T: Eq + Hash> ConcurrentInterner<T> {
         let id = self.next.fetch_add(1, Ordering::Relaxed);
         assert!(id != u32::MAX, "interner overflow");
         // Publish for lock-free deref before the id can escape.
-        self.nodes.set(id, Box::leak(Box::new(value)));
+        self.nodes.set(id, value);
         table.insert(tag, id);
         id
     }
@@ -583,17 +755,178 @@ mod tests {
         grown_log2(TAG_BITS);
     }
 
+    /// Ids on both sides of the first 21 chunk boundaries.
+    fn boundary_ids() -> impl Iterator<Item = u32> {
+        (0..21).flat_map(|c: u32| [(1u32 << c).saturating_sub(2), (1 << c) - 1, 1 << c])
+    }
+
     #[test]
     fn slab_round_trips_across_chunk_boundaries() {
         let slab: ChunkedSlab<u32> = ChunkedSlab::new();
+        let boxed: PointerSlab<u32> = PointerSlab::new();
         assert_eq!(slab.get(0), None);
-        for id in [0u32, 1, 2, 3, 6, 7, 1000, 65_535, 1 << 20] {
-            let v: &'static u32 = Box::leak(Box::new(id * 3 + 1));
-            slab.set(id, v);
-            assert_eq!(slab.get(id), Some(v));
+        assert_eq!(boxed.get(0), None);
+        for id in boundary_ids() {
+            assert_eq!(*slab.set(id, id * 3 + 1), id * 3 + 1);
+            assert_eq!(*boxed.set(id, Box::new(id * 3 + 1)), id * 3 + 1);
         }
-        assert_eq!(slab.get(4), None);
-        assert_eq!(slab.count(), 9);
+        for id in boundary_ids() {
+            assert_eq!(slab.get(id), Some(&(id * 3 + 1)));
+            assert_eq!(boxed.get(id), Some(&(id * 3 + 1)));
+        }
+        let distinct = boundary_ids()
+            .collect::<std::collections::BTreeSet<_>>()
+            .len();
+        assert_eq!(slab.count(), distinct);
+        assert_eq!(boxed.count(), distinct);
+    }
+
+    #[test]
+    fn unset_ids_read_none_across_chunk_boundaries() {
+        let slab: ChunkedSlab<u32> = ChunkedSlab::new();
+        let boxed: PointerSlab<u32> = PointerSlab::new();
+        // One id in each of chunks 0, 2, 9, 16 and 20; chunks 21 and up are
+        // never allocated.
+        let set = [0u32, 5, 1000, 65_535, 1 << 20];
+        for id in set {
+            slab.set(id, id + 1);
+            boxed.set(id, Box::new(id + 1));
+        }
+        for id in boundary_ids().chain(set.map(|id| id + 1)) {
+            let want = set.contains(&id).then_some(id + 1);
+            assert_eq!(slab.get(id).copied(), want, "id {id}");
+            assert_eq!(boxed.get(id).copied(), want, "id {id}");
+        }
+        assert_eq!(slab.get(u32::MAX - 1), None);
+        assert_eq!(boxed.get(u32::MAX - 1), None);
+        assert_eq!(slab.count(), set.len());
+        assert_eq!(boxed.count(), set.len());
+    }
+
+    #[test]
+    fn references_survive_later_chunks() {
+        let slab: ChunkedSlab<u64> = ChunkedSlab::new();
+        let boxed: PointerSlab<u64> = PointerSlab::new();
+        let first = slab.set(0, 7);
+        let first_boxed = boxed.set(0, Box::new(7));
+        // Ids up to 2^14 allocate chunks 1 through 13.
+        for id in 1..1u32 << 14 {
+            slab.set(id, u64::from(id));
+            boxed.set(id, Box::new(u64::from(id)));
+        }
+        assert_eq!((*first, *first_boxed), (7, 7));
+        assert!(std::ptr::eq(first, slab.get(0).unwrap()));
+        assert!(std::ptr::eq(first_boxed, boxed.get(0).unwrap()));
+    }
+
+    /// Drops of [`Counted`] values, for the racing-writers test alone.
+    static DROPPED: AtomicU32 = AtomicU32::new(0);
+
+    struct Counted(u32);
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            DROPPED.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn racing_writers_publish_one_entry() {
+        const WRITERS: u32 = 8;
+        let slab: ChunkedSlab<Counted> = ChunkedSlab::new();
+        let boxed: PointerSlab<Counted> = PointerSlab::new();
+        let start = std::sync::Barrier::new(WRITERS as usize);
+        let published: Vec<(&Counted, &Counted)> = std::thread::scope(|s| {
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        (
+                            slab.set(1000, Counted(1)),
+                            boxed.set(1000, Box::new(Counted(1))),
+                        )
+                    })
+                })
+                .collect();
+            writers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let (entry, boxed_entry) = (slab.get(1000).unwrap(), boxed.get(1000).unwrap());
+        assert_eq!((entry.0, boxed_entry.0), (1, 1));
+        for (a, b) in published {
+            assert!(std::ptr::eq(a, entry) && std::ptr::eq(b, boxed_entry));
+        }
+        assert_eq!((slab.count(), boxed.count()), (1, 1));
+        // Every writer but the one that published dropped its value.
+        assert_eq!(DROPPED.load(Ordering::Relaxed), 2 * (WRITERS - 1));
+    }
+
+    #[test]
+    fn in_place_slots_stay_small() {
+        // A 40-byte, 8-aligned entry (a λGC `Value` on x86-64) and a 4-byte
+        // one (a `TyId`): the state byte fits in the alignment padding.
+        assert_eq!(ChunkedSlab::<[u64; 5]>::SLOT_BYTES, 48);
+        assert_eq!(ChunkedSlab::<u32>::SLOT_BYTES, 8);
+    }
+
+    /// The test binary's allocator: the system allocator, counting each
+    /// thread's allocations so that tests on other threads do not count.
+    struct CountingAlloc;
+
+    thread_local! {
+        static ALLOCATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    // SAFETY: every call is forwarded unchanged to the system allocator;
+    // the count is a const-initialized thread-local without a destructor,
+    // so bumping it never allocates.
+    unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            ALLOCATIONS.with(|n| n.set(n.get() + 1));
+            // SAFETY: the caller upholds `alloc`'s contract.
+            unsafe { std::alloc::System.alloc(layout) }
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            ALLOCATIONS.with(|n| n.set(n.get() + 1));
+            // SAFETY: the caller upholds `alloc_zeroed`'s contract.
+            unsafe { std::alloc::System.alloc_zeroed(layout) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: the caller upholds `dealloc`'s contract.
+            unsafe { std::alloc::System.dealloc(ptr, layout) }
+        }
+    }
+
+    #[global_allocator]
+    static COUNTING: CountingAlloc = CountingAlloc;
+
+    /// Allocations the calling thread makes while running `f`.
+    fn allocations(f: impl FnOnce()) -> u64 {
+        let before = ALLOCATIONS.with(std::cell::Cell::get);
+        f();
+        ALLOCATIONS.with(std::cell::Cell::get) - before
+    }
+
+    #[test]
+    fn storing_entries_allocates_per_chunk_not_per_entry() {
+        const N: u32 = 10_000;
+        let arena: ConcurrentInterner<(u32, u32)> = ConcurrentInterner::new();
+        let memo: ChunkedSlab<u32> = ChunkedSlab::new();
+        // 14 node chunks cover ids below 2^14; each of the 16 hash-cons
+        // shards is allocated once and doubles about six times.
+        let interning = allocations(|| {
+            for k in 0..N {
+                arena.intern((k, k));
+            }
+        });
+        assert!(interning < 200, "{interning} allocations for {N} nodes");
+        let memoizing = allocations(|| {
+            for k in 0..N {
+                memo.set(k, k);
+            }
+        });
+        assert_eq!(memoizing, 14, "one allocation per chunk");
     }
 
     #[test]

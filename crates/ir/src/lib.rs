@@ -28,6 +28,6 @@ pub mod scope;
 pub mod symbol;
 
 pub use doc::Doc;
-pub use interner::{ChunkedSlab, ConcurrentInterner, FxBuildHasher, FxHasher};
+pub use interner::{ChunkedSlab, ConcurrentInterner, FxBuildHasher, FxHasher, PointerSlab};
 pub use scope::{scoped, unbind_all, Scope};
 pub use symbol::{Symbol, SymbolMap, SymbolSet};

@@ -21,6 +21,8 @@
 //! assert_eq!(ps_lambda::eval::run_program(&p, 1000).unwrap(), 42);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod eval;
 pub mod parse;
 pub mod print;

@@ -27,6 +27,8 @@
 //!
 //! [`proptest`]: https://crates.io/crates/proptest
 
+#![forbid(unsafe_code)]
+
 /// Deterministic test-case RNG (xorshift64*) and run configuration.
 pub mod test_runner {
     /// Run configuration; only `cases` is honoured.

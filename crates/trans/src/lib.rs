@@ -39,6 +39,8 @@
 //! than as they are translated" (§5): λCLOS types embed directly into λGC
 //! tags via [`tag_of`].
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 use std::fmt;
 

@@ -91,6 +91,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 # panicking escape hatches outside tests (clippy.toml relaxes the lints
 # inside #[cfg(test)]).
 cargo clippy -p ps-gc-lang -p ps-collectors -- -D warnings -D clippy::unwrap_used -D clippy::expect_used -D clippy::panic
+# Unsafe audit: every other crate root forbids `unsafe_code`, so the
+# interner's slabs in ps-ir hold the repository's only `unsafe` blocks, and
+# each must state why it is sound in a `// SAFETY:` comment.
+cargo clippy -p ps-ir -- -D warnings -D clippy::undocumented_unsafe_blocks
 # Rustdoc gate: every intra-doc link must resolve, so docs cannot keep
 # pointing at APIs that were renamed or removed.
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace

@@ -16,6 +16,8 @@
 //! | 3 | compile/typecheck/certification failure |
 //! | 4 | heap invariant violation caught by `--verify-every` |
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 use scavenger::gc_lang::faults::{parse_plans, FaultPlan};

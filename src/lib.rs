@@ -1,2 +1,5 @@
 //! Workspace façade re-exports.
+
+#![forbid(unsafe_code)]
+
 pub use scavenger::*;

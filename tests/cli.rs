@@ -8,6 +8,9 @@ use std::process::{Command, Output};
 use scavenger::telemetry::validate_jsonl_trace;
 use scavenger::{Backend, Collector};
 
+mod common;
+use common::Scratch;
+
 const PROGRAM: &str = "fun fact (n : int) : int = if0 n then 1 else n * fact (n - 1)\n fact 10";
 
 fn psgc(args: &[&str]) -> Output {
@@ -15,18 +18,6 @@ fn psgc(args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("psgc runs")
-}
-
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("psgc-cli-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir.join(name)
-}
-
-fn write_program(name: &str) -> PathBuf {
-    let path = scratch(name);
-    std::fs::write(&path, PROGRAM).expect("write program");
-    path
 }
 
 fn exit_code(out: &Output) -> i32 {
@@ -77,12 +68,11 @@ fn help_is_generated_from_the_flag_and_command_tables() {
 
 #[test]
 fn page_words_above_the_maximum_is_a_usage_error() {
-    let prog = scratch("page_words.lam");
-    std::fs::write(
-        &prog,
+    let dir = Scratch::new("psgc-cli");
+    let prog = dir.write(
+        "page_words.lam",
         "fun build (n : int) : int * int = if0 n then (0, 0) else (let rest = build (n - 1) in (n + fst rest, n))\n fst (build 24)",
-    )
-    .unwrap();
+    );
     let prog = prog.to_str().unwrap();
     let run = |words: &str| psgc(&["run", prog, "--budget", "64", "--page-words", words]);
     // The largest page size runs the program like the default does.
@@ -106,7 +96,8 @@ fn page_words_above_the_maximum_is_a_usage_error() {
 
 #[test]
 fn exit_codes_distinguish_failure_classes() {
-    let prog = write_program("exit_codes.lam");
+    let dir = Scratch::new("psgc-cli");
+    let prog = dir.write("exit_codes.lam", PROGRAM);
     let prog = prog.to_str().unwrap();
 
     // 0: success.
@@ -128,11 +119,9 @@ fn exit_codes_distinguish_failure_classes() {
     assert_eq!(exit_code(&psgc(&["run"])), 2);
 
     // 3: compile/typecheck failures.
-    let bad = scratch("ill_formed.lam");
-    std::fs::write(&bad, "fun (").unwrap();
+    let bad = dir.write("ill_formed.lam", "fun (");
     assert_eq!(exit_code(&psgc(&["run", bad.to_str().unwrap()])), 3);
-    let ill = scratch("ill_typed.lam");
-    std::fs::write(&ill, "(1, 2) + 3").unwrap();
+    let ill = dir.write("ill_typed.lam", "(1, 2) + 3");
     assert_eq!(exit_code(&psgc(&["run", ill.to_str().unwrap()])), 3);
     assert_eq!(exit_code(&psgc(&["eval", bad.to_str().unwrap()])), 3);
 
@@ -172,7 +161,8 @@ fn exit_codes_distinguish_failure_classes() {
 
 #[test]
 fn every_fault_spec_round_trips_through_the_cli_to_exit_code_4() {
-    let prog = write_program("inject_matrix.lam");
+    let dir = Scratch::new("psgc-cli");
+    let prog = dir.write("inject_matrix.lam", PROGRAM);
     let prog = prog.to_str().unwrap();
     for kind in ps_gc_lang::faults::FaultKind::ALL {
         let plan = ps_gc_lang::faults::FaultPlan {
@@ -197,7 +187,8 @@ fn every_fault_spec_round_trips_through_the_cli_to_exit_code_4() {
 
 #[test]
 fn supervised_injection_prints_a_triage_report_and_exits_4() {
-    let prog = write_program("supervised_triage.lam");
+    let dir = Scratch::new("psgc-cli");
+    let prog = dir.write("supervised_triage.lam", PROGRAM);
     let out = psgc(&[
         "run",
         prog.to_str().unwrap(),
@@ -225,7 +216,8 @@ fn supervised_injection_prints_a_triage_report_and_exits_4() {
 
 #[test]
 fn multi_fault_specs_parse_and_unfired_plans_warn() {
-    let prog = write_program("multi_fault.lam");
+    let dir = Scratch::new("psgc-cli");
+    let prog = dir.write("multi_fault.lam", PROGRAM);
     let prog = prog.to_str().unwrap();
 
     // A comma-separated spec arms every plan; a plan whose step is past
@@ -269,8 +261,9 @@ fn multi_fault_specs_parse_and_unfired_plans_warn() {
 
 #[test]
 fn trace_is_written_when_the_audit_catches_an_injected_fault() {
-    let prog = write_program("violation_trace.lam");
-    let trace_path = scratch("violation_trace.jsonl");
+    let dir = Scratch::new("psgc-cli");
+    let prog = dir.write("violation_trace.lam", PROGRAM);
+    let trace_path = dir.path("violation_trace.jsonl");
     let out = psgc(&[
         "run",
         prog.to_str().unwrap(),
@@ -291,8 +284,9 @@ fn trace_is_written_when_the_audit_catches_an_injected_fault() {
 
 #[test]
 fn trace_is_written_when_the_heap_cap_is_hit() {
-    let prog = write_program("oom_trace.lam");
-    let trace_path = scratch("oom_trace.jsonl");
+    let dir = Scratch::new("psgc-cli");
+    let prog = dir.write("oom_trace.lam", PROGRAM);
+    let trace_path = dir.path("oom_trace.jsonl");
     let out = psgc(&[
         "run",
         prog.to_str().unwrap(),
@@ -310,11 +304,12 @@ fn trace_is_written_when_the_heap_cap_is_hit() {
 
 #[test]
 fn trace_and_metrics_for_every_collector_backend_combination() {
-    let prog = write_program("trace_matrix.lam");
+    let dir = Scratch::new("psgc-cli");
+    let prog = dir.write("trace_matrix.lam", PROGRAM);
     let prog = prog.to_str().unwrap();
     for collector in Collector::ALL {
         for backend in Backend::ALL {
-            let trace_path = scratch(&format!("trace-{collector}-{backend}.jsonl"));
+            let trace_path = dir.path(&format!("trace-{collector}-{backend}.jsonl"));
             let out = psgc(&[
                 "run",
                 prog,
@@ -390,8 +385,9 @@ fn trace_and_metrics_for_every_collector_backend_combination() {
 
 #[test]
 fn trace_is_written_even_when_the_run_exhausts_fuel() {
-    let prog = write_program("fuel_trace.lam");
-    let trace_path = scratch("fuel_trace.jsonl");
+    let dir = Scratch::new("psgc-cli");
+    let prog = dir.write("fuel_trace.lam", PROGRAM);
+    let trace_path = dir.path("fuel_trace.jsonl");
     let out = psgc(&[
         "run",
         prog.to_str().unwrap(),
@@ -409,7 +405,8 @@ fn trace_is_written_even_when_the_run_exhausts_fuel() {
 
 #[test]
 fn stats_intern_reports_interner_occupancy() {
-    let prog = write_program("stats_intern.lam");
+    let dir = Scratch::new("psgc-cli");
+    let prog = dir.write("stats_intern.lam", PROGRAM);
     let out = psgc(&["run", prog.to_str().unwrap(), "--stats-intern"]);
     assert_eq!(exit_code(&out), 0, "{out:?}");
     let stderr = String::from_utf8(out.stderr).unwrap();
@@ -450,7 +447,8 @@ fn stats_intern_reports_interner_occupancy() {
 
 #[test]
 fn stats_intern_reports_lazy_slot_counters() {
-    let prog = write_program("stats_intern_lazy.lam");
+    let dir = Scratch::new("psgc-cli");
+    let prog = dir.write("stats_intern_lazy.lam", PROGRAM);
     let prog = prog.to_str().unwrap();
     let grab = |stderr: &str, label: &str| -> u64 {
         stderr
@@ -517,7 +515,8 @@ fn stats_intern_reports_lazy_slot_counters() {
 
 #[test]
 fn stats_pages_reports_the_page_store() {
-    let prog = write_program("stats_pages.lam");
+    let dir = Scratch::new("psgc-cli");
+    let prog = dir.write("stats_pages.lam", PROGRAM);
     let out = psgc(&["run", prog.to_str().unwrap(), "--stats-pages"]);
     assert_eq!(exit_code(&out), 0, "{out:?}");
     let stderr = String::from_utf8(out.stderr).unwrap();
@@ -543,7 +542,8 @@ fn audit_mode_never_changes_observable_output() {
     // The incremental (default) and full audit strategies must agree on
     // everything the user can see: result, stats, metrics, and the whole
     // telemetry stream — on clean runs and on runs that catch a fault.
-    let prog = write_program("audit_modes.lam");
+    let dir = Scratch::new("psgc-cli");
+    let prog = dir.write("audit_modes.lam", PROGRAM);
     let prog = prog.to_str().unwrap();
     let run = |audit: &str, inject: Option<&str>, trace: &PathBuf| {
         let mut args = vec![
@@ -568,8 +568,8 @@ fn audit_mode_never_changes_observable_output() {
         psgc(&args)
     };
     // Clean run: everything must be byte-identical.
-    let trace_inc = scratch("audit_inc.jsonl");
-    let trace_full = scratch("audit_full.jsonl");
+    let trace_inc = dir.path("audit_inc.jsonl");
+    let trace_full = dir.path("audit_full.jsonl");
     let inc = run("incremental", None, &trace_inc);
     let full = run("full", None, &trace_full);
     assert_eq!(exit_code(&inc), 0, "{inc:?}");
@@ -600,8 +600,8 @@ fn audit_mode_never_changes_observable_output() {
         step.parse::<u64>().expect("step parses")
     };
     for inject in ["truncate-tuple@20:1", "stale-page-header@20:1"] {
-        let trace_inc = scratch("audit_inc_fault.jsonl");
-        let trace_full = scratch("audit_full_fault.jsonl");
+        let trace_inc = dir.path("audit_inc_fault.jsonl");
+        let trace_full = dir.path("audit_full_fault.jsonl");
         let inc = run("incremental", Some(inject), &trace_inc);
         let full = run("full", Some(inject), &trace_full);
         assert_eq!(exit_code(&inc), 4, "{inject}: {inc:?}");
@@ -619,7 +619,8 @@ fn audit_mode_never_changes_observable_output() {
 /// of one program print byte-identical output and traces.
 #[test]
 fn certification_thread_count_never_changes_observable_output() {
-    let prog = write_program("repeat_run.lam");
+    let dir = Scratch::new("psgc-cli");
+    let prog = dir.write("repeat_run.lam", PROGRAM);
     let run = |trace: &PathBuf| {
         psgc(&[
             "run",
@@ -630,8 +631,8 @@ fn certification_thread_count_never_changes_observable_output() {
             trace.to_str().unwrap(),
         ])
     };
-    let trace_a = scratch("repeat_run_a.jsonl");
-    let trace_b = scratch("repeat_run_b.jsonl");
+    let trace_a = dir.path("repeat_run_a.jsonl");
+    let trace_b = dir.path("repeat_run_b.jsonl");
     let a = run(&trace_a);
     let b = run(&trace_b);
     assert_eq!(exit_code(&a), 0);

@@ -18,6 +18,9 @@
 use std::path::PathBuf;
 use std::process::Command;
 
+mod common;
+use common::Scratch;
+
 const FACTORIAL: &str = "fun fact (n : int) : int = if0 n then 1 else n * fact (n - 1)\n fact 9";
 
 const GC_STRESS: &str = "fun churn (n : int) : int = if0 n then 0 else \
@@ -50,18 +53,11 @@ fn golden(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
-fn write_program(name: &str, src: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("psgc-disasm-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    let path = dir.join(name);
-    std::fs::write(&path, src).expect("write program");
-    path
-}
-
 #[test]
 fn disassembly_matches_the_golden_files() {
+    let dir = Scratch::new("psgc-disasm");
     for (name, collector, src) in PROGRAMS {
-        let prog = write_program(&format!("{name}.lam"), src);
+        let prog = dir.write(&format!("{name}.lam"), src);
         let prog = prog.to_str().unwrap();
         let listing = disasm(prog, collector);
         assert_eq!(
