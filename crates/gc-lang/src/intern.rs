@@ -1184,13 +1184,20 @@ fn canon_ty_rec(id: TyId, env: &mut CanonEnv) -> TyId {
 }
 
 /// α-equivalence of tags as an id compare (after canonicalization).
+/// α-renaming never changes a node's head constructor, so tags with
+/// different heads are told apart without canonicalizing either.
 pub fn tag_alpha_eq(a: TagId, b: TagId) -> bool {
-    a == b || canon_tag(a) == canon_tag(b)
+    a == b
+        || (std::mem::discriminant(a.node()) == std::mem::discriminant(b.node())
+            && canon_tag(a) == canon_tag(b))
 }
 
-/// α-equivalence of types as an id compare (after canonicalization).
+/// α-equivalence of types as an id compare (after canonicalization), with
+/// [`tag_alpha_eq`]'s head check first.
 pub fn ty_alpha_eq(a: TyId, b: TyId) -> bool {
-    a == b || canon_ty(a) == canon_ty(b)
+    a == b
+        || (std::mem::discriminant(a.node()) == std::mem::discriminant(b.node())
+            && canon_ty(a) == canon_ty(b))
 }
 
 // ----- telemetry ----------------------------------------------------------
@@ -1395,6 +1402,41 @@ mod tests {
         )
         .id();
         assert!(!ty_alpha_eq(a, c));
+    }
+
+    #[test]
+    fn different_heads_are_unequal_without_canonicalizing() {
+        // Fresh names, so no other test can have canonicalized these nodes.
+        let r = Region::Var(s("heads#r"));
+        let payload = Ty::exist_tag(s("heads#t"), Kind::Omega, Ty::m(r, Tag::Var(s("heads#t"))));
+        let left = Ty::Left(payload.id()).id();
+        let sum = Ty::Sum(payload.id(), Ty::Int.id()).id();
+        assert!(!ty_alpha_eq(left, sum));
+        assert!(
+            TY_CANON.get(left.index()).is_none(),
+            "left σ was canonicalized"
+        );
+        assert!(
+            TY_CANON.get(sum.index()).is_none(),
+            "σ₁ + σ₂ was canonicalized"
+        );
+
+        let lam = Tag::lam(s("heads#u"), Tag::Var(s("heads#u"))).id();
+        let exist = Tag::exist(s("heads#u"), Tag::Var(s("heads#u"))).id();
+        assert!(!tag_alpha_eq(lam, exist));
+        assert!(
+            TAG_CANON.get(lam.index()).is_none(),
+            "λ-tag was canonicalized"
+        );
+        assert!(
+            TAG_CANON.get(exist.index()).is_none(),
+            "∃-tag was canonicalized"
+        );
+
+        // Equal heads still canonicalize, and α-variants still agree.
+        let lam2 = Tag::lam(s("heads#v"), Tag::Var(s("heads#v"))).id();
+        assert!(tag_alpha_eq(lam, lam2));
+        assert!(TAG_CANON.get(lam.index()).is_some());
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 use crate::error::{dialect_err, stuck_err, ErrorKind, LangError, Result};
 use crate::faults::FaultPlan;
-use crate::intern::{intern_tag, intern_ty, intern_value, SlotVal, TagId};
+use crate::intern::{intern_tag, intern_ty, intern_value, SlotVal, TagId, TyId};
 use crate::memory::{MemConfig, Memory, ReclaimReport};
 use crate::snapshot::{SnapRing, Snapshot};
 use crate::subst::Subst;
@@ -356,8 +356,7 @@ pub(crate) mod sealed {
         pub(crate) fn load(program: &Program, config: MemConfig) -> Core {
             let mut mem = Memory::new(config);
             for def in &program.code {
-                let ty = def.ty();
-                mem.install_code(Value::Code(Arc::new(def.clone())), ty);
+                mem.install_code(Value::Code(Arc::new(def.clone())), def.ty().id());
             }
             Core {
                 mem,
@@ -1064,16 +1063,16 @@ pub(crate) fn widen_psi(
 ) -> Result<()> {
     let mut visited: HashSet<(RegionName, u32)> = HashSet::new();
     widen_visit(mem, v, tag, from, to, &mut visited)?;
-    // Drop unreached from-region entries.
-    if let Some(entries) = mem.psi_region(from) {
-        let dead: Vec<u32> = entries
-            .keys()
-            .copied()
-            .filter(|loc| !visited.contains(&(from, *loc)))
-            .collect();
-        for loc in dead {
-            mem.remove_psi_entry(from, loc);
-        }
+    // Drop unreached from-region entries, in offset order.
+    let dead: Vec<u32> = mem
+        .region(from)
+        .into_iter()
+        .flat_map(|r| r.iter())
+        .map(|(loc, _)| loc)
+        .filter(|&loc| mem.psi_entry(from, loc).is_some() && !visited.contains(&(from, loc)))
+        .collect();
+    for loc in dead {
+        mem.set_psi_entry(from, loc, None);
     }
     Ok(())
 }
@@ -1100,8 +1099,7 @@ fn widen_visit(
             if !visited.insert((nu, loc)) {
                 return Ok(());
             }
-            let c_ty = c_stored_ty(tag, from, to);
-            mem.rewrite_psi_entry(nu, loc, c_ty);
+            mem.set_psi_entry(nu, loc, Some(c_stored_ty(tag, from, to)));
             let stored = mem.get(nu, loc)?.clone();
             match stored {
                 Value::Inl(inner) => match &*inner {
@@ -1130,8 +1128,7 @@ fn widen_visit(
             if !visited.insert((nu, loc)) {
                 return Ok(());
             }
-            let c_ty = c_stored_ty(tag, from, to);
-            mem.rewrite_psi_entry(nu, loc, c_ty);
+            mem.set_psi_entry(nu, loc, Some(c_stored_ty(tag, from, to)));
             let stored = mem.get(nu, loc)?.clone();
             match stored {
                 Value::Inl(inner) => match &*inner {
@@ -1182,11 +1179,12 @@ fn widen_visit(
 
 /// The stored-value part (i.e. without the outer `at`) of
 /// `C_{from,to}(τ)` for a heap object.
-fn c_stored_ty(tag: TagId, from: RegionName, to: RegionName) -> Ty {
+fn c_stored_ty(tag: TagId, from: RegionName, to: RegionName) -> TyId {
     let c = intern_ty(Ty::C(Region::Name(from), Region::Name(to), tag));
-    match crate::moper::normalize_ty_id(c, Dialect::Forwarding).node() {
-        Ty::At(inner, _) => inner.node().clone(),
-        other => other.clone(),
+    let nf = crate::moper::normalize_ty_id(c, Dialect::Forwarding);
+    match nf.node() {
+        Ty::At(inner, _) => *inner,
+        _ => nf,
     }
 }
 

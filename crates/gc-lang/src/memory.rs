@@ -41,18 +41,22 @@
 //! for the live data (a heap-growth policy the paper leaves implicit).
 //!
 //! When [`MemConfig::track_types`] is on, the memory also maintains the
-//! memory type `Ψ` (Fig. 7) incrementally: every `put` records the inferred
-//! type of the stored value, `only` restricts `Ψ`, and `widen` (handled by
-//! the machine) rewrites the live entries of the from-region with the `T`
-//! operator of Appendix C. `Ψ` is observer machinery for the
-//! well-formedness checks; it does not affect evaluation.
+//! memory type `Ψ` (Fig. 7) incrementally, as per-slot metadata: each page
+//! keeps one interned [`TyId`] per slot beside its values and size memos,
+//! and `cd` keeps one per code block. Every `put` records the inferred
+//! type of the stored value in its slot, freeing a page (`only`) frees its
+//! entries with it, and `widen` (handled by the machine) rewrites the live
+//! entries of the from-region with the `T` operator of Appendix C and
+//! drops the rest. Checkpoints share `Ψ` with the pages it lives in. `Ψ` is
+//! observer machinery for the well-formedness checks; it does not affect
+//! evaluation, and an untracked memory stores none of it.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use crate::error::{mem_err, oom_err, Result};
-use crate::intern::SlotVal;
-use crate::syntax::{RegionName, Ty, Value, CD};
+use crate::intern::{intern_ty, SlotVal, TyId};
+use crate::syntax::{Region, RegionName, Ty, Value, CD};
 
 /// How budgets for freshly allocated regions are chosen.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -164,6 +168,10 @@ struct Page {
     /// still holds exactly the value whose type `put` inferred into `Ψ`, so
     /// the incremental auditor can skip re-synthesizing it.
     pristine: Vec<u64>,
+    /// Per-slot `Ψ` entries, parallel to `slots` under
+    /// [`MemConfig::track_types`] and empty (never allocated) otherwise.
+    /// `None` is an entry `widen` dropped: a dead slot (Def. 7.1).
+    psi: Vec<Option<TyId>>,
     /// Number of slots currently stored as unforced thunks, so a page free
     /// can bulk-report skipped interning probes in O(1).
     lazy_count: u32,
@@ -539,8 +547,10 @@ impl ReclaimReport {
     }
 }
 
-/// A λGC memory: a BiBOP page store, regions, plus (optionally) the memory
-/// type `Ψ`.
+/// A λGC memory: a BiBOP page store and regions. Under
+/// [`MemConfig::track_types`] it also holds the memory type `Ψ`, as one
+/// interned type per slot in the page beside the slot ([`Memory::psi_entry`]);
+/// `cd`'s types are kept either way.
 ///
 /// # Examples
 ///
@@ -568,6 +578,9 @@ pub struct Memory {
     /// on every `app` step, so it bypasses the page store. Entries are
     /// always the canonical [`SlotVal::Val`] arm — code is never lazy.
     code: Vec<SlotVal>,
+    /// `Ψ` of `cd`: each code block's type, parallel to `code`. Kept
+    /// whether or not types are tracked; it is what code addresses type by.
+    code_tys: Vec<TyId>,
     code_words: usize,
     /// The page store. `pages[id]` is `Some` while page `id` is live; freed
     /// ids are recycled through `free_pages`. Pages sit behind `Arc` so a
@@ -584,7 +597,6 @@ pub struct Memory {
     /// pointers can hide in clean pages, so the next audit must walk
     /// everything.
     full_pending: bool,
-    psi: BTreeMap<RegionName, BTreeMap<u32, Ty>>,
     /// Ids of live data regions. Region ids are never reused, so `regions`
     /// grows monotonically; this index keeps `region_names` (and with it
     /// the per-step incremental audit) O(live) instead of O(ever
@@ -617,17 +629,15 @@ impl Memory {
             .clamp(1, MAX_PAGE_WORDS)
             .next_power_of_two();
         let slot_bits = config.page_words.trailing_zeros();
-        let mut psi = BTreeMap::new();
-        psi.insert(CD, BTreeMap::new());
         Memory {
             regions: vec![None],
             code: Vec::new(),
+            code_tys: Vec::new(),
             code_words: 0,
             pages: Vec::new(),
             free_pages: Vec::new(),
             dirty: BTreeSet::new(),
             full_pending: false,
-            psi,
             live_regions: BTreeSet::new(),
             next_region: 1,
             config,
@@ -647,15 +657,16 @@ impl Memory {
         &self.config
     }
 
-    /// Installs a code block in `cd`, returning its offset.
+    /// Installs a code block in `cd` with its `Ψ` type, returning its
+    /// offset.
     ///
     /// Only used at load time (§4.3: functions are placed into `cd` when
     /// translating code and never directly appear in λGC terms).
-    pub fn install_code(&mut self, code: Value, ty: Ty) -> u32 {
+    pub fn install_code(&mut self, code: Value, ty: TyId) -> u32 {
         let loc = self.code.len() as u32;
         self.code_words += value_words(&code);
         self.code.push(SlotVal::Val(code));
-        self.psi.entry(CD).or_default().insert(loc, ty);
+        self.code_tys.push(ty);
         loc
     }
 
@@ -685,9 +696,6 @@ impl Memory {
             ..RegionData::default()
         });
         self.live_regions.insert(name.0);
-        if self.config.track_types {
-            self.psi.insert(name, BTreeMap::new());
-        }
         name
     }
 
@@ -775,6 +783,11 @@ impl Memory {
                     sizes: Vec::with_capacity(capacity as usize),
                     dirty: vec![0; (capacity as usize).div_ceil(BITMAP_WORD_BITS)],
                     pristine: vec![0; (capacity as usize).div_ceil(BITMAP_WORD_BITS)],
+                    psi: if inferred.is_some() {
+                        Vec::with_capacity(capacity as usize)
+                    } else {
+                        Vec::new()
+                    },
                     lazy_count: 0,
                     in_dirty: false,
                 };
@@ -828,6 +841,9 @@ impl Memory {
             page.occupancy = page.occupancy.wrapping_add(1);
             page.live_words += words;
             page.set_pristine(slot as usize);
+            if inferred.is_some() {
+                page.psi.push(inferred);
+            }
             newly_dirty = page.mark_slot_dirty(slot as usize);
         }
         if newly_dirty {
@@ -839,9 +855,6 @@ impl Memory {
         }
         self.data_words += words;
         let loc = (ordinal << self.slot_bits) | slot;
-        if let Some(ty) = inferred {
-            self.psi.entry(nu).or_default().insert(loc, ty);
-        }
         Ok(PutRecord {
             loc,
             words,
@@ -1031,7 +1044,6 @@ impl Memory {
                 let footprint = self.free_page(pid);
                 report.freed_pages.push((nu, pid, footprint));
             }
-            self.psi.remove(&nu);
             self.data_words -= dropped.words;
             report.dropped.push((nu, dropped.words, dropped.objects));
         }
@@ -1073,7 +1085,6 @@ impl Memory {
         for &pid in &dropped.pages {
             self.free_page(pid);
         }
-        self.psi.remove(&nu);
         self.data_words -= dropped.words;
         self.full_pending = true;
         true
@@ -1255,39 +1266,51 @@ impl Memory {
 
     // ----- Ψ maintenance (observer machinery) ---------------------------
 
-    /// The `Ψ` entry at `ν.ℓ`, if tracked.
-    pub fn psi_entry(&self, nu: RegionName, loc: u32) -> Option<&Ty> {
-        self.psi.get(&nu)?.get(&loc)
+    /// The `Ψ` entry at `ν.ℓ`, resolved through the same ordinal/slot
+    /// lookup as [`Memory::peek`]. `None` for a dangling address, for a
+    /// slot whose entry `widen` dropped, and for every data slot of an
+    /// untracked memory; `cd`'s entries are always kept.
+    pub fn psi_entry(&self, nu: RegionName, loc: u32) -> Option<TyId> {
+        if nu.is_cd() {
+            return self.code_tys.get(loc as usize).copied();
+        }
+        let region = self.regions.get(nu.0 as usize)?.as_ref()?;
+        let pid = *region.pages.get((loc >> self.slot_bits) as usize)?;
+        let page = self.pages.get(pid as usize)?.as_ref()?;
+        page.psi
+            .get((loc as usize) & (self.config.page_words - 1))
+            .copied()
+            .flatten()
     }
 
-    /// All `Ψ` entries of a region, if tracked.
-    pub fn psi_region(&self, nu: RegionName) -> Option<&BTreeMap<u32, Ty>> {
-        self.psi.get(&nu)
-    }
-
-    /// The whole `Ψ` table. Regions are removed from it when they are
-    /// reclaimed, so this is exactly the live memory typing — the auditor
-    /// borrows it wholesale rather than copying it entry by entry.
-    pub fn psi_table(&self) -> &BTreeMap<RegionName, BTreeMap<u32, Ty>> {
-        &self.psi
-    }
-
-    /// Overwrites the `Ψ` entry at `ν.ℓ` (used by the machine's `widen`
-    /// handler to apply the `T` operator of Appendix C).
-    pub fn rewrite_psi_entry(&mut self, nu: RegionName, loc: u32, ty: Ty) {
-        self.psi.entry(nu).or_default().insert(loc, ty);
-    }
-
-    /// Removes a `Ψ` entry (dead garbage discarded by `widen`, Def. 7.1's
-    /// `M̄ ⊆ M`).
-    pub fn remove_psi_entry(&mut self, nu: RegionName, loc: u32) {
-        if let Some(m) = self.psi.get_mut(&nu) {
-            m.remove(&loc);
+    /// Overwrites the `Ψ` entry of the live data slot `ν.ℓ`: the machine's
+    /// `widen` handler rewrites reachable entries with the `T` operator of
+    /// Appendix C and drops (`None`) the rest, dead garbage by Def. 7.1's
+    /// `M̄ ⊆ M`. Does nothing on an untracked memory or a dangling address.
+    /// A page a checkpoint shares is copied first, so the checkpoint keeps
+    /// its entry.
+    pub fn set_psi_entry(&mut self, nu: RegionName, loc: u32, ty: Option<TyId>) {
+        if nu.is_cd() {
+            return;
+        }
+        let Some(&pid) = self
+            .regions
+            .get(nu.0 as usize)
+            .and_then(Option::as_ref)
+            .and_then(|r| r.pages.get((loc >> self.slot_bits) as usize))
+        else {
+            return;
+        };
+        let slot = (loc as usize) & (self.config.page_words - 1);
+        if let Some(page) = self.pages.get_mut(pid as usize).and_then(Option::as_mut) {
+            if slot < page.psi.len() {
+                Arc::make_mut(page).psi[slot] = ty;
+            }
         }
     }
 
     /// Infers the type of a storable value from its structure, its
-    /// annotations, and `Ψ` (for embedded addresses).
+    /// annotations, and `Ψ` (for embedded addresses), as an interned id.
     ///
     /// This is syntax-directed: packages carry their body types, code blocks
     /// their signatures, and addresses are looked up in `Ψ`. The
@@ -1297,78 +1320,78 @@ impl Memory {
     /// # Errors
     ///
     /// Fails on open values or addresses missing from `Ψ`.
-    pub fn infer_stored_ty(&self, v: &Value) -> Result<Ty> {
-        match v {
-            Value::Int(_) => Ok(Ty::Int),
-            Value::Var(x) => Err(mem_err(format!("open value (free variable {x}) in store"))),
+    pub fn infer_stored_ty(&self, v: &Value) -> Result<TyId> {
+        let ty = match v {
+            Value::Int(_) => Ty::Int,
+            Value::Var(x) => {
+                return Err(mem_err(format!("open value (free variable {x}) in store")))
+            }
             Value::Addr(nu, loc) => {
                 let ty = self
                     .psi_entry(*nu, *loc)
                     .ok_or_else(|| mem_err(format!("no Ψ entry for {nu}.{loc}")))?;
-                Ok(ty.clone().at(crate::syntax::Region::Name(*nu)))
+                Ty::At(ty, Region::Name(*nu))
             }
-            Value::Pair(a, b) => Ok(Ty::prod(self.infer_stored_ty(a)?, self.infer_stored_ty(b)?)),
+            Value::Pair(a, b) => Ty::Prod(self.infer_stored_ty(a)?, self.infer_stored_ty(b)?),
             Value::PackTag {
                 tvar,
                 kind,
                 body_ty,
                 ..
-            } => Ok(Ty::ExistTag {
+            } => Ty::ExistTag {
                 tvar: *tvar,
                 kind: *kind,
                 body: *body_ty,
-            }),
+            },
             Value::PackAlpha {
                 avar,
                 regions,
                 body_ty,
                 ..
-            } => Ok(Ty::ExistAlpha {
+            } => Ty::ExistAlpha {
                 avar: *avar,
                 regions: regions.clone(),
                 body: *body_ty,
-            }),
+            },
             Value::PackRgn {
                 rvar,
                 bound,
                 body_ty,
                 ..
-            } => Ok(Ty::ExistRgn {
+            } => Ty::ExistRgn {
                 rvar: *rvar,
                 bound: bound.clone(),
                 body: *body_ty,
-            }),
-            Value::TagApp(f, tags, regions) => {
-                let fty = self.infer_stored_ty(f)?;
-                match fty {
-                    Ty::At(inner, rho) => match &*inner {
-                        Ty::Code { tvars, rvars, args } => {
-                            if tvars.len() != tags.len() || rvars.len() != regions.len() {
-                                return Err(mem_err("translucent application arity mismatch"));
-                            }
-                            let mut sub = crate::subst::Subst::new();
-                            for ((t, _), tau) in tvars.iter().zip(tags.iter()) {
-                                sub = sub.with_tag(*t, *tau);
-                            }
-                            for (r, nu) in rvars.iter().zip(regions.iter()) {
-                                sub = sub.with_rgn(*r, *nu);
-                            }
-                            Ok(Ty::Trans {
-                                tags: tags.clone(),
-                                regions: regions.clone(),
-                                args: args.iter().map(|a| sub.ty_id(*a)).collect(),
-                                rho,
-                            })
+            },
+            Value::TagApp(f, tags, regions) => match self.infer_stored_ty(f)?.node() {
+                Ty::At(inner, rho) => match inner.node() {
+                    Ty::Code { tvars, rvars, args } => {
+                        if tvars.len() != tags.len() || rvars.len() != regions.len() {
+                            return Err(mem_err("translucent application arity mismatch"));
                         }
-                        _ => Err(mem_err("tag application of non-code value")),
-                    },
-                    _ => Err(mem_err("tag application of non-address value")),
-                }
-            }
-            Value::Code(def) => Ok(def.ty()),
-            Value::Inl(x) => Ok(Ty::Left(self.infer_stored_ty(x)?.id())),
-            Value::Inr(x) => Ok(Ty::Right(self.infer_stored_ty(x)?.id())),
-        }
+                        let mut sub = crate::subst::Subst::new();
+                        for ((t, _), tau) in tvars.iter().zip(tags.iter()) {
+                            sub = sub.with_tag(*t, *tau);
+                        }
+                        for (r, nu) in rvars.iter().zip(regions.iter()) {
+                            sub = sub.with_rgn(*r, *nu);
+                        }
+                        Ty::Trans {
+                            tags: tags.clone(),
+                            regions: regions.clone(),
+                            args: args.iter().map(|a| sub.ty_id(*a)).collect(),
+                            rho: *rho,
+                        }
+                    }
+                    _ => return Err(mem_err("tag application of non-code value")),
+                },
+                _ => return Err(mem_err("tag application of non-address value")),
+            },
+            Value::Code(def) => def.ty(),
+            Value::Inl(x) => Ty::Left(self.infer_stored_ty(x)?),
+            Value::Inr(x) => Ty::Right(self.infer_stored_ty(x)?),
+        };
+        Ok(intern_ty(ty))
     }
 
     /// [`Memory::infer_stored_ty`] for either arm of a slot: thunks are
@@ -1379,16 +1402,17 @@ impl Memory {
     /// # Errors
     ///
     /// As [`Memory::infer_stored_ty`].
-    pub fn infer_slot_ty(&self, sv: &SlotVal) -> Result<Ty> {
-        match sv {
-            SlotVal::Val(v) => self.infer_stored_ty(v),
-            SlotVal::LazyPair(c) => Ok(Ty::prod(
+    pub fn infer_slot_ty(&self, sv: &SlotVal) -> Result<TyId> {
+        let ty = match sv {
+            SlotVal::Val(v) => return self.infer_stored_ty(v),
+            SlotVal::LazyPair(c) => Ty::Prod(
                 self.infer_stored_ty(c.0.value())?,
                 self.infer_stored_ty(c.1.value())?,
-            )),
-            SlotVal::LazyInl(c) => Ok(Ty::Left(self.infer_stored_ty(c.value())?.id())),
-            SlotVal::LazyInr(c) => Ok(Ty::Right(self.infer_stored_ty(c.value())?.id())),
-        }
+            ),
+            SlotVal::LazyInl(c) => Ty::Left(self.infer_stored_ty(c.value())?),
+            SlotVal::LazyInr(c) => Ty::Right(self.infer_stored_ty(c.value())?),
+        };
+        Ok(intern_ty(ty))
     }
 }
 
@@ -1544,7 +1568,7 @@ mod tests {
         let mut m = mem();
         let r = m.alloc_region();
         let loc = m.put(r, Value::pair(Value::Int(1), Value::Int(2))).unwrap();
-        assert_eq!(m.psi_entry(r, loc), Some(&Ty::prod(Ty::Int, Ty::Int)));
+        assert_eq!(m.psi_entry(r, loc), Some(Ty::prod(Ty::Int, Ty::Int).id()));
     }
 
     #[test]
@@ -1557,8 +1581,44 @@ mod tests {
             .unwrap();
         assert_eq!(
             m.psi_entry(r, loc),
-            Some(&Ty::prod(Ty::Int.at(Region::Name(r)), Ty::Int))
+            Some(Ty::prod(Ty::Int.at(Region::Name(r)), Ty::Int).id())
         );
+    }
+
+    #[test]
+    fn untracked_memory_stores_no_psi() {
+        let mut m = paged(8, None);
+        let r = m.alloc_region();
+        let loc = m.put(r, Value::Int(1)).unwrap();
+        assert_eq!(m.psi_entry(r, loc), None);
+        let pid = m.live_page_ids()[0];
+        assert_eq!(m.pages[pid as usize].as_ref().unwrap().psi.capacity(), 0);
+        // `cd` types its code addresses either way.
+        let code = m.install_code(Value::Int(0), Ty::Int.id());
+        assert_eq!(m.psi_entry(CD, code), Some(Ty::Int.id()));
+    }
+
+    #[test]
+    fn psi_entries_die_with_their_pages_and_clones_keep_theirs() {
+        let mut m = mem();
+        let r1 = m.alloc_region();
+        let r2 = m.alloc_region();
+        let a = m.put(r1, Value::Int(1)).unwrap();
+        let b = m.put(r1, Value::inl(Value::Int(2))).unwrap();
+        let c = m.put(r2, Value::Int(3)).unwrap();
+        let image = m.clone();
+        let int = Ty::Int.id();
+        m.set_psi_entry(r1, a, Some(Ty::Left(int).id()));
+        m.set_psi_entry(r1, b, None);
+        assert_eq!(m.psi_entry(r1, a), Some(Ty::Left(int).id()));
+        assert_eq!(m.psi_entry(r1, b), None, "widen dropped it");
+        // The image shares pages copy-on-write: its Ψ is the captured one.
+        assert_eq!(image.psi_entry(r1, a), Some(int));
+        assert_eq!(image.psi_entry(r1, b), Some(Ty::Left(int).id()));
+        // A region free takes its Ψ with it; other regions keep theirs.
+        m.only(&[r2]);
+        assert_eq!(m.psi_entry(r1, a), None);
+        assert_eq!(m.psi_entry(r2, c), Some(int));
     }
 
     #[test]

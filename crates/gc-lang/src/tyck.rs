@@ -20,8 +20,7 @@
 //! * `let region r` requires `r` not already in scope (the paper assumes
 //!   unique binders, Appendix A).
 
-use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
 use ps_ir::scope::{unbind_all, Scope};
 use ps_ir::Symbol;
@@ -32,11 +31,8 @@ use crate::machine::Program;
 use crate::memory::Memory;
 use crate::moper::{normalize_ty, normalize_ty_id};
 use crate::subst::{ty_regions, Subst};
-use crate::syntax::{CodeDef, Dialect, Kind, Op, Region, RegionName, Tag, Term, Ty, Value, CD};
+use crate::syntax::{CodeDef, Dialect, Kind, Op, Region, RegionName, Tag, Term, Ty, Value};
 use crate::tags;
-
-/// The memory type `Ψ`: region name → offset → stored-value type.
-pub type PsiTable = BTreeMap<RegionName, BTreeMap<u32, Ty>>;
 
 /// The static environments `∆; Θ; Φ; Γ` of Fig. 6.
 ///
@@ -76,6 +72,13 @@ impl Ctx {
 
 /// The λGC typechecker for a fixed dialect and memory typing.
 ///
+/// The memory typing `Ψ` is read where it lives, never copied: a machine
+/// memory keeps it as one interned type per slot beside the slot
+/// ([`Checker::from_memory`]), and certification's `Ψ|cd`
+/// ([`Checker::check_program`]) is one type per code block. The rules that
+/// restrict `Ψ` (`only`, `widen`, code blocks) narrow a region filter over
+/// that source.
+///
 /// # Examples
 ///
 /// ```
@@ -100,35 +103,46 @@ impl Ctx {
 #[derive(Clone, Debug)]
 pub struct Checker<'p> {
     dialect: Dialect,
-    psi: Cow<'p, PsiTable>,
+    psi: Psi<'p>,
+    /// `Ψ|∆′`: `Some(names)` hides every data region but `names` (`cd` is
+    /// always kept); `None` keeps all of `Dom(Ψ)`.
+    keep: Option<Vec<RegionName>>,
+}
+
+/// Where a [`Checker`] reads `Ψ` from.
+#[derive(Clone, Copy, Debug)]
+enum Psi<'p> {
+    /// `Ψ|cd` alone: `tys[i]` types `cd.i`.
+    Code(&'p [TyId]),
+    /// A machine memory's `Ψ`, read in place from its pages.
+    Memory(&'p Memory),
 }
 
 impl<'p> Checker<'p> {
     /// A checker with an empty `Ψ` (for standalone code).
     pub fn new(dialect: Dialect) -> Checker<'static> {
+        Checker::with_code(dialect, &[])
+    }
+
+    /// A checker whose `Ψ` is `Ψ|cd` with `tys[i]` the type of `cd.i` (the
+    /// table certification checks code blocks under).
+    fn with_code(dialect: Dialect, tys: &'p [TyId]) -> Checker<'p> {
         Checker {
             dialect,
-            psi: Cow::Owned(PsiTable::new()),
+            psi: Psi::Code(tys),
+            keep: None,
         }
     }
 
-    /// A checker with an explicit `Ψ`.
-    pub fn with_psi(dialect: Dialect, psi: PsiTable) -> Checker<'static> {
-        Checker {
-            dialect,
-            psi: Cow::Owned(psi),
-        }
-    }
-
-    /// A checker whose `Ψ` is borrowed from a machine memory (which must
-    /// have been created with type tracking on). Borrowing instead of
-    /// cloning is what keeps the incremental heap audit O(dirty work): the
-    /// auditor builds one of these per audit, and a deep `Ψ` copy every
-    /// step would dwarf the checks themselves.
+    /// A checker whose `Ψ` is a machine memory's, read in place (the memory
+    /// must have been created with type tracking on, or only `cd` is
+    /// typed). Nothing is copied, which is what keeps the incremental heap
+    /// audit O(dirty work).
     pub fn from_memory(dialect: Dialect, mem: &Memory) -> Checker<'_> {
         Checker {
             dialect,
-            psi: Cow::Borrowed(mem.psi_table()),
+            psi: Psi::Memory(mem),
+            keep: None,
         }
     }
 
@@ -137,35 +151,53 @@ impl<'p> Checker<'p> {
         self.dialect
     }
 
-    /// `Dom(Ψ)` as a `∆`.
+    /// `Dom(Ψ)` as a `∆`: `cd`, plus the live regions of a tracked memory
+    /// that the region filter keeps.
     pub fn psi_domain(&self) -> BTreeSet<Region> {
-        self.psi.keys().map(|n| Region::Name(*n)).collect()
+        let mut dom = BTreeSet::from([Region::cd()]);
+        if let Psi::Memory(mem) = self.psi {
+            if mem.config().track_types {
+                dom.extend(
+                    mem.region_names()
+                        .filter(|n| self.keeps(*n))
+                        .map(Region::Name),
+                );
+            }
+        }
+        dom
     }
 
-    fn psi_lookup(&self, nu: RegionName, loc: u32) -> Option<&Ty> {
-        self.psi.get(&nu)?.get(&loc)
+    /// Does the region filter keep `nu`?
+    fn keeps(&self, nu: RegionName) -> bool {
+        nu.is_cd() || self.keep.as_ref().is_none_or(|k| k.contains(&nu))
     }
 
-    /// `Ψ|∆′` — restrict to the given names plus `cd`. A restriction that
-    /// keeps every region borrows `Ψ` instead of copying it: under
-    /// [`Checker::check_program`] `Ψ` holds only `cd`, and copying `Ψ|cd`
-    /// for each of n code blocks would make certification O(n²).
-    fn restrict_psi(&self, keep: &BTreeSet<Region>) -> Checker<'_> {
-        let kept = |n: &RegionName| n.is_cd() || keep.contains(&Region::Name(*n));
-        let psi = if self.psi.keys().all(kept) {
-            Cow::Borrowed(&*self.psi)
-        } else {
-            Cow::Owned(
-                self.psi
-                    .iter()
-                    .filter(|(n, _)| kept(n))
-                    .map(|(n, t)| (*n, t.clone()))
-                    .collect(),
-            )
-        };
+    fn psi_lookup(&self, nu: RegionName, loc: u32) -> Option<TyId> {
+        if !self.keeps(nu) {
+            return None;
+        }
+        match self.psi {
+            Psi::Code(tys) if nu.is_cd() => tys.get(loc as usize).copied(),
+            Psi::Code(_) => None,
+            Psi::Memory(mem) => mem.psi_entry(nu, loc),
+        }
+    }
+
+    /// `Ψ|∆′` — restrict to the given names plus `cd`. Only the region
+    /// filter changes: it becomes the names both it and `keep` keep, and
+    /// `Ψ` itself is shared, so checking n code blocks stays O(n).
+    fn restrict_psi(&self, keep: &BTreeSet<Region>) -> Checker<'p> {
+        let names = keep
+            .iter()
+            .filter_map(|r| match r {
+                Region::Name(n) if self.keeps(*n) => Some(*n),
+                _ => None,
+            })
+            .collect();
         Checker {
             dialect: self.dialect,
-            psi,
+            psi: self.psi,
+            keep: Some(names),
         }
     }
 
@@ -191,13 +223,8 @@ impl<'p> Checker<'p> {
     /// Returns the first kinding/typing error found, with context naming
     /// the offending code block.
     pub fn check_program(program: &Program) -> Result<()> {
-        let mut cd_entries = BTreeMap::new();
-        for (i, def) in program.code.iter().enumerate() {
-            cd_entries.insert(i as u32, def.ty());
-        }
-        let mut psi = PsiTable::new();
-        psi.insert(CD, cd_entries);
-        let checker = Checker::with_psi(program.dialect, psi);
+        let cd: Vec<TyId> = program.code.iter().map(|def| def.ty().id()).collect();
+        let checker = Checker::with_code(program.dialect, &cd);
         for def in &program.code {
             checker
                 .check_code(def)
@@ -411,7 +438,7 @@ impl<'p> Checker<'p> {
                 let sigma = self
                     .psi_lookup(*nu, *loc)
                     .ok_or_else(|| type_err(format!("no Ψ entry for address {nu}.{loc}")))?;
-                Ok(sigma.clone().at(Region::Name(*nu)))
+                Ok(Ty::At(sigma, Region::Name(*nu)))
             }
             Value::Pair(a, b) => Ok(Ty::prod(
                 self.synth_value(ctx, a)?,
@@ -557,11 +584,18 @@ impl<'p> Checker<'p> {
         self.check_value_id(ctx, v, expected.id(), true)
     }
 
-    /// [`Self::check_value`] against an interned type. `explain` only
-    /// decides whether a failure carries a message: the sum rule tries
-    /// `left`, then `right`, and throws both attempts' errors away, so the
-    /// attempts run with `explain` off and fail without formatting one.
-    fn check_value_id(&self, ctx: &Ctx, v: &Value, expected: TyId, explain: bool) -> Result<()> {
+    /// [`Self::check_value`] against an interned type (the auditors pass a
+    /// `Ψ` entry as it is stored). `explain` only decides whether a failure
+    /// carries a message: the sum rule tries `left`, then `right`, and
+    /// throws both attempts' errors away, so the attempts run with
+    /// `explain` off and fail without formatting one.
+    pub(crate) fn check_value_id(
+        &self,
+        ctx: &Ctx,
+        v: &Value,
+        expected: TyId,
+        explain: bool,
+    ) -> Result<()> {
         let synth = self.synth_value(ctx, v);
         self.check_synthed(ctx, v, &synth, expected, explain)
     }
@@ -1296,7 +1330,7 @@ fn subst_ctx(ctx: &Ctx, sub: &Subst, add: Option<Region>) -> Ctx {
 mod tests {
     use super::*;
     use crate::moper::ty_eq;
-    use crate::syntax::PrimOp;
+    use crate::syntax::{PrimOp, CD};
 
     fn s(x: &str) -> Symbol {
         Symbol::intern(x)
@@ -1990,9 +2024,8 @@ mod tests {
             params: vec![(s("x"), Ty::m(Region::cd(), Tag::Var(t)))],
             body: Term::Halt(Value::Int(0)),
         };
-        let mut psi = PsiTable::new();
-        psi.insert(CD, BTreeMap::from([(0u32, def.ty())]));
-        let ck = Checker::with_psi(Dialect::Basic, psi);
+        let cd = [def.ty().id()];
+        let ck = Checker::with_code(Dialect::Basic, &cd);
         let tapp = Value::tag_app(Value::Addr(CD, 0), [Tag::Int], []);
         let ok = Term::app(tapp.clone(), [Tag::Int], [], [Value::Int(1)]);
         ck.check_term(&mut Ctx::empty(), &ok).unwrap();
@@ -2002,21 +2035,30 @@ mod tests {
 
     #[test]
     fn addr_types_come_from_psi() {
-        let mut psi = PsiTable::new();
-        psi.insert(RegionName(1), BTreeMap::from([(0u32, Ty::Int)]));
-        let ck = Checker::with_psi(Dialect::Basic, psi);
+        let mut mem = Memory::new(crate::memory::MemConfig {
+            track_types: true,
+            ..Default::default()
+        });
+        let nu = mem.alloc_region();
+        let loc = mem.put(nu, Value::Int(7)).unwrap();
+        let ck = Checker::from_memory(Dialect::Basic, &mem);
         let mut ctx = Ctx::empty();
-        ctx.delta.insert(Region::Name(RegionName(1)));
-        let t = ck
-            .synth_value(&ctx, &Value::Addr(RegionName(1), 0))
-            .unwrap();
-        assert!(ty_eq(
-            &t,
-            &Ty::Int.at(Region::Name(RegionName(1))),
-            Dialect::Basic
-        ));
+        ctx.delta = ck.psi_domain();
+        assert!(ctx.delta.contains(&Region::Name(nu)));
+        let t = ck.synth_value(&ctx, &Value::Addr(nu, loc)).unwrap();
+        assert!(ty_eq(&t, &Ty::Int.at(Region::Name(nu)), Dialect::Basic));
+        assert!(ck.synth_value(&ctx, &Value::Addr(nu, loc + 1)).is_err());
         assert!(ck
-            .synth_value(&ctx, &Value::Addr(RegionName(2), 0))
+            .synth_value(&ctx, &Value::Addr(RegionName(nu.0 + 1), 0))
             .is_err());
+        // `Ψ|∆′` hides the regions `only` drops, and keeps hiding them
+        // under a later restriction that names them again.
+        let hidden = ck.restrict_psi(&BTreeSet::new());
+        assert!(!hidden.psi_domain().contains(&Region::Name(nu)));
+        assert!(hidden.synth_value(&ctx, &Value::Addr(nu, loc)).is_err());
+        let again = hidden.restrict_psi(&BTreeSet::from([Region::Name(nu)]));
+        assert!(again.synth_value(&ctx, &Value::Addr(nu, loc)).is_err());
+        let kept = ck.restrict_psi(&BTreeSet::from([Region::Name(nu)]));
+        assert!(kept.synth_value(&ctx, &Value::Addr(nu, loc)).is_ok());
     }
 }

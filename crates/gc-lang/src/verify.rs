@@ -88,6 +88,8 @@ pub fn audit_dirty(mem: &mut Memory, dialect: Dialect) -> Result<()> {
 
 fn audit_dirty_inner(mem: &Memory, dialect: Dialect) -> Result<()> {
     audit_budgets(mem)?;
+    // The typing context is built on the first slot that needs a typed
+    // re-check: most audited steps dirty only pristine slots.
     let mut typing: Option<(Checker, Ctx)> = None;
     let mut work: Vec<(RegionName, u32)> = Vec::new();
     for pid in mem.dirty_page_ids() {
@@ -117,12 +119,6 @@ fn audit_dirty_inner(mem: &Memory, dialect: Dialect) -> Result<()> {
                 }
             }
             if mem.config().track_types {
-                let (checker, ctx) = typing.get_or_insert_with(|| {
-                    let checker = Checker::from_memory(dialect, mem);
-                    let mut ctx = Ctx::empty();
-                    ctx.delta = checker.psi_domain();
-                    (checker, ctx)
-                });
                 let Some(entry) = mem.psi_entry(nu, loc) else {
                     // Dead garbage discarded by widen (Def. 7.1) — only the
                     // forwarding dialect may have Ψ-less slots.
@@ -137,8 +133,10 @@ fn audit_dirty_inner(mem: &Memory, dialect: Dialect) -> Result<()> {
                 // (This trusts put-time inference; the full walk re-checks
                 // everything.)
                 if !page.is_pristine(slot) {
+                    let (checker, ctx) =
+                        typing.get_or_insert_with(|| wf::typing_context(mem, dialect));
                     checker
-                        .check_value(ctx, &stored.canonical(), entry)
+                        .check_value_id(ctx, &stored.canonical(), entry, true)
                         .map_err(|e| {
                             wf_err(format!("slot {nu}.{loc} does not match its Ψ type: {e}"))
                         })?;
@@ -311,9 +309,7 @@ fn audit_pointers(reachable: &Reachable) -> Result<()> {
 /// keeps the audit identical across the substitution and environment
 /// backends (whose in-flight terms differ only by pending substitutions).
 fn audit_psi(mem: &Memory, dialect: Dialect, reachable: &Reachable) -> Result<()> {
-    let checker = Checker::from_memory(dialect, mem);
-    let mut ctx = Ctx::empty();
-    ctx.delta = checker.psi_domain();
+    let (checker, ctx) = wf::typing_context(mem, dialect);
     for nu in mem.region_names() {
         if nu.is_cd() {
             continue;
@@ -334,7 +330,7 @@ fn audit_psi(mem: &Memory, dialect: Dialect, reachable: &Reachable) -> Result<()
                 return Err(wf_err(format!("slot {nu}.{loc} has no Ψ entry")));
             };
             checker
-                .check_value(&ctx, &stored.canonical(), entry)
+                .check_value_id(&ctx, &stored.canonical(), entry, true)
                 .map_err(|e| wf_err(format!("slot {nu}.{loc} does not match its Ψ type: {e}")))?;
         }
     }

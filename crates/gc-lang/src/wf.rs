@@ -68,9 +68,7 @@ pub fn check_state(machine: &SubstMachine, opts: WfOptions) -> Result<()> {
         ));
     }
     let dialect = machine.dialect();
-    let checker = Checker::from_memory(dialect, machine.memory());
-    let mut ctx = Ctx::empty();
-    ctx.delta = checker.psi_domain();
+    let (checker, mut ctx) = typing_context(machine.memory(), dialect);
 
     // Which slots to validate.
     let reachable = (opts.reachable_only || dialect == Dialect::Forwarding)
@@ -102,7 +100,7 @@ pub fn check_state(machine: &SubstMachine, opts: WfOptions) -> Result<()> {
                 ));
             };
             checker
-                .check_value(&ctx, &stored.canonical(), entry)
+                .check_value_id(&ctx, &stored.canonical(), entry, true)
                 .map_err(|e| e.in_context(format!("store slot {nu}.{loc}")))?;
         }
     }
@@ -111,6 +109,15 @@ pub fn check_state(machine: &SubstMachine, opts: WfOptions) -> Result<()> {
     checker
         .check_term(&mut ctx, machine.term())
         .map_err(|e| e.in_context("current term"))
+}
+
+/// The context a stored value is checked in: `Ψ` read in place from
+/// `mem`, and `∆ = Dom(Ψ)`.
+pub(crate) fn typing_context(mem: &Memory, dialect: Dialect) -> (Checker<'_>, Ctx) {
+    let checker = Checker::from_memory(dialect, mem);
+    let mut ctx = Ctx::empty();
+    ctx.delta = checker.psi_domain();
+    (checker, ctx)
 }
 
 /// The store addresses reachable from a root term, found by the one walk

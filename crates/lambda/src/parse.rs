@@ -206,12 +206,52 @@ impl<'a> Lexer<'a> {
     }
 }
 
+/// How deep parenthesized expressions and types may nest. Each level
+/// recurses through five parser frames (`atom`, `expr`, `add_expr`,
+/// `mul_expr`, `app_expr`), so without a budget deep nesting overflows the
+/// stack and aborts the process instead of failing to parse.
+///
+/// Measured on x86-64 without the budget, by bisecting `psgc check` over
+/// `((…(1)…))`: the debug `psgc` (what `cargo test` runs) overflows its
+/// 8 MiB main thread at about 1 010 levels, some 8 KiB of stack a level,
+/// and a release build between 5 000 and 10 000. The deepest nesting the
+/// repository's tests, examples and benchmark workloads parse is 16
+/// (counted by an instrumented run of all three). 128 levels take about
+/// 1 MiB in a debug build, so the budget trips first even on a 2 MiB
+/// spawned or test thread.
+const MAX_NESTING: usize = 128;
+
 struct Parser {
     toks: Vec<(usize, usize, Tok)>,
     idx: usize,
+    /// Parenthesized groups currently open (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Parser {
+    fn new(toks: Vec<(usize, usize, Tok)>) -> Parser {
+        Parser {
+            toks,
+            idx: 0,
+            depth: 0,
+        }
+    }
+
+    /// Runs `f` one parenthesized group deeper, failing once more than
+    /// [`MAX_NESTING`] groups are open.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Parser) -> PResult<T>) -> PResult<T> {
+        if self.depth == MAX_NESTING {
+            return Err(ParseError {
+                pos: self.pos(),
+                msg: format!("parentheses nested more than {MAX_NESTING} deep"),
+            });
+        }
+        self.depth += 1;
+        let result = f(self);
+        self.depth -= 1;
+        result
+    }
+
     fn peek(&self) -> Option<&Tok> {
         self.toks.get(self.idx).map(|(_, _, t)| t)
     }
@@ -284,11 +324,11 @@ impl Parser {
     fn ty_atom(&mut self) -> PResult<SrcTy> {
         match self.bump() {
             Some(Tok::KwInt) => Ok(SrcTy::Int),
-            Some(Tok::LParen) => {
-                let t = self.ty()?;
-                self.expect(Tok::RParen, ")")?;
+            Some(Tok::LParen) => self.nested(|p| {
+                let t = p.ty()?;
+                p.expect(Tok::RParen, ")")?;
                 Ok(t)
-            }
+            }),
             other => Err(ParseError {
                 pos: self.pos(),
                 msg: format!("expected a type, found {other:?}"),
@@ -392,21 +432,21 @@ impl Parser {
             Some(Tok::Ident(s)) => Ok(Expr::Var(Symbol::intern(&s))),
             Some(Tok::KwFst) => Ok(Expr::Proj(1, self.atom()?.into())),
             Some(Tok::KwSnd) => Ok(Expr::Proj(2, self.atom()?.into())),
-            Some(Tok::LParen) => {
-                let first = self.expr()?;
-                match self.peek() {
+            Some(Tok::LParen) => self.nested(|p| {
+                let first = p.expr()?;
+                match p.peek() {
                     Some(Tok::Comma) => {
-                        self.idx += 1;
-                        let second = self.expr()?;
-                        self.expect(Tok::RParen, ")")?;
+                        p.idx += 1;
+                        let second = p.expr()?;
+                        p.expect(Tok::RParen, ")")?;
                         Ok(Expr::pair(first, second))
                     }
                     _ => {
-                        self.expect(Tok::RParen, ")")?;
+                        p.expect(Tok::RParen, ")")?;
                         Ok(first)
                     }
                 }
-            }
+            }),
             other => Err(ParseError {
                 pos: self.pos(),
                 msg: format!("expected an expression, found {other:?}"),
@@ -459,8 +499,7 @@ impl Parser {
 ///
 /// Returns a [`ParseError`] with the byte position of the first problem.
 pub fn parse_program(src: &str) -> PResult<SrcProgram> {
-    let toks = Lexer::lex(src)?;
-    Parser { toks, idx: 0 }.program()
+    Parser::new(Lexer::lex(src)?).program()
 }
 
 /// Parses a single expression.
@@ -469,8 +508,7 @@ pub fn parse_program(src: &str) -> PResult<SrcProgram> {
 ///
 /// Returns a [`ParseError`] on malformed or trailing input.
 pub fn parse_expr(src: &str) -> PResult<Expr> {
-    let toks = Lexer::lex(src)?;
-    let mut p = Parser { toks, idx: 0 };
+    let mut p = Parser::new(Lexer::lex(src)?);
     let e = p.expr()?;
     if p.idx != p.toks.len() {
         return Err(ParseError {
@@ -487,8 +525,7 @@ pub fn parse_expr(src: &str) -> PResult<Expr> {
 ///
 /// Returns a [`ParseError`] on malformed or trailing input.
 pub fn parse_ty(src: &str) -> PResult<SrcTy> {
-    let toks = Lexer::lex(src)?;
-    let mut p = Parser { toks, idx: 0 };
+    let mut p = Parser::new(Lexer::lex(src)?);
     let t = p.ty()?;
     if p.idx != p.toks.len() {
         return Err(ParseError {
@@ -610,6 +647,19 @@ mod tests {
         assert!(err.msg.contains("expected an expression"));
         let err = parse_program("fun f (x : int) = x  1").unwrap_err();
         assert!(err.msg.contains("expected"));
+    }
+
+    #[test]
+    fn nesting_past_the_budget_is_a_parse_error() {
+        let nest = |n: usize, inner: &str| format!("{}{inner}{}", "(".repeat(n), ")".repeat(n));
+        assert_eq!(parse_expr(&nest(MAX_NESTING, "1")).unwrap(), Expr::Int(1));
+        assert!(parse_ty(&nest(MAX_NESTING, "int")).is_ok());
+        for err in [
+            parse_expr(&nest(MAX_NESTING + 1, "1")).unwrap_err(),
+            parse_ty(&nest(MAX_NESTING + 1, "int")).unwrap_err(),
+        ] {
+            assert!(err.msg.contains("nested more than 128"), "{err}");
+        }
     }
 
     #[test]

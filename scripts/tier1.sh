@@ -52,14 +52,17 @@ fi
 # audited every step must be byte-identical to the unaudited run — stdout,
 # stats, metrics, page counters — on every collector × backend, without
 # and with the memory typing Ψ tracked (with it, the auditor also re-checks
-# each slot written since its `put` against its Ψ type). `cmp` on the
+# each slot written since its `put` against its Ψ type, while a checkpoint
+# every 16 steps shares the Ψ-bearing pages copy-on-write). `cmp` on the
 # whole observable output is the gate.
 for types in "" --track-types; do
+  checkpoints=()
+  if [ -n "$types" ]; then checkpoints=(--checkpoint-every 16); fi
   for collector in basic forwarding generational; do
     for backend in subst env bytecode; do
       run=(./target/release/psgc run "$tmp" --collector "$collector" --backend "$backend" --budget 64 $types --stats --stats-pages --metrics)
       plain="$("${run[@]}" 2>&1)"
-      audited="$("${run[@]}" --verify-every 1 --audit incremental 2>&1)"
+      audited="$("${run[@]}" --verify-every 1 --audit incremental "${checkpoints[@]}" 2>&1)"
       if [ "$plain" != "$audited" ]; then
         echo "tier-1: incremental audit changed observable output on $collector/$backend ${types:-untyped}" >&2
         diff <(printf '%s\n' "$plain") <(printf '%s\n' "$audited") >&2 || true

@@ -159,6 +159,31 @@ fn exit_codes_distinguish_failure_classes() {
     );
 }
 
+/// Nesting past the parser's budget is a parse error, not a stack
+/// overflow: 50 000 parentheses around an expression or a type exit 3 on
+/// every command that parses source.
+#[test]
+fn deep_parentheses_are_a_parse_error() {
+    let dir = Scratch::new("psgc-cli");
+    let (open, close) = ("(".repeat(50_000), ")".repeat(50_000));
+    let expr = dir.write("deep_expr.lam", &format!("{open}1{close}"));
+    let ty = dir.write(
+        "deep_ty.lam",
+        &format!("fun f (x : {open}int{close}) : int = x\n f 1"),
+    );
+    for prog in [expr, ty] {
+        let prog = prog.to_str().unwrap();
+        for cmd in ["run", "check", "eval"] {
+            let out = psgc(&[cmd, prog]);
+            assert_eq!(exit_code(&out), 3, "{cmd} {prog}: {out:?}");
+            assert!(
+                String::from_utf8_lossy(&out.stderr).contains("parentheses nested more than"),
+                "{cmd} {prog}: {out:?}"
+            );
+        }
+    }
+}
+
 #[test]
 fn every_fault_spec_round_trips_through_the_cli_to_exit_code_4() {
     let dir = Scratch::new("psgc-cli");

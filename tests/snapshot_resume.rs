@@ -7,6 +7,9 @@
 
 use proptest::prelude::*;
 
+use scavenger::gc_lang::intern::TyId;
+use scavenger::gc_lang::memory::Memory;
+use scavenger::gc_lang::syntax::RegionName;
 use scavenger::telemetry::{GcEvent, Recorder, SharedObserver};
 use scavenger::{Backend, Collector, Compiled, Machine, RunOptions, Snapshot};
 
@@ -174,6 +177,97 @@ fn checkpointing_changes_nothing_but_snapshot_events() {
                     );
                 }
             }
+        }
+    }
+}
+
+/// Every data slot's `Ψ` entry, in region and offset order.
+fn psi_of(mem: &Memory) -> Vec<(RegionName, u32, Option<TyId>)> {
+    mem.region_names()
+        .filter(|nu| !nu.is_cd())
+        .flat_map(|nu| {
+            let locs: Vec<u32> = mem
+                .region(nu)
+                .into_iter()
+                .flat_map(|r| r.iter())
+                .map(|(l, _)| l)
+                .collect();
+            locs.into_iter()
+                .map(move |loc| (nu, loc, mem.psi_entry(nu, loc)))
+        })
+        .collect()
+}
+
+/// Ψ across checkpoints. Under the forwarding collector with the memory
+/// typing tracked, a snapshot taken as the first collection starts keeps
+/// the `Ψ` of its capture step while the machine that took it runs on:
+/// `widen` rewrites and drops entries in pages the snapshot still shares.
+/// Restored onto any backend, it passes a full typed audit and finishes
+/// with the uninterrupted run's result, statistics and page counters.
+#[test]
+fn typed_snapshots_keep_their_psi_across_a_collection() {
+    let compiled = compile(Collector::Forwarding);
+    let config = RunOptions::builder()
+        .budget(64)
+        .track_types(true)
+        .build()
+        .mem_config();
+    let finish = |m: &mut Box<dyn Machine>| match m.run(1_000_000).expect("clean program") {
+        scavenger::gc_lang::machine::Outcome::Halted(n) => n,
+        other => panic!("run did not halt: {other:?}"),
+    };
+    let mut want = Backend::Subst.load(&compiled.program, config);
+    let want_n = finish(&mut want);
+    let want_pages = want.memory().page_stats();
+
+    for from in Backend::ALL {
+        // Stop at the first full `ifgc`: the collection, and its `widen`,
+        // are next.
+        let mut a = from.load(&compiled.program, config);
+        while a.stats().gc_triggers == 0 {
+            a.step().expect("clean program");
+        }
+        let k = a.stats().steps;
+        let captured = psi_of(a.memory());
+        let snap = a.snapshot();
+        // Run on until an entry the snapshot holds changes in place: that
+        // is `widen` rewriting or dropping it, since its region is live.
+        let changed = |m: &Memory| {
+            captured
+                .iter()
+                .any(|&(nu, loc, ty)| m.has_region(nu) && m.psi_entry(nu, loc) != ty)
+        };
+        while !changed(a.memory()) {
+            assert_eq!(
+                a.halted(),
+                None,
+                "{from}: no widen changed the snapshot's Ψ"
+            );
+            a.step().expect("clean program");
+        }
+        assert_eq!(
+            psi_of(snap.memory()),
+            captured,
+            "{from}: the snapshot's Ψ changed with its machine's"
+        );
+        assert_eq!(finish(&mut a), want_n, "{from}: interrupted machine");
+
+        let mut audit_at_k = Backend::Subst.load(&compiled.program, config);
+        audit_at_k.run(k).expect("clean program");
+        let want_audit = audit_at_k.audit().map_err(|e| e.to_string());
+        assert_eq!(want_audit, Ok(()), "the uninterrupted run at step {k}");
+        for to in Backend::ALL {
+            let mut b = to.load(&compiled.program, config);
+            b.restore(&snap).expect("dialects match");
+            assert_eq!(psi_of(b.memory()), captured, "{from}→{to}: restored Ψ");
+            assert_eq!(
+                b.audit().map_err(|e| e.to_string()),
+                want_audit,
+                "{from}→{to}: full typed audit after restore"
+            );
+            assert_eq!(finish(&mut b), want_n, "{from}→{to}: result");
+            assert_eq!(b.stats(), want.stats(), "{from}→{to}: stats");
+            assert_eq!(b.memory().page_stats(), want_pages, "{from}→{to}: pages");
         }
     }
 }
