@@ -104,7 +104,10 @@ fn gc() -> CodeDef {
         name: s("gc"),
         tvars: vec![(s("t"), Kind::Omega)],
         rvars: vec![s("r1")],
-        params: vec![(s("f"), f_ty), (s("x"), Ty::m(rv("r1"), Tag::Var(s("t"))))],
+        params: vec![
+            (s("f"), f_ty.id()),
+            (s("x"), Ty::m(rv("r1"), Tag::Var(s("t"))).id()),
+        ],
         body,
     }
 }
@@ -125,8 +128,8 @@ fn gcend() -> CodeDef {
         ],
         rvars: vec![s("r1"), s("r2"), s("r3")],
         params: vec![
-            (s("y"), Ty::m(rv("r2"), t1.clone())),
-            (s("f"), mutator_fn_ty(t1)),
+            (s("y"), Ty::m(rv("r2"), t1.clone()).id()),
+            (s("f"), mutator_fn_ty(t1).id()),
         ],
         body,
     }
@@ -226,7 +229,7 @@ fn copy() -> CodeDef {
     };
 
     let body = Term::Typecase {
-        tag: t.clone(),
+        tag: t.id(),
         int_arm: (scalar_arm.clone()).into(),
         arrow_arm: (scalar_arm).into(),
         prod_arm: (s("ta"), s("tb"), (prod_arm).into()),
@@ -236,7 +239,10 @@ fn copy() -> CodeDef {
         name: s("copy"),
         tvars: vec![(s("t"), Kind::Omega)],
         rvars: vec![s("r1"), s("r2"), s("r3")],
-        params: vec![(s("x"), Ty::m(rv("r1"), t.clone())), (s("k"), sh.tk(&t))],
+        params: vec![
+            (s("x"), Ty::m(rv("r1"), t.clone()).id()),
+            (s("k"), sh.tk(&t).id()),
+        ],
         body,
     }
 }
@@ -291,8 +297,8 @@ fn copypair1() -> CodeDef {
         ],
         rvars: vec![s("r1"), s("r2"), s("r3")],
         params: vec![
-            (s("x1"), Ty::m(rv("r2"), t1.clone())),
-            (s("c"), Ty::prod(Ty::m(rv("r1"), t2), sh.tk(&pair_tag))),
+            (s("x1"), Ty::m(rv("r2"), t1.clone()).id()),
+            (s("c"), Ty::prod(Ty::m(rv("r1"), t2), sh.tk(&pair_tag)).id()),
         ],
         body,
     }
@@ -341,8 +347,8 @@ fn copypair2() -> CodeDef {
         ],
         rvars: vec![s("r1"), s("r2"), s("r3")],
         params: vec![
-            (s("x2"), Ty::m(rv("r2"), t1.clone())),
-            (s("c"), Ty::prod(Ty::m(rv("r2"), t2), sh.tk(&pair_tag))),
+            (s("x2"), Ty::m(rv("r2"), t1.clone()).id()),
+            (s("c"), Ty::prod(Ty::m(rv("r2"), t2), sh.tk(&pair_tag)).id()),
         ],
         body,
     }
@@ -383,8 +389,8 @@ fn copyexist1() -> CodeDef {
         ],
         rvars: vec![s("r1"), s("r2"), s("r3")],
         params: vec![
-            (s("z"), Ty::m(rv("r2"), payload_tag)),
-            (s("c"), sh.tk(&exist_tag)),
+            (s("z"), Ty::m(rv("r2"), payload_tag).id()),
+            (s("c"), sh.tk(&exist_tag).id()),
         ],
         body,
     }
@@ -426,7 +432,7 @@ mod tests {
         assert_eq!(gc.rvars.len(), 1);
         assert_eq!(gc.params.len(), 2);
         // x : M_{r1}(t)
-        match &gc.params[1].1 {
+        match gc.params[1].1.node() {
             Ty::M(Region::Var(r), tag) => {
                 assert_eq!(*r, s("r1"));
                 assert_eq!(**tag, Tag::Var(s("t")));

@@ -135,7 +135,7 @@ fn gc() -> CodeDef {
                 x: s("w"),
                 from: rv("r1"),
                 to: rv("r2"),
-                tag: bundle_tag,
+                tag: bundle_tag.into(),
                 v: Value::Var(s("w0")),
                 body: (after_widen).into(),
             },
@@ -146,7 +146,10 @@ fn gc() -> CodeDef {
         name: s("gc"),
         tvars: vec![(s("t"), Kind::Omega)],
         rvars: vec![s("r1")],
-        params: vec![(s("f"), f_ty), (s("x"), Ty::m(rv("r1"), Tag::Var(s("t"))))],
+        params: vec![
+            (s("f"), f_ty.id()),
+            (s("x"), Ty::m(rv("r1"), Tag::Var(s("t"))).id()),
+        ],
         body,
     }
 }
@@ -167,8 +170,8 @@ fn gcend() -> CodeDef {
         ],
         rvars: vec![s("r1"), s("r2"), s("r3")],
         params: vec![
-            (s("y"), Ty::m(rv("r2"), t1.clone())),
-            (s("f"), mutator_fn_ty(t1)),
+            (s("y"), Ty::m(rv("r2"), t1.clone()).id()),
+            (s("f"), mutator_fn_ty(t1).id()),
         ],
         body,
     }
@@ -307,7 +310,7 @@ fn copy() -> CodeDef {
     };
 
     let body = Term::Typecase {
-        tag: t.clone(),
+        tag: t.id(),
         int_arm: (scalar_arm.clone()).into(),
         arrow_arm: (scalar_arm).into(),
         prod_arm: (s("ta"), s("tb"), (prod_arm).into()),
@@ -317,7 +320,7 @@ fn copy() -> CodeDef {
         name: s("copy"),
         tvars: vec![(s("t"), Kind::Omega)],
         rvars: vec![s("r1"), s("r2"), s("r3")],
-        params: vec![(s("x"), c_of(t.clone())), (s("k"), sh.tk(&t))],
+        params: vec![(s("x"), c_of(t.clone()).id()), (s("k"), sh.tk(&t).id())],
         body,
     }
 }
@@ -384,10 +387,10 @@ fn fwdpair1() -> CodeDef {
         ],
         rvars: vec![s("r1"), s("r2"), s("r3")],
         params: vec![
-            (s("x1"), Ty::m(rv("r2"), t1.clone())),
+            (s("x1"), Ty::m(rv("r2"), t1.clone()).id()),
             (
                 s("c"),
-                Ty::prod(c_of(pair_tag.clone()), Ty::prod(c_of(t2), sh.tk(&pair_tag))),
+                Ty::prod(c_of(pair_tag.clone()), Ty::prod(c_of(t2), sh.tk(&pair_tag))).id(),
             ),
         ],
         body,
@@ -441,13 +444,14 @@ fn fwdpair2() -> CodeDef {
         ],
         rvars: vec![s("r1"), s("r2"), s("r3")],
         params: vec![
-            (s("x2"), Ty::m(rv("r2"), t1.clone())),
+            (s("x2"), Ty::m(rv("r2"), t1.clone()).id()),
             (
                 s("c"),
                 Ty::prod(
                     c_of(pair_tag.clone()),
                     Ty::prod(Ty::m(rv("r2"), t2), sh.tk(&pair_tag)),
-                ),
+                )
+                .id(),
             ),
         ],
         body,
@@ -499,8 +503,11 @@ fn fwdexist1() -> CodeDef {
         ],
         rvars: vec![s("r1"), s("r2"), s("r3")],
         params: vec![
-            (s("z"), Ty::m(rv("r2"), payload_tag)),
-            (s("c"), Ty::prod(c_of(exist_tag.clone()), sh.tk(&exist_tag))),
+            (s("z"), Ty::m(rv("r2"), payload_tag).id()),
+            (
+                s("c"),
+                Ty::prod(c_of(exist_tag.clone()), sh.tk(&exist_tag)).id(),
+            ),
         ],
         body,
     }

@@ -138,7 +138,10 @@ fn gc() -> CodeDef {
         name: s("gc"),
         tvars: vec![(s("t"), Kind::Omega)],
         rvars: vec![s("ry"), s("ro")],
-        params: vec![(s("f"), f_ty), (s("x"), mg("ry", "ro", Tag::Var(s("t"))))],
+        params: vec![
+            (s("f"), f_ty.id()),
+            (s("x"), mg("ry", "ro", Tag::Var(s("t"))).id()),
+        ],
         body,
     }
 }
@@ -172,8 +175,8 @@ fn gcend() -> CodeDef {
         ],
         rvars: vec![s("ry"), s("ro"), s("r3")],
         params: vec![
-            (s("y"), Ty::mgen(rv("ro"), rv("ro"), t1.clone())),
-            (s("f"), mutator_fn_ty(t1)),
+            (s("y"), Ty::mgen(rv("ro"), rv("ro"), t1.clone()).id()),
+            (s("f"), mutator_fn_ty(t1).id()),
         ],
         body,
     }
@@ -347,7 +350,7 @@ fn copy() -> CodeDef {
     };
 
     let body = Term::Typecase {
-        tag: t.clone(),
+        tag: t.id(),
         int_arm: (scalar_arm.clone()).into(),
         arrow_arm: (scalar_arm).into(),
         prod_arm: (s("ta"), s("tb"), (prod_arm).into()),
@@ -357,7 +360,10 @@ fn copy() -> CodeDef {
         name: s("copy"),
         tvars: vec![(s("t"), Kind::Omega)],
         rvars: vec![s("ry"), s("ro"), s("r3")],
-        params: vec![(s("x"), mg("ry", "ro", t.clone())), (s("k"), sh.tk(&t))],
+        params: vec![
+            (s("x"), mg("ry", "ro", t.clone()).id()),
+            (s("k"), sh.tk(&t).id()),
+        ],
         body,
     }
 }
@@ -407,8 +413,8 @@ fn gpair1() -> CodeDef {
         ],
         rvars: vec![s("ry"), s("ro"), s("r3")],
         params: vec![
-            (s("x1"), Ty::mgen(rv("ro"), rv("ro"), t1.clone())),
-            (s("c"), Ty::prod(mg("ry", "ro", t2), sh.tk(&pair_tag))),
+            (s("x1"), Ty::mgen(rv("ro"), rv("ro"), t1.clone()).id()),
+            (s("c"), Ty::prod(mg("ry", "ro", t2), sh.tk(&pair_tag)).id()),
         ],
         body,
     }
@@ -455,10 +461,10 @@ fn gpair2() -> CodeDef {
         ],
         rvars: vec![s("ry"), s("ro"), s("r3")],
         params: vec![
-            (s("x2"), Ty::mgen(rv("ro"), rv("ro"), t1.clone())),
+            (s("x2"), Ty::mgen(rv("ro"), rv("ro"), t1.clone()).id()),
             (
                 s("c"),
-                Ty::prod(Ty::mgen(rv("ro"), rv("ro"), t2), sh.tk(&pair_tag)),
+                Ty::prod(Ty::mgen(rv("ro"), rv("ro"), t2), sh.tk(&pair_tag)).id(),
             ),
         ],
         body,
@@ -509,8 +515,8 @@ fn gexist1() -> CodeDef {
         ],
         rvars: vec![s("ry"), s("ro"), s("r3")],
         params: vec![
-            (s("z"), Ty::mgen(rv("ro"), rv("ro"), payload_tag)),
-            (s("c"), sh.tk(&exist_tag)),
+            (s("z"), Ty::mgen(rv("ro"), rv("ro"), payload_tag).id()),
+            (s("c"), sh.tk(&exist_tag).id()),
         ],
         body,
     }

@@ -97,7 +97,10 @@ fn gc() -> CodeDef {
         name: s("gcmajor"),
         tvars: vec![(s("t"), Kind::Omega)],
         rvars: vec![s("ry"), s("ro")],
-        params: vec![(s("f"), f_ty), (s("x"), mg("ry", "ro", Tag::Var(s("t"))))],
+        params: vec![
+            (s("f"), f_ty.id()),
+            (s("x"), mg("ry", "ro", Tag::Var(s("t"))).id()),
+        ],
         body,
     }
 }
@@ -135,8 +138,8 @@ fn gcend() -> CodeDef {
         ],
         rvars: vec![s("ry"), s("ro"), s("rn"), s("r3")],
         params: vec![
-            (s("y"), Ty::mgen(rv("rn"), rv("rn"), t1.clone())),
-            (s("f"), mutator_fn_ty(t1)),
+            (s("y"), Ty::mgen(rv("rn"), rv("rn"), t1.clone()).id()),
+            (s("f"), mutator_fn_ty(t1).id()),
         ],
         body,
     }
@@ -290,7 +293,7 @@ fn copy() -> CodeDef {
     };
 
     let body = Term::Typecase {
-        tag: t.clone(),
+        tag: t.id(),
         int_arm: (scalar_arm.clone()).into(),
         arrow_arm: (scalar_arm).into(),
         prod_arm: (s("ta"), s("tb"), (prod_arm).into()),
@@ -300,7 +303,10 @@ fn copy() -> CodeDef {
         name: s("copymajor"),
         tvars: vec![(s("t"), Kind::Omega)],
         rvars: vec![s("ry"), s("ro"), s("rn"), s("r3")],
-        params: vec![(s("x"), mg("ry", "ro", t.clone())), (s("k"), sh.tk(&t))],
+        params: vec![
+            (s("x"), mg("ry", "ro", t.clone()).id()),
+            (s("k"), sh.tk(&t).id()),
+        ],
         body,
     }
 }
@@ -350,8 +356,8 @@ fn mpair1() -> CodeDef {
         ],
         rvars: vec![s("ry"), s("ro"), s("rn"), s("r3")],
         params: vec![
-            (s("x1"), Ty::mgen(rv("rn"), rv("rn"), t1.clone())),
-            (s("c"), Ty::prod(mg("ry", "ro", t2), sh.tk(&pair_tag))),
+            (s("x1"), Ty::mgen(rv("rn"), rv("rn"), t1.clone()).id()),
+            (s("c"), Ty::prod(mg("ry", "ro", t2), sh.tk(&pair_tag)).id()),
         ],
         body,
     }
@@ -398,10 +404,10 @@ fn mpair2() -> CodeDef {
         ],
         rvars: vec![s("ry"), s("ro"), s("rn"), s("r3")],
         params: vec![
-            (s("x2"), Ty::mgen(rv("rn"), rv("rn"), t1.clone())),
+            (s("x2"), Ty::mgen(rv("rn"), rv("rn"), t1.clone()).id()),
             (
                 s("c"),
-                Ty::prod(Ty::mgen(rv("rn"), rv("rn"), t2), sh.tk(&pair_tag)),
+                Ty::prod(Ty::mgen(rv("rn"), rv("rn"), t2), sh.tk(&pair_tag)).id(),
             ),
         ],
         body,
@@ -451,8 +457,8 @@ fn mexist1() -> CodeDef {
         ],
         rvars: vec![s("ry"), s("ro"), s("rn"), s("r3")],
         params: vec![
-            (s("z"), Ty::mgen(rv("rn"), rv("rn"), payload_tag)),
-            (s("c"), sh.tk(&exist_tag)),
+            (s("z"), Ty::mgen(rv("rn"), rv("rn"), payload_tag).id()),
+            (s("c"), sh.tk(&exist_tag).id()),
         ],
         body,
     }

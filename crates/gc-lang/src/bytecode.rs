@@ -670,13 +670,12 @@ impl UnitBuilder {
         }
     }
 
-    fn classify_tag(&self, tau: &Tag, scope: u32) -> TagOp {
-        if let Tag::Var(t) = tau {
+    fn classify_tag(&self, id: TagId, scope: u32) -> TagOp {
+        if let Tag::Var(t) = id.node() {
             if let Some(slot) = self.lookup(scope, Ns::Tag, *t) {
                 return TagOp::Reg(slot);
             }
         }
-        let id = tau.id();
         let binds: Vec<(Symbol, u32)> = tag_fv(id)
             .iter()
             .filter_map(|&t| self.lookup(scope, Ns::Tag, t).map(|slot| (t, slot)))
@@ -752,7 +751,10 @@ impl UnitBuilder {
                 } => {
                     let i = Instr::Call {
                         f: self.classify_val(f, scope),
-                        tags: ts.iter().map(|tau| self.classify_tag(tau, scope)).collect(),
+                        tags: ts
+                            .iter()
+                            .map(|tau| self.classify_tag(*tau, scope))
+                            .collect(),
                         rgns: regions
                             .iter()
                             .map(|r| self.classify_rgn(r, scope))
@@ -833,7 +835,7 @@ impl UnitBuilder {
                     prod_arm,
                     exist_arm,
                 } => {
-                    let tg = self.classify_tag(tag, scope);
+                    let tg = self.classify_tag(*tag, scope);
                     let (t1, t2, prod_body) = prod_arm;
                     let (te, exist_body) = exist_arm;
                     let (psc1, t1dst) = self.bind(scope, Ns::Tag, *t1);
@@ -922,7 +924,7 @@ impl UnitBuilder {
                 } => {
                     let i_from = self.classify_rgn(from, scope);
                     let i_to = self.classify_rgn(to, scope);
-                    let i_tag = self.classify_tag(tag, scope);
+                    let i_tag = self.classify_tag(*tag, scope);
                     let i_v = self.classify_val(v, scope);
                     let (sc1, dst) = self.bind(scope, Ns::Val, *x);
                     self.push(
@@ -1175,47 +1177,23 @@ impl BcMachine {
         Some((unit, src, scope))
     }
 
-    /// The unobserved loop with only checkpoints and/or a deadline armed:
-    /// [`Self::run_fast`] in bounded bursts, pausing exactly at the next
-    /// checkpoint step (and at least every 1024 steps under a deadline).
-    /// With no observer there are no telemetry events to place, so the
-    /// full fused-dispatch speed is kept; the one concession is that a
-    /// collection inside a burst gets its boundary checkpoint at the end
-    /// of the burst — never more than one interval late — rather than at
-    /// the boundary step itself.
-    fn run_fast_chunked(&mut self, fuel: u64, deadline: Option<Instant>) -> Result<Outcome> {
+    /// The unobserved loop under a deadline: [`Self::run_fast`] in bursts
+    /// of 1024 steps, polling the clock between bursts, as the shared run
+    /// loop polls it every 1024 steps.
+    fn run_fast_until(&mut self, fuel: u64, deadline: Instant) -> Result<Outcome> {
         let mut left = fuel;
-        loop {
-            let every = self.core.ctl.checkpoint_every;
-            let to_checkpoint = if every > 0 {
-                every - (self.core.stats.steps % every)
-            } else {
-                u64::MAX
-            };
-            let to_deadline_poll = if deadline.is_some() { 1024 } else { u64::MAX };
-            let chunk = left.min(to_checkpoint).min(to_deadline_poll);
-            let cols = self.core.stats.collections;
-            match self.run_fast(chunk)? {
+        while left > 0 {
+            let burst = left.min(1024);
+            match self.run_fast(burst)? {
                 Outcome::OutOfFuel => {}
                 done => return Ok(done),
             }
-            left -= chunk;
-            if every > 0
-                && (self.core.stats.collections != cols
-                    || self.core.stats.steps.is_multiple_of(every))
-            {
-                let snap = self.snapshot();
-                self.core.ctl.push_snapshot(snap);
-            }
-            if let Some(dl) = deadline {
-                if Instant::now() >= dl {
-                    return Ok(Outcome::DeadlineExceeded);
-                }
-            }
-            if left == 0 {
-                return Ok(Outcome::OutOfFuel);
+            left -= burst;
+            if Instant::now() >= deadline {
+                return Ok(Outcome::DeadlineExceeded);
             }
         }
+        Ok(Outcome::OutOfFuel)
     }
 
     /// The unobserved dispatch loop: with no observer attached every
@@ -2163,7 +2141,7 @@ impl Machine for BcMachine {
         if let Some(p) = &self.pending {
             return Term::App {
                 f: p.f.clone(),
-                tags: p.tags.iter().map(|tau| tau.node().clone()).collect(),
+                tags: p.tags.clone(),
                 regions: p.regions.to_vec(),
                 args: p.args.iter().map(|(v, _)| v.clone()).collect(),
             };
@@ -2174,23 +2152,27 @@ impl Machine for BcMachine {
         }
     }
 
-    /// With no fault plan, no audit cadence and no observer, nothing can
-    /// see intermediate per-step state, so the unobserved fused dispatch
-    /// loop runs instead of the shared run loop: no per-step hook checks,
-    /// and fused `Lets` chains execute one whole chain per dispatch (the
-    /// payoff of superinstruction fusion). Statistics are accounted per
-    /// counted step either way, so `Stats` stay byte-identical to the
-    /// substitution oracle.
+    /// With no fault plan, no audit cadence, no checkpoint interval and no
+    /// observer, nothing can see intermediate per-step state, so the
+    /// unobserved fused dispatch loop runs instead of the shared run loop:
+    /// no per-step hook checks, and fused `Lets` chains execute one whole
+    /// chain per dispatch (the payoff of superinstruction fusion).
+    /// Statistics are accounted per counted step either way, so `Stats`
+    /// stay byte-identical to the substitution oracle. A checkpointing run
+    /// takes the shared loop, so its checkpoints land at the steps every
+    /// backend takes them at.
     fn run(&mut self, fuel: u64) -> Result<Outcome> {
         let deadline = self.core.ctl.deadline();
-        if self.core.ctl.faults.is_empty()
-            && self.core.ctl.verify_every == 0
+        let ctl = &self.core.ctl;
+        if ctl.faults.is_empty()
+            && ctl.verify_every == 0
+            && ctl.checkpoint_every == 0
             && !self.core.telem.is_enabled()
         {
-            if self.core.ctl.checkpoint_every == 0 && deadline.is_none() {
-                return self.run_fast(fuel);
-            }
-            return self.run_fast_chunked(fuel, deadline);
+            return match deadline {
+                None => self.run_fast(fuel),
+                Some(dl) => self.run_fast_until(fuel, dl),
+            };
         }
         drive(self, fuel, deadline)
     }
@@ -2508,7 +2490,7 @@ mod tests {
             name: sym("add"),
             tvars: vec![],
             rvars: vec![r],
-            params: vec![(a, Ty::Int), (b, Ty::Int)],
+            params: vec![(a, Ty::Int.id()), (b, Ty::Int.id())],
             body: Term::let_(
                 s,
                 Op::Prim(PrimOp::Add, Value::Var(a), Value::Var(b)),
@@ -2625,7 +2607,7 @@ mod tests {
                 tvar: t,
                 x,
                 body: intern_term(Term::Typecase {
-                    tag: Tag::Var(t),
+                    tag: Tag::Var(t).into(),
                     int_arm: intern_term(Term::Halt(Value::Int(1))),
                     arrow_arm: intern_term(Term::Halt(Value::Int(2))),
                     prod_arm: (t1, t2, intern_term(Term::Halt(Value::Int(3)))),

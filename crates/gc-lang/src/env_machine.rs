@@ -36,10 +36,12 @@
 //! [`Stats`](crate::machine::Stats) — checked program-by-program by the
 //! differential test suite and step-for-step by the lockstep property test.
 //!
-//! The substitution machine remains the oracle for `track_types`/wf
-//! checking: the well-formedness judgement `⊢ (M, e)` of [`crate::wf`]
-//! consumes a *closed* term, which only the substitution machine
-//! maintains.
+//! Typed runs (`track_types`) work on this backend as on the others: the
+//! heap audits of [`crate::verify`] take their reachability root from
+//! [`Machine::resolved_control`], the closed term the substitution machine
+//! holds at the same step, and check every live slot against its `Ψ`
+//! entry. Only [`crate::wf::check_state`], which also types the current
+//! term, takes a substitution machine.
 
 use std::sync::Arc;
 
@@ -50,7 +52,7 @@ use crate::machine::{widen_psi, Machine, Program, TypecaseArm};
 use crate::memory::MemConfig;
 use crate::snapshot::Snapshot;
 use crate::subst::Subst;
-use crate::syntax::{CodeDef, Op, Region, RegionName, Tag, Term, Value};
+use crate::syntax::{CodeDef, Op, Region, RegionName, Term, Value};
 use crate::tags;
 
 /// The control of the machine: a shared handle to the term being reduced.
@@ -101,8 +103,8 @@ impl EnvMachine {
 
     /// Resolves a tag against the environment and normalizes it, as Fig. 5
     /// does before `typecase`, `widen` and a β step consume it.
-    fn resolve_tag_nf(&self, tau: &Tag) -> TagId {
-        tags::normalize_id(self.env.tag_id(tau.id())).0
+    fn resolve_tag_nf(&self, tau: TagId) -> TagId {
+        tags::normalize_id(self.env.tag_id(tau)).0
     }
 
     fn step_term(&mut self, term: &Term) -> Result<Option<Ctrl>> {
@@ -178,7 +180,7 @@ impl EnvMachine {
                 arrow_arm,
                 prod_arm: (t1, t2, prod_body),
                 exist_arm: (te, exist_body),
-            } => match self.core.typecase(self.resolve_tag_nf(tag))? {
+            } => match self.core.typecase(self.resolve_tag_nf(*tag))? {
                 TypecaseArm::Int => int_arm,
                 TypecaseArm::Arrow => arrow_arm,
                 TypecaseArm::Prod(a, b) => {
@@ -228,7 +230,7 @@ impl EnvMachine {
                 if self.core.mem.config().track_types {
                     let from = self.resolve_name(from)?;
                     let to = self.resolve_name(to)?;
-                    let nf = self.resolve_tag_nf(tag);
+                    let nf = self.resolve_tag_nf(*tag);
                     widen_psi(&mut self.core.mem, &rv, nf, from, to)?;
                 }
                 self.env.bind_val(*x, rv);
@@ -257,7 +259,7 @@ impl EnvMachine {
     fn step_app(
         &mut self,
         f: &Value,
-        ts: &[Tag],
+        ts: &[TagId],
         regions: &[Region],
         args: &[Value],
     ) -> Result<Ctrl> {
@@ -272,7 +274,7 @@ impl EnvMachine {
             // step is the identity.
             return Ok(Ctrl::Term(intern_term(Term::App {
                 f: (*inner).clone(),
-                tags: rec_tags.iter().map(|tau| tau.node().clone()).collect(),
+                tags: rec_tags.clone(),
                 regions: rec_rgns.to_vec(),
                 args: args.iter().map(|v| self.env.value(v)).collect(),
             })));
@@ -282,7 +284,7 @@ impl EnvMachine {
         // *before* clearing it — the callee's frame starts from the
         // empty environment because code blocks are closed.
         // Fig. 5's first rule normalizes tag arguments at the β step.
-        let rtags: Vec<TagId> = ts.iter().map(|tau| self.resolve_tag_nf(tau)).collect();
+        let rtags: Vec<TagId> = ts.iter().map(|tau| self.resolve_tag_nf(*tau)).collect();
         let rrgns: Vec<Region> = regions.iter().map(|r| self.env.region(r)).collect();
         let rargs: Vec<Value> = args.iter().map(|v| self.env.value(v)).collect();
         self.env.clear();
@@ -418,6 +420,7 @@ mod tests {
     use super::*;
     use crate::machine::{Outcome, StepOutcome, SubstMachine};
     use crate::memory::GrowthPolicy;
+    use crate::syntax::Tag;
     use crate::syntax::{Dialect, Op, PrimOp, CD};
     use ps_ir::Symbol;
 
@@ -521,7 +524,7 @@ mod tests {
             name: s("exm_id"),
             tvars: vec![],
             rvars: vec![],
-            params: vec![(x, Ty::Int)],
+            params: vec![(x, Ty::Int.id())],
             body: Term::Halt(Value::Var(x)),
         };
         let main = Term::let_(
@@ -541,7 +544,7 @@ mod tests {
     fn tag_arguments_flow_through_typecase() {
         let t = s("exm_t");
         let body = Term::Typecase {
-            tag: Tag::Var(t),
+            tag: Tag::Var(t).into(),
             int_arm: Term::Halt(Value::Int(0)).id(),
             arrow_arm: Term::Halt(Value::Int(1)).id(),
             prod_arm: (s("exm_t1"), s("exm_t2"), Term::Halt(Value::Int(2)).id()),

@@ -14,8 +14,8 @@
 //! [`PointerSlab`] of boxed fingerprints for the sparse type, term and value
 //! fingerprint tables:
 //!
-//! * **normalization memos** — [`crate::tags::normalize`] and
-//!   [`crate::moper::normalize_ty`] record their result (and, for tags, the
+//! * **normalization memos** — [`crate::tags::normalize_id`] and
+//!   [`crate::moper::normalize_ty_id`] record their result (and, for tags, the
 //!   β-step count, so counting callers see identical numbers on memo hits)
 //!   once per node;
 //! * **free-variable fingerprints** ([`tag_fv`], [`ty_fv`], [`term_fv`],
@@ -204,7 +204,7 @@ fn dialect_index(dialect: Dialect) -> usize {
     }
 }
 
-/// Memoized result of [`crate::tags::normalize`]: normal form and β-step
+/// Memoized result of [`crate::tags::normalize_id`]: normal form and β-step
 /// count for the subtree.
 pub(crate) fn tag_norm_lookup(id: TagId) -> Option<(TagId, u64)> {
     TAG_NORM.get(id.index()).copied()
@@ -214,7 +214,7 @@ pub(crate) fn tag_norm_insert(id: TagId, nf: TagId, steps: u64) {
     TAG_NORM.set(id.index(), (nf, steps));
 }
 
-/// Memoized result of [`crate::moper::normalize_ty`] for one dialect.
+/// Memoized result of [`crate::moper::normalize_ty_id`] for one dialect.
 pub(crate) fn ty_norm_lookup(id: TyId, dialect: Dialect) -> Option<TyId> {
     TY_NORM[dialect_index(dialect)].get(id.index()).copied()
 }
@@ -500,7 +500,7 @@ fn add_code_def(acc: &mut FvAcc, def: &CodeDef) {
     let tbind: Vec<Symbol> = def.tvars.iter().map(|(t, _)| *t).collect();
     let rbind: Vec<Symbol> = def.rvars.clone();
     for (_, sigma) in &def.params {
-        let fv = ty_fv(intern_ty(sigma.clone()));
+        let fv = ty_fv(*sigma);
         acc.tvars
             .extend(fv.tvars.iter().copied().filter(|t| !tbind.contains(t)));
         acc.rvars
@@ -637,8 +637,8 @@ fn term_fv_node(id: TermId) -> Box<NodeFv> {
             args,
         } => {
             acc.add_value(f);
-            for t in tags {
-                acc.add_tag(t.id());
+            for t in tags.iter() {
+                acc.add_tag(*t);
             }
             for r in regions {
                 acc.add_rgn(r);
@@ -685,7 +685,7 @@ fn term_fv_node(id: TermId) -> Box<NodeFv> {
             prod_arm,
             exist_arm,
         } => {
-            acc.add_tag(tag.id());
+            acc.add_tag(*tag);
             acc.add_node(term_fv(*int_arm));
             acc.add_node(term_fv(*arrow_arm));
             let (t1, t2, pe) = prod_arm;
@@ -718,7 +718,7 @@ fn term_fv_node(id: TermId) -> Box<NodeFv> {
         } => {
             acc.add_rgn(from);
             acc.add_rgn(to);
-            acc.add_tag(tag.id());
+            acc.add_tag(*tag);
             acc.add_value(v);
             acc.add_node_minus(term_fv(*body), &[], &[], &[], &[*x]);
         }

@@ -163,9 +163,11 @@ impl Backend {
     }
 
     /// The backend picked when the caller expresses no preference: the
-    /// substitution machine when the memory typing `Ψ` is being tracked
-    /// (its closed-term states feed the `⊢ (M, e)` checker), the
-    /// environment fast path otherwise.
+    /// substitution machine, the Fig. 5 oracle, when the memory typing `Ψ`
+    /// is being tracked, the environment fast path otherwise. Typed runs
+    /// are not tied to the oracle: every backend's typed audits check the
+    /// store against `Ψ`, from the closed term
+    /// [`Machine::resolved_control`] rebuilds.
     pub fn default_for(track_types: bool) -> Backend {
         if track_types {
             Backend::Subst
@@ -356,7 +358,7 @@ pub(crate) mod sealed {
         pub(crate) fn load(program: &Program, config: MemConfig) -> Core {
             let mut mem = Memory::new(config);
             for def in &program.code {
-                mem.install_code(Value::Code(Arc::new(def.clone())), def.ty().id());
+                mem.install_code(Value::Code(Arc::new(def.clone())), def.ty());
             }
             Core {
                 mem,
@@ -870,7 +872,7 @@ impl SubstMachine {
                 arrow_arm,
                 prod_arm: (t1, t2, prod_body),
                 exist_arm: (te, exist_body),
-            } => match core.typecase(tags::normalize_id(tag.id()).0)? {
+            } => match core.typecase(tags::normalize_id(*tag).0)? {
                 TypecaseArm::Int => int_arm.node().clone(),
                 TypecaseArm::Arrow => arrow_arm.node().clone(),
                 TypecaseArm::Prod(a, b) => {
@@ -918,7 +920,7 @@ impl SubstMachine {
                 if core.mem.config().track_types {
                     let from = core.name(*from)?;
                     let to = core.name(*to)?;
-                    widen_psi(&mut core.mem, v, tags::normalize_id(tag.id()).0, from, to)?;
+                    widen_psi(&mut core.mem, v, tags::normalize_id(*tag).0, from, to)?;
                 }
                 let mut sub = Subst::new();
                 sub.bind_val(*x, v.clone());
@@ -948,7 +950,7 @@ impl SubstMachine {
     fn step_app(
         core: &mut Core,
         f: &Value,
-        ts: &[Tag],
+        ts: &[TagId],
         regions: &[Region],
         args: &[Value],
     ) -> Result<Term> {
@@ -958,7 +960,7 @@ impl SubstMachine {
             // agree (checked statically).
             return Ok(Term::App {
                 f: inner.node().clone(),
-                tags: rec_tags.iter().map(|tau| tau.node().clone()).collect(),
+                tags: rec_tags.clone(),
                 regions: rec_rgns.to_vec(),
                 args: args.to_vec(),
             });
@@ -968,7 +970,7 @@ impl SubstMachine {
         // step.
         let mut sub = Subst::new();
         for ((t, _), tau) in code.tvars.iter().zip(ts) {
-            sub.bind_tag(*t, tags::normalize_id(tau.id()).0);
+            sub.bind_tag(*t, tags::normalize_id(*tau).0);
         }
         for (r, rho) in code.rvars.iter().zip(regions) {
             sub.bind_rgn(*r, *rho);
@@ -1292,7 +1294,7 @@ mod tests {
             name: s("double"),
             tvars: vec![],
             rvars: vec![r],
-            params: vec![(x, Ty::Int)],
+            params: vec![(x, Ty::Int.id())],
             body: Term::let_(
                 s("y"),
                 Op::Prim(PrimOp::Add, Value::Var(x), Value::Var(x)),
@@ -1322,7 +1324,7 @@ mod tests {
         let t2 = s("t2");
         let te = s("te");
         let mk = |tag: Tag| Term::Typecase {
-            tag,
+            tag: tag.into(),
             int_arm: Term::Halt(Value::Int(0)).id(),
             arrow_arm: Term::Halt(Value::Int(1)).id(),
             prod_arm: (t1, t2, Term::Halt(Value::Int(2)).id()),
@@ -1343,14 +1345,14 @@ mod tests {
         let te = s("te");
         // Dispatch on Int×(Int→0), then typecase on the second component.
         let inner = Term::Typecase {
-            tag: Tag::Var(t2),
+            tag: Tag::Var(t2).into(),
             int_arm: Term::Halt(Value::Int(10)).id(),
             arrow_arm: Term::Halt(Value::Int(11)).id(),
             prod_arm: (s("u1"), s("u2"), Term::Halt(Value::Int(12)).id()),
             exist_arm: (s("ue"), Term::Halt(Value::Int(13)).id()),
         };
         let e = Term::Typecase {
-            tag: Tag::prod(Tag::Int, Tag::arrow([Tag::Int])),
+            tag: Tag::prod(Tag::Int, Tag::arrow([Tag::Int])).into(),
             int_arm: Term::Halt(Value::Int(0)).id(),
             arrow_arm: Term::Halt(Value::Int(1)).id(),
             prod_arm: (t1, t2, inner.id()),
@@ -1365,14 +1367,14 @@ mod tests {
         // and typecasing again must dispatch to the product arm.
         let te = s("te");
         let inner = Term::Typecase {
-            tag: Tag::app(Tag::Var(te), Tag::Int),
+            tag: Tag::app(Tag::Var(te), Tag::Int).into(),
             int_arm: Term::Halt(Value::Int(0)).id(),
             arrow_arm: Term::Halt(Value::Int(1)).id(),
             prod_arm: (s("p1"), s("p2"), Term::Halt(Value::Int(2)).id()),
             exist_arm: (s("pe"), Term::Halt(Value::Int(3)).id()),
         };
         let e = Term::Typecase {
-            tag: Tag::exist(s("u"), Tag::prod(Tag::Var(s("u")), Tag::Int)),
+            tag: Tag::exist(s("u"), Tag::prod(Tag::Var(s("u")), Tag::Int)).into(),
             int_arm: Term::Halt(Value::Int(0)).id(),
             arrow_arm: Term::Halt(Value::Int(1)).id(),
             prod_arm: (s("q1"), s("q2"), Term::Halt(Value::Int(2)).id()),
@@ -1621,7 +1623,7 @@ mod tests {
             x,
             from: Region::cd(), // irrelevant: not tracking types
             to: Region::cd(),
-            tag: Tag::Int,
+            tag: Tag::Int.into(),
             v: Value::Int(5),
             body: Term::Halt(Value::Var(x)).id(),
         };

@@ -1387,7 +1387,7 @@ impl Memory {
                 },
                 _ => return Err(mem_err("tag application of non-address value")),
             },
-            Value::Code(def) => def.ty(),
+            Value::Code(def) => return Ok(def.ty()),
             Value::Inl(x) => Ty::Left(self.infer_stored_ty(x)?),
             Value::Inr(x) => Ty::Right(self.infer_stored_ty(x)?),
         };

@@ -6,10 +6,11 @@
 //! with the mutator-view `M` and collector-view `Cρ,ρ′` of §7; the
 //! generational dialect uses the two-index `Mρy,ρo` of §8.
 //!
-//! [`normalize_ty`] expands these operators wherever the underlying tag has
-//! reduced to a constructor, and leaves them stuck on neutral tags (`Mρ(t)`
-//! cannot reduce until `t` is instantiated — the crux of §2.2.1).
-//! [`ty_eq`] compares types by normalizing and then testing α-equivalence.
+//! [`normalize_ty_id`] expands these operators wherever the underlying tag
+//! has reduced to a constructor, and leaves them stuck on neutral tags
+//! (`Mρ(t)` cannot reduce until `t` is instantiated — the crux of §2.2.1).
+//! [`ty_eq_id`] compares types by normalizing and then testing
+//! α-equivalence.
 //!
 //! Binder names introduced by expansion contain `!`, which no surface syntax
 //! can produce, so fixed names are safe (substitution still renames them if
@@ -183,14 +184,9 @@ pub fn region_set(rs: &[Region]) -> Arc<[Region]> {
 /// Deeply normalizes a type: normalizes embedded tags and expands the
 /// M/C/M_gen operators wherever their tag argument is a constructor.
 ///
-/// Memoized per `(node, dialect)` ([`normalize_ty_id`]): shared subtrees —
-/// and, under `track_types`, the Ψ entries re-normalized on every machine
-/// step — are normalized exactly once.
-pub fn normalize_ty(sigma: &Ty, dialect: Dialect) -> Ty {
-    normalize_ty_id(sigma.id(), dialect).node().clone()
-}
-
-/// Memoized [`normalize_ty`] by id.
+/// Memoized per `(node, dialect)`: shared subtrees — and, under
+/// `track_types`, the Ψ entries re-normalized on every machine step — are
+/// normalized exactly once.
 pub fn normalize_ty_id(id: TyId, dialect: Dialect) -> TyId {
     if let Some(hit) = intern::ty_norm_lookup(id, dialect) {
         return hit;
@@ -285,20 +281,9 @@ pub fn normalize_ty_id(id: TyId, dialect: Dialect) -> TyId {
     nf
 }
 
-/// α-equivalence of types (no normalization): an id compare of
-/// α-canonical forms ([`crate::intern::canon_ty`]). Region sets
-/// (`∃α:∆` / `∃r∈∆` bounds) compare as sets, binders up to renaming.
-pub fn alpha_eq_ty(a: &Ty, b: &Ty) -> bool {
-    intern::ty_alpha_eq(a.id(), b.id())
-}
-
-/// Type equality: normalize, then compare up to α.
-pub fn ty_eq(a: &Ty, b: &Ty, dialect: Dialect) -> bool {
-    ty_eq_id(a.id(), b.id(), dialect)
-}
-
-/// [`ty_eq`] on interned ids: two memoized normalizations and an id
-/// compare of canonical forms.
+/// Type equality: two memoized normalizations and an id compare of their
+/// α-canonical forms ([`crate::intern::canon_ty`]), so region sets
+/// (`∃α:∆` / `∃r∈∆` bounds) compare as sets and binders up to renaming.
 pub fn ty_eq_id(a: TyId, b: TyId, dialect: Dialect) -> bool {
     if a == b {
         return true;
@@ -333,17 +318,26 @@ mod tests {
         Symbol::intern(x)
     }
 
+    /// The normal form of `t`, as a node to match on.
+    fn nf(t: &Ty, dialect: Dialect) -> Ty {
+        normalize_ty_id(t.id(), dialect).node().clone()
+    }
+
+    fn eq(a: &Ty, b: &Ty, dialect: Dialect) -> bool {
+        ty_eq_id(a.id(), b.id(), dialect)
+    }
+
     #[test]
     fn m_int_is_int() {
         let t = Ty::m(Region::cd(), Tag::Int);
-        assert_eq!(normalize_ty(&t, Dialect::Basic), Ty::Int);
+        assert_eq!(nf(&t, Dialect::Basic), Ty::Int);
     }
 
     #[test]
     fn m_pair_expands_to_at() {
         let rho = Region::Var(s("r1"));
         let t = Ty::m(rho, Tag::prod(Tag::Int, Tag::Int));
-        match normalize_ty(&t, Dialect::Basic) {
+        match nf(&t, Dialect::Basic) {
             Ty::At(inner, r) => {
                 assert_eq!(r, rho);
                 assert_eq!(*inner, Ty::prod(Ty::Int, Ty::Int));
@@ -356,7 +350,7 @@ mod tests {
     fn m_arrow_lives_at_cd() {
         let rho = Region::Var(s("r1"));
         let t = Ty::m(rho, Tag::arrow([Tag::Int]));
-        match normalize_ty(&t, Dialect::Basic) {
+        match nf(&t, Dialect::Basic) {
             Ty::At(inner, r) => {
                 assert!(r.is_cd());
                 assert!(matches!(*inner, Ty::Code { .. }));
@@ -369,38 +363,38 @@ mod tests {
     fn m_is_rho_independent_on_arrows() {
         let a = Ty::m(Region::Var(s("r1")), Tag::arrow([Tag::Int]));
         let b = Ty::m(Region::Var(s("r2")), Tag::arrow([Tag::Int]));
-        assert!(ty_eq(&a, &b, Dialect::Basic));
+        assert!(eq(&a, &b, Dialect::Basic));
     }
 
     #[test]
     fn m_stuck_on_variables() {
         let t = Ty::m(Region::cd(), Tag::Var(s("t")));
-        assert_eq!(normalize_ty(&t, Dialect::Basic), t);
+        assert_eq!(nf(&t, Dialect::Basic), t);
         // §2.2.1: Mρ(t) with different ρ must NOT be equal.
         let a = Ty::m(Region::Var(s("r1")), Tag::Var(s("t")));
         let b = Ty::m(Region::Var(s("r2")), Tag::Var(s("t")));
-        assert!(!ty_eq(&a, &b, Dialect::Basic));
+        assert!(!eq(&a, &b, Dialect::Basic));
     }
 
     #[test]
     fn anyarrow_is_rho_independent() {
         let a = Ty::m(Region::Var(s("r1")), Tag::AnyArrow(s("t")));
         let b = Ty::m(Region::Var(s("r2")), Tag::AnyArrow(s("t")));
-        assert!(ty_eq(&a, &b, Dialect::Basic));
+        assert!(eq(&a, &b, Dialect::Basic));
         // ... and across M and C in the forwarding dialect.
         let c = Ty::c(
             Region::Var(s("r1")),
             Region::Var(s("r2")),
             Tag::AnyArrow(s("t")),
         );
-        assert!(ty_eq(&a, &c, Dialect::Forwarding));
+        assert!(eq(&a, &c, Dialect::Forwarding));
     }
 
     #[test]
     fn forwarding_m_adds_left() {
         let rho = Region::Var(s("r1"));
         let t = Ty::m(rho, Tag::prod(Tag::Int, Tag::Int));
-        match normalize_ty(&t, Dialect::Forwarding) {
+        match nf(&t, Dialect::Forwarding) {
             Ty::At(inner, _) => assert!(matches!(*inner, Ty::Left(_))),
             other => panic!("expected left at ρ, got {other:?}"),
         }
@@ -411,7 +405,7 @@ mod tests {
         let from = Region::Var(s("r1"));
         let to = Region::Var(s("r2"));
         let t = Ty::c(from, to, Tag::prod(Tag::Int, Tag::Int));
-        match normalize_ty(&t, Dialect::Forwarding) {
+        match nf(&t, Dialect::Forwarding) {
             Ty::At(inner, r) => {
                 assert_eq!(r, from);
                 match &*inner {
@@ -433,7 +427,7 @@ mod tests {
         let to = Region::Var(s("r2"));
         let c = Ty::c(from, to, Tag::arrow([Tag::Int]));
         let m = Ty::m(from, Tag::arrow([Tag::Int]));
-        assert!(ty_eq(&c, &m, Dialect::Forwarding));
+        assert!(eq(&c, &m, Dialect::Forwarding));
     }
 
     #[test]
@@ -441,7 +435,7 @@ mod tests {
         let y = Region::Var(s("ry"));
         let o = Region::Var(s("ro"));
         let t = Ty::mgen(y, o, Tag::prod(Tag::Int, Tag::Int));
-        match normalize_ty(&t, Dialect::Generational) {
+        match nf(&t, Dialect::Generational) {
             Ty::ExistRgn { bound, .. } => {
                 assert_eq!(bound.len(), 2);
             }
@@ -453,7 +447,7 @@ mod tests {
     fn mgen_collapsed_indices_singleton_bound() {
         let o = Region::Var(s("ro"));
         let t = Ty::mgen(o, o, Tag::prod(Tag::Int, Tag::Int));
-        match normalize_ty(&t, Dialect::Generational) {
+        match nf(&t, Dialect::Generational) {
             Ty::ExistRgn { bound, .. } => assert_eq!(bound.len(), 1),
             other => panic!("expected region existential, got {other:?}"),
         }
@@ -463,7 +457,7 @@ mod tests {
     fn ty_eq_alpha_renames_binders() {
         let a = Ty::exist_tag(s("u"), Kind::Omega, Ty::m(Region::cd(), Tag::Var(s("u"))));
         let b = Ty::exist_tag(s("v"), Kind::Omega, Ty::m(Region::cd(), Tag::Var(s("v"))));
-        assert!(ty_eq(&a, &b, Dialect::Basic));
+        assert!(eq(&a, &b, Dialect::Basic));
     }
 
     #[test]
@@ -472,9 +466,9 @@ mod tests {
         let r2 = Region::Var(s("rb"));
         let a = Ty::exist_rgn(s("r"), [r1, r2], Ty::Int);
         let b = Ty::exist_rgn(s("r"), [r2, r1], Ty::Int);
-        assert!(ty_eq(&a, &b, Dialect::Generational));
+        assert!(eq(&a, &b, Dialect::Generational));
         let c = Ty::exist_rgn(s("r"), [r1], Ty::Int);
-        assert!(!ty_eq(&a, &c, Dialect::Generational));
+        assert!(!eq(&a, &c, Dialect::Generational));
     }
 
     #[test]
@@ -482,7 +476,7 @@ mod tests {
         let rho = Region::Var(s("r1"));
         let u = s("u");
         let t = Ty::m(rho, Tag::exist(u, Tag::prod(Tag::Var(u), Tag::Int)));
-        match normalize_ty(&t, Dialect::Basic) {
+        match nf(&t, Dialect::Basic) {
             Ty::At(inner, _) => match &*inner {
                 Ty::ExistTag { body, .. } => {
                     // Body is M_ρ(u × Int), expanded one more level with the
@@ -499,7 +493,7 @@ mod tests {
     fn normalization_reduces_tag_redexes_first() {
         let rho = Region::cd();
         let t = Ty::m(rho, Tag::app(Tag::id_fn(), Tag::Int));
-        assert_eq!(normalize_ty(&t, Dialect::Basic), Ty::Int);
+        assert_eq!(nf(&t, Dialect::Basic), Ty::Int);
     }
 
     #[test]

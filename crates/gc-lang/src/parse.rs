@@ -918,7 +918,7 @@ impl P {
                     x,
                     from,
                     to,
-                    tag,
+                    tag: tag.into(),
                     v,
                     body: self.term()?.id(),
                 });
@@ -1021,7 +1021,7 @@ impl P {
             self.expect(Tok::DArrow, "⇒")?;
             let exist = self.term()?;
             return Ok(Term::Typecase {
-                tag,
+                tag: tag.into(),
                 int_arm: int_arm.id(),
                 arrow_arm: arrow_arm.id(),
                 prod_arm: (t1, t2, prod.id()),
@@ -1120,7 +1120,7 @@ impl P {
         let mut tags = Vec::new();
         if self.peek() != Some(&Tok::RBrack) {
             loop {
-                tags.push(self.tag()?);
+                tags.push(self.tag()?.id());
                 if self.peek() == Some(&Tok::Comma) {
                     self.i += 1;
                 } else {
@@ -1157,7 +1157,7 @@ impl P {
         self.expect(Tok::RParen, ")")?;
         Ok(Term::App {
             f,
-            tags,
+            tags: tags.into(),
             regions,
             args,
         })
@@ -1194,7 +1194,7 @@ impl P {
                 let x = self.ident()?;
                 self.expect(Tok::Colon, ":")?;
                 let t = self.ty()?;
-                params.push((x, t));
+                params.push((x, t.id()));
                 if self.peek() == Some(&Tok::Comma) {
                     self.i += 1;
                 } else {

@@ -257,7 +257,7 @@ pub fn term(e: &Term) -> Doc {
             args,
         } => value(f)
             .append(Doc::text("["))
-            .append(Doc::join(tags.iter().map(tag), Doc::text(", ")))
+            .append(Doc::join(tags.iter().map(|t| tag(t)), Doc::text(", ")))
             .append(Doc::text("]["))
             .append(rgns(regions))
             .append(Doc::text("]("))
@@ -490,7 +490,7 @@ mod tests {
             name: s("gc"),
             tvars: vec![(s("t"), crate::syntax::Kind::Omega)],
             rvars: vec![s("r1")],
-            params: vec![(s("x"), Ty::m(Region::Var(s("r1")), Tag::Var(s("t"))))],
+            params: vec![(s("x"), Ty::m(Region::Var(s("r1")), Tag::Var(s("t"))).id())],
             body: Term::Halt(Value::Int(0)),
         };
         let out = code_def_to_string(&def);

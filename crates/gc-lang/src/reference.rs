@@ -4,7 +4,9 @@
 //! [`crate::tags`] and [`crate::moper`] used before tags and types were
 //! hash-consed: no memo tables, no canonical forms, no free-variable
 //! fingerprints — every call walks the whole tree and α-compares with an
-//! explicit binder-pairing environment.
+//! explicit binder-pairing environment. The crate itself has only the
+//! id forms; these owned-tree ports are the oracle they are checked
+//! against.
 //!
 //! Since terms and values were interned too, the module also keeps the
 //! pre-interning recursive *substitution* ([`RefSubst`]): every node is
@@ -28,13 +30,13 @@ use crate::syntax::{CodeDef, Dialect, Kind, Op, Region, Tag, Term, Ty, Value};
 
 // ----- tags --------------------------------------------------------------
 
-/// [`crate::tags::normalize`] by direct normal-order reduction, no memo.
+/// [`crate::tags::normalize_id`] by direct normal-order reduction, no memo.
 pub fn normalize_tag(tau: &Tag) -> Tag {
     normalize_tag_counted(tau, &mut 0)
 }
 
-/// Like [`normalize_tag`] but counts β-steps, mirroring
-/// [`crate::tags::normalize_counted`].
+/// Like [`normalize_tag`] but counts β-steps, as
+/// [`crate::tags::normalize_id`] does.
 pub fn normalize_tag_counted(tau: &Tag, steps: &mut u64) -> Tag {
     match tau {
         Tag::Var(_) | Tag::Int | Tag::AnyArrow(_) => tau.clone(),
@@ -233,7 +235,8 @@ fn expand_mgen(young: Region, old: Region, tag: &Tag) -> Option<Ty> {
     }
 }
 
-/// [`crate::moper::normalize_ty`] by direct structural recursion, no memo.
+/// [`crate::moper::normalize_ty_id`] by direct structural recursion, no
+/// memo.
 pub fn normalize_ty(sigma: &Ty, dialect: Dialect) -> Ty {
     match sigma {
         Ty::Int | Ty::Alpha(_) => sigma.clone(),
@@ -809,7 +812,7 @@ impl RefSubst {
         }
         let mut params = Vec::with_capacity(def.params.len());
         for (x, t) in &def.params {
-            params.push((*x, sub.ty(t)));
+            params.push((*x, sub.ty(t).id()));
         }
         for (x, _) in &def.params {
             sub = sub.enter_val_binder(*x);
@@ -833,7 +836,7 @@ impl RefSubst {
                 args,
             } => Term::App {
                 f: self.value(f),
-                tags: tags.iter().map(|t| self.tag(t)).collect(),
+                tags: tags.iter().map(|t| self.tag(t).id()).collect(),
                 regions: regions.iter().map(|r| self.region(r)).collect(),
                 args: args.iter().map(|v| self.value(v)).collect(),
             },
@@ -899,7 +902,7 @@ impl RefSubst {
                 prod_arm,
                 exist_arm,
             } => {
-                let tag = self.tag(tag);
+                let tag = self.tag(tag).id();
                 let int_arm = self.term(int_arm).id();
                 let arrow_arm = self.term(arrow_arm).id();
                 let (t1, t2, pe) = prod_arm;
@@ -947,7 +950,7 @@ impl RefSubst {
             } => {
                 let from = self.region(from);
                 let to = self.region(to);
-                let tag = self.tag(tag);
+                let tag = self.tag(tag).id();
                 let v = self.value(v);
                 let sub = self.enter_val_binder(*x);
                 Term::Widen {

@@ -616,7 +616,7 @@ impl Subst {
         }
         let mut params = Vec::with_capacity(def.params.len());
         for (x, t) in &def.params {
-            params.push((*x, sub.ty(t)));
+            params.push((*x, sub.ty_id(*t)));
         }
         for (x, _) in &def.params {
             sub.vals.remove(x);
@@ -655,7 +655,7 @@ impl Subst {
                 args,
             } => Term::App {
                 f: self.value(f),
-                tags: tags.iter().map(|t| self.tag(t)).collect(),
+                tags: tags.iter().map(|t| self.tag_id(*t)).collect(),
                 regions: regions.iter().map(|r| self.region(r)).collect(),
                 args: args.iter().map(|v| self.value(v)).collect(),
             },
@@ -762,7 +762,7 @@ impl Subst {
                 prod_arm,
                 exist_arm,
             } => {
-                let tag = self.tag(tag);
+                let tag = self.tag_id(*tag);
                 let int_arm = self.term_id(*int_arm);
                 let arrow_arm = self.term_id(*arrow_arm);
                 let (t1, t2, pe) = prod_arm;
@@ -810,7 +810,7 @@ impl Subst {
             } => {
                 let from = self.region(from);
                 let to = self.region(to);
-                let tag = self.tag(tag);
+                let tag = self.tag_id(*tag);
                 let v = self.value(v);
                 let sub = self.enter_val_binder(*x);
                 Term::Widen {
@@ -858,21 +858,6 @@ impl Subst {
 }
 
 // ----- free variables ----------------------------------------------------
-
-/// Collects the free tag, region, and α variables of a type.
-///
-/// Backed by the per-node fingerprint [`intern::ty_fv`].
-pub fn ty_free_vars<S1: BuildHasher, S2: BuildHasher, S3: BuildHasher>(
-    sigma: &Ty,
-    tvars: &mut HashSet<Symbol, S1>,
-    rvars: &mut HashSet<Symbol, S2>,
-    avars: &mut HashSet<Symbol, S3>,
-) {
-    let fv = intern::ty_fv(sigma.id());
-    tvars.extend(fv.tvars.iter().copied());
-    rvars.extend(fv.rvars.iter().copied());
-    avars.extend(fv.avars.iter().copied());
-}
 
 /// Collects the free tag/region/α variables mentioned inside a value (in its
 /// type annotations and embedded tags).
@@ -1122,7 +1107,7 @@ mod tests {
         let t2 = s("t2");
         let te = s("te");
         let e = Term::Typecase {
-            tag: Tag::Var(t),
+            tag: Tag::Var(t).into(),
             int_arm: Term::Halt(Value::Int(0)).id(),
             arrow_arm: Term::Halt(Value::Int(1)).id(),
             prod_arm: (t1, t2, Term::Halt(Value::Int(2)).id()),
@@ -1130,7 +1115,7 @@ mod tests {
         };
         let out = Subst::one_tag(t, Tag::Int).term(&e);
         match out {
-            Term::Typecase { tag, .. } => assert_eq!(tag, Tag::Int),
+            Term::Typecase { tag, .. } => assert_eq!(tag, Tag::Int.into()),
             _ => panic!("expected typecase"),
         }
     }

@@ -35,7 +35,7 @@ use crate::machine::{
 use crate::memory::{MemConfig, Memory};
 use crate::snapshot::Snapshot;
 use crate::syntax::Value;
-use crate::telemetry::{GcEvent, SharedObserver};
+use crate::telemetry::{GcEvent, JsonObj, SharedObserver};
 
 /// Everything [`supervise`] needs to run a program under containment.
 #[derive(Clone, Debug)]
@@ -136,17 +136,17 @@ impl TriageReport {
     /// timestamps, no map iteration order) — `cmp`-able against a golden
     /// file in CI.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"report\":\"triage\",\"backend\":{},\"outcome\":{},\"step\":{},\"site\":{},\"guess\":{},\"detail\":{},\"snapshot_step\":{},\"divergence\":{}}}",
-            json_str(self.backend.name()),
-            json_str(&self.outcome),
-            self.step,
-            json_str(&self.site),
-            json_str(self.guess.map(FaultKind::name).unwrap_or("")),
-            json_str(&self.detail),
-            self.snapshot_step,
-            json_str(self.divergence.as_deref().unwrap_or("")),
-        )
+        let mut o = JsonObj::new();
+        o.str("report", "triage");
+        o.str("backend", self.backend.name());
+        o.str("outcome", &self.outcome);
+        o.int("step", self.step);
+        o.str("site", &self.site);
+        o.str("guess", self.guess.map(FaultKind::name).unwrap_or(""));
+        o.str("detail", &self.detail);
+        o.int("snapshot_step", self.snapshot_step);
+        o.str("divergence", self.divergence.as_deref().unwrap_or(""));
+        o.finish()
     }
 }
 
@@ -512,25 +512,6 @@ fn site_of(detail: &str) -> String {
     String::new()
 }
 
-/// Minimal JSON string escaping (the repo takes no external dependencies).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -606,7 +587,7 @@ mod tests {
             name: s("sup_keep"),
             tvars: vec![],
             rvars: vec![],
-            params: vec![(x, Ty::Int)],
+            params: vec![(x, Ty::Int.id())],
             body: Term::let_(
                 y,
                 Op::Get(Value::Var(x)),
@@ -704,6 +685,21 @@ mod tests {
 
     #[test]
     fn json_strings_escape_quotes_and_controls() {
-        assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+        let report = TriageReport {
+            step: 3,
+            site: "ν1.0".into(),
+            guess: None,
+            detail: "a\"b\\c\n".into(),
+            snapshot_step: 0,
+            backend: Backend::Env,
+            outcome: "oom".into(),
+            divergence: None,
+        };
+        assert_eq!(
+            report.to_json(),
+            "{\"report\":\"triage\",\"backend\":\"env\",\"outcome\":\"oom\",\"step\":3,\
+             \"site\":\"ν1.0\",\"guess\":\"\",\"detail\":\"a\\\"b\\\\c\\u000a\",\
+             \"snapshot_step\":0,\"divergence\":\"\"}"
+        );
     }
 }

@@ -17,6 +17,14 @@
 //! * types `σ` ([`Ty`]) classify terms and include the hard-wired Typerec
 //!   operators `Mρ(τ)` (§4.2), `Cρ,ρ′(τ)` (§7) and `Mρy,ρo(τ)` (§8).
 //!
+//! Tags and types have one representation: wherever a node of any kind
+//! holds a tag or a type — a [`Term`]'s tag arguments, a [`Value`]'s
+//! witness, a [`CodeDef`]'s parameter types — it holds the interned
+//! [`TagId`]/[`TyId`] handle ([`crate::intern`]). Equality is an id
+//! compare, the machines and the checker hand the same id on without
+//! rebuilding it, and `Debug` of an id prints its node, so the ids are
+//! invisible in every listing and message.
+//!
 //! ## Extensions relative to the paper, all marked `paper:` where used
 //!
 //! * Integer primitives (`+`, `-`, `*`) and `if0` exist at the term level so
@@ -136,7 +144,7 @@ impl fmt::Display for Kind {
 /// Tags mirror the λCLOS type grammar plus tag-level functions and
 /// applications. They form a simply typed λ-calculus, so reduction is
 /// strongly normalizing and confluent (Prop. 6.1/6.2); see
-/// [`crate::tags::normalize`].
+/// [`crate::tags::normalize_id`].
 ///
 /// Nodes are *shallow*: children are [`TagId`] handles into the global
 /// hash-consing arena ([`crate::intern`]), so the derived `PartialEq`
@@ -405,18 +413,18 @@ pub struct CodeDef {
     pub name: Symbol,
     pub tvars: Vec<(Symbol, Kind)>,
     pub rvars: Vec<Symbol>,
-    pub params: Vec<(Symbol, Ty)>,
+    pub params: Vec<(Symbol, TyId)>,
     pub body: Term,
 }
 
 impl CodeDef {
     /// The type `∀[t̄:κ̄][r̄](σ̄) → 0` of this code block.
-    pub fn ty(&self) -> Ty {
-        Ty::Code {
+    pub fn ty(&self) -> TyId {
+        intern_ty(Ty::Code {
             tvars: self.tvars.iter().cloned().collect(),
             rvars: self.rvars.iter().cloned().collect(),
-            args: self.params.iter().map(|(_, t)| t.id()).collect(),
-        }
+            args: self.params.iter().map(|(_, t)| *t).collect(),
+        })
     }
 }
 
@@ -557,7 +565,7 @@ pub enum Term {
     /// `v[~τ][~ρ](~v)` — application of code or of a translucent value.
     App {
         f: Value,
-        tags: Vec<Tag>,
+        tags: Arc<[TagId]>,
         regions: Vec<Region>,
         args: Vec<Value>,
     },
@@ -599,7 +607,7 @@ pub enum Term {
     Only { regions: Vec<Region>, body: TermId },
     /// `typecase τ of (eᵢ; eλ; t₁t₂.e×; tₑ.e∃)`.
     Typecase {
-        tag: Tag,
+        tag: TagId,
         int_arm: TermId,
         arrow_arm: TermId,
         prod_arm: (Symbol, Symbol, TermId),
@@ -626,7 +634,7 @@ pub enum Term {
         x: Symbol,
         from: Region,
         to: Region,
-        tag: Tag,
+        tag: TagId,
         v: Value,
         body: TermId,
     },
@@ -669,7 +677,7 @@ impl Term {
     ) -> Term {
         Term::App {
             f,
-            tags: tags.into_iter().collect(),
+            tags: tags.into_iter().map(intern_tag).collect(),
             regions: regions.into_iter().collect(),
             args: args.into_iter().collect(),
         }
@@ -749,10 +757,10 @@ mod tests {
             name: s("f"),
             tvars: vec![(s("t"), Kind::Omega)],
             rvars: vec![s("r")],
-            params: vec![(s("x"), Ty::Int)],
+            params: vec![(s("x"), Ty::Int.id())],
             body: Term::Halt(Value::Int(0)),
         };
-        match def.ty() {
+        match def.ty().node() {
             Ty::Code { tvars, rvars, args } => {
                 assert_eq!(tvars.len(), 1);
                 assert_eq!(rvars.len(), 1);
@@ -797,7 +805,8 @@ mod tests {
     /// Every interned value node and every heap slot pays `Value`'s size,
     /// and every interned term pays `Term`'s, so a field that grows them
     /// grows each arena and the whole heap. Children are ids for this
-    /// reason: an owned `Ty` or `Tag` field would make `Value` 136 bytes.
+    /// reason: an owned `Ty` or `Tag` field would make `Value` 136 bytes,
+    /// and `Term::App`'s tags as a `Vec<Tag>` made `Term` 112.
     /// The arenas and the id-valued memos store entries in place, beside a
     /// state byte that must fit in the entry's alignment padding.
     #[test]
@@ -817,7 +826,7 @@ mod tests {
         let memo_slot = ChunkedSlab::<crate::intern::TyId>::SLOT_BYTES;
         assert!(memo_slot <= 8, "TyId memo slot: {memo_slot} bytes");
         assert!(
-            size_of::<Term>() <= 112,
+            size_of::<Term>() <= 104,
             "Term: {} bytes",
             size_of::<Term>()
         );

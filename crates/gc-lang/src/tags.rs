@@ -2,10 +2,10 @@
 //!
 //! Tags form a simply typed λ-calculus over the kinds `Ω` and `Ω → Ω`
 //! (Fig. 2), so reduction of well-kinded tags is strongly normalizing and
-//! confluent — Propositions 6.1 and 6.2 of the paper. [`normalize`] computes
-//! the (unique) normal form by normal-order reduction; the property tests in
-//! this module check confluence by comparing against an applicative-order
-//! strategy.
+//! confluent — Propositions 6.1 and 6.2 of the paper. [`normalize_id`]
+//! computes the (unique) normal form by normal-order reduction; the
+//! property tests in `tests/tag_props.rs` check confluence by comparing
+//! against an applicative-order strategy.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -90,29 +90,18 @@ pub fn check_kind(tau: &Tag, theta: &HashMap<Symbol, Kind>, expected: Kind) -> R
     }
 }
 
-/// Normalizes a tag by normal-order β-reduction.
+/// Normalizes a tag by normal-order β-reduction, returning the normal form
+/// and the number of β-steps the (uncached) reduction performs — the count
+/// E7 reports.
 ///
-/// Well-kinded tags always terminate (Prop. 6.1); ill-kinded self-applications
-/// would diverge, so callers must kind-check first — which every judgement in
-/// this crate does.
+/// Well-kinded tags always terminate (Prop. 6.1); ill-kinded
+/// self-applications would diverge, so callers must kind-check first —
+/// which every judgement in this crate does.
 ///
-/// The result is memoized per interned node ([`normalize_id`]), so repeated
-/// normalization of a shared subtree is a table lookup.
-pub fn normalize(tau: &Tag) -> Tag {
-    normalize_id(tau.id()).0.node().clone()
-}
-
-/// Like [`normalize`] but counts β-steps, for the E7 benchmark. The memo
-/// stores the per-subtree step count, so counted callers see identical
-/// numbers whether or not the work was cached.
-pub fn normalize_counted(tau: &Tag, steps: &mut u64) -> Tag {
-    let (nf, n) = normalize_id(tau.id());
-    *steps += n;
-    nf.node().clone()
-}
-
-/// Memoized normal-order normalization by id: returns the normal form and
-/// the number of β-steps the (uncached) reduction performs.
+/// The result is memoized per interned node, with the per-subtree step
+/// count, so repeated normalization of a shared subtree is a table lookup
+/// and counting callers see identical numbers whether or not the work was
+/// cached.
 pub fn normalize_id(id: TagId) -> (TagId, u64) {
     if let Some(hit) = intern::tag_norm_lookup(id) {
         return hit;
@@ -148,7 +137,7 @@ pub fn normalize_id(id: TagId) -> (TagId, u64) {
             let (nf, cf) = normalize_id(*f);
             match nf.node() {
                 Tag::Lam(t, body) => {
-                    let reduced = Subst::one_tag(*t, a.node().clone()).tag(body.node());
+                    let reduced = Subst::one_tag(*t, *a).tag(body.node());
                     let (nr, cr) = normalize_id(reduced.id());
                     (nr, cf + 1 + cr)
                 }
@@ -174,7 +163,7 @@ pub fn is_normal(tau: &Tag) -> bool {
     }
 }
 
-/// How [`equiv`] compares two tags.
+/// How [`equiv_id`] compares two tags.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Equiv {
     /// Compare as written, up to α-renaming of binders. Use when both sides
@@ -185,34 +174,15 @@ pub enum Equiv {
     Normalizing,
 }
 
-/// The single equality entry point for tags.
-///
-/// Both modes reduce to an integer compare of α-canonical ids
-/// ([`crate::intern::canon_tag`]); `Normalizing` additionally sends each
-/// side through the (memoized) normalizer first. [`tag_eq`] and
-/// [`alpha_eq`] are thin wrappers fixing the mode.
-pub fn equiv(a: &Tag, b: &Tag, mode: Equiv) -> bool {
-    equiv_id(a.id(), b.id(), mode)
-}
-
-/// [`equiv`] on interned ids.
+/// The single equality entry point for tags: an integer compare of
+/// α-canonical ids ([`crate::intern::canon_tag`]); `Normalizing`
+/// additionally sends each side through the (memoized) normalizer first.
 pub fn equiv_id(a: TagId, b: TagId, mode: Equiv) -> bool {
     let (a, b) = match mode {
         Equiv::Syntactic => (a, b),
         Equiv::Normalizing => (normalize_id(a).0, normalize_id(b).0),
     };
     intern::tag_alpha_eq(a, b)
-}
-
-/// α-equivalence of tags (no normalization): `equiv(_, _, Syntactic)`.
-pub fn alpha_eq(a: &Tag, b: &Tag) -> bool {
-    equiv(a, b, Equiv::Syntactic)
-}
-
-/// Tag equality: normalize then compare up to α —
-/// `equiv(_, _, Normalizing)`.
-pub fn tag_eq(a: &Tag, b: &Tag) -> bool {
-    equiv(a, b, Equiv::Normalizing)
 }
 
 /// The size of a tag (number of constructors), used for benchmarks and
@@ -285,13 +255,13 @@ mod tests {
     fn beta_reduction() {
         let id = Tag::id_fn();
         let tau = Tag::app(id, Tag::Int);
-        assert_eq!(normalize(&tau), Tag::Int);
+        assert_eq!(normalize_id(tau.id()).0, Tag::Int.id());
     }
 
     #[test]
     fn reduction_under_constructors() {
         let tau = Tag::prod(Tag::app(Tag::id_fn(), Tag::Int), Tag::Int);
-        assert_eq!(normalize(&tau), Tag::prod(Tag::Int, Tag::Int));
+        assert_eq!(normalize_id(tau.id()).0, Tag::prod(Tag::Int, Tag::Int).id());
     }
 
     #[test]
@@ -299,7 +269,7 @@ mod tests {
         let env = omega_env();
         let tau = Tag::app(Tag::Var(s("te")), Tag::Int);
         check_kind(&tau, &env, Kind::Omega).unwrap();
-        assert_eq!(normalize(&tau), tau);
+        assert_eq!(normalize_id(tau.id()).0, tau.id());
         assert!(is_normal(&tau));
     }
 
@@ -310,16 +280,16 @@ mod tests {
         // A redex under a binder is not normal.
         let tau = Tag::lam(s("u"), Tag::app(Tag::id_fn(), Tag::Var(s("u"))));
         assert!(!is_normal(&tau));
-        assert!(is_normal(&normalize(&tau)));
+        assert!(is_normal(&normalize_id(tau.id()).0));
     }
 
     #[test]
     fn alpha_equivalence() {
         let a = Tag::lam(s("u"), Tag::Var(s("u")));
         let b = Tag::lam(s("v"), Tag::Var(s("v")));
-        assert!(alpha_eq(&a, &b));
+        assert!(equiv_id(a.id(), b.id(), Equiv::Syntactic));
         let c = Tag::lam(s("u"), Tag::Int);
-        assert!(!alpha_eq(&a, &c));
+        assert!(!equiv_id(a.id(), c.id(), Equiv::Syntactic));
     }
 
     #[test]
@@ -333,34 +303,30 @@ mod tests {
             s("v"),
             Tag::exist(s("u"), Tag::prod(Tag::Var(s("v")), Tag::Var(s("u")))),
         );
-        assert!(alpha_eq(&a, &b));
+        assert!(equiv_id(a.id(), b.id(), Equiv::Syntactic));
         let c = Tag::exist(
             s("v"),
             Tag::exist(s("u"), Tag::prod(Tag::Var(s("u")), Tag::Var(s("v")))),
         );
-        assert!(!alpha_eq(&a, &c));
+        assert!(!equiv_id(a.id(), c.id(), Equiv::Syntactic));
     }
 
     #[test]
     fn tag_eq_normalizes() {
         let a = Tag::app(Tag::id_fn(), Tag::prod(Tag::Int, Tag::Int));
         let b = Tag::prod(Tag::Int, Tag::Int);
-        assert!(tag_eq(&a, &b));
+        assert!(equiv_id(a.id(), b.id(), Equiv::Normalizing));
     }
 
     #[test]
     fn normalization_counts_steps() {
-        let mut steps = 0;
         let tau = Tag::app(Tag::id_fn(), Tag::app(Tag::id_fn(), Tag::Int));
-        normalize_counted(&tau, &mut steps);
-        assert_eq!(steps, 2);
+        assert_eq!(normalize_id(tau.id()).1, 2);
         // E7's β-chains `id (id (… (id τ)))`: one β-step per redex.
         let inner = Tag::prod(Tag::Int, Tag::Int);
         for n in [8, 64, 512] {
             let chain = (0..n).fold(inner.clone(), |t, _| Tag::app(Tag::id_fn(), t));
-            let mut steps = 0;
-            assert_eq!(normalize_counted(&chain, &mut steps), inner);
-            assert_eq!(steps, n, "{n}-redex chain");
+            assert_eq!(normalize_id(chain.id()), (inner.id(), n), "{n}-redex chain");
         }
     }
 
@@ -372,6 +338,9 @@ mod tests {
         let body = Tag::prod(Tag::Var(t), Tag::Int);
         let lam = Tag::lam(t, body.clone());
         let applied = Tag::app(lam, Tag::Int);
-        assert_eq!(normalize(&applied), Tag::prod(Tag::Int, Tag::Int));
+        assert_eq!(
+            normalize_id(applied.id()).0,
+            Tag::prod(Tag::Int, Tag::Int).id()
+        );
     }
 }

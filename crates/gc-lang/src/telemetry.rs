@@ -1034,12 +1034,15 @@ impl Observer for Recorder {
 // JSON rendering (hand-rolled: the repo takes no external dependencies)
 // ---------------------------------------------------------------------------
 
-struct JsonObj {
+/// One JSON object under construction, written left to right: the one
+/// writer, and so the one string escaper, of every trace line and of the
+/// supervisor's triage report.
+pub(crate) struct JsonObj {
     buf: String,
 }
 
 impl JsonObj {
-    fn new() -> JsonObj {
+    pub(crate) fn new() -> JsonObj {
         JsonObj {
             buf: String::from("{"),
         }
@@ -1054,7 +1057,7 @@ impl JsonObj {
         self.buf.push_str("\":");
     }
 
-    fn str(&mut self, k: &str, v: &str) {
+    pub(crate) fn str(&mut self, k: &str, v: &str) {
         self.key(k);
         self.buf.push('"');
         for c in v.chars() {
@@ -1070,7 +1073,7 @@ impl JsonObj {
         self.buf.push('"');
     }
 
-    fn int(&mut self, k: &str, v: u64) {
+    pub(crate) fn int(&mut self, k: &str, v: u64) {
         self.key(k);
         self.buf.push_str(&v.to_string());
     }
@@ -1103,7 +1106,7 @@ impl JsonObj {
         self.raw("occupancy", &format!("[{}]", parts.join(",")));
     }
 
-    fn finish(mut self) -> String {
+    pub(crate) fn finish(mut self) -> String {
         self.buf.push('}');
         self.buf
     }
@@ -1497,18 +1500,27 @@ mod json {
                         match self.peek() {
                             Some(b'"') => out.push('"'),
                             Some(b'\\') => out.push('\\'),
+                            Some(b'/') => out.push('/'),
+                            Some(b'b') => out.push('\u{8}'),
+                            Some(b'f') => out.push('\u{c}'),
+                            Some(b'n') => out.push('\n'),
+                            Some(b'r') => out.push('\r'),
+                            Some(b't') => out.push('\t'),
                             Some(b'u') => {
-                                let hex = self
-                                    .bytes
-                                    .get(self.pos + 1..self.pos + 5)
-                                    .ok_or("truncated \\u escape")?;
-                                let code = u32::from_str_radix(
-                                    std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                    16,
-                                )
-                                .map_err(|e| e.to_string())?;
-                                out.push(char::from_u32(code).ok_or("bad \\u escape")?);
+                                let mut code = self.hex4(self.pos + 1)?;
                                 self.pos += 4;
+                                // A character outside the BMP is escaped as a
+                                // surrogate pair, `\uD83D\uDE00`.
+                                if (0xD800..0xDC00).contains(&code)
+                                    && self.bytes.get(self.pos + 1..self.pos + 3) == Some(b"\\u")
+                                {
+                                    let low = self.hex4(self.pos + 3)?;
+                                    if (0xDC00..0xE000).contains(&low) {
+                                        code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                                        self.pos += 6;
+                                    }
+                                }
+                                out.push(char::from_u32(code).ok_or("bad \\u escape")?);
                             }
                             other => return Err(format!("bad escape {other:?}")),
                         }
@@ -1525,6 +1537,13 @@ mod json {
                     None => return Err("unterminated string".into()),
                 }
             }
+        }
+
+        /// The four hex digits of a `\u` escape, starting at byte `at`.
+        fn hex4(&self, at: usize) -> Result<u32, String> {
+            let hex = self.bytes.get(at..at + 4).ok_or("truncated \\u escape")?;
+            u32::from_str_radix(std::str::from_utf8(hex).map_err(|e| e.to_string())?, 16)
+                .map_err(|e| e.to_string())
         }
 
         fn array(&mut self) -> Result<Value, String> {
@@ -1743,6 +1762,39 @@ mod tests {
         assert_eq!(summary.count("gc_end"), 1);
         assert_eq!(summary.count("halt"), 1);
         assert_eq!(summary.count("fuel_exhausted"), 1);
+    }
+
+    /// The validator reads every escape JSON has, not only the ones the
+    /// writer emits: a trace whose `meta` line spells a newline `\n`
+    /// validates exactly like one that spells it `\u000a`, a surrogate pair
+    /// reads as its one character, and the writer's own escapes read back
+    /// as the string it was given.
+    #[test]
+    fn validator_reads_every_json_escape() {
+        let meta = RunMeta {
+            collector: "ba\nsic".into(),
+            ..RunMeta::default()
+        }
+        .to_json();
+        assert!(meta.contains(r#""collector":"ba\u000asic""#), "{meta}");
+        let short = meta.replace(r"\u000a", r"\n");
+        for line in [&meta, &short] {
+            let summary = validate_jsonl_trace(line).expect("trace validates");
+            assert_eq!(summary.count("meta"), 1);
+        }
+        let obj = json::parse_object(r#"{"s":"\"\\\/\b\f\n\r\t\u0041\ud83d\ude00"}"#).unwrap();
+        assert_eq!(
+            obj.get("s"),
+            Some(&json::Value::Str("\"\\/\u{8}\u{c}\n\r\tA\u{1f600}".into()))
+        );
+        let every: String = (0u8..0x20)
+            .map(char::from)
+            .chain("\"\\ λ\u{1f600}".chars())
+            .collect();
+        let mut o = JsonObj::new();
+        o.str("s", &every);
+        let obj = json::parse_object(&o.finish()).unwrap();
+        assert_eq!(obj.get("s"), Some(&json::Value::Str(every)));
     }
 
     #[test]

@@ -8,6 +8,12 @@
 //! `v : σ₁ ⟹ v : σ₁ + σ₂` are not syntax-directed), and
 //! [`Checker::ty_wf`] implements `∆; Θ; Φ ⊢ σ`.
 //!
+//! Every judgement takes and returns types as interned [`TyId`]s, and Γ
+//! maps variables to them: a synthesized type is normalized, compared and
+//! substituted by id, through the memoized [`normalize_ty_id`] and the
+//! α-canonical [`intern::ty_alpha_eq`], without rebuilding a node it was
+//! handed.
+//!
 //! Departures from the paper's figures, each marked `paper:` at its use
 //! site:
 //!
@@ -21,18 +27,19 @@
 //!   unique binders, Appendix A).
 
 use std::collections::{BTreeSet, HashMap};
+use std::sync::OnceLock;
 
 use ps_ir::scope::{unbind_all, Scope};
 use ps_ir::Symbol;
 
 use crate::error::{dialect_err, form_err, type_err, LangError, Result};
-use crate::intern::{self, intern_ty, TermId, TyId};
+use crate::intern::{self, intern_tag, intern_ty, TagId, TermId, TyId};
 use crate::machine::Program;
 use crate::memory::Memory;
-use crate::moper::{normalize_ty, normalize_ty_id};
+use crate::moper::normalize_ty_id;
 use crate::subst::{ty_regions, Subst};
 use crate::syntax::{CodeDef, Dialect, Kind, Op, Region, RegionName, Tag, Term, Ty, Value};
-use crate::tags;
+use crate::tags::{self, Equiv};
 
 /// The static environments `∆; Θ; Φ; Γ` of Fig. 6.
 ///
@@ -48,8 +55,8 @@ pub struct Ctx {
     pub theta: HashMap<Symbol, Kind>,
     /// `Φ` — type variables `α` and their region-set bounds.
     pub phi: HashMap<Symbol, Vec<Region>>,
-    /// `Γ` — value variables.
-    pub gamma: HashMap<Symbol, Ty>,
+    /// `Γ` — value variables and their types.
+    pub gamma: HashMap<Symbol, TyId>,
     /// Bounds of region variables introduced by `open` on region
     /// existentials: §8 notes these existentials are "closer to a bounded
     /// quantification", and the generational subtyping below needs the
@@ -77,7 +84,8 @@ impl Ctx {
 /// ([`Checker::from_memory`]), and certification's `Ψ|cd`
 /// ([`Checker::check_program`]) is one type per code block. The rules that
 /// restrict `Ψ` (`only`, `widen`, code blocks) narrow a region filter over
-/// that source.
+/// that source. Types go in and out of every judgement as [`TyId`]s, the
+/// form `Ψ`, Γ and the syntax already hold them in.
 ///
 /// # Examples
 ///
@@ -223,7 +231,7 @@ impl<'p> Checker<'p> {
     /// Returns the first kinding/typing error found, with context naming
     /// the offending code block.
     pub fn check_program(program: &Program) -> Result<()> {
-        let cd: Vec<TyId> = program.code.iter().map(|def| def.ty().id()).collect();
+        let cd: Vec<TyId> = program.code.iter().map(CodeDef::ty).collect();
         let checker = Checker::with_code(program.dialect, &cd);
         for def in &program.code {
             checker
@@ -261,7 +269,7 @@ impl<'p> Checker<'p> {
             restricted
                 .ty_wf(&mut ctx, sigma)
                 .map_err(|e| e.in_context(format!("parameter {x} of {}", def.name)))?;
-            if ctx.gamma.insert(*x, sigma.clone()).is_some() {
+            if ctx.gamma.insert(*x, *sigma).is_some() {
                 return Err(type_err(format!("duplicate parameter {x} in {}", def.name)));
             }
         }
@@ -426,24 +434,24 @@ impl<'p> Checker<'p> {
     ///
     /// Fails on unbound variables, dangling addresses, ill-kinded package
     /// witnesses, and malformed tag applications.
-    pub fn synth_value(&self, ctx: &Ctx, v: &Value) -> Result<Ty> {
+    pub fn synth_value(&self, ctx: &Ctx, v: &Value) -> Result<TyId> {
         match v {
-            Value::Int(_) => Ok(Ty::Int),
+            Value::Int(_) => Ok(int_ty()),
             Value::Var(x) => ctx
                 .gamma
                 .get(x)
-                .cloned()
+                .copied()
                 .ok_or_else(|| type_err(format!("unbound variable {x}"))),
             Value::Addr(nu, loc) => {
                 let sigma = self
                     .psi_lookup(*nu, *loc)
                     .ok_or_else(|| type_err(format!("no Ψ entry for address {nu}.{loc}")))?;
-                Ok(Ty::At(sigma, Region::Name(*nu)))
+                Ok(intern_ty(Ty::At(sigma, Region::Name(*nu))))
             }
-            Value::Pair(a, b) => Ok(Ty::prod(
+            Value::Pair(a, b) => Ok(intern_ty(Ty::Prod(
                 self.synth_value(ctx, a)?,
                 self.synth_value(ctx, b)?,
-            )),
+            ))),
             Value::PackTag {
                 tvar,
                 kind,
@@ -453,13 +461,13 @@ impl<'p> Checker<'p> {
             } => {
                 tags::check_kind(tag, &ctx.theta, *kind)?;
                 let instantiated = Subst::one_tag(*tvar, *tag).ty_id(*body_ty);
-                self.check_value_id(ctx, val, instantiated, true)
+                self.check_value(ctx, val, instantiated)
                     .map_err(|e| e.in_context("tag package payload"))?;
-                Ok(Ty::ExistTag {
+                Ok(intern_ty(Ty::ExistTag {
                     tvar: *tvar,
                     kind: *kind,
                     body: *body_ty,
-                })
+                }))
             }
             Value::PackAlpha {
                 avar,
@@ -481,13 +489,13 @@ impl<'p> Checker<'p> {
                 self.ty_wf(&mut inner, witness)
                     .map_err(|e| e.in_context("α-package witness"))?;
                 let instantiated = Subst::one_alpha(*avar, *witness).ty_id(*body_ty);
-                self.check_value_id(ctx, val, instantiated, true)
+                self.check_value(ctx, val, instantiated)
                     .map_err(|e| e.in_context("α-package payload"))?;
-                Ok(Ty::ExistAlpha {
+                Ok(intern_ty(Ty::ExistAlpha {
                     avar: *avar,
                     regions: regions.clone(),
                     body: *body_ty,
-                })
+                }))
             }
             Value::PackRgn {
                 rvar,
@@ -511,18 +519,18 @@ impl<'p> Checker<'p> {
                     Subst::one_rgn(*rvar, *witness).ty_id(*body_ty),
                     *witness,
                 ));
-                self.check_value_id(ctx, val, instantiated, true)
+                self.check_value(ctx, val, instantiated)
                     .map_err(|e| e.in_context("region package payload"))?;
-                Ok(Ty::ExistRgn {
+                Ok(intern_ty(Ty::ExistRgn {
                     rvar: *rvar,
                     bound: bound.clone(),
                     body: *body_ty,
-                })
+                }))
             }
             Value::TagApp(f, ts, rhos) => {
-                let fty = normalize_ty(&self.synth_value(ctx, f)?, self.dialect);
-                match fty {
-                    Ty::At(inner, rho) => match &*inner {
+                let fty = self.synth_normal(ctx, f)?;
+                match fty.node() {
+                    Ty::At(inner, rho) => match inner.node() {
                         Ty::Code { tvars, rvars, args } => {
                             if tvars.len() != ts.len() || rvars.len() != rhos.len() {
                                 return Err(type_err(format!(
@@ -546,12 +554,12 @@ impl<'p> Checker<'p> {
                                 }
                                 sub = sub.with_rgn(*r, *nu);
                             }
-                            Ok(Ty::Trans {
+                            Ok(intern_ty(Ty::Trans {
                                 tags: ts.clone(),
                                 regions: rhos.clone(),
                                 args: args.iter().map(|a| sub.ty_id(*a)).collect(),
-                                rho,
-                            })
+                                rho: *rho,
+                            }))
                         }
                         other => Err(type_err(format!(
                             "tag application of non-code value of type {other:?}"
@@ -568,46 +576,40 @@ impl<'p> Checker<'p> {
             }
             Value::Inl(x) => {
                 self.require_dialect(&[Dialect::Forwarding], "inl")?;
-                Ok(Ty::Left(self.synth_value(ctx, x)?.id()))
+                Ok(intern_ty(Ty::Left(self.synth_value(ctx, x)?)))
             }
             Value::Inr(x) => {
                 self.require_dialect(&[Dialect::Forwarding], "inr")?;
-                Ok(Ty::Right(self.synth_value(ctx, x)?.id()))
+                Ok(intern_ty(Ty::Right(self.synth_value(ctx, x)?)))
             }
         }
     }
 
     /// Checks a value against an expected type, applying λGCforw's sum
     /// subsumption (`v : σ₁ ⟹ v : σ₁ + σ₂`) structurally through value
-    /// forms, as the paper's value judgements do.
-    pub fn check_value(&self, ctx: &Ctx, v: &Value, expected: &Ty) -> Result<()> {
-        self.check_value_id(ctx, v, expected.id(), true)
+    /// forms, as the paper's value judgements do. The auditors pass a `Ψ`
+    /// entry as it is stored.
+    pub fn check_value(&self, ctx: &Ctx, v: &Value, expected: TyId) -> Result<()> {
+        self.check_against(ctx, v, expected, true)
     }
 
-    /// [`Self::check_value`] against an interned type (the auditors pass a
-    /// `Ψ` entry as it is stored). `explain` only decides whether a failure
+    /// [`Self::check_value`], where `explain` only decides whether a failure
     /// carries a message: the sum rule tries `left`, then `right`, and
-    /// throws both attempts' errors away, so the attempts run with
-    /// `explain` off and fail without formatting one.
-    pub(crate) fn check_value_id(
-        &self,
-        ctx: &Ctx,
-        v: &Value,
-        expected: TyId,
-        explain: bool,
-    ) -> Result<()> {
+    /// throws both attempts' errors away, so the attempts run with `explain`
+    /// off and fail without formatting one.
+    fn check_against(&self, ctx: &Ctx, v: &Value, expected: TyId, explain: bool) -> Result<()> {
         let synth = self.synth_value(ctx, v);
         self.check_synthed(ctx, v, &synth, expected, explain)
     }
 
-    /// [`Self::check_value_id`] given `synth`, the type synthesized for
+    /// [`Self::check_against`] given `synth`, the type synthesized for
     /// `v`: the sum rule's two attempts are on the same value, so they
     /// share the one synthesis.
     fn check_synthed(
         &self,
         ctx: &Ctx,
         v: &Value,
-        synth: &Result<Ty>,
+        synth: &Result<TyId>,
         expected: TyId,
         explain: bool,
     ) -> Result<()> {
@@ -617,7 +619,7 @@ impl<'p> Checker<'p> {
         // `norm`.
         let norm = normalize_ty_id(expected, self.dialect);
         if let Ok(t) = synth {
-            if self.subty(ctx, &normalize_ty(t, self.dialect), &norm) {
+            if self.subty(ctx, normalize_ty_id(*t, self.dialect), norm) {
                 return Ok(());
             }
         }
@@ -627,13 +629,13 @@ impl<'p> Checker<'p> {
                 let right = intern_ty(Ty::Right(*b));
                 self.check_synthed(ctx, v, synth, left, false)
                     .or_else(|_| self.check_synthed(ctx, v, synth, right, false))
-                    .map_err(|_| self.mismatch(explain, v, &norm, synth))
+                    .map_err(|_| self.mismatch(explain, v, norm, synth))
             }
-            (Ty::Left(a), Value::Inl(inner)) => self.check_value_id(ctx, inner, *a, explain),
-            (Ty::Right(b), Value::Inr(inner)) => self.check_value_id(ctx, inner, *b, explain),
+            (Ty::Left(a), Value::Inl(inner)) => self.check_against(ctx, inner, *a, explain),
+            (Ty::Right(b), Value::Inr(inner)) => self.check_against(ctx, inner, *b, explain),
             (Ty::Prod(a, b), Value::Pair(x, y)) => {
-                self.check_value_id(ctx, x, *a, explain)?;
-                self.check_value_id(ctx, y, *b, explain)
+                self.check_against(ctx, x, *a, explain)?;
+                self.check_against(ctx, y, *b, explain)
             }
             (
                 Ty::ExistTag { tvar, kind, body },
@@ -642,13 +644,13 @@ impl<'p> Checker<'p> {
                 },
             ) => {
                 if kind != vk {
-                    return Err(self.mismatch(explain, v, &norm, synth));
+                    return Err(self.mismatch(explain, v, norm, synth));
                 }
                 tags::check_kind(tag, &ctx.theta, *kind)?;
                 let instantiated = Subst::one_tag(*tvar, *tag).ty_id(*body);
-                self.check_value_id(ctx, val, instantiated, explain)
+                self.check_against(ctx, val, instantiated, explain)
             }
-            _ => Err(self.mismatch(explain, v, &norm, synth)),
+            _ => Err(self.mismatch(explain, v, norm, synth)),
         }
     }
 
@@ -665,17 +667,17 @@ impl<'p> Checker<'p> {
     ///   (`M_{ry,ro}(t)` at a fresh `ry`) in Fig. 11's `gc`.
     ///
     /// Products and references are covariant; everything else is invariant.
-    fn subty(&self, ctx: &Ctx, a: &Ty, b: &Ty) -> bool {
-        if crate::moper::alpha_eq_ty(a, b) {
+    fn subty(&self, ctx: &Ctx, a: TyId, b: TyId) -> bool {
+        if intern::ty_alpha_eq(a, b) {
             return true;
         }
-        match (a, b) {
+        match (a.node(), b.node()) {
             (Ty::MGen(ya, oa, ta), Ty::MGen(yb, ob, tb)) => {
                 // Bounded quantification: r ∈ ∆ with ∆ (transitively)
                 // within {yb, ob}.
                 let index_ok =
                     ya == yb || ya == oa || region_within(ctx, ya, &[*yb, *ob], &mut Vec::new());
-                oa == ob && tags::alpha_eq(ta, tb) && index_ok
+                oa == ob && tags::equiv_id(*ta, *tb, Equiv::Syntactic) && index_ok
             }
             (
                 Ty::ExistRgn {
@@ -692,13 +694,13 @@ impl<'p> Checker<'p> {
                 let subset = da
                     .iter()
                     .all(|r| region_within(ctx, r, db, &mut Vec::new()));
-                let bb2 = Subst::one_rgn(*rb, Region::Var(*ra)).ty(bb);
-                subset && self.subty(ctx, ba, &bb2)
+                let bb2 = Subst::one_rgn(*rb, Region::Var(*ra)).ty_id(*bb);
+                subset && self.subty(ctx, *ba, bb2)
             }
             (Ty::Prod(a1, a2), Ty::Prod(b1, b2)) => {
-                self.subty(ctx, a1, b1) && self.subty(ctx, a2, b2)
+                self.subty(ctx, *a1, *b1) && self.subty(ctx, *a2, *b2)
             }
-            (Ty::At(ia, ra), Ty::At(ib, rb)) => ra == rb && self.subty(ctx, ia, ib),
+            (Ty::At(ia, ra), Ty::At(ib, rb)) => ra == rb && self.subty(ctx, *ia, *ib),
             (
                 Ty::ExistTag {
                     tvar: ta,
@@ -711,8 +713,8 @@ impl<'p> Checker<'p> {
                     body: bb,
                 },
             ) => {
-                let bb2 = Subst::one_tag(*tb, Tag::Var(*ta)).ty(bb);
-                ka == kb && self.subty(ctx, ba, &bb2)
+                let bb2 = Subst::one_tag(*tb, Tag::Var(*ta)).ty_id(*bb);
+                ka == kb && self.subty(ctx, *ba, bb2)
             }
             _ => false,
         }
@@ -720,14 +722,20 @@ impl<'p> Checker<'p> {
 
     /// The failure of `v` against `expected`, message-free when `explain`
     /// is off (the caller discards it).
-    fn mismatch(&self, explain: bool, v: &Value, expected: &Ty, synth: &Result<Ty>) -> LangError {
+    fn mismatch(
+        &self,
+        explain: bool,
+        v: &Value,
+        expected: TyId,
+        synth: &Result<TyId>,
+    ) -> LangError {
         if !explain {
             return type_err(String::new());
         }
         match synth {
             Ok(t) => type_err(format!(
                 "value has type {:?} but {:?} was expected",
-                normalize_ty(t, self.dialect),
+                normalize_ty_id(*t, self.dialect),
                 expected
             )),
             Err(e) => e.clone().in_context(format!("while checking value {v:?}")),
@@ -737,13 +745,13 @@ impl<'p> Checker<'p> {
     // ===== operations ====================================================
 
     /// Synthesizes the type of an operation (`Ψ; ∆; Θ; Φ; Γ ⊢ op : σ`).
-    pub fn synth_op(&self, ctx: &Ctx, op: &Op) -> Result<Ty> {
+    pub fn synth_op(&self, ctx: &Ctx, op: &Op) -> Result<TyId> {
         match op {
             Op::Val(v) => self.synth_value(ctx, v),
             Op::Proj(i, v) => {
-                let t = normalize_ty(&self.synth_value(ctx, v)?, self.dialect);
-                match t {
-                    Ty::Prod(a, b) => Ok(if *i == 1 { (*a).clone() } else { (*b).clone() }),
+                let t = self.synth_normal(ctx, v)?;
+                match t.node() {
+                    Ty::Prod(a, b) => Ok(if *i == 1 { *a } else { *b }),
                     other => Err(type_err(format!(
                         "projection π{i} of non-pair type {other:?}"
                     ))),
@@ -758,29 +766,35 @@ impl<'p> Checker<'p> {
                 if rho.is_cd() {
                     return Err(type_err("put into the code region".to_string()));
                 }
-                Ok(self.synth_value(ctx, v)?.at(*rho))
+                Ok(intern_ty(Ty::At(self.synth_value(ctx, v)?, *rho)))
             }
             Op::Get(v) => {
-                let t = normalize_ty(&self.synth_value(ctx, v)?, self.dialect);
-                match t {
-                    Ty::At(inner, _) => Ok((*inner).clone()),
+                let t = self.synth_normal(ctx, v)?;
+                match t.node() {
+                    Ty::At(inner, _) => Ok(*inner),
                     other => Err(type_err(format!("get of non-reference type {other:?}"))),
                 }
             }
             Op::Strip(v) => {
                 self.require_dialect(&[Dialect::Forwarding], "strip")?;
-                let t = normalize_ty(&self.synth_value(ctx, v)?, self.dialect);
-                match t {
-                    Ty::Left(inner) | Ty::Right(inner) => Ok((*inner).clone()),
+                let t = self.synth_normal(ctx, v)?;
+                match t.node() {
+                    Ty::Left(inner) | Ty::Right(inner) => Ok(*inner),
                     other => Err(type_err(format!("strip of untagged type {other:?}"))),
                 }
             }
             Op::Prim(_, a, b) => {
-                self.check_value(ctx, a, &Ty::Int)?;
-                self.check_value(ctx, b, &Ty::Int)?;
-                Ok(Ty::Int)
+                self.check_value(ctx, a, int_ty())?;
+                self.check_value(ctx, b, int_ty())?;
+                Ok(int_ty())
             }
         }
+    }
+
+    /// The normal form of the type synthesized for `v`, for the rules that
+    /// take it apart.
+    fn synth_normal(&self, ctx: &Ctx, v: &Value) -> Result<TyId> {
+        Ok(normalize_ty_id(self.synth_value(ctx, v)?, self.dialect))
     }
 
     // ===== terms =========================================================
@@ -801,7 +815,7 @@ impl<'p> Checker<'p> {
                 verdict
             }
             Term::Halt(v) => self
-                .check_value(ctx, v, &Ty::Int)
+                .check_value(ctx, v, int_ty())
                 .map_err(|e| e.in_context("halt")),
             Term::IfGc { rho, full, cont } => {
                 if !ctx.in_delta(rho) {
@@ -811,8 +825,8 @@ impl<'p> Checker<'p> {
                 self.check_term(ctx, cont)
             }
             Term::OpenTag { pkg, tvar, x, body } => {
-                let t = normalize_ty(&self.synth_value(ctx, pkg)?, self.dialect);
-                match t {
+                let t = self.synth_normal(ctx, pkg)?;
+                match t.node() {
                     Ty::ExistTag {
                         tvar: t0,
                         kind,
@@ -821,8 +835,8 @@ impl<'p> Checker<'p> {
                         if ctx.theta.contains_key(tvar) {
                             return Err(type_err(format!("open shadows tag variable {tvar}")));
                         }
-                        let opened = Subst::one_tag(t0, Tag::Var(*tvar)).ty(&bty);
-                        ctx.theta.insert(*tvar, kind);
+                        let opened = Subst::one_tag(*t0, Tag::Var(*tvar)).ty_id(*bty);
+                        ctx.theta.insert(*tvar, *kind);
                         let verdict = self.check_in(ctx, *x, opened, body);
                         ctx.theta.remove(tvar);
                         verdict
@@ -831,8 +845,8 @@ impl<'p> Checker<'p> {
                 }
             }
             Term::OpenAlpha { pkg, avar, x, body } => {
-                let t = normalize_ty(&self.synth_value(ctx, pkg)?, self.dialect);
-                match t {
+                let t = self.synth_normal(ctx, pkg)?;
+                match t.node() {
                     Ty::ExistAlpha {
                         avar: a0,
                         regions,
@@ -841,7 +855,7 @@ impl<'p> Checker<'p> {
                         if ctx.phi.contains_key(avar) {
                             return Err(type_err(format!("open shadows type variable {avar}")));
                         }
-                        let opened = Subst::one_alpha(a0, Ty::Alpha(*avar)).ty(&bty);
+                        let opened = Subst::one_alpha(*a0, Ty::Alpha(*avar)).ty_id(*bty);
                         ctx.phi.insert(*avar, regions.to_vec());
                         let verdict = self.check_in(ctx, *x, opened, body);
                         ctx.phi.remove(avar);
@@ -852,8 +866,8 @@ impl<'p> Checker<'p> {
             }
             Term::OpenRgn { pkg, rvar, x, body } => {
                 self.require_dialect(&[Dialect::Generational], "open(region)")?;
-                let t = normalize_ty(&self.synth_value(ctx, pkg)?, self.dialect);
-                match t {
+                let t = self.synth_normal(ctx, pkg)?;
+                match t.node() {
                     Ty::ExistRgn {
                         rvar: r0,
                         bound,
@@ -863,7 +877,7 @@ impl<'p> Checker<'p> {
                         if ctx.delta.contains(&r) {
                             return Err(type_err(format!("open shadows region variable {rvar}")));
                         }
-                        let opened = Subst::one_rgn(r0, r).ty(&bty).at(r);
+                        let opened = intern_ty(Ty::At(Subst::one_rgn(*r0, r).ty_id(*bty), r));
                         ctx.delta.insert(r);
                         let shadowed = ctx.rbounds.bind(*rvar, bound.to_vec());
                         let verdict = self.check_in(ctx, *x, opened, body);
@@ -912,13 +926,10 @@ impl<'p> Checker<'p> {
                         let regions_ok = ty_regions(sigma)
                             .iter()
                             .all(|r| r.is_cd() || keep.contains(r));
-                        let mut tv = std::collections::HashSet::new();
-                        let mut rv = std::collections::HashSet::new();
-                        let mut av = std::collections::HashSet::new();
-                        crate::subst::ty_free_vars(sigma, &mut tv, &mut rv, &mut av);
-                        regions_ok && av.iter().all(|a| inner.phi.contains_key(a))
+                        let alphas = &intern::ty_fv(**sigma).avars;
+                        regions_ok && alphas.iter().all(|a| inner.phi.contains_key(a))
                     })
-                    .map(|(x, t)| (*x, t.clone()))
+                    .map(|(x, t)| (*x, *t))
                     .collect();
                 restricted.check_term(&mut inner, body)
             }
@@ -928,7 +939,7 @@ impl<'p> Checker<'p> {
                 arrow_arm,
                 prod_arm,
                 exist_arm,
-            } => self.check_typecase(ctx, tag, int_arm, arrow_arm, prod_arm, exist_arm),
+            } => self.check_typecase(ctx, *tag, int_arm, arrow_arm, prod_arm, exist_arm),
             Term::IfLeft {
                 x,
                 scrut,
@@ -936,32 +947,32 @@ impl<'p> Checker<'p> {
                 right,
             } => {
                 self.require_dialect(&[Dialect::Forwarding], "ifleft")?;
-                let t = normalize_ty(&self.synth_value(ctx, scrut)?, self.dialect);
-                match t {
+                let t = self.synth_normal(ctx, scrut)?;
+                match t.node() {
                     Ty::Sum(a, b) => {
-                        self.check_in(ctx, *x, Ty::Left(a), left)?;
-                        self.check_in(ctx, *x, Ty::Right(b), right)
+                        self.check_in(ctx, *x, intern_ty(Ty::Left(*a)), left)?;
+                        self.check_in(ctx, *x, intern_ty(Ty::Right(*b)), right)
                     }
                     // A literal `inl v`/`inr v` scrutinee (mid-execution
                     // machine state) synthesizes a bare `left`/`right` type;
                     // by sum subsumption it inhabits σ₁ + σ₂ for any other
                     // side, and only the live branch needs checking — the
                     // analogue of Fig. 10's literal `ifreg (ν₁ = ν₂)` rules.
-                    Ty::Left(a) if matches!(scrut, Value::Inl(_)) => {
-                        self.check_in(ctx, *x, Ty::Left(a), left)
+                    Ty::Left(_) if matches!(scrut, Value::Inl(_)) => {
+                        self.check_in(ctx, *x, t, left)
                     }
-                    Ty::Right(b) if matches!(scrut, Value::Inr(_)) => {
-                        self.check_in(ctx, *x, Ty::Right(b), right)
+                    Ty::Right(_) if matches!(scrut, Value::Inr(_)) => {
+                        self.check_in(ctx, *x, t, right)
                     }
                     other => Err(type_err(format!("ifleft on non-sum type {other:?}"))),
                 }
             }
             Term::Set { dst, src, body } => {
                 self.require_dialect(&[Dialect::Forwarding], "set")?;
-                let t = normalize_ty(&self.synth_value(ctx, dst)?, self.dialect);
-                match t {
+                let t = self.synth_normal(ctx, dst)?;
+                match t.node() {
                     Ty::At(sigma, _) => {
-                        self.check_value(ctx, src, &sigma)
+                        self.check_value(ctx, src, *sigma)
                             .map_err(|e| e.in_context("set source"))?;
                         self.check_term(ctx, body)
                     }
@@ -981,8 +992,7 @@ impl<'p> Checker<'p> {
                     return Err(type_err("widen region not in scope".to_string()));
                 }
                 tags::check_kind(tag, &ctx.theta, Kind::Omega)?;
-                let m_ty = Ty::m(*from, tag.clone());
-                self.check_value(ctx, v, &m_ty)
+                self.check_value(ctx, v, intern_ty(Ty::M(*from, *tag)))
                     .map_err(|e| e.in_context("widen argument"))?;
                 // Fig. 8: the body is typed under Ψ|cd; cd, ρ, ρ′; Θ; Φ|ρρ′;
                 // Γ = x : Cρ,ρ′(τ) only.
@@ -999,7 +1009,7 @@ impl<'p> Checker<'p> {
                     })
                     .map(|(a, b)| (*a, b.clone()))
                     .collect();
-                inner.gamma.insert(*x, Ty::c(*from, *to, tag.clone()));
+                inner.gamma.insert(*x, intern_ty(Ty::C(*from, *to, *tag)));
                 restricted.check_term(&mut inner, body)
             }
             Term::IfReg { r1, r2, eq, ne } => {
@@ -1011,7 +1021,7 @@ impl<'p> Checker<'p> {
                 zero,
                 nonzero,
             } => {
-                self.check_value(ctx, scrut, &Ty::Int)?;
+                self.check_value(ctx, scrut, int_ty())?;
                 self.check_term(ctx, zero)?;
                 self.check_term(ctx, nonzero)
             }
@@ -1019,7 +1029,7 @@ impl<'p> Checker<'p> {
     }
 
     /// Checks `body` under `Γ, x : σ`, then takes the binding back.
-    fn check_in(&self, ctx: &mut Ctx, x: Symbol, sigma: Ty, body: &Term) -> Result<()> {
+    fn check_in(&self, ctx: &mut Ctx, x: Symbol, sigma: TyId, body: &Term) -> Result<()> {
         let shadowed = ctx.gamma.bind(x, sigma);
         let verdict = self.check_term(ctx, body);
         ctx.gamma.unbind(x, shadowed);
@@ -1033,7 +1043,7 @@ impl<'p> Checker<'p> {
         &self,
         ctx: &mut Ctx,
         e: &Term,
-        shadowed: &mut Vec<(Symbol, Option<Ty>)>,
+        shadowed: &mut Vec<(Symbol, Option<TyId>)>,
     ) -> Result<()> {
         let mut cur = e;
         while let Term::Let { x, op, body } = cur {
@@ -1050,7 +1060,7 @@ impl<'p> Checker<'p> {
         &self,
         ctx: &Ctx,
         f: &Value,
-        ts: &[Tag],
+        ts: &[TagId],
         regions: &[Region],
         args: &[Value],
     ) -> Result<()> {
@@ -1059,9 +1069,9 @@ impl<'p> Checker<'p> {
                 return Err(type_err(format!("application region {rho} not in scope")));
             }
         }
-        let fty = normalize_ty(&self.synth_value(ctx, f)?, self.dialect);
-        match fty {
-            Ty::At(inner, _) => match &*inner {
+        let fty = self.synth_normal(ctx, f)?;
+        match fty.node() {
+            Ty::At(inner, _) => match inner.node() {
                 Ty::Code {
                     tvars,
                     rvars,
@@ -1084,14 +1094,13 @@ impl<'p> Checker<'p> {
                     let mut sub = Subst::new();
                     for ((t, k), tau) in tvars.iter().zip(ts.iter()) {
                         tags::check_kind(tau, &ctx.theta, *k)?;
-                        sub = sub.with_tag(*t, tau.clone());
+                        sub = sub.with_tag(*t, *tau);
                     }
                     for (r, rho) in rvars.iter().zip(regions.iter()) {
                         sub = sub.with_rgn(*r, *rho);
                     }
                     for (i, (param, arg)) in params.iter().zip(args.iter()).enumerate() {
-                        let expected = sub.ty(param);
-                        self.check_value(ctx, arg, &expected)
+                        self.check_value(ctx, arg, sub.ty_id(*param))
                             .map_err(|e| e.in_context(format!("argument {}", i + 1)))?;
                     }
                     Ok(())
@@ -1113,7 +1122,7 @@ impl<'p> Checker<'p> {
                     ));
                 }
                 for (given, recorded) in ts.iter().zip(rec.iter()) {
-                    if !tags::tag_eq(given, recorded) {
+                    if !tags::equiv_id(*given, *recorded, Equiv::Normalizing) {
                         return Err(type_err(format!(
                             "translucent application tag mismatch: given {given:?}, recorded {recorded:?}"
                         )));
@@ -1127,7 +1136,7 @@ impl<'p> Checker<'p> {
                     }
                 }
                 for (i, (param, arg)) in params.iter().zip(args.iter()).enumerate() {
-                    self.check_value(ctx, arg, param)
+                    self.check_value(ctx, arg, *param)
                         .map_err(|e| e.in_context(format!("argument {}", i + 1)))?;
                 }
                 Ok(())
@@ -1140,30 +1149,29 @@ impl<'p> Checker<'p> {
     fn check_typecase(
         &self,
         ctx: &mut Ctx,
-        tag: &Tag,
+        tag: TagId,
         int_arm: &Term,
         arrow_arm: &Term,
-        prod_arm: &(Symbol, Symbol, crate::intern::TermId),
-        exist_arm: &(Symbol, crate::intern::TermId),
+        prod_arm: &(Symbol, Symbol, TermId),
+        exist_arm: &(Symbol, TermId),
     ) -> Result<()> {
-        tags::check_kind(tag, &ctx.theta, Kind::Omega)?;
-        let nf = tags::normalize(tag);
-        match nf {
+        tags::check_kind(&tag, &ctx.theta, Kind::Omega)?;
+        let nf = tags::normalize_id(tag).0;
+        match nf.node() {
             Tag::Int => self.check_term(ctx, int_arm),
             Tag::Arrow(_) | Tag::AnyArrow(_) => self.check_term(ctx, arrow_arm),
             Tag::Prod(a, b) => {
                 let (t1, t2, body) = prod_arm;
-                let sub = Subst::new()
-                    .with_tag(*t1, (*a).clone())
-                    .with_tag(*t2, (*b).clone());
+                let sub = Subst::new().with_tag(*t1, *a).with_tag(*t2, *b);
                 self.check_term(ctx, &sub.term(body))
             }
             Tag::Exist(t, btag) => {
                 let (te, body) = exist_arm;
-                let lam = Tag::Lam(t, btag);
+                let lam = intern_tag(Tag::Lam(*t, *btag));
                 self.check_term(ctx, &Subst::one_tag(*te, lam).term(body))
             }
             Tag::Var(t) => {
+                let t = *t;
                 // The refining rule of Fig. 6: each arm is checked with the
                 // variable refined in Γ and in the arm itself. Γ is rebuilt
                 // under the refinement for the arm and put back after it.
@@ -1171,7 +1179,7 @@ impl<'p> Checker<'p> {
                     let refined = ctx
                         .gamma
                         .iter()
-                        .map(|(x, sigma)| (*x, sub.ty(sigma)))
+                        .map(|(x, sigma)| (*x, sub.ty_id(*sigma)))
                         .collect();
                     let outer = std::mem::replace(&mut ctx.gamma, refined);
                     let verdict = self.check_term(ctx, &sub.term(arm));
@@ -1281,6 +1289,12 @@ impl<'p> Checker<'p> {
     }
 }
 
+/// The type `int`, interned once.
+fn int_ty() -> TyId {
+    static INT: OnceLock<TyId> = OnceLock::new();
+    *INT.get_or_init(|| intern_ty(Ty::Int))
+}
+
 /// Is region `r` (transitively, through the recorded bounds of opened
 /// region variables) within the set `db`?
 fn region_within(ctx: &Ctx, r: &Region, db: &[Region], seen: &mut Vec<Symbol>) -> bool {
@@ -1317,7 +1331,7 @@ fn subst_ctx(ctx: &Ctx, sub: &Subst, add: Option<Region>) -> Ctx {
             .iter()
             .map(|(a, bound)| (*a, bound.iter().map(|r| sub.region(r)).collect()))
             .collect(),
-        gamma: ctx.gamma.iter().map(|(x, t)| (*x, sub.ty(t))).collect(),
+        gamma: ctx.gamma.iter().map(|(x, t)| (*x, sub.ty_id(*t))).collect(),
         rbounds: ctx
             .rbounds
             .iter()
@@ -1329,7 +1343,7 @@ fn subst_ctx(ctx: &Ctx, sub: &Subst, add: Option<Region>) -> Ctx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::moper::ty_eq;
+    use crate::moper::ty_eq_id;
     use crate::syntax::{PrimOp, CD};
 
     fn s(x: &str) -> Symbol {
@@ -1506,7 +1520,7 @@ mod tests {
             name: s("f"),
             tvars: vec![(t, Kind::Omega)],
             rvars: vec![r],
-            params: vec![(s("x"), Ty::m(Region::Var(r), Tag::Var(t)))],
+            params: vec![(s("x"), Ty::m(Region::Var(r), Tag::Var(t)).id())],
             body: Term::Halt(Value::Int(0)),
         };
         basic().check_code(&def).unwrap();
@@ -1520,7 +1534,7 @@ mod tests {
             name: s("f"),
             tvars: vec![(t, Kind::Omega)],
             rvars: vec![r],
-            params: vec![(s("x"), Ty::m(Region::Var(r), Tag::Var(t)))],
+            params: vec![(s("x"), Ty::m(Region::Var(r), Tag::Var(t)).id())],
             body: Term::Halt(Value::Int(0)),
         };
         let prog = |arg: Value, tag: Tag| Program {
@@ -1545,7 +1559,7 @@ mod tests {
             name: s("f"),
             tvars: vec![],
             rvars: vec![],
-            params: vec![(s("x"), Ty::Int)],
+            params: vec![(s("x"), Ty::Int.id())],
             body: Term::Halt(Value::Int(0)),
         };
         let prog = Program {
@@ -1564,7 +1578,7 @@ mod tests {
         let r = s("r");
         let x = s("x");
         let body = Term::Typecase {
-            tag: Tag::Var(t),
+            tag: Tag::Var(t).into(),
             int_arm: (Term::Halt(Value::Var(x))).into(),
             arrow_arm: (Term::Halt(Value::Int(0))).into(),
             prod_arm: (
@@ -1578,7 +1592,7 @@ mod tests {
             name: s("probe"),
             tvars: vec![(t, Kind::Omega)],
             rvars: vec![r],
-            params: vec![(x, Ty::m(Region::Var(r), Tag::Var(t)))],
+            params: vec![(x, Ty::m(Region::Var(r), Tag::Var(t)).id())],
             body,
         };
         basic().check_code(&def).unwrap();
@@ -1637,7 +1651,7 @@ mod tests {
             )
         };
         let typecase = |int_arm: Term, prod: Term, exist: Term| Term::Typecase {
-            tag: Tag::Var(t),
+            tag: Tag::Var(t).into(),
             int_arm: int_arm.into(),
             arrow_arm: halt().into(),
             prod_arm: (t1, t2, prod.into()),
@@ -1664,7 +1678,7 @@ mod tests {
         let r = s("r");
         let x = s("x");
         let body = Term::Typecase {
-            tag: Tag::Var(t),
+            tag: Tag::Var(t).into(),
             int_arm: (Term::let_(s("y"), Op::Get(Value::Var(x)), Term::Halt(Value::Int(0)))).into(),
             arrow_arm: (Term::Halt(Value::Int(0))).into(),
             prod_arm: (s("t1"), s("t2"), (Term::Halt(Value::Int(0))).into()),
@@ -1674,7 +1688,7 @@ mod tests {
             name: s("probe"),
             tvars: vec![(t, Kind::Omega)],
             rvars: vec![r],
-            params: vec![(x, Ty::m(Region::Var(r), Tag::Var(t)))],
+            params: vec![(x, Ty::m(Region::Var(r), Tag::Var(t)).id())],
             body,
         };
         assert!(basic().check_code(&def).is_err());
@@ -1694,7 +1708,7 @@ mod tests {
         let rk = s("rk");
         let k_ty = Ty::code([], [rk], [Ty::m(Region::Var(rk), Tag::Var(t))]).at(Region::cd());
         let body = Term::Typecase {
-            tag: Tag::Var(t),
+            tag: Tag::Var(t).into(),
             int_arm: (Term::app(Value::Var(k), [], [Region::Var(r2)], [Value::Var(x)])).into(),
             arrow_arm: (Term::app(Value::Var(k), [], [Region::Var(r2)], [Value::Var(x)])).into(),
             prod_arm: (s("t1"), s("t2"), (Term::Halt(Value::Int(0))).into()),
@@ -1704,7 +1718,10 @@ mod tests {
             name: s("lamarm"),
             tvars: vec![(t, Kind::Omega)],
             rvars: vec![r1, r2],
-            params: vec![(x, Ty::m(Region::Var(r1), Tag::Var(t))), (k, k_ty)],
+            params: vec![
+                (x, Ty::m(Region::Var(r1), Tag::Var(t)).id()),
+                (k, k_ty.id()),
+            ],
             body,
         };
         basic().check_code(&def).unwrap();
@@ -1722,7 +1739,7 @@ mod tests {
         let rk = s("rk2");
         let k_ty = Ty::code([], [rk], [Ty::m(Region::Var(rk), Tag::Var(t))]).at(Region::cd());
         let body = Term::Typecase {
-            tag: Tag::Var(t),
+            tag: Tag::Var(t).into(),
             int_arm: (Term::Halt(Value::Int(0))).into(),
             arrow_arm: (Term::Halt(Value::Int(0))).into(),
             prod_arm: (
@@ -1736,7 +1753,10 @@ mod tests {
             name: s("pairarm"),
             tvars: vec![(t, Kind::Omega)],
             rvars: vec![r1, r2],
-            params: vec![(x, Ty::m(Region::Var(r1), Tag::Var(t))), (k, k_ty)],
+            params: vec![
+                (x, Ty::m(Region::Var(r1), Tag::Var(t)).id()),
+                (k, k_ty.id()),
+            ],
             body,
         };
         assert!(basic().check_code(&def).is_err());
@@ -1799,7 +1819,7 @@ mod tests {
         let x = s("x");
         let mut ctx = ctx_with_region("r");
         ctx.gamma
-            .insert(x, Ty::sum(Ty::Int, Ty::Int).at(Region::Var(r)));
+            .insert(x, Ty::sum(Ty::Int, Ty::Int).at(Region::Var(r)).into());
         let e = Term::Set {
             dst: Value::Var(x),
             src: Value::inr(Value::Int(2)),
@@ -1823,7 +1843,7 @@ mod tests {
         let fw = Checker::new(Dialect::Forwarding);
         let v = Value::inl(Value::pair(Value::Int(1), Value::Int(2)));
         let err = fw
-            .check_value(&Ctx::empty(), &v, &Ty::sum(Ty::Int, Ty::Int))
+            .check_value(&Ctx::empty(), &v, Ty::sum(Ty::Int, Ty::Int).id())
             .unwrap_err();
         assert_eq!(
             err.to_string(),
@@ -1838,7 +1858,7 @@ mod tests {
         let y = s("y");
         let mut ctx = Ctx::empty();
         ctx.gamma
-            .insert(s("v"), Ty::sum(Ty::Int, Ty::prod(Ty::Int, Ty::Int)));
+            .insert(s("v"), Ty::sum(Ty::Int, Ty::prod(Ty::Int, Ty::Int)).into());
         let e = Term::IfLeft {
             x,
             scrut: Value::Var(s("v")),
@@ -1876,7 +1896,7 @@ mod tests {
                     x,
                     from: Region::Var(r1),
                     to: Region::Var(r2),
-                    tag: Tag::Int,
+                    tag: Tag::Int.into(),
                     v: Value::Int(1),
                     body: (Term::Halt(Value::Var(x))).into(),
                 })
@@ -1888,7 +1908,7 @@ mod tests {
         // The body may NOT use outer bindings (Γ is just x).
         let leak = s("leak");
         let mut ctx = Ctx::empty();
-        ctx.gamma.insert(leak, Ty::Int);
+        ctx.gamma.insert(leak, Ty::Int.into());
         let bad = Term::LetRegion {
             rvar: r1,
             body: (Term::LetRegion {
@@ -1897,7 +1917,7 @@ mod tests {
                     x,
                     from: Region::Var(r1),
                     to: Region::Var(r2),
-                    tag: Tag::Int,
+                    tag: Tag::Int.into(),
                     v: Value::Int(1),
                     body: (Term::Halt(Value::Var(leak))).into(),
                 })
@@ -2021,7 +2041,7 @@ mod tests {
             name: s("k"),
             tvars: vec![(t, Kind::Omega)],
             rvars: vec![],
-            params: vec![(s("x"), Ty::m(Region::cd(), Tag::Var(t)))],
+            params: vec![(s("x"), Ty::m(Region::cd(), Tag::Var(t)).id())],
             body: Term::Halt(Value::Int(0)),
         };
         let cd = [def.ty().id()];
@@ -2046,7 +2066,11 @@ mod tests {
         ctx.delta = ck.psi_domain();
         assert!(ctx.delta.contains(&Region::Name(nu)));
         let t = ck.synth_value(&ctx, &Value::Addr(nu, loc)).unwrap();
-        assert!(ty_eq(&t, &Ty::Int.at(Region::Name(nu)), Dialect::Basic));
+        assert!(ty_eq_id(
+            t,
+            Ty::Int.at(Region::Name(nu)).id(),
+            Dialect::Basic
+        ));
         assert!(ck.synth_value(&ctx, &Value::Addr(nu, loc + 1)).is_err());
         assert!(ck
             .synth_value(&ctx, &Value::Addr(RegionName(nu.0 + 1), 0))

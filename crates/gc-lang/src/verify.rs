@@ -56,7 +56,13 @@ pub fn audit_state(mem: &Memory, dialect: Dialect, root: &Term) -> Result<()> {
     let reachable = wf::reachable_from(mem, root);
     audit_pointers(&reachable)?;
     if mem.config().track_types {
-        audit_psi(mem, dialect, &reachable)?;
+        // Check 5, over the reachable slots under λGCforw (Def. 7.1). The
+        // current term is not re-typechecked: the heap side is what
+        // corruption perturbs, and leaving the term out keeps the audit
+        // identical on every backend, whose in-flight terms differ only by
+        // pending substitutions.
+        let reachable = (dialect == Dialect::Forwarding).then_some(&reachable.slots);
+        wf::check_store(mem, dialect, reachable, false)?;
     }
     Ok(())
 }
@@ -136,7 +142,7 @@ fn audit_dirty_inner(mem: &Memory, dialect: Dialect) -> Result<()> {
                     let (checker, ctx) =
                         typing.get_or_insert_with(|| wf::typing_context(mem, dialect));
                     checker
-                        .check_value_id(ctx, &stored.canonical(), entry, true)
+                        .check_value(ctx, &stored.canonical(), entry)
                         .map_err(|e| {
                             wf_err(format!("slot {nu}.{loc} does not match its Ψ type: {e}"))
                         })?;
@@ -301,40 +307,6 @@ fn audit_pointers(reachable: &Reachable) -> Result<()> {
         ))),
         None => Ok(()),
     }
-}
-
-/// Check 5: `⊢ M : Ψ` proper — every (for λGCforw: reachable) stored value
-/// checks against its `Ψ` entry. The current term is *not* re-typechecked
-/// here: the heap side is what corruption perturbs, and skipping the term
-/// keeps the audit identical across the substitution and environment
-/// backends (whose in-flight terms differ only by pending substitutions).
-fn audit_psi(mem: &Memory, dialect: Dialect, reachable: &Reachable) -> Result<()> {
-    let (checker, ctx) = wf::typing_context(mem, dialect);
-    for nu in mem.region_names() {
-        if nu.is_cd() {
-            continue;
-        }
-        let Some(region) = mem.region(nu) else {
-            continue;
-        };
-        for (loc, stored) in region.iter() {
-            if dialect == Dialect::Forwarding && !reachable.slots.contains(&(nu, loc)) {
-                continue;
-            }
-            let Some(entry) = mem.psi_entry(nu, loc) else {
-                // Dead garbage discarded by widen (Def. 7.1) — only the
-                // forwarding dialect may have Ψ-less slots.
-                if dialect == Dialect::Forwarding {
-                    continue;
-                }
-                return Err(wf_err(format!("slot {nu}.{loc} has no Ψ entry")));
-            };
-            checker
-                .check_value_id(&ctx, &stored.canonical(), entry, true)
-                .map_err(|e| wf_err(format!("slot {nu}.{loc} does not match its Ψ type: {e}")))?;
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 
 use std::collections::HashSet;
 
-use crate::error::{ErrorKind, LangError, Result};
+use crate::error::{wf_err, ErrorKind, LangError, Result};
 use crate::intern::SlotVal;
 use crate::machine::{Machine, SubstMachine};
 use crate::memory::Memory;
@@ -68,47 +68,55 @@ pub fn check_state(machine: &SubstMachine, opts: WfOptions) -> Result<()> {
         ));
     }
     let dialect = machine.dialect();
-    let (checker, mut ctx) = typing_context(machine.memory(), dialect);
-
-    // Which slots to validate.
+    let mem = machine.memory();
+    // ⊢ M : Ψ, over the reachable slots when asked or under λGCforw.
     let reachable = (opts.reachable_only || dialect == Dialect::Forwarding)
-        .then(|| reachable_from(machine.memory(), machine.term()).slots);
-
-    // ⊢ M : Ψ — every (selected) stored value checks against its Ψ entry.
-    for nu in machine.memory().region_names() {
-        if nu.is_cd() && !opts.check_code_bodies {
-            continue;
-        }
-        let Some(region) = machine.memory().region(nu) else {
-            continue;
-        };
-        for (loc, stored) in region.iter() {
-            if let Some(set) = &reachable {
-                if !set.contains(&(nu, loc)) {
-                    continue;
-                }
-            }
-            let Some(entry) = machine.memory().psi_entry(nu, loc) else {
-                // No Ψ entry: dead garbage discarded by widen (Def. 7.1) —
-                // but only the forwarding dialect may have such slots.
-                if dialect == Dialect::Forwarding {
-                    continue;
-                }
-                return Err(LangError::new(
-                    ErrorKind::WellFormedness,
-                    format!("slot {nu}.{loc} has no Ψ entry"),
-                ));
-            };
-            checker
-                .check_value_id(&ctx, &stored.canonical(), entry, true)
-                .map_err(|e| e.in_context(format!("store slot {nu}.{loc}")))?;
-        }
-    }
+        .then(|| reachable_from(mem, machine.term()).slots);
+    check_store(mem, dialect, reachable.as_ref(), opts.check_code_bodies)?;
 
     // Ψ; Dom(Ψ); ·; ·; · ⊢ e.
+    let (checker, mut ctx) = typing_context(mem, dialect);
     checker
         .check_term(&mut ctx, machine.term())
         .map_err(|e| e.in_context("current term"))
+}
+
+/// `⊢ M : Ψ` — every selected stored value checks against its `Ψ` entry:
+/// the one store-typing walk behind [`check_state`] and the full audit of
+/// [`crate::verify`]. With `reachable`, only those slots are checked
+/// (Def. 7.1's sufficient subset); the code region only with `with_cd`. A
+/// slot without an entry is dead garbage `widen` discarded, which only the
+/// forwarding dialect may hold.
+pub(crate) fn check_store(
+    mem: &Memory,
+    dialect: Dialect,
+    reachable: Option<&HashSet<(RegionName, u32)>>,
+    with_cd: bool,
+) -> Result<()> {
+    let (checker, ctx) = typing_context(mem, dialect);
+    for nu in mem.region_names() {
+        if nu.is_cd() && !with_cd {
+            continue;
+        }
+        let Some(region) = mem.region(nu) else {
+            continue;
+        };
+        for (loc, stored) in region.iter() {
+            if reachable.is_some_and(|set| !set.contains(&(nu, loc))) {
+                continue;
+            }
+            let Some(entry) = mem.psi_entry(nu, loc) else {
+                if dialect == Dialect::Forwarding {
+                    continue;
+                }
+                return Err(wf_err(format!("slot {nu}.{loc} has no Ψ entry")));
+            };
+            checker
+                .check_value(&ctx, &stored.canonical(), entry)
+                .map_err(|e| wf_err(format!("slot {nu}.{loc} does not match its Ψ type: {e}")))?;
+        }
+    }
+    Ok(())
 }
 
 /// The context a stored value is checked in: `Ψ` read in place from
@@ -440,7 +448,7 @@ mod tests {
                         x: w,
                         from: Region::Var(r1),
                         to: Region::Var(r2),
-                        tag: tag.clone(),
+                        tag: tag.clone().into(),
                         v: Value::Var(w0),
                         body: (Term::let_(
                             y,

@@ -39,7 +39,7 @@ fn code_defs() -> Vec<CodeDef> {
             name: Symbol::intern("ba_finish"),
             tvars: vec![],
             rvars: vec![],
-            params: vec![(n, Ty::Int)],
+            params: vec![(n, Ty::Int.id())],
             body: Term::Halt(Value::Var(n)),
         },
         // 1: twice(n) = let m = n + n in halt m
@@ -47,7 +47,7 @@ fn code_defs() -> Vec<CodeDef> {
             name: Symbol::intern("ba_twice"),
             tvars: vec![],
             rvars: vec![],
-            params: vec![(n, Ty::Int)],
+            params: vec![(n, Ty::Int.id())],
             body: Term::let_(
                 m,
                 Op::Prim(PrimOp::Add, Value::Var(n), Value::Var(n)),
@@ -60,7 +60,7 @@ fn code_defs() -> Vec<CodeDef> {
             name: Symbol::intern("ba_alloc"),
             tvars: vec![],
             rvars: vec![r],
-            params: vec![(n, Ty::Int)],
+            params: vec![(n, Ty::Int.id())],
             body: Term::let_(
                 a,
                 Op::Put(Region::Var(r), Value::pair(Value::Var(n), Value::Var(n))),
@@ -76,9 +76,9 @@ fn code_defs() -> Vec<CodeDef> {
             name: Symbol::intern("ba_disp"),
             tvars: vec![(t, Kind::Omega)],
             rvars: vec![],
-            params: vec![(n, Ty::Int)],
+            params: vec![(n, Ty::Int.id())],
             body: Term::Typecase {
-                tag: Tag::Var(t),
+                tag: Tag::Var(t).into(),
                 int_arm: (Term::Halt(Value::Var(n))).into(),
                 arrow_arm: (Term::Halt(Value::Int(11))).into(),
                 prod_arm: (
@@ -300,7 +300,7 @@ fn gen_term(tape: &mut Tape, fuel: u32, scope: &mut Scope) -> Term {
             let int_arm = gen_term(tape, half, &mut scope.clone());
             let other = gen_term(tape, half, scope);
             Term::Typecase {
-                tag,
+                tag: tag.into(),
                 int_arm: (int_arm).into(),
                 arrow_arm: (Term::Halt(Value::Int(11))).into(),
                 prod_arm: (gensym("ba_t1"), gensym("ba_t2"), (other.clone()).into()),
@@ -573,7 +573,7 @@ fn stuck_programs() -> Vec<(&'static str, Program)> {
         name: sym("st_finish"),
         tvars: vec![],
         rvars: vec![],
-        params: vec![(x, Ty::Int)],
+        params: vec![(x, Ty::Int.id())],
         body: Term::Halt(Value::Var(x)),
     };
     let table = [
@@ -646,7 +646,7 @@ fn stuck_programs() -> Vec<(&'static str, Program)> {
             "typecase on non-constructor tag",
             Dialect::Basic,
             Term::Typecase {
-                tag: Tag::Var(t),
+                tag: Tag::Var(t).into(),
                 int_arm: halt(),
                 arrow_arm: halt(),
                 prod_arm: (sym("st_t1"), sym("st_t2"), halt()),

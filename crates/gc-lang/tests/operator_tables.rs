@@ -2,7 +2,7 @@
 //! §4.2, the forwarding `M`/`C` tables of §7, and the generational
 //! `M_{ρy,ρo}` table of §8. Each test checks one displayed equation.
 
-use ps_gc_lang::moper::{normalize_ty, ty_eq};
+use ps_gc_lang::moper::{normalize_ty_id, ty_eq_id};
 use ps_gc_lang::syntax::{Dialect, Kind, Region, Tag, Ty};
 use ps_ir::Symbol;
 
@@ -12,6 +12,10 @@ fn s(x: &str) -> Symbol {
 
 fn r(x: &str) -> Region {
     Region::Var(s(x))
+}
+
+fn ty_eq(a: &Ty, b: &Ty, dialect: Dialect) -> bool {
+    ty_eq_id(a.id(), b.id(), dialect)
 }
 
 // ===== §4.2: Mρ(τ), basic dialect =========================================
@@ -190,17 +194,18 @@ fn mgen_children_keep_the_old_index() {
     // "By using the set {r, ρo} we make sure that if r is the old
     // generation, pointers underneath it cannot point back to the new
     // generation" — the children's old index stays ρo, not r.
-    let lhs = normalize_ty(
-        &Ty::mgen(
+    let lhs = normalize_ty_id(
+        Ty::mgen(
             r("y"),
             r("o"),
             Tag::prod(Tag::prod(Tag::Int, Tag::Int), Tag::Int),
-        ),
+        )
+        .id(),
         Dialect::Generational,
     );
-    match lhs {
-        Ty::ExistRgn { body, .. } => match &*body {
-            Ty::Prod(first, _) => match &**first {
+    match lhs.node() {
+        Ty::ExistRgn { body, .. } => match body.node() {
+            Ty::Prod(first, _) => match first.node() {
                 Ty::ExistRgn { bound, .. } => {
                     // the inner pair's bound is {r, ρo}, with ρo free.
                     assert!(bound.contains(&r("o")), "{bound:?}");

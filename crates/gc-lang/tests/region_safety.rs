@@ -166,7 +166,7 @@ fn widen_body_cannot_use_outer_bindings() {
                     x: s("w"),
                     from: Region::Var(s("r1")),
                     to: Region::Var(s("r2")),
-                    tag: Tag::Int,
+                    tag: Tag::Int.into(),
                     v: Value::Int(0),
                     body: (Term::Halt(Value::Var(s("secret")))).into(),
                 },
@@ -186,7 +186,7 @@ fn code_cannot_capture_regions() {
         name: s("leak"),
         tvars: vec![],
         rvars: vec![],
-        params: vec![(s("x"), Ty::Int.at(Region::Var(s("outer"))))],
+        params: vec![(s("x"), Ty::Int.at(Region::Var(s("outer"))).id())],
         body: Term::Halt(Value::Int(0)),
     };
     assert!(Checker::new(Dialect::Basic).check_code(&def).is_err());
@@ -197,7 +197,7 @@ fn code_cannot_capture_regions() {
 fn ints_are_not_sums() {
     let fw = Checker::new(Dialect::Forwarding);
     let mut ctx = Ctx::empty();
-    ctx.gamma.insert(s("v"), Ty::Int);
+    ctx.gamma.insert(s("v"), Ty::Int.into());
     let e = Term::IfLeft {
         x: s("x"),
         scrut: Value::Var(s("v")),

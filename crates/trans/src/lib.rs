@@ -362,7 +362,7 @@ impl Trans {
             name: f.name,
             tvars: vec![],
             rvars: self.region_params().collect(),
-            params: vec![(f.param, self.m(self.r, tag))],
+            params: vec![(f.param, self.m(self.r, tag).id())],
             body: guarded,
         })
     }

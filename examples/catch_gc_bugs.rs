@@ -71,7 +71,7 @@ fn main() {
     } = &blk.body
     {
         blk.body = Term::Typecase {
-            tag: tag.clone(),
+            tag: *tag,
             int_arm: *int_arm,
             arrow_arm: *arrow_arm,
             prod_arm: (prod_arm.0, prod_arm.1, *int_arm),

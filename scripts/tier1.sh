@@ -53,21 +53,29 @@ fi
 # stats, metrics, page counters — on every collector × backend, without
 # and with the memory typing Ψ tracked (with it, the auditor also re-checks
 # each slot written since its `put` against its Ψ type, while a checkpoint
-# every 16 steps shares the Ψ-bearing pages copy-on-write). `cmp` on the
-# whole observable output is the gate.
+# every 16 steps shares the Ψ-bearing pages copy-on-write). Typed runs are
+# also held to the full audit every 8 steps, which sends every live slot
+# through the checker on every backend. `cmp` on the whole observable
+# output is the gate.
 for types in "" --track-types; do
   checkpoints=()
-  if [ -n "$types" ]; then checkpoints=(--checkpoint-every 16); fi
+  audits=("--verify-every 1 --audit incremental")
+  if [ -n "$types" ]; then
+    checkpoints=(--checkpoint-every 16)
+    audits+=("--verify-every 8 --audit full")
+  fi
   for collector in basic forwarding generational; do
     for backend in subst env bytecode; do
       run=(./target/release/psgc run "$tmp" --collector "$collector" --backend "$backend" --budget 64 $types --stats --stats-pages --metrics)
       plain="$("${run[@]}" 2>&1)"
-      audited="$("${run[@]}" --verify-every 1 --audit incremental "${checkpoints[@]}" 2>&1)"
-      if [ "$plain" != "$audited" ]; then
-        echo "tier-1: incremental audit changed observable output on $collector/$backend ${types:-untyped}" >&2
-        diff <(printf '%s\n' "$plain") <(printf '%s\n' "$audited") >&2 || true
-        exit 1
-      fi
+      for audit in "${audits[@]}"; do
+        audited="$("${run[@]}" $audit "${checkpoints[@]}" 2>&1)"
+        if [ "$plain" != "$audited" ]; then
+          echo "tier-1: $audit changed observable output on $collector/$backend ${types:-untyped}" >&2
+          diff <(printf '%s\n' "$plain") <(printf '%s\n' "$audited") >&2 || true
+          exit 1
+        fi
+      done
     done
   done
 done

@@ -16,13 +16,13 @@ use proptest::prelude::*;
 
 use scavenger::gc_lang::machine::{Machine, Outcome, Program, SubstMachine};
 use scavenger::gc_lang::memory::{GrowthPolicy, MemConfig};
-use scavenger::gc_lang::moper;
 use scavenger::gc_lang::reference::{self, RefSubst};
 use scavenger::gc_lang::subst::Subst;
 use scavenger::gc_lang::syntax::{
     Dialect, Kind, Op, PrimOp, Region, RegionName, Tag, Term, Ty, Value,
 };
 use scavenger::gc_lang::tags::{self, Equiv};
+use scavenger::gc_lang::{intern, moper};
 use scavenger::ir::Symbol;
 
 const DIALECTS: [Dialect; 3] = [Dialect::Basic, Dialect::Forwarding, Dialect::Generational];
@@ -427,7 +427,7 @@ fn gen_term(tape: &mut Tape, e: &mut Envs, names: &mut Names, depth: u32) -> Ter
     match tape.next() % 15 {
         0 => Term::App {
             f: gen_value(tape, e, names, vd),
-            tags: vec![gen_tag(tape, &mut e.tenv, names, vd)],
+            tags: [gen_tag(tape, &mut e.tenv, names, vd).id()].into(),
             regions: vec![gen_region(tape, &e.renv)],
             args: vec![gen_value(tape, e, names, vd)],
         },
@@ -519,7 +519,7 @@ fn gen_term(tape: &mut Tape, e: &mut Envs, names: &mut Names, depth: u32) -> Ter
             let ee = gen_term(tape, e, names, depth - 1).id();
             e.tenv.pop();
             Term::Typecase {
-                tag,
+                tag: tag.into(),
                 int_arm,
                 arrow_arm,
                 prod_arm: (t1, t2, pe),
@@ -558,7 +558,7 @@ fn gen_term(tape: &mut Tape, e: &mut Envs, names: &mut Names, depth: u32) -> Ter
                 x,
                 from,
                 to,
-                tag,
+                tag: tag.into(),
                 v,
                 body,
             }
@@ -746,8 +746,7 @@ proptest! {
     #[test]
     fn tag_normalization_agrees(bytes in proptest::collection::vec(any::<u8>(), 0..96)) {
         let tau = tag_from(&bytes, "x");
-        let mut mem_steps = 0u64;
-        let mem = tags::normalize_counted(&tau, &mut mem_steps);
+        let (mem, mem_steps) = tags::normalize_id(tau.id());
         let mut ref_steps = 0u64;
         let reference_nf = reference::normalize_tag_counted(&tau, &mut ref_steps);
         prop_assert!(tags::is_normal(&mem), "memoized nf not normal: {mem:?}");
@@ -767,30 +766,30 @@ proptest! {
         let b = tag_from(lo, "y"); // same tape, renamed binders
         let c = tag_from(hi, "x");
 
-        prop_assert!(tags::equiv(&a, &b, Equiv::Syntactic), "α-variant must be equal: {a:?}");
+        prop_assert!(tags::equiv_id(a.id(), b.id(), Equiv::Syntactic), "α-variant must be equal: {a:?}");
         prop_assert!(reference::tag_alpha_eq(&a, &b));
 
         for other in [&b, &c] {
             prop_assert_eq!(
-                tags::equiv(&a, other, Equiv::Syntactic),
+                tags::equiv_id(a.id(), other.id(), Equiv::Syntactic),
                 reference::tag_alpha_eq(&a, other),
                 "Syntactic disagrees on {:?} vs {:?}", &a, other
             );
             prop_assert_eq!(
-                tags::equiv(&a, other, Equiv::Normalizing),
+                tags::equiv_id(a.id(), other.id(), Equiv::Normalizing),
                 reference::tag_eq(&a, other),
                 "Normalizing disagrees on {:?} vs {:?}", &a, other
             );
         }
     }
 
-    /// The memoized Typerec expansion (`moper::normalize_ty`) matches the
+    /// The memoized Typerec expansion (`moper::normalize_ty_id`) matches the
     /// reference expansion in every dialect.
     #[test]
     fn ty_normalization_agrees(bytes in proptest::collection::vec(any::<u8>(), 0..128)) {
         let sigma = ty_from(&bytes, "x", false);
         for dialect in DIALECTS {
-            let mem = moper::normalize_ty(&sigma, dialect);
+            let mem = moper::normalize_ty_id(sigma.id(), dialect);
             let reference_nf = reference::normalize_ty(&sigma, dialect);
             prop_assert!(
                 reference::ty_alpha_eq(&mem, &reference_nf),
@@ -897,18 +896,18 @@ proptest! {
         let b = ty_from(lo, "y", true); // renamed binders, reversed sets
         let c = ty_from(hi, "x", false);
 
-        prop_assert!(moper::alpha_eq_ty(&a, &b), "α-variant must be equal: {a:?}\n vs {b:?}");
+        prop_assert!(intern::ty_alpha_eq(a.id(), b.id()), "α-variant must be equal: {a:?}\n vs {b:?}");
         prop_assert!(reference::ty_alpha_eq(&a, &b));
 
         for other in [&b, &c] {
             prop_assert_eq!(
-                moper::alpha_eq_ty(&a, other),
+                intern::ty_alpha_eq(a.id(), other.id()),
                 reference::ty_alpha_eq(&a, other),
                 "alpha_eq disagrees on {:?} vs {:?}", &a, other
             );
             for dialect in DIALECTS {
                 prop_assert_eq!(
-                    moper::ty_eq(&a, other, dialect),
+                    moper::ty_eq_id(a.id(), other.id(), dialect),
                     reference::ty_eq(&a, other, dialect),
                     "{:?} ty_eq disagrees on {:?} vs {:?}", dialect, &a, other
                 );

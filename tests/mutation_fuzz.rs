@@ -65,11 +65,11 @@ fn mutate_term(e: &Term, tape: &mut impl FnMut() -> u8) -> Term {
                     args,
                 },
             ) if !tags.is_empty() => {
-                let mut tags = tags.clone();
-                tags[0] = Tag::prod(tags[0].clone(), Tag::Int);
+                let mut tags = tags.to_vec();
+                tags[0] = Tag::Prod(tags[0], Tag::Int.id()).id();
                 return Term::App {
                     f: f.clone(),
-                    tags,
+                    tags: tags.into(),
                     regions: regions.clone(),
                     args: args.clone(),
                 };

@@ -120,9 +120,7 @@ proptest! {
 /// and the ring actually holds checkpoints at the end. The checkpoint
 /// cadence is the same on every backend: the full event stream (snapshot
 /// events included) and the steps of the ring's checkpoints agree across
-/// `Backend::ALL`. (The observer keeps the bytecode backend on the
-/// per-step path; its unobserved chunked path may checkpoint up to one
-/// interval late by design.)
+/// `Backend::ALL`.
 #[test]
 fn checkpointing_changes_nothing_but_snapshot_events() {
     for collector in Collector::ALL {
@@ -268,6 +266,43 @@ fn typed_snapshots_keep_their_psi_across_a_collection() {
             assert_eq!(finish(&mut b), want_n, "{from}→{to}: result");
             assert_eq!(b.stats(), want.stats(), "{from}→{to}: stats");
             assert_eq!(b.memory().page_stats(), want_pages, "{from}→{to}: pages");
+        }
+    }
+}
+
+/// Checkpoints land at the same step on every backend when the interval is
+/// all that is armed: no observer, audit or fault plan. A collection takes
+/// its boundary checkpoint at the step that completes it, so a run stopped
+/// five steps past the first collection holds exactly that checkpoint, on
+/// the bytecode VM's unobserved path as on the other backends.
+#[test]
+fn unobserved_checkpoints_land_at_the_same_step_on_every_backend() {
+    let src = SRC.replace("build 8", "build 24");
+    for collector in Collector::ALL {
+        let compiled = RunOptions::new(collector)
+            .compile(&src)
+            .expect("battery program compiles");
+        let mut probe = load(&compiled, Backend::Subst);
+        while probe.stats().collections == 0 {
+            probe.step().expect("clean program");
+        }
+        let boundary = probe.stats().steps;
+        for backend in Backend::ALL {
+            let mut m = load(&compiled, backend);
+            m.run_control_mut().checkpoint_every = 1000;
+            let outcome = m.run(boundary + 5).expect("clean program");
+            assert_eq!(
+                outcome,
+                scavenger::gc_lang::machine::Outcome::OutOfFuel,
+                "{collector}/{backend}"
+            );
+            let ring: Vec<u64> = m
+                .run_control()
+                .snapshots()
+                .iter()
+                .map(Snapshot::step)
+                .collect();
+            assert_eq!(ring, [boundary], "{collector}/{backend}");
         }
     }
 }
